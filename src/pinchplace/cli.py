@@ -21,31 +21,12 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import experiments, noma, oma_fairness, oma_greedy, oracle, outage
-from .core import (
-    SystemParams,
-    UserLayout,
-    bpcu_to_nats,
-    dbm_to_watt,
-    nats_to_bpcu,
-    min_power_terms,
-    path_gain,
-    squared_distance,
-    watt_to_dbm,
-)
+from . import certify, experiments, noma, oma_fairness, oma_greedy, oracle, outage
+from .core import UserLayout, bpcu_to_nats, dbm_to_watt, nats_to_bpcu, watt_to_dbm
 from .errors import CertificationError, ConfigError, Infeasible, ParseError, PinchError
-
-# certification tolerances: closed forms must match their brute-force oracles
-CERT_REL = 1e-9            # max-min / power-min objective, relative
-CERT_SPLIT_NATS = 1e-9     # two-user split vs power sweep, absolute nats
-CERT_NOMA_REL = 1e-6       # NOMA closed form vs position/order search
-_SPLIT_SWEEP_POINTS = 100001
 
 _CONFIG_HELP = """\
 config keys (defaults in parentheses):
@@ -122,25 +103,11 @@ def _collect_mapping(args: argparse.Namespace) -> dict[str, object]:
         if len(parsed) != 1:
             raise ParseError(f"--set expects a single key=value, got {pair!r}")
         mapping.update(parsed)
-    for flag, key in (
-        ("power_dbm", "power_dbm"),
-        ("rate_bpcu", "rate_bpcu"),
-        ("users", "users"),
-        ("trials", "trials"),
-        ("workers", "workers"),
-        ("clustering", "clustering"),
-        ("seed", "seed"),
-    ):
-        value = getattr(args, flag, None)
+    for key in ("power_dbm", "rate_bpcu", "users", "trials", "workers", "clustering", "seed"):
+        value = getattr(args, key, None)
         if value is not None:
             mapping[key] = value
     return experiments.merge_config(mapping)
-
-
-def _emit(args: argparse.Namespace, report: dict, human: list[str]) -> None:
-    print("\n".join(human))
-    if args.out:
-        Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def _power_line(label: str, watts: float) -> str:
@@ -148,61 +115,23 @@ def _power_line(label: str, watts: float) -> str:
     return f"{label} = {watts:.6e} W{dbm}"
 
 
-def _certify_line(name: str, gap: float, tol: float, ok: bool) -> str:
-    return f"certify {name}: gap = {gap:.3e} (tol {tol:g}) -> {'PASS' if ok else 'FAIL'}"
+def _certify_line(check: certify.Check, prefix: str = "") -> str:
+    return (f"certify {prefix}{check.name}: gap = {check.gap:.3e} (tol {check.tol:g}) -> "
+            f"{'PASS' if check.ok else 'FAIL'}")
 
 
-# ---------------------------------------------------------------- oracles
-
-def _maxmin_oracle(params: SystemParams, layout: UserLayout, total_w: float) -> float:
-    xs_u, ys_u = layout.xs, layout.ys
-    h = params.height_m
-    g = path_gain(params)
-
-    def objective(xs: np.ndarray) -> np.ndarray:
-        tau_sum = squared_distance(xs_u[None, :], ys_u[None, :], xs[:, None], h).sum(axis=1)
-        return np.log1p(g * total_w / (params.noise_w * tau_sum)) / len(layout)
-
-    grid = oracle.certification_grid(-params.half_length, params.half_length)
-    return oracle.grid_optimize(objective, grid, sense="max")[1]
-
-
-def _powermin_oracle(params: SystemParams, layout: UserLayout, rate_nats: float) -> float:
-    terms = min_power_terms(params, layout, rate_nats, slots=len(layout))
-    xs_u, ys_u = layout.xs, layout.ys
-    h = params.height_m
-
-    def objective(xs: np.ndarray) -> np.ndarray:
-        return terms.coeff * squared_distance(
-            xs_u[None, :], ys_u[None, :], xs[:, None], h
-        ).sum(axis=1)
-
-    grid = oracle.certification_grid(-params.half_length, params.half_length)
-    return oracle.grid_optimize(objective, grid, sense="min")[1]
-
-
-def _split_sweep_value(
-    params: SystemParams, layout: UserLayout, total_w: float, rate_nats: float, x: float
-) -> float:
-    """Best sum rate over a dense sweep of the first user's power at fixed x."""
-    coeff = min_power_terms(params, layout, rate_nats, slots=2).coeff
-    h = params.height_m
-    (x1, y1), (x2, y2) = layout.users
-    t1 = squared_distance(x1, y1, x, h)
-    t2 = squared_distance(x2, y2, x, h)
-    g = path_gain(params)
-    q1, q2 = params.noise_w * t1 / g, params.noise_w * t2 / g
-    floor1, floor2 = coeff * t1, coeff * t2
-
-    def evaluator(p1s: np.ndarray) -> np.ndarray:
-        p2s = total_w - p1s
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rates = 0.5 * (np.log1p(p1s / q1) + np.log1p(p2s / q2))
-        feasible = (p1s >= floor1 - 1e-12 * total_w) & (p2s >= floor2 - 1e-12 * total_w)
-        return np.where(feasible, rates, -np.inf)
-
-    spec = oracle.GridSpec(lo=0.0, hi=total_w, points=_SPLIT_SWEEP_POINTS, refine_iters=40)
-    return oracle.power_split_sweep(evaluator, total_w, spec)[1]
+def _finish(args: argparse.Namespace, report: dict, human: list[str],
+            checks: list[certify.Check], failure: str) -> int:
+    """Print the report and write it to --out with its certification checks; raise if one failed."""
+    if checks:
+        human.extend(_certify_line(c) for c in checks)
+        report["certify"] = {"pass": all(c.ok for c in checks), "checks": [vars(c) for c in checks]}
+    print("\n".join(human))
+    if args.out:
+        Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    if checks and not report["certify"]["pass"]:
+        raise CertificationError(failure)
+    return 0
 
 
 # ------------------------------------------------------------- subcommands
@@ -232,19 +161,8 @@ def cmd_maxmin(args: argparse.Namespace) -> int:
         "min_rate_bpcu": rate_bpcu,
     }
 
-    code = 0
-    if args.certify:
-        reference = _maxmin_oracle(params, layout, total_w)
-        gap = (sol.objective - reference) / abs(reference)
-        ok = gap >= -CERT_REL
-        human.append(_certify_line("grid", gap, CERT_REL, ok))
-        report["certify"] = {"oracle_nats": reference, "gap_rel": gap, "pass": ok}
-        if not ok:
-            code = 4
-    _emit(args, report, human)
-    if code:
-        raise CertificationError("max-min objective fell below the grid oracle")
-    return 0
+    checks = [certify.maxmin(params, layout, total_w, sol.objective)] if args.certify else []
+    return _finish(args, report, human, checks, "max-min objective fell below the grid oracle")
 
 
 def cmd_powermin(args: argparse.Namespace) -> int:
@@ -272,19 +190,8 @@ def cmd_powermin(args: argparse.Namespace) -> int:
         "saving_w": saving,
     }
 
-    code = 0
-    if args.certify:
-        reference = _powermin_oracle(params, layout, rate)
-        gap = (sol.objective - reference) / reference
-        ok = gap <= CERT_REL
-        human.append(_certify_line("grid", gap, CERT_REL, ok))
-        report["certify"] = {"oracle_w": reference, "gap_rel": gap, "pass": ok}
-        if not ok:
-            code = 4
-    _emit(args, report, human)
-    if code:
-        raise CertificationError("power-min objective exceeded the grid oracle")
-    return 0
+    checks = [certify.powermin(params, layout, rate, sol.objective)] if args.certify else []
+    return _finish(args, report, human, checks, "power-min objective exceeded the grid oracle")
 
 
 def cmd_outage(args: argparse.Namespace) -> int:
@@ -295,6 +202,8 @@ def cmd_outage(args: argparse.Namespace) -> int:
     budget = dbm_to_watt(float(merged["power_dbm"]))
     trials = int(merged["trials"])
     seed = int(merged["seed"])
+    if args.certify and num_users != 2:
+        raise ConfigError("--certify for outage requires users = 2 (closed form)")
 
     estimate = outage.monte_carlo_outage(params, num_users, rate, budget, trials, seed)
     human = [
@@ -310,26 +219,14 @@ def cmd_outage(args: argparse.Namespace) -> int:
         "trials": trials,
     }
 
-    code = 0
-    analytic = None
+    checks = []
     if num_users == 2:
         analytic = outage.closed_form_outage(params, 2, rate, budget)
         human.insert(1, f"closed form: p = {analytic:.6f}")
         report["closed_form_probability"] = analytic
-    if args.certify:
-        if analytic is None:
-            raise ConfigError("--certify for outage requires users = 2 (closed form)")
-        sigma = math.sqrt(analytic * (1.0 - analytic) / trials)
-        gap = estimate.probability - analytic
-        ok = abs(gap) <= 3.0 * sigma + 1e-12
-        human.append(_certify_line("monte-carlo 3-sigma", gap, 3.0 * sigma + 1e-12, ok))
-        report["certify"] = {"gap": gap, "three_sigma": 3.0 * sigma, "pass": ok}
-        if not ok:
-            code = 4
-    _emit(args, report, human)
-    if code:
-        raise CertificationError("closed-form outage disagreed with Monte Carlo")
-    return 0
+        if args.certify:
+            checks = [certify.outage_3sigma(estimate.probability, analytic, trials)]
+    return _finish(args, report, human, checks, "closed-form outage disagreed with Monte Carlo")
 
 
 def cmd_greedy(args: argparse.Namespace) -> int:
@@ -373,29 +270,11 @@ def cmd_greedy(args: argparse.Namespace) -> int:
         "gap_rel": rel_gap,
     }
 
-    code = 0
-    if args.certify:
-        sweep_best = _split_sweep_value(params, layout, total_w, rate, search.x_star)
-        split_gap = sweep_best - search.objective
-        split_ok = split_gap <= CERT_SPLIT_NATS
-        # the fast route evaluates a subset of candidate positions, so it can
-        # never legitimately beat the search
-        order_ok = fast.solution.objective <= search.objective + CERT_SPLIT_NATS
-        human.append(_certify_line("power-sweep", split_gap, CERT_SPLIT_NATS, split_ok))
-        human.append(
-            f"certify fast<=search: {'PASS' if order_ok else 'FAIL'}"
-        )
-        report["certify"] = {
-            "sweep_gap_nats": split_gap,
-            "fast_below_search": order_ok,
-            "pass": split_ok and order_ok,
-        }
-        if not (split_ok and order_ok):
-            code = 4
-    _emit(args, report, human)
-    if code:
-        raise CertificationError("greedy allocation failed its brute-force check")
-    return 0
+    checks = [
+        certify.power_sweep(params, layout, total_w, rate, search),
+        certify.fast_below_search(fast.solution.objective, search.objective),
+    ] if args.certify else []
+    return _finish(args, report, human, checks, "greedy allocation failed its brute-force check")
 
 
 def cmd_noma(args: argparse.Namespace) -> int:
@@ -406,7 +285,7 @@ def cmd_noma(args: argparse.Namespace) -> int:
 
     ordered, perm = noma.order_by_waveguide_distance(layout)
     sol = noma.solve_min_power(params, ordered, rate)
-    checks = noma.check_solution(params, ordered, sol)
+    assumptions = noma.check_solution(params, ordered, sol)
 
     human = [
         f"solver: noma (target = {float(merged['rate_bpcu']):.4f} BPCU = {rate:.6f} nats)",
@@ -417,7 +296,7 @@ def cmd_noma(args: argparse.Namespace) -> int:
         _power_line("total", sol.total),
         f"rates = ({nats_to_bpcu(sol.rates.strong):.6f}, {nats_to_bpcu(sol.rates.weak):.6f}, "
         f"{nats_to_bpcu(sol.rates.sic):.6f}) BPCU (strong, weak, sic)",
-        f"assumptions ok: {checks.all_ok} (margin {checks.sic_distance_margin:.6g} m^2)",
+        f"assumptions ok: {assumptions.all_ok} (margin {assumptions.sic_distance_margin:.6g} m^2)",
         f"closed form certified optimal: {sol.certified_optimal}",
     ]
     report = {
@@ -428,81 +307,52 @@ def cmd_noma(args: argparse.Namespace) -> int:
         "powers_w": list(sol.powers),
         "total_power_w": sol.total,
         "rates_bpcu": [nats_to_bpcu(r) for r in sol.rates],
-        "assumptions_ok": checks.all_ok,
+        "assumptions_ok": assumptions.all_ok,
         "certified_optimal": sol.certified_optimal,
     }
 
-    code = 0
-    if args.certify:
-        grid = oracle.certification_grid(-params.half_length, params.half_length)
-        search = noma.solve_min_power_search(params, ordered, rate, grid)
-        gap = (sol.total - search.total) / search.total
-        ok = abs(gap) <= CERT_NOMA_REL if sol.certified_optimal else True
-        label = "search" if sol.certified_optimal else "search (report only, rate < 0.5 nats)"
-        human.append(_certify_line(label, gap, CERT_NOMA_REL, ok))
-        report["certify"] = {"search_total_w": search.total, "gap_rel": gap, "pass": ok}
-        if not ok:
-            code = 4
-    _emit(args, report, human)
-    if code:
-        raise CertificationError("NOMA closed form disagreed with the search")
-    return 0
+    checks = [certify.noma_search(params, ordered, rate, sol)] if args.certify else []
+    return _finish(args, report, human, checks, "NOMA closed form disagreed with the search")
 
 
-def _certify_experiment(cfg: experiments.ExperimentConfig) -> list[str]:
-    """Spot-check the first trial of each sweep point against the oracles."""
-    lines: list[str] = []
+def _spot_checks(cfg: experiments.ExperimentConfig, layout: UserLayout, v: float):
+    """Yield (scheme family, check) for each configured family on one layout at sweep value v."""
+    families = {s.split("-conv")[0].replace("-highsnr", "").removesuffix("-mc") for s in cfg.schemes}
+    p, rate = cfg.params, bpcu_to_nats(cfg.rate_bpcu)
+    if "oma-maxmin" in families:
+        yield "oma-maxmin", certify.maxmin(
+            p, layout, v, oma_fairness.solve_max_min_rate(p, layout, v).objective)
+    if "oma-powermin" in families:
+        yield "oma-powermin", certify.powermin(
+            p, layout, v, oma_fairness.solve_min_total_power(p, layout, v).objective)
+    if "oma-greedy" in families:
+        try:
+            search = oma_greedy.best_placement_search(p, layout, v, rate, cfg.grid)
+            check = certify.power_sweep(p, layout, v, rate, search)
+        except Infeasible:
+            check = certify.skipped("power-sweep", "infeasible trial")
+        yield "oma-greedy", check
+    if "noma" in families:
+        ordered, _ = noma.order_by_waveguide_distance(layout)
+        yield "noma", certify.noma_search(p, ordered, v, noma.solve_min_power(p, ordered, v))
+    if "outage" in families:
+        estimate = outage.monte_carlo_outage(p, 2, rate, v, cfg.trials, cfg.seed)
+        yield "outage", certify.outage_3sigma(
+            estimate.probability, outage.closed_form_outage(p, 2, rate, v), cfg.trials)
+
+
+def _certify_experiment(cfg: experiments.ExperimentConfig) -> None:
+    """Spot-check the first trial of each sweep point; print every line, then raise on a failure."""
     failures = 0
-    families = {name.split("-conv")[0].replace("-highsnr", "") for name in cfg.schemes}
     for sweep_idx, sweep_value in enumerate(cfg.sweep_values):
         internal = experiments._internal_sweep_value(cfg.sweep, sweep_value)
         gen = experiments.rng.stream(cfg.seed, experiments.rng.DOMAIN_LAYOUTS, sweep_idx, 0)
         layout = experiments.sample_layout(cfg.num_users, cfg.params, cfg.clustering, gen)
-
-        def check(name: str, ok: bool, detail: str) -> None:
-            nonlocal failures
-            lines.append(
-                f"certify sweep={sweep_value:g} {name}: {'PASS' if ok else 'FAIL'} ({detail})"
-            )
-            failures += 0 if ok else 1
-
-        if "oma-maxmin" in families:
-            sol = oma_fairness.solve_max_min_rate(cfg.params, layout, internal)
-            ref = _maxmin_oracle(cfg.params, layout, internal)
-            gap = (sol.objective - ref) / abs(ref)
-            check("oma-maxmin", gap >= -CERT_REL, f"gap {gap:.3e}")
-        if "oma-powermin" in families:
-            sol = oma_fairness.solve_min_total_power(cfg.params, layout, internal)
-            ref = _powermin_oracle(cfg.params, layout, internal)
-            gap = (sol.objective - ref) / ref
-            check("oma-powermin", gap <= CERT_REL, f"gap {gap:.3e}")
-        if "oma-greedy" in families:
-            rate = bpcu_to_nats(cfg.rate_bpcu)
-            try:
-                sol = oma_greedy.best_placement_search(cfg.params, layout, internal, rate, cfg.grid)
-                sweep_best = _split_sweep_value(cfg.params, layout, internal, rate, sol.x_star)
-                gap = sweep_best - sol.objective
-                check("oma-greedy", gap <= CERT_SPLIT_NATS, f"gap {gap:.3e} nats")
-            except Infeasible:
-                check("oma-greedy", True, "infeasible trial skipped")
-        if "noma" in families:
-            ordered, _ = noma.order_by_waveguide_distance(layout)
-            sol = noma.solve_min_power(cfg.params, ordered, internal)
-            grid = oracle.certification_grid(-cfg.params.half_length, cfg.params.half_length)
-            search = noma.solve_min_power_search(cfg.params, ordered, internal, grid)
-            gap = (sol.total - search.total) / search.total
-            ok = abs(gap) <= CERT_NOMA_REL if sol.certified_optimal else True
-            check("noma", ok, f"gap {gap:.3e}")
-        if "outage" in families or "outage-mc" in families:
-            rate = bpcu_to_nats(cfg.rate_bpcu)
-            analytic = outage.closed_form_outage(cfg.params, 2, rate, internal)
-            est = outage.monte_carlo_outage(cfg.params, 2, rate, internal, cfg.trials, cfg.seed)
-            sigma = math.sqrt(analytic * (1.0 - analytic) / cfg.trials)
-            gap = est.probability - analytic
-            check("outage", abs(gap) <= 3.0 * sigma + 1e-12, f"gap {gap:.3e}, 3s {3 * sigma:.3e}")
+        for family, check in _spot_checks(cfg, layout, internal):
+            print(_certify_line(check, f"sweep={sweep_value:g} {family} "))
+            failures += not check.ok
     if failures:
         raise CertificationError(f"{failures} experiment spot-checks failed")
-    return lines
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
@@ -515,8 +365,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(csv_text)
     if args.certify:
-        for line in _certify_experiment(cfg):
-            print(line)
+        _certify_experiment(cfg)
     return 0
 
 

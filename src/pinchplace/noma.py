@@ -244,21 +244,6 @@ def check_solution(
     )
 
 
-def strong_user_margin(layout: UserLayout, rate_nats: float) -> float:
-    """Strong-user condition at the closed-form placement, grouped form.
-
-    Equals (x* - x_1)^2 + y_1^2 - (x* - x_2)^2 - y_2^2 with the closed-form
-    x* substituted and the squared-offset difference factored:
-    (x_2 - x_1)^2 / (e^R + 1)^2 * (1 - e^{2R}) + y_1^2 - y_2^2.  Nonpositive
-    means the decoder stays the stronger receiver, which holds for any
-    ordered pair once rate_nats >= 0.5.
-    """
-    (x1, y1), (x2, y2) = _ordered_pair(layout)
-    growth = math.exp(rate_nats)
-    sep = x2 - x1
-    return sep * sep / ((growth + 1.0) ** 2) * (1.0 - growth * growth) + y1 * y1 - y2 * y2
-
-
 def oma_noma_power_gap(params: SystemParams, layout: UserLayout, rate_nats: float) -> float:
     """Total-power saving of pinching NOMA over centre-antenna time sharing.
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 
 from .core import (
-    MinPowerTerms,
     PlacementSolution,
     SystemParams,
     UserLayout,
@@ -125,7 +124,3 @@ def pinching_power_saving(params: SystemParams, layout: UserLayout, rate_nats: f
     x_sum = float(layout.xs.sum())
     return terms.coeff * x_sum * x_sum / len(layout)
 
-
-def power_terms(params: SystemParams, layout: UserLayout, rate_nats: float) -> MinPowerTerms:
-    """Minimum-power coefficients for the time-shared scheme (slots = M)."""
-    return min_power_terms(params, layout, rate_nats, slots=len(layout))

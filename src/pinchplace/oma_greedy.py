@@ -172,15 +172,8 @@ def best_placement_search(
     )
 
 
-def distance_product(layout: UserLayout, height_m: float, x):
-    """Product of the two squared antenna-user distances; broadcasts over x."""
-    (x1, y1), (x2, y2) = _pair(layout)
-    h2 = height_m * height_m
-    return ((x - x1) * (x - x1) + y1 * y1 + h2) * ((x - x2) * (x - x2) + y2 * y2 + h2)
-
-
 def _derivative(layout: UserLayout, height_m: float, x: float) -> float:
-    """d/dx of distance_product in the compact factored form."""
+    """d/dx of tau_1(x) tau_2(x), the product of the two squared distances, factored."""
     (x1, y1), (x2, y2) = _pair(layout)
     h2 = height_m * height_m
     a = y1 * y1 + h2
@@ -203,7 +196,7 @@ def _second_derivative(layout: UserLayout, height_m: float, x: float) -> float:
 
 
 def derivative_roots(layout: UserLayout, height_m: float) -> tuple[float, ...]:
-    """Real roots of d/dx distance_product, ascending.
+    """Real roots of d/dx [tau_1(x) tau_2(x)], ascending.
 
     The derivative reduces, after centring at the user midpoint, to the
     depressed cubic u^3 + p u + q with p = (a + b - 2 h^2)/2 and
@@ -308,20 +301,3 @@ def best_placement_high_snr(
         allocation_case=split.case,
     )
 
-
-def closer_to_near_user(layout: UserLayout, x_star: float, slack: float = 1e-9) -> bool:
-    """Whether the placement sides with the user nearer the waveguide.
-
-    The throughput-optimal position is never farther (along x) from the user
-    with the smaller |y| than from the other one.  Ties in |y| require
-    equality within slack.
-    """
-    (x1, y1), (x2, y2) = _pair(layout)
-    d1 = abs(x_star - x1)
-    d2 = abs(x_star - x2)
-    ok = True
-    if abs(y1) <= abs(y2):
-        ok = ok and d1 <= d2 + slack
-    if abs(y2) <= abs(y1):
-        ok = ok and d2 <= d1 + slack
-    return ok

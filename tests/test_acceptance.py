@@ -43,12 +43,12 @@ from pinchplace.oma_fairness import (
 from pinchplace.oma_greedy import (
     best_placement_high_snr,
     best_placement_search,
-    closer_to_near_user,
     split_power,
     sum_rate,
 )
 from pinchplace.oracle import GridSpec, certification_grid, grid_optimize, power_split_sweep
 from pinchplace.outage import closed_form_outage, monte_carlo_outage
+from pair_geometry import closer_to_near_user
 
 PARAMS = SystemParams.default()
 SEED = 20260816

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from pinchplace import cli, oma_fairness
+from pinchplace import certify, cli, oma_fairness
 from pinchplace.core import PlacementSolution
 from pinchplace.errors import ParseError
 
@@ -63,6 +63,8 @@ def test_maxmin_roundtrip_with_certify(inst3, tmp_path, capsys):
     report = json.loads(out.read_text())
     assert np.isclose(report["x_star_m"], 0.4166666666666667, rtol=1e-12)
     assert report["certify"]["pass"] is True
+    (check,) = report["certify"]["checks"]
+    assert check["name"] == "grid" and check["ok"] is True and check["tol"] == certify.CERT_REL
     assert len(report["powers_w"]) == 3
 
 
@@ -137,6 +139,41 @@ def test_certification_failure_exits_4(inst3, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "FAIL" in captured.out
     assert "certification failure" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["powermin", "--rate-bpcu", "0"],
+    ["maxmin", "--power-dbm", "-3200"],  # g * P underflows to 0 in the oracle
+])
+def test_zero_oracle_value_certifies_without_traceback(inst3, argv, capsys):
+    code = cli.main([argv[0], inst3, *argv[1:], "--certify"])
+    assert code == 0
+    assert "certify grid: gap = 0.000e+00 (tol 1e-09) -> PASS" in capsys.readouterr().out
+
+
+def test_nonzero_value_against_zero_oracle_fails(inst3, capsys, monkeypatch):
+    assert certify.relative_gap(0.0, 0.0) == 0.0
+    assert certify.relative_gap(-1e-300, 0.0) == -np.inf
+    monkeypatch.setattr(certify, "_maxmin_oracle", lambda params, layout, total_w: 0.0)
+    assert cli.main(["maxmin", inst3, "--power-dbm", "20", "--certify"]) == 4
+    assert "gap = inf (tol 1e-09) -> FAIL" in capsys.readouterr().out
+
+
+def test_experiment_certification_failure_prints_lines_then_exits_4(capsys, monkeypatch):
+    real = oma_fairness.solve_max_min_rate
+
+    def corrupted(params, layout, total_w):
+        sol = real(params, layout, total_w)
+        return PlacementSolution(sol.x_star, sol.powers, sol.objective * 0.9)
+
+    monkeypatch.setattr(oma_fairness, "solve_max_min_rate", corrupted)
+    code = cli.main(["experiment", "--trials", "2", "--certify", "--set", "sweep_points=2"])
+    assert code == 4
+    captured = capsys.readouterr()
+    lines = [line for line in captured.out.splitlines() if line.startswith("certify")]
+    assert len(lines) == 2 and all(line.endswith("-> FAIL") for line in lines)
+    assert lines[0].startswith("certify sweep=0 oma-maxmin grid: gap = -1.000e-01")
+    assert "2 experiment spot-checks failed" in captured.err
 
 
 def test_experiment_csv_stdout_and_file(tmp_path, capsys):

