@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import noma, oracle
-from .core import (PlacementSolution, SystemParams, UserLayout, min_power_terms, path_gain,
-                   squared_distance)
+from .core import PlacementSolution, SystemParams, UserLayout, path_gain, power_coeff, squared_distance
 
 # certification tolerances: closed forms must match their brute-force oracles
 CERT_REL = 1e-9            # max-min / power-min objective, relative
@@ -63,12 +62,12 @@ def _maxmin_oracle(params: SystemParams, layout: UserLayout, total_w: float) -> 
 
 
 def _powermin_oracle(params: SystemParams, layout: UserLayout, rate_nats: float) -> float:
-    terms = min_power_terms(params, layout, rate_nats, slots=len(layout))
+    coeff = power_coeff(params, rate_nats, len(layout))
     xs_u, ys_u = layout.xs, layout.ys
     h = params.height_m
 
     def objective(xs: np.ndarray) -> np.ndarray:
-        return terms.coeff * squared_distance(
+        return coeff * squared_distance(
             xs_u[None, :], ys_u[None, :], xs[:, None], h
         ).sum(axis=1)
 
@@ -80,7 +79,7 @@ def _split_sweep_value(
     params: SystemParams, layout: UserLayout, total_w: float, rate_nats: float, x: float
 ) -> float:
     """Best sum rate over a dense sweep of the first user's power at fixed x."""
-    coeff = min_power_terms(params, layout, rate_nats, slots=2).coeff
+    coeff = power_coeff(params, rate_nats, 2)
     h = params.height_m
     (x1, y1), (x2, y2) = layout.users
     t1 = squared_distance(x1, y1, x, h)

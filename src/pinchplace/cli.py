@@ -345,9 +345,8 @@ def _certify_experiment(cfg: experiments.ExperimentConfig) -> None:
     """Spot-check the first trial of each sweep point; print every line, then raise on a failure."""
     failures = 0
     for sweep_idx, sweep_value in enumerate(cfg.sweep_values):
-        internal = experiments._internal_sweep_value(cfg.sweep, sweep_value)
-        gen = experiments.rng.stream(cfg.seed, experiments.rng.DOMAIN_LAYOUTS, sweep_idx, 0)
-        layout = experiments.sample_layout(cfg.num_users, cfg.params, cfg.clustering, gen)
+        internal = experiments.internal_sweep_value(cfg.sweep, sweep_value)
+        layout = experiments.trial_layout(cfg, sweep_idx, 0)
         for family, check in _spot_checks(cfg, layout, internal):
             print(_certify_line(check, f"sweep={sweep_value:g} {family} "))
             failures += not check.ok

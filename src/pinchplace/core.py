@@ -19,6 +19,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from .errors import DomainError
+
 SPEED_OF_LIGHT = 2.99792458e8  # m/s
 
 LN2 = math.log(2.0)
@@ -119,6 +121,13 @@ class NomaRates(NamedTuple):
     sic: float
 
 
+def user_pair(layout: UserLayout) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The two users of a two-user layout; DomainError for any other count."""
+    if len(layout) != 2:
+        raise DomainError(f"this solver serves exactly 2 users, got {len(layout)}")
+    return layout.users[0], layout.users[1]
+
+
 def path_gain(params: SystemParams) -> float:
     """Free-space gain numerator (c / (4 pi f_c))^2, in m^2."""
     quarter_wave_scale = params.light_speed / (4.0 * math.pi * params.carrier_hz)
@@ -161,6 +170,27 @@ def noma_rates(
     return NomaRates(strong=strong, weak=weak, sic=sic)
 
 
+def power_coeff(params: SystemParams, rate_nats: float, slots: int) -> float:
+    """Watts per m^2 of squared distance that one user needs to reach rate_nats.
+
+    slots is the time-sharing factor: the number of users for OMA schemes
+    (each user gets a 1/M slot, so the SNR must hit e^(M R) - 1) and 1 for
+    NOMA, where users transmit simultaneously.  DomainError when the
+    coefficient overflows.
+    """
+    if rate_nats < 0:
+        raise ValueError("rate target must be nonnegative")
+    if slots < 1:
+        raise ValueError("slots must be >= 1")
+    try:
+        coeff = params.noise_w / path_gain(params) * math.expm1(slots * rate_nats)
+    except OverflowError:
+        coeff = math.inf
+    if not math.isfinite(coeff):
+        raise DomainError(f"rate target {rate_nats} nats over {slots} slot(s) needs a non-finite power")
+    return coeff
+
+
 @dataclass(frozen=True)
 class MinPowerTerms:
     """Coefficients of the minimum power meeting a rate target.
@@ -172,30 +202,29 @@ class MinPowerTerms:
     """
 
     coeff: float
+    xs: tuple[float, ...]
     floors: tuple[float, ...]
+
+    def powers_at(self, x: float) -> tuple[float, ...]:
+        """Each user's minimum power with the antenna at x."""
+        return tuple(self.coeff * (x - xm) * (x - xm) + f for xm, f in zip(self.xs, self.floors))
 
 
 def min_power_terms(
     params: SystemParams, layout: UserLayout, rate_nats: float, slots: int
 ) -> MinPowerTerms:
-    """Invert the rate formula into per-user minimum-power terms.
-
-    slots is the time-sharing factor: the number of users for OMA schemes
-    (each user gets a 1/M slot, so the SNR must hit e^(M R) - 1) and 1 for
-    NOMA, where users transmit simultaneously.
-    """
-    if rate_nats < 0:
-        raise ValueError("rate target must be nonnegative")
-    if slots < 1:
-        raise ValueError("slots must be >= 1")
-    coeff = params.noise_w / path_gain(params) * math.expm1(slots * rate_nats)
+    """Invert the rate formula into per-user minimum-power terms (see power_coeff)."""
+    coeff = power_coeff(params, rate_nats, slots)
     h2 = params.height_m * params.height_m
     floors = tuple(coeff * (y * y + h2) for _, y in layout.users)
-    return MinPowerTerms(coeff=coeff, floors=floors)
+    return MinPowerTerms(coeff=coeff, xs=tuple(x for x, _ in layout.users), floors=floors)
 
 
 def dbm_to_watt(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    try:
+        return 10.0 ** ((dbm - 30.0) / 10.0)
+    except OverflowError:
+        raise DomainError(f"{dbm} dBm is too large to express in watts") from None
 
 
 def watt_to_dbm(watt: float) -> float:

@@ -21,14 +21,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import oma_fairness, oma_greedy, noma, outage, rng
-from .core import (
-    SystemParams,
-    UserLayout,
-    bpcu_to_nats,
-    dbm_to_watt,
-    nats_to_bpcu,
-    min_power_terms,
-)
+from .core import SystemParams, UserLayout, bpcu_to_nats, dbm_to_watt, min_power_terms, nats_to_bpcu
 from .errors import ConfigError, Infeasible
 from .oracle import GridSpec
 
@@ -105,22 +98,14 @@ def _eval_noma_conv(params, layout, value, cfg):
     return min(totals)
 
 
-def _needed_power(params: SystemParams, layout: UserLayout, rate_nats: float, at_x: float) -> float:
-    terms = min_power_terms(params, layout, rate_nats, slots=len(layout))
-    x0 = layout.users[0][0]
-    return terms.coeff * (at_x - x0) * (at_x - x0) + terms.floors[0]
-
-
 def _eval_outage_mc(params, layout, value, cfg):
-    rate = bpcu_to_nats(cfg.rate_bpcu)
-    need = _needed_power(params, layout, rate, float(layout.xs.mean()))
+    need = oma_fairness.solve_min_total_power(params, layout, bpcu_to_nats(cfg.rate_bpcu)).powers[0]
     return 0.0 if need >= value else cfg.rate_bpcu
 
 
 def _eval_outage_mc_conv(params, layout, value, cfg):
-    rate = bpcu_to_nats(cfg.rate_bpcu)
-    need = _needed_power(params, layout, rate, 0.0)
-    return 0.0 if need >= value else cfg.rate_bpcu
+    terms = min_power_terms(params, layout, bpcu_to_nats(cfg.rate_bpcu), slots=len(layout))
+    return 0.0 if terms.powers_at(0.0)[0] >= value else cfg.rate_bpcu
 
 
 def _eval_outage_analytic(params, layout, value, cfg):
@@ -168,10 +153,6 @@ _DEFAULTS: dict[str, object] = {
 _BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
-def known_keys() -> tuple[str, ...]:
-    return tuple(_DEFAULTS)
-
-
 def merge_config(mapping: Mapping[str, object]) -> dict[str, object]:
     """Overlay user-supplied keys on the defaults, coercing string values.
 
@@ -185,6 +166,8 @@ def merge_config(mapping: Mapping[str, object]) -> dict[str, object]:
     for key, default in _DEFAULTS.items():
         raw = mapping.get(key, default)
         merged[key] = None if raw is None else _coerce(key, raw)
+        if isinstance(merged[key], float) and not math.isfinite(merged[key]):
+            raise ConfigError(f"{key} must be a finite number, got {merged[key]!r}")
     return merged
 
 
@@ -231,7 +214,6 @@ class ExperimentConfig:
     clustering: bool
     workers: int
     rate_bpcu: float
-    power_dbm: float
     grid: GridSpec
 
     @classmethod
@@ -295,7 +277,6 @@ class ExperimentConfig:
             clustering=bool(merged["clustering"]),
             workers=workers,
             rate_bpcu=rate_bpcu,
-            power_dbm=float(merged["power_dbm"]),
             grid=grid,
         )
         cfg.validate()
@@ -312,6 +293,9 @@ class ExperimentConfig:
                 raise ConfigError(f"scheme {name!r} requires users = 2, got {self.num_users}")
         if self.sweep == AXIS_RATE and self.sweep_values[0] <= 0:
             raise ConfigError("rate sweep values must be positive")
+        if self.clustering and "outage" in self.schemes:
+            raise ConfigError("the analytic outage scheme assumes uniform drops; "
+                              "it cannot run with clustering")
 
 
 def sample_layout(
@@ -332,8 +316,15 @@ def sample_layout(
     return UserLayout(tuple(zip(xs.tolist(), ys.tolist())))
 
 
-def _internal_sweep_value(sweep: str, value: float) -> float:
+def internal_sweep_value(sweep: str, value: float) -> float:
+    """A sweep value in the solvers' units: watts from dBm, nats from BPCU."""
     return dbm_to_watt(value) if sweep == AXIS_POWER else bpcu_to_nats(value)
+
+
+def trial_layout(config: ExperimentConfig, sweep_idx: int, trial: int) -> UserLayout:
+    """The layout every scheme sees at one (sweep point, trial)."""
+    gen = rng.stream(config.seed, rng.DOMAIN_LAYOUTS, sweep_idx, trial)
+    return sample_layout(config.num_users, config.params, config.clustering, gen)
 
 
 def _format(value: float) -> str:
@@ -346,11 +337,10 @@ def run_experiment(config: ExperimentConfig) -> str:
     lines = ["sweep_value,scheme,metric,mean,stderr,trials"]
 
     for sweep_idx, sweep_value in enumerate(config.sweep_values):
-        internal = _internal_sweep_value(config.sweep, sweep_value)
+        internal = internal_sweep_value(config.sweep, sweep_value)
 
         def one_trial(trial: int) -> tuple[list[float], bytes]:
-            gen = rng.stream(config.seed, rng.DOMAIN_LAYOUTS, sweep_idx, trial)
-            layout = sample_layout(config.num_users, config.params, config.clustering, gen)
+            layout = trial_layout(config, sweep_idx, trial)
             values = [
                 SCHEMES[name][1](config.params, layout, internal, config)
                 for name in per_trial_schemes

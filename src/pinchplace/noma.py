@@ -16,13 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import oma_fairness
 from .core import (
     NomaRates,
     SystemParams,
     UserLayout,
     min_power_terms,
     noma_rates,
+    power_coeff,
     squared_distance,
+    user_pair,
 )
 from .errors import DomainError, OrderingViolation
 from .oracle import GridSpec, grid_optimize
@@ -78,9 +81,7 @@ def order_by_waveguide_distance(layout: UserLayout) -> tuple[UserLayout, tuple[i
 
 
 def _ordered_pair(layout: UserLayout) -> tuple[tuple[float, float], tuple[float, float]]:
-    if len(layout) != 2:
-        raise DomainError(f"NOMA solvers serve exactly 2 users, got {len(layout)}")
-    (x1, y1), (x2, y2) = layout.users
+    (x1, y1), (x2, y2) = user_pair(layout)
     if y1 * y1 > y2 * y2:
         raise OrderingViolation(
             "user 1 must be the one closer to the waveguide; call order_by_waveguide_distance first"
@@ -100,14 +101,12 @@ def min_powers_at(
     sides, which reduces to coeff * ((e^R - 1) tau_decoder + max(tau_dec,
     tau_dir)).  Returns (decoder_power, direct_power).
     """
-    if len(layout) != 2:
-        raise DomainError(f"NOMA solvers serve exactly 2 users, got {len(layout)}")
+    pair = user_pair(layout)
     if decoder not in (0, 1):
         raise ValueError("decoder must be 0 or 1")
-    coeff = min_power_terms(params, layout, rate_nats, slots=1).coeff
+    coeff = power_coeff(params, rate_nats, 1)
     h = params.height_m
-    xd, yd = layout.users[decoder]
-    xo, yo = layout.users[1 - decoder]
+    (xd, yd), (xo, yo) = pair[decoder], pair[1 - decoder]
     tau_dec = squared_distance(xd, yd, x, h)
     tau_dir = squared_distance(xo, yo, x, h)
     p_dec = coeff * tau_dec
@@ -134,8 +133,10 @@ def solve_min_power(params: SystemParams, layout: UserLayout, rate_nats: float) 
     growth = math.exp(rate_nats)
     x_star = (x2 + growth * x1) / (growth + 1.0)
 
-    p1 = terms.coeff * (x_star - x1) * (x_star - x1) + terms.floors[0]
-    p2 = math.expm1(rate_nats) * p1 + terms.coeff * (x_star - x2) * (x_star - x2) + terms.floors[1]
+    p1, own2 = terms.powers_at(x_star)
+    p2 = math.expm1(rate_nats) * p1 + own2
+    if not math.isfinite(p2):
+        raise DomainError(f"rate target {rate_nats} nats needs a non-finite weak-user power")
 
     h = params.height_m
     rates = noma_rates(
@@ -176,17 +177,15 @@ def solve_min_power_search(
     if rate_nats <= 0:
         raise ValueError("rate target must be positive")
     layout.validate(params)
-    if len(layout) != 2:
-        raise DomainError(f"NOMA solvers serve exactly 2 users, got {len(layout)}")
+    pair = user_pair(layout)
 
-    coeff = min_power_terms(params, layout, rate_nats, slots=1).coeff
+    coeff = power_coeff(params, rate_nats, 1)
     growth = math.exp(rate_nats)
     h = params.height_m
 
     best: tuple[float, float, int] | None = None
     for decoder in (0, 1):
-        xd, yd = layout.users[decoder]
-        xo, yo = layout.users[1 - decoder]
+        (xd, yd), (xo, yo) = pair[decoder], pair[1 - decoder]
 
         def objective(xs: np.ndarray) -> np.ndarray:
             tau_dec = squared_distance(xd, yd, xs, h)
@@ -199,8 +198,7 @@ def solve_min_power_search(
 
     _, x_star, decoder = best
     p_dec, p_dir = min_powers_at(params, layout, rate_nats, x_star, decoder)
-    xd, yd = layout.users[decoder]
-    xo, yo = layout.users[1 - decoder]
+    (xd, yd), (xo, yo) = pair[decoder], pair[1 - decoder]
     rates = noma_rates(
         params,
         p_strong=p_dec,
@@ -223,11 +221,9 @@ def check_solution(
     params: SystemParams, layout: UserLayout, solution: NomaSolution
 ) -> AssumptionChecks:
     """Check the closed form's working assumptions on an actual solution."""
-    if len(layout) != 2:
-        raise DomainError(f"NOMA solvers serve exactly 2 users, got {len(layout)}")
+    pair = user_pair(layout)
     decoder = solution.sic_user - 1
-    xd, yd = layout.users[decoder]
-    xo, yo = layout.users[1 - decoder]
+    (xd, yd), (xo, yo) = pair[decoder], pair[1 - decoder]
     x = solution.x_star
 
     margin = (x - xd) * (x - xd) + yd * yd - ((x - xo) * (x - xo) + yo * yo)
@@ -252,14 +248,5 @@ def oma_noma_power_gap(params: SystemParams, layout: UserLayout, rate_nats: floa
     distances; the NOMA scheme pays e^R once and moves the antenna.  Returns
     baseline total minus NOMA total, in watts.
     """
-    layout.validate(params)
-    (x1, y1), (x2, y2) = _ordered_pair(layout)
     noma = solve_min_power(params, layout, rate_nats)
-
-    oma_terms = min_power_terms(params, layout, rate_nats, slots=2)
-    h2 = params.height_m * params.height_m
-    baseline = (
-        oma_terms.coeff * (x1 * x1 + y1 * y1 + h2)
-        + oma_terms.coeff * (x2 * x2 + y2 * y2 + h2)
-    )
-    return baseline - noma.total
+    return oma_fairness.conventional_min_total_power(params, layout, rate_nats) - noma.total

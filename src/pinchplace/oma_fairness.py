@@ -22,12 +22,18 @@ from .core import (
     UserLayout,
     min_power_terms,
     path_gain,
+    power_coeff,
     squared_distance,
 )
 
 
 def _mean_x(layout: UserLayout) -> float:
     return float(layout.xs.mean())
+
+
+def _common_rate(params: SystemParams, tau_sum: float, total_power_w: float, num_users: int) -> float:
+    """(1/M) log(1 + gP / (noise * sum(tau))), the rate every user gets under proportional powers."""
+    return math.log1p(path_gain(params) * total_power_w / (params.noise_w * tau_sum)) / num_users
 
 
 def solve_max_min_rate(
@@ -49,10 +55,7 @@ def solve_max_min_rate(
     h = params.height_m
     taus = [squared_distance(x, y, x_star, h) for x, y in layout.users]
     tau_sum = sum(taus)
-
-    g = path_gain(params)
-    noise_mass = params.noise_w * tau_sum
-    common_rate = math.log((g * total_power_w + noise_mass) / noise_mass) / len(layout)
+    common_rate = _common_rate(params, tau_sum, total_power_w, len(layout))
     powers = tuple(t / tau_sum * total_power_w for t in taus)
 
     assert -params.half_length <= x_star <= params.half_length
@@ -73,10 +76,7 @@ def solve_min_total_power(
     terms = min_power_terms(params, layout, rate_nats, slots=len(layout))
 
     x_star = _mean_x(layout)
-    powers = tuple(
-        terms.coeff * (x_star - x) * (x_star - x) + f
-        for (x, _), f in zip(layout.users, terms.floors)
-    )
+    powers = terms.powers_at(x_star)
 
     assert -params.half_length <= x_star <= params.half_length
     assert all(p >= 0.0 for p in powers)
@@ -97,8 +97,7 @@ def conventional_max_min_rate(
     layout.validate(params)
     h = params.height_m
     tau_sum = sum(squared_distance(x, y, 0.0, h) for x, y in layout.users)
-    noise_mass = params.noise_w * tau_sum
-    return math.log((path_gain(params) * total_power_w + noise_mass) / noise_mass) / len(layout)
+    return _common_rate(params, tau_sum, total_power_w, len(layout))
 
 
 def conventional_min_total_power(
@@ -106,10 +105,7 @@ def conventional_min_total_power(
 ) -> float:
     """Total power meeting rate_nats with the antenna fixed at the area centre."""
     layout.validate(params)
-    terms = min_power_terms(params, layout, rate_nats, slots=len(layout))
-    return sum(
-        terms.coeff * x * x + f for (x, _), f in zip(layout.users, terms.floors)
-    )
+    return sum(min_power_terms(params, layout, rate_nats, slots=len(layout)).powers_at(0.0))
 
 
 def pinching_power_saving(params: SystemParams, layout: UserLayout, rate_nats: float) -> float:
@@ -120,7 +116,7 @@ def pinching_power_saving(params: SystemParams, layout: UserLayout, rate_nats: f
     cluster on one side of the area.
     """
     layout.validate(params)
-    terms = min_power_terms(params, layout, rate_nats, slots=len(layout))
+    coeff = power_coeff(params, rate_nats, len(layout))
     x_sum = float(layout.xs.sum())
-    return terms.coeff * x_sum * x_sum / len(layout)
+    return coeff * x_sum * x_sum / len(layout)
 

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PlacementSolution, SystemParams, UserLayout, min_power_terms, path_gain
-from .errors import DomainError, Infeasible
+from .core import (PlacementSolution, SystemParams, UserLayout, path_gain, power_coeff, squared_distance,
+                   user_pair)
+from .errors import Infeasible
 from .oracle import GridSpec, grid_optimize
 
 logger = logging.getLogger(__name__)
@@ -52,19 +53,13 @@ class RootPlacement:
     allocation_case: str
 
 
-def _pair(layout: UserLayout) -> tuple[tuple[float, float], tuple[float, float]]:
-    if len(layout) != 2:
-        raise DomainError(f"this solver serves exactly 2 users, got {len(layout)}")
-    return layout.users[0], layout.users[1]
-
-
 def _geometry(params: SystemParams, layout: UserLayout, x):
-    """Squared distances and their noise/floor scalings at position(s) x."""
-    (x1, y1), (x2, y2) = _pair(layout)
-    h2 = params.height_m * params.height_m
-    t1 = (x - x1) * (x - x1) + y1 * y1 + h2
-    t2 = (x - x2) * (x - x2) + y2 * y2 + h2
-    return t1, t2
+    """Squared distances tau_1, tau_2 at position(s) x and their scalings q_m = noise * tau_m / gain."""
+    (x1, y1), (x2, y2) = user_pair(layout)
+    t1 = squared_distance(x1, y1, x, params.height_m)
+    t2 = squared_distance(x2, y2, x, params.height_m)
+    g = path_gain(params)
+    return t1, t2, params.noise_w * t1 / g, params.noise_w * t2 / g
 
 
 def split_power(
@@ -86,11 +81,8 @@ def split_power(
     """
     if total_w <= 0:
         raise ValueError("total power budget must be positive")
-    coeff = min_power_terms(params, layout, rate_nats, slots=2).coeff
-    t1, t2 = _geometry(params, layout, x)
-    g = path_gain(params)
-    q1 = params.noise_w * t1 / g
-    q2 = params.noise_w * t2 / g
+    coeff = power_coeff(params, rate_nats, 2)
+    t1, t2, q1, q2 = _geometry(params, layout, x)
     floor1 = coeff * t1
     floor2 = coeff * t2
 
@@ -114,10 +106,7 @@ def split_power(
 
 def sum_rate(params: SystemParams, layout: UserLayout, x: float, split: PowerSplit) -> float:
     """Sum of the two per-user rates for a given split, in nats per channel use."""
-    t1, t2 = _geometry(params, layout, x)
-    g = path_gain(params)
-    q1 = params.noise_w * t1 / g
-    q2 = params.noise_w * t2 / g
+    _, _, q1, q2 = _geometry(params, layout, x)
     return 0.5 * (math.log1p(split.p1 / q1) + math.log1p(split.p2 / q2))
 
 
@@ -125,11 +114,8 @@ def _sum_rate_curve(
     params: SystemParams, layout: UserLayout, total_w: float, rate_nats: float, xs: np.ndarray
 ) -> np.ndarray:
     """Vectorized sum rate of the optimal split along xs; -inf where infeasible."""
-    coeff = min_power_terms(params, layout, rate_nats, slots=2).coeff
-    t1, t2 = _geometry(params, layout, xs)
-    g = path_gain(params)
-    q1 = params.noise_w * t1 / g
-    q2 = params.noise_w * t2 / g
+    coeff = power_coeff(params, rate_nats, 2)
+    t1, t2, q1, q2 = _geometry(params, layout, xs)
     floor1 = coeff * t1
     floor2 = coeff * t2
     feasible = total_w >= floor1 + floor2 - _FEAS_SLACK * total_w
@@ -174,7 +160,7 @@ def best_placement_search(
 
 def _derivative(layout: UserLayout, height_m: float, x: float) -> float:
     """d/dx of tau_1(x) tau_2(x), the product of the two squared distances, factored."""
-    (x1, y1), (x2, y2) = _pair(layout)
+    (x1, y1), (x2, y2) = user_pair(layout)
     h2 = height_m * height_m
     a = y1 * y1 + h2
     b = y2 * y2 + h2
@@ -182,7 +168,7 @@ def _derivative(layout: UserLayout, height_m: float, x: float) -> float:
 
 
 def _second_derivative(layout: UserLayout, height_m: float, x: float) -> float:
-    (x1, y1), (x2, y2) = _pair(layout)
+    (x1, y1), (x2, y2) = user_pair(layout)
     h2 = height_m * height_m
     a = y1 * y1 + h2
     b = y2 * y2 + h2
@@ -205,7 +191,7 @@ def derivative_roots(layout: UserLayout, height_m: float) -> tuple[float, ...]:
     three roots are real and Cardano otherwise, then polished by Newton steps
     and deduplicated within a 1e-9 cluster width.
     """
-    (x1, y1), (x2, y2) = _pair(layout)
+    (x1, y1), (x2, y2) = user_pair(layout)
     h2 = height_m * height_m
     a = y1 * y1 + h2
     b = y2 * y2 + h2

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import rng
-from .core import SystemParams, UserLayout, min_power_terms
+from .core import SystemParams, power_coeff
 from .errors import DomainError
 
 # Trials are drawn in fixed-size blocks, one counter-based stream per block,
@@ -92,9 +92,7 @@ def closed_form_outage(
     if budget_w <= 0:
         raise ValueError("budget must be positive")
 
-    probe = UserLayout(((0.0, 0.0), (0.0, 0.0)))
-    coeff = min_power_terms(params, probe, rate_nats, slots=2).coeff
-    budget_over_coeff = budget_w / coeff
+    budget_over_coeff = budget_w / power_coeff(params, rate_nats, 2)
     if budget_over_coeff <= params.height_m * params.height_m:
         return 1.0
 
@@ -135,11 +133,9 @@ def monte_carlo_outage(
     if budget_w <= 0:
         raise ValueError("budget must be positive")
 
-    probe = UserLayout(tuple((0.0, 0.0) for _ in range(num_users)))
-    coeff = min_power_terms(params, probe, rate_nats, slots=num_users).coeff
     h2 = params.height_m * params.height_m
     # outage  <=>  coeff * ((xbar - x_m)^2 + y_m^2 + h^2) >= budget
-    threshold = budget_w / coeff - h2
+    threshold = budget_w / power_coeff(params, rate_nats, num_users) - h2
 
     hl, hw = params.half_length, params.half_width
     failures = 0

@@ -124,7 +124,25 @@ def test_exit_codes(inst2, tmp_path, capsys):
     assert cli.main(["experiment", "--set", "nonsense=1"]) == 2
     # budget far below both rate floors
     assert cli.main(["greedy", inst2, "--power-dbm", "-35", "--rate-bpcu", "1"]) == 3
-    capsys.readouterr()
+    # non-finite numbers from --set and from dedicated flags
+    assert cli.main(["experiment", "--set", "rate_bpcu=nan", "--set", "schemes=outage"]) == 2
+    assert cli.main(["experiment", "--set", "sweep_start=nan"]) == 2
+    assert cli.main(["experiment", "--set", "schemes=oma-greedy", "--set", "rate_bpcu=nan"]) == 2
+    assert cli.main(["maxmin", inst2, "--power-dbm", "nan"]) == 2
+    assert cli.main(["powermin", inst2, "--rate-bpcu", "nan"]) == 2
+    assert cli.main(["powermin", inst2, "--rate-bpcu", "inf"]) == 2
+    assert "rate_bpcu must be a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["powermin", "inst3", "--rate-bpcu", "1000"],  # expm1 overflows
+    ["maxmin", "inst3", "--power-dbm", "4000"],    # 10**x overflows
+    ["noma", "inst2", "--rate-bpcu", "600"],       # the weak user's power overflows
+])
+def test_overflowing_input_exits_2(argv, request, capsys):
+    code = cli.main([argv[0], request.getfixturevalue(argv[1]), *argv[2:]])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_certification_failure_exits_4(inst3, capsys, monkeypatch):
@@ -144,8 +162,9 @@ def test_certification_failure_exits_4(inst3, capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["powermin", "--rate-bpcu", "0"],
     ["maxmin", "--power-dbm", "-3200"],  # g * P underflows to 0 in the oracle
+    ["maxmin", "--power-dbm", "-100"],   # low SNR: the closed form must keep log1p's precision
 ])
-def test_zero_oracle_value_certifies_without_traceback(inst3, argv, capsys):
+def test_extreme_budget_or_target_certifies_with_zero_gap(inst3, argv, capsys):
     code = cli.main([argv[0], inst3, *argv[1:], "--certify"])
     assert code == 0
     assert "certify grid: gap = 0.000e+00 (tol 1e-09) -> PASS" in capsys.readouterr().out

@@ -50,6 +50,10 @@ def test_build_params_maps_noise_dbm():
     ({"seed": -1}, "seed"),
     ({"rate_bpcu": 0}, "rate_bpcu"),
     ({"schemes": ""}, "at least one"),
+    ({"rate_bpcu": "nan"}, "rate_bpcu must be a finite number"),
+    ({"sweep_start": float("nan")}, "sweep_start must be a finite number"),
+    ({"power_dbm": float("inf")}, "power_dbm must be a finite number"),
+    ({"schemes": "outage", "clustering": True}, "uniform drops"),
 ])
 def test_from_mapping_validation(overrides, message):
     with pytest.raises(ConfigError, match=message):
@@ -83,8 +87,8 @@ def test_sample_layout_is_a_pure_function_of_the_stream():
 
 
 def test_internal_sweep_value_units():
-    assert np.isclose(experiments._internal_sweep_value("power_dbm", 30.0), 1.0, rtol=1e-12)
-    assert np.isclose(experiments._internal_sweep_value("rate_bpcu", 1.0), math.log(2.0),
+    assert np.isclose(experiments.internal_sweep_value("power_dbm", 30.0), 1.0, rtol=1e-12)
+    assert np.isclose(experiments.internal_sweep_value("rate_bpcu", 1.0), math.log(2.0),
                       rtol=1e-15)
 
 
