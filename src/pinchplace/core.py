@@ -42,10 +42,9 @@ class SystemParams:
     height_m: float
     length_m: float
     width_m: float
-    light_speed: float = SPEED_OF_LIGHT
 
     def __post_init__(self) -> None:
-        for name in ("carrier_hz", "noise_w", "height_m", "length_m", "width_m", "light_speed"):
+        for name in ("carrier_hz", "noise_w", "height_m", "length_m", "width_m"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise ValueError(f"SystemParams.{name} must be a positive finite number, got {value!r}")
@@ -130,7 +129,7 @@ def user_pair(layout: UserLayout) -> tuple[tuple[float, float], tuple[float, flo
 
 def path_gain(params: SystemParams) -> float:
     """Free-space gain numerator (c / (4 pi f_c))^2, in m^2."""
-    quarter_wave_scale = params.light_speed / (4.0 * math.pi * params.carrier_hz)
+    quarter_wave_scale = SPEED_OF_LIGHT / (4.0 * math.pi * params.carrier_hz)
     return quarter_wave_scale * quarter_wave_scale
 
 

@@ -6,7 +6,7 @@ standard error of a scheme-specific metric over random layouts.  All schemes
 at a given (sweep point, trial) see the same layout (common random numbers),
 so scheme differences are paired; layouts come from counter-based streams
 keyed by (seed, sweep index, trial index), which makes the CSV a pure
-function of (config, seed) no matter how many workers run the trials.
+function of (config, seed) whatever order the trials run in.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -138,7 +137,6 @@ _DEFAULTS: dict[str, object] = {
     "trials": 1000,
     "seed": 0,
     "clustering": False,
-    "workers": 1,
     "schemes": "oma-maxmin,oma-maxmin-conv",
     "sweep": AXIS_POWER,
     "sweep_start": None,
@@ -212,7 +210,6 @@ class ExperimentConfig:
     trials: int
     seed: int
     clustering: bool
-    workers: int
     rate_bpcu: float
     grid: GridSpec
 
@@ -247,9 +244,6 @@ class ExperimentConfig:
         trials = int(merged["trials"])
         if trials < 1:
             raise ConfigError("trials must be >= 1")
-        workers = int(merged["workers"])
-        if workers < 1:
-            raise ConfigError("workers must be >= 1")
         seed = int(merged["seed"])
         if not 0 <= seed < 2**64:
             raise ConfigError("seed must fit in 64 bits")
@@ -275,7 +269,6 @@ class ExperimentConfig:
             trials=trials,
             seed=seed,
             clustering=bool(merged["clustering"]),
-            workers=workers,
             rate_bpcu=rate_bpcu,
             grid=grid,
         )
@@ -338,23 +331,17 @@ def run_experiment(config: ExperimentConfig) -> str:
 
     for sweep_idx, sweep_value in enumerate(config.sweep_values):
         internal = internal_sweep_value(config.sweep, sweep_value)
-
-        def one_trial(trial: int) -> tuple[list[float], bytes]:
+        rows, blobs = [], []
+        for trial in range(config.trials):
             layout = trial_layout(config, sweep_idx, trial)
-            values = [
+            rows.append([
                 SCHEMES[name][1](config.params, layout, internal, config)
                 for name in per_trial_schemes
-            ]
-            return values, np.array(layout.users, dtype=float).tobytes()
+            ])
+            blobs.append(np.array(layout.users, dtype=float).tobytes())
 
-        if config.workers > 1:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                outcomes = list(pool.map(one_trial, range(config.trials)))
-        else:
-            outcomes = [one_trial(t) for t in range(config.trials)]
-
-        table = np.array([values for values, _ in outcomes], dtype=float)
-        digest = hashlib.sha256(b"".join(blob for _, blob in outcomes)).hexdigest()
+        table = np.array(rows, dtype=float)
+        digest = hashlib.sha256(b"".join(blobs)).hexdigest()
         logger.debug("sweep %s=%s layouts sha256=%s", config.sweep, sweep_value, digest)
 
         for name in config.schemes:

@@ -131,7 +131,9 @@ def solve_min_power(params: SystemParams, layout: UserLayout, rate_nats: float) 
 
     terms = min_power_terms(params, layout, rate_nats, slots=1)
     growth = math.exp(rate_nats)
-    x_star = (x2 + growth * x1) / (growth + 1.0)
+    lo, hi = min(x1, x2), max(x1, x2)
+    # the weighted mean can round one ulp outside [lo, hi] when x1 == x2
+    x_star = min(max((x2 + growth * x1) / (growth + 1.0), lo), hi)
 
     p1, own2 = terms.powers_at(x_star)
     p2 = math.expm1(rate_nats) * p1 + own2
@@ -148,7 +150,6 @@ def solve_min_power(params: SystemParams, layout: UserLayout, rate_nats: float) 
     )
     certified = rate_nats >= CERTIFIED_MIN_RATE
 
-    assert min(x1, x2) <= x_star <= max(x1, x2)
     assert p1 >= 0.0 and p2 >= 0.0
     tol = _TOL * max(1.0, rate_nats)
     assert abs(rates.strong - rate_nats) <= tol and abs(rates.weak - rate_nats) <= tol

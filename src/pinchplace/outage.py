@@ -91,6 +91,8 @@ def closed_form_outage(
         raise DomainError(f"the closed form covers exactly 2 users, got {num_users}")
     if budget_w <= 0:
         raise ValueError("budget must be positive")
+    if rate_nats <= 0:
+        raise ValueError("rate target must be positive")
 
     budget_over_coeff = budget_w / power_coeff(params, rate_nats, 2)
     if budget_over_coeff <= params.height_m * params.height_m:
@@ -117,21 +119,21 @@ def monte_carlo_outage(
     budget_w: float,
     trials: int,
     seed: int,
-    user_index: int = 0,
 ) -> OutageEstimate:
     """Estimate the same outage event by dropping layouts uniformly at random.
 
-    Works for any num_users >= 1.  user_index selects which user's power is
-    compared against the budget (the users are exchangeable, so the choice
-    only matters for reproducibility).  Returns the estimate and its binomial
-    standard error.
+    Works for any num_users >= 1.  The first user's power is compared against
+    the budget; the users are exchangeable, so any one gives the same event
+    probability.  Returns the estimate and its binomial standard error.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not 0 <= user_index < num_users:
-        raise ValueError("user_index out of range")
+    if num_users < 1:
+        raise ValueError(f"users must be >= 1, got {num_users}")
     if budget_w <= 0:
         raise ValueError("budget must be positive")
+    if rate_nats <= 0:
+        raise ValueError("rate target must be positive")
 
     h2 = params.height_m * params.height_m
     # outage  <=>  coeff * ((xbar - x_m)^2 + y_m^2 + h^2) >= budget
@@ -145,8 +147,8 @@ def monte_carlo_outage(
         draws = g.random((n, 2 * num_users))
         xs = (2.0 * draws[:, :num_users] - 1.0) * hl
         ys = (2.0 * draws[:, num_users:] - 1.0) * hw
-        offset = xs.mean(axis=1) - xs[:, user_index]
-        need = offset * offset + ys[:, user_index] * ys[:, user_index]
+        offset = xs.mean(axis=1) - xs[:, 0]
+        need = offset * offset + ys[:, 0] * ys[:, 0]
         failures += int((need >= threshold).sum())
 
     p = failures / trials

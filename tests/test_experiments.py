@@ -129,11 +129,10 @@ def test_run_experiment_means_match_direct_solves():
     assert np.isclose(float(row[4]), np.std(rates, ddof=1) / math.sqrt(5), rtol=1e-10)
 
 
-def test_run_experiment_deterministic_and_worker_invariant():
+def test_run_experiment_deterministic():
     a = run_experiment(_tiny_config())
     b = run_experiment(_tiny_config())
-    c = run_experiment(_tiny_config(workers=3))
-    assert a == b == c
+    assert a == b
 
 
 def test_paired_schemes_share_layouts():

@@ -100,6 +100,14 @@ def test_rates_meet_target_exactly():
         assert check_solution(PARAMS, lay, sol).all_ok
 
 
+def test_users_with_the_same_x_keep_the_placement_between_them():
+    # the weighted mean (x2 + e^R x1) / (e^R + 1) rounds one ulp above 0.1 here
+    lay = UserLayout(((0.1, 1.0), (0.1, -2.0)))
+    sol = solve_min_power(PARAMS, lay, math.log(2.0))
+    assert sol.x_star == 0.1
+    assert check_solution(PARAMS, lay, sol).all_ok
+
+
 def test_closed_form_matches_search():
     gen = rng.stream(44, rng.DOMAIN_TESTS, 41)
     for rate in (0.5, 1.0, 2.0):

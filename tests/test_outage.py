@@ -53,6 +53,8 @@ def test_closed_form_input_validation():
         closed_form_outage(PARAMS, 3, RATE, 1.0)
     with pytest.raises(ValueError):
         closed_form_outage(PARAMS, 2, RATE, 0.0)
+    with pytest.raises(ValueError, match="rate target must be positive"):
+        closed_form_outage(PARAMS, 2, 0.0, 1.0)
 
 
 def test_monte_carlo_is_deterministic():
@@ -81,13 +83,6 @@ def test_monte_carlo_impossible_event_is_exactly_zero():
     assert est.probability == 0.0 and est.stderr == 0.0
 
 
-def test_monte_carlo_users_are_exchangeable():
-    want = FROZEN[8.0]
-    est = monte_carlo_outage(PARAMS, 2, RATE, dbm_to_watt(8.0), 100000, seed=5, user_index=1)
-    sigma = math.sqrt(want * (1.0 - want) / 100000)
-    assert abs(est.probability - want) <= 3.0 * sigma
-
-
 def test_monte_carlo_across_block_boundary():
     # trials spanning more than one 2^16 draw block stay deterministic
     n = (1 << 16) + 1234
@@ -107,10 +102,12 @@ def test_monte_carlo_three_users_runs():
 def test_monte_carlo_input_validation():
     with pytest.raises(ValueError):
         monte_carlo_outage(PARAMS, 2, RATE, 1.0, 0, seed=0)
-    with pytest.raises(ValueError):
-        monte_carlo_outage(PARAMS, 2, RATE, 1.0, 10, seed=0, user_index=2)
+    with pytest.raises(ValueError, match="users"):
+        monte_carlo_outage(PARAMS, 0, RATE, 1.0, 10, seed=0)
     with pytest.raises(ValueError):
         monte_carlo_outage(PARAMS, 2, RATE, 0.0, 10, seed=0)
+    with pytest.raises(ValueError, match="rate target must be positive"):
+        monte_carlo_outage(PARAMS, 2, 0.0, 1.0, 10, seed=0)
 
 
 def test_outage_rate_definition():
