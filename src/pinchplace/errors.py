@@ -30,4 +30,10 @@ class ParseError(PinchError):
 
 
 class CertificationError(PinchError):
-    """A closed-form result disagreed with its independent check."""
+    """A closed-form result disagreed with its independent check or broke one of its invariants."""
+
+
+def require(ok: bool, invariant: str) -> None:
+    """Raise CertificationError naming the invariant unless ok; unlike assert, it holds under -O."""
+    if not ok:
+        raise CertificationError(f"invariant violated: {invariant}")

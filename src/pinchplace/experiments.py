@@ -44,31 +44,40 @@ class SchemeSpec:
     per_trial: bool  # False for sweep-level deterministic schemes
 
 
+def _per_layout(evaluate: Callable) -> Callable:
+    """Lift a one-layout evaluator to the block of one sweep point's layouts."""
+    def block(params, layouts, value, cfg):
+        return [evaluate(params, layout, value, cfg) for layout in layouts]
+    return block
+
+
+@_per_layout
 def _eval_maxmin(params, layout, value, cfg):
     return nats_to_bpcu(oma_fairness.solve_max_min_rate(params, layout, value).objective)
 
 
+@_per_layout
 def _eval_maxmin_conv(params, layout, value, cfg):
     return nats_to_bpcu(oma_fairness.conventional_max_min_rate(params, layout, value))
 
 
+@_per_layout
 def _eval_powermin(params, layout, value, cfg):
     return oma_fairness.solve_min_total_power(params, layout, value).objective
 
 
+@_per_layout
 def _eval_powermin_conv(params, layout, value, cfg):
     return oma_fairness.conventional_min_total_power(params, layout, value)
 
 
-def _eval_greedy(params, layout, value, cfg):
+def _eval_greedy(params, layouts, value, cfg):
     rate = bpcu_to_nats(cfg.rate_bpcu)
-    try:
-        sol = oma_greedy.best_placement_search(params, layout, value, rate, cfg.grid)
-    except Infeasible:
-        return math.nan
-    return nats_to_bpcu(sol.objective)
+    found = oma_greedy.best_placements_search(params, layouts, value, rate, cfg.grid)
+    return [math.nan if sol is None else nats_to_bpcu(sol.objective) for sol in found]
 
 
+@_per_layout
 def _eval_greedy_highsnr(params, layout, value, cfg):
     rate = bpcu_to_nats(cfg.rate_bpcu)
     try:
@@ -78,6 +87,7 @@ def _eval_greedy_highsnr(params, layout, value, cfg):
     return nats_to_bpcu(sol.solution.objective)
 
 
+@_per_layout
 def _eval_greedy_conv(params, layout, value, cfg):
     rate = bpcu_to_nats(cfg.rate_bpcu)
     try:
@@ -87,21 +97,25 @@ def _eval_greedy_conv(params, layout, value, cfg):
     return nats_to_bpcu(oma_greedy.sum_rate(params, layout, 0.0, split))
 
 
+@_per_layout
 def _eval_noma(params, layout, value, cfg):
     ordered, _ = noma.order_by_waveguide_distance(layout)
     return noma.solve_min_power(params, ordered, value).total
 
 
+@_per_layout
 def _eval_noma_conv(params, layout, value, cfg):
     totals = [sum(noma.min_powers_at(params, layout, value, 0.0, dec)) for dec in (0, 1)]
     return min(totals)
 
 
+@_per_layout
 def _eval_outage_mc(params, layout, value, cfg):
     need = oma_fairness.solve_min_total_power(params, layout, bpcu_to_nats(cfg.rate_bpcu)).powers[0]
     return 0.0 if need >= value else cfg.rate_bpcu
 
 
+@_per_layout
 def _eval_outage_mc_conv(params, layout, value, cfg):
     terms = min_power_terms(params, layout, bpcu_to_nats(cfg.rate_bpcu), slots=len(layout))
     return 0.0 if terms.powers_at(0.0)[0] >= value else cfg.rate_bpcu
@@ -112,6 +126,9 @@ def _eval_outage_analytic(params, layout, value, cfg):
     return nats_to_bpcu(outage.outage_rate(p, bpcu_to_nats(cfg.rate_bpcu)))
 
 
+# Per-trial evaluators map (params, layouts, internal value, config) to one
+# metric per layout; the sweep-level one maps (params, None, value, config)
+# to the point's single value.
 SCHEMES: dict[str, tuple[SchemeSpec, Callable]] = {
     "oma-maxmin": (SchemeSpec(AXIS_POWER, "min_rate_bpcu", False, True), _eval_maxmin),
     "oma-maxmin-conv": (SchemeSpec(AXIS_POWER, "min_rate_bpcu", False, True), _eval_maxmin_conv),
@@ -320,29 +337,28 @@ def trial_layout(config: ExperimentConfig, sweep_idx: int, trial: int) -> UserLa
     return sample_layout(config.num_users, config.params, config.clustering, gen)
 
 
+def layout_digest(layouts: list[UserLayout]) -> str:
+    """sha256 of the users' float64 coordinates, layout after layout."""
+    block = np.array([layout.users for layout in layouts], dtype=float)
+    return hashlib.sha256(block.tobytes()).hexdigest()
+
+
 def _format(value: float) -> str:
     return format(value, ".12g")
 
 
 def run_experiment(config: ExperimentConfig) -> str:
-    """Run the full sweep and return the CSV document as a string."""
-    per_trial_schemes = [s for s in config.schemes if SCHEMES[s][0].per_trial]
+    """Run the full sweep and return the CSV document as a string.
+
+    Each sweep point draws its layouts first and then hands the whole block
+    to each scheme's evaluator once.
+    """
     lines = ["sweep_value,scheme,metric,mean,stderr,trials"]
 
     for sweep_idx, sweep_value in enumerate(config.sweep_values):
         internal = internal_sweep_value(config.sweep, sweep_value)
-        rows, blobs = [], []
-        for trial in range(config.trials):
-            layout = trial_layout(config, sweep_idx, trial)
-            rows.append([
-                SCHEMES[name][1](config.params, layout, internal, config)
-                for name in per_trial_schemes
-            ])
-            blobs.append(np.array(layout.users, dtype=float).tobytes())
-
-        table = np.array(rows, dtype=float)
-        digest = hashlib.sha256(b"".join(blobs)).hexdigest()
-        logger.debug("sweep %s=%s layouts sha256=%s", config.sweep, sweep_value, digest)
+        layouts = [trial_layout(config, sweep_idx, trial) for trial in range(config.trials)]
+        logger.debug("sweep %s=%s layouts sha256=%s", config.sweep, sweep_value, layout_digest(layouts))
 
         for name in config.schemes:
             spec, evaluator = SCHEMES[name]
@@ -350,7 +366,7 @@ def run_experiment(config: ExperimentConfig) -> str:
                 mean = evaluator(config.params, None, internal, config)
                 stderr, count = 0.0, 1
             else:
-                column = table[:, per_trial_schemes.index(name)]
+                column = np.array(evaluator(config.params, layouts, internal, config), dtype=float)
                 finite = np.isfinite(column)
                 count = int(finite.sum())
                 if count == 0:

@@ -27,7 +27,7 @@ from .core import (
     squared_distance,
     user_pair,
 )
-from .errors import DomainError, OrderingViolation
+from .errors import DomainError, OrderingViolation, require
 from .oracle import GridSpec, grid_optimize
 
 # Smallest rate target (nats) for which the closed form is provably optimal.
@@ -150,11 +150,12 @@ def solve_min_power(params: SystemParams, layout: UserLayout, rate_nats: float) 
     )
     certified = rate_nats >= CERTIFIED_MIN_RATE
 
-    assert p1 >= 0.0 and p2 >= 0.0
+    require(p1 >= 0.0 and p2 >= 0.0, "NOMA powers are nonnegative")
     tol = _TOL * max(1.0, rate_nats)
-    assert abs(rates.strong - rate_nats) <= tol and abs(rates.weak - rate_nats) <= tol
+    require(abs(rates.strong - rate_nats) <= tol and abs(rates.weak - rate_nats) <= tol,
+            "both NOMA users' own rates equal the target")
     if certified:
-        assert rates.sic >= rate_nats - tol
+        require(rates.sic >= rate_nats - tol, "the NOMA SIC decode rate reaches the target")
 
     return NomaSolution(
         x_star=x_star,

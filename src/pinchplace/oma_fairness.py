@@ -25,6 +25,7 @@ from .core import (
     power_coeff,
     squared_distance,
 )
+from .errors import require
 
 
 def _mean_x(layout: UserLayout) -> float:
@@ -58,8 +59,9 @@ def solve_max_min_rate(
     common_rate = _common_rate(params, tau_sum, total_power_w, len(layout))
     powers = tuple(t / tau_sum * total_power_w for t in taus)
 
-    assert -params.half_length <= x_star <= params.half_length
-    assert all(p >= 0.0 for p in powers)
+    require(-params.half_length <= x_star <= params.half_length,
+            "the max-min placement lies on the waveguide")
+    require(all(p >= 0.0 for p in powers), "max-min powers are nonnegative")
     return PlacementSolution(x_star=x_star, powers=powers, objective=common_rate)
 
 
@@ -78,8 +80,9 @@ def solve_min_total_power(
     x_star = _mean_x(layout)
     powers = terms.powers_at(x_star)
 
-    assert -params.half_length <= x_star <= params.half_length
-    assert all(p >= 0.0 for p in powers)
+    require(-params.half_length <= x_star <= params.half_length,
+            "the power-min placement lies on the waveguide")
+    require(all(p >= 0.0 for p in powers), "power-min powers are nonnegative")
     return PlacementSolution(x_star=x_star, powers=powers, objective=sum(powers))
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .core import (PlacementSolution, SystemParams, UserLayout, path_gain, power_coeff, squared_distance,
                    user_pair)
 from .errors import Infeasible
-from .oracle import GridSpec, grid_optimize
+from .oracle import GridSpec, grid_optimize, grid_optimize_rows
 
 logger = logging.getLogger(__name__)
 
@@ -53,13 +53,21 @@ class RootPlacement:
     allocation_case: str
 
 
-def _geometry(params: SystemParams, layout: UserLayout, x):
-    """Squared distances tau_1, tau_2 at position(s) x and their scalings q_m = noise * tau_m / gain."""
+def _coords(layout: UserLayout) -> tuple[float, float, float, float]:
+    """(x1, y1, x2, y2) of a two-user layout."""
     (x1, y1), (x2, y2) = user_pair(layout)
+    return x1, y1, x2, y2
+
+
+def _geometry(params: SystemParams, users, gain: float, x):
+    """Squared distances tau_1, tau_2 at position(s) x and their scalings q_m = noise * tau_m / gain.
+
+    users is (x1, y1, x2, y2), each a scalar or an array that broadcasts against x.
+    """
+    x1, y1, x2, y2 = users
     t1 = squared_distance(x1, y1, x, params.height_m)
     t2 = squared_distance(x2, y2, x, params.height_m)
-    g = path_gain(params)
-    return t1, t2, params.noise_w * t1 / g, params.noise_w * t2 / g
+    return t1, t2, params.noise_w * t1 / gain, params.noise_w * t2 / gain
 
 
 def split_power(
@@ -82,7 +90,7 @@ def split_power(
     if total_w <= 0:
         raise ValueError("total power budget must be positive")
     coeff = power_coeff(params, rate_nats, 2)
-    t1, t2, q1, q2 = _geometry(params, layout, x)
+    t1, t2, q1, q2 = _geometry(params, _coords(layout), path_gain(params), x)
     floor1 = coeff * t1
     floor2 = coeff * t2
 
@@ -106,16 +114,19 @@ def split_power(
 
 def sum_rate(params: SystemParams, layout: UserLayout, x: float, split: PowerSplit) -> float:
     """Sum of the two per-user rates for a given split, in nats per channel use."""
-    _, _, q1, q2 = _geometry(params, layout, x)
+    _, _, q1, q2 = _geometry(params, _coords(layout), path_gain(params), x)
     return 0.5 * (math.log1p(split.p1 / q1) + math.log1p(split.p2 / q2))
 
 
 def _sum_rate_curve(
-    params: SystemParams, layout: UserLayout, total_w: float, rate_nats: float, xs: np.ndarray
+    params: SystemParams, users, gain: float, coeff: float, total_w: float, xs: np.ndarray
 ) -> np.ndarray:
-    """Vectorized sum rate of the optimal split along xs; -inf where infeasible."""
-    coeff = power_coeff(params, rate_nats, 2)
-    t1, t2, q1, q2 = _geometry(params, layout, xs)
+    """Vectorized sum rate of the optimal split along xs; -inf where infeasible.
+
+    users is (x1, y1, x2, y2) as in _geometry; gain is path_gain(params) and
+    coeff is power_coeff(params, rate_nats, 2).
+    """
+    t1, t2, q1, q2 = _geometry(params, users, gain, xs)
     floor1 = coeff * t1
     floor2 = coeff * t2
     feasible = total_w >= floor1 + floor2 - _FEAS_SLACK * total_w
@@ -133,6 +144,30 @@ def _sum_rate_curve(
     return np.where(feasible, rates, -np.inf)
 
 
+def _curves(params: SystemParams, layouts: list[UserLayout], total_w: float, rate_nats: float):
+    """The sum-rate curve of each layout as one oracle row objective."""
+    for layout in layouts:
+        layout.validate(params)
+    users = [_coords(layout) for layout in layouts]
+    columns = np.array(users, dtype=float).T
+    gain, coeff = path_gain(params), power_coeff(params, rate_nats, 2)
+
+    def objective(rows, xs: np.ndarray) -> np.ndarray:
+        # one row's plain scalars, or one column entry per probed row
+        block = users[rows] if isinstance(rows, int) else tuple(columns[:, rows])
+        return _sum_rate_curve(params, block, gain, coeff, total_w, xs)
+
+    return objective
+
+
+def _placement(
+    params: SystemParams, layout: UserLayout, total_w: float, rate_nats: float, x: float
+) -> PlacementSolution:
+    split = split_power(params, layout, total_w, rate_nats, x)
+    return PlacementSolution(x_star=x, powers=(split.p1, split.p2),
+                             objective=sum_rate(params, layout, x, split))
+
+
 def best_placement_search(
     params: SystemParams,
     layout: UserLayout,
@@ -144,18 +179,27 @@ def best_placement_search(
 
     Raises Infeasible when no grid point can cover both rate floors.
     """
-    layout.validate(params)
+    curve = _curves(params, [layout], total_w, rate_nats)
+    x_best, _ = grid_optimize(lambda xs: curve(0, xs), spec, sense="max", skip_nonfinite=True)
+    return _placement(params, layout, total_w, rate_nats, x_best)
 
-    def objective(xs: np.ndarray) -> np.ndarray:
-        return _sum_rate_curve(params, layout, total_w, rate_nats, xs)
 
-    x_best, _ = grid_optimize(objective, spec, sense="max", skip_nonfinite=True)
-    split = split_power(params, layout, total_w, rate_nats, x_best)
-    return PlacementSolution(
-        x_star=x_best,
-        powers=(split.p1, split.p2),
-        objective=sum_rate(params, layout, x_best, split),
-    )
+def best_placements_search(
+    params: SystemParams,
+    layouts: list[UserLayout],
+    total_w: float,
+    rate_nats: float,
+    spec: GridSpec,
+) -> list[PlacementSolution | None]:
+    """best_placement_search of each layout of a block, bit for bit; None where it is infeasible.
+
+    One _sum_rate_curve call serves the golden-section probes of every layout
+    in an iteration, so a block costs much less than its layouts one by one.
+    """
+    found = grid_optimize_rows(_curves(params, layouts, total_w, rate_nats), spec, len(layouts),
+                               sense="max", skip_nonfinite=True)
+    return [None if f is None else _placement(params, layout, total_w, rate_nats, f[0])
+            for layout, f in zip(layouts, found)]
 
 
 def _derivative(layout: UserLayout, height_m: float, x: float) -> float:

@@ -50,6 +50,10 @@ def certification_grid(lo: float, hi: float) -> GridSpec:
 
 
 Objective = Callable[[np.ndarray], np.ndarray]
+# objective(row, xs) evaluates row `row` (an int) at every abscissa of the 1-D
+# array xs; objective(rows, xs) with an int array `rows` evaluates row rows[k]
+# at xs[k].
+RowObjective = Callable[[int | np.ndarray, np.ndarray], np.ndarray]
 
 
 def grid_optimize(
@@ -65,60 +69,102 @@ def grid_optimize(
     infinity anywhere on the grid raises NonFinite; with True such points are
     treated as absent, and Infeasible is raised if none remain.
     """
+    (found,) = grid_optimize_rows(lambda _, xs: objective(xs), spec, 1, sense, skip_nonfinite)
+    if found is None:
+        raise Infeasible("objective is non-finite at every grid point")
+    return found
+
+
+def grid_optimize_rows(
+    objective: RowObjective,
+    spec: GridSpec,
+    rows: int,
+    sense: str = "min",
+    skip_nonfinite: bool = False,
+) -> list[tuple[float, float] | None]:
+    """Optimize rows independent objectives over spec: one (x_best, value) per row.
+
+    Each row is scanned on the whole grid in its own objective call.  Then
+    every row's next golden-section probe shares one call (see RowObjective),
+    so a block costs refine_iters + 2 probe calls whatever its size, and each
+    row gets exactly the abscissae and comparisons it would get alone.
+    With skip_nonfinite=False a NaN or infinity on any row's grid raises
+    NonFinite; with True such points are treated as absent, and a row with
+    none left gives None.
+    """
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
     flip = 1.0 if sense == "min" else -1.0
 
     xs = spec.abscissae()
-    raw = np.asarray(objective(xs), dtype=float)
-    if raw.shape != xs.shape:
-        raise ValueError("objective must return one value per abscissa")
-    finite = np.isfinite(raw)
-    if not finite.all():
-        if not skip_nonfinite:
-            bad = int(np.flatnonzero(~finite)[0])
-            raise NonFinite(f"objective is not finite at x = {xs[bad]!r}")
-        if not finite.any():
-            raise Infeasible("objective is non-finite at every grid point")
+    found: list[tuple[float, float] | None] = [None] * rows
+    live: list[int] = []
+    searches = []
+    for row in range(rows):
+        raw = np.asarray(objective(row, xs), dtype=float)
+        if raw.shape != xs.shape:
+            raise ValueError("objective must return one value per abscissa")
+        finite = np.isfinite(raw)
+        if not finite.all():
+            if not skip_nonfinite:
+                bad = int(np.flatnonzero(~finite)[0])
+                raise NonFinite(f"objective is not finite at x = {xs[bad]!r}")
+            if not finite.any():
+                continue
+        vals = flip * raw
+        vals[~finite] = np.inf
+        # argmin takes the first (smallest-x) index on ties.
+        i = int(np.argmin(vals))
+        found[row] = (float(xs[i]), float(vals[i]))
+        if spec.refine_iters > 0:
+            # refine between the neighbours of the best grid point
+            a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, spec.points - 1)])
+            live.append(row)
+            searches.append(_golden_section(a, b, *found[row], spec.refine_iters))
 
-    vals = flip * raw
-    vals[~finite] = np.inf
-    # argmin takes the first (smallest-x) index on ties.
-    i = int(np.argmin(vals))
-    best_x = float(xs[i])
-    best_v = float(vals[i])
+    if live:
+        # Every live row takes its next probe in the same objective call; a
+        # lone row is probed as a plain int row, without fancy indexing.
+        index = live[0] if len(live) == 1 else np.array(live)
+        points = [next(search) for search in searches]
+        for _ in range(spec.refine_iters + 2):
+            values = np.asarray(objective(index, np.array(points)), dtype=float).tolist()
+            points = [search.send(flip * v if math.isfinite(v) else math.inf)
+                      for search, v in zip(searches, values)]
+        for row, best in zip(live, points):
+            found[row] = best
+    return [None if f is None else (f[0], flip * f[1]) for f in found]
 
-    def probe(x: float) -> float:
-        v = float(np.asarray(objective(np.array([x])), dtype=float)[0])
-        return flip * v if math.isfinite(v) else math.inf
 
-    # Golden-section refinement between the neighbours of the best grid point.
-    # The incumbent only moves on a strict improvement, which preserves the
-    # smallest-x tie-break and the never-worse-than-grid guarantee.
-    if spec.refine_iters > 0:
-        a = float(xs[max(i - 1, 0)])
-        b = float(xs[min(i + 1, spec.points - 1)])
-        m1 = b - _INV_PHI * (b - a)
-        m2 = a + _INV_PHI * (b - a)
-        f1, f2 = probe(m1), probe(m2)
-        for x, v in ((m1, f1), (m2, f2)):
-            if v < best_v:
-                best_x, best_v = x, v
-        for _ in range(spec.refine_iters):
-            if f1 <= f2:
-                b, m2, f2 = m2, m1, f1
-                m1 = b - _INV_PHI * (b - a)
-                f1 = probe(m1)
-                if f1 < best_v:
-                    best_x, best_v = m1, f1
-            else:
-                a, m1, f1 = m1, m2, f2
-                m2 = a + _INV_PHI * (b - a)
-                f2 = probe(m2)
-                if f2 < best_v:
-                    best_x, best_v = m2, f2
+def _golden_section(a: float, b: float, best_x: float, best_v: float, iters: int):
+    """Golden-section minimization on [a, b] from the incumbent (best_x, best_v), as a coroutine.
 
-    return best_x, flip * best_v
+    It yields each abscissa to probe and is sent back the value there (inf
+    where the objective is not finite); after the last probe it yields the
+    final incumbent.  The incumbent only moves on a strict improvement, which
+    preserves the smallest-x tie-break and the never-worse-than-grid guarantee.
+    """
+    m1 = b - _INV_PHI * (b - a)
+    m2 = a + _INV_PHI * (b - a)
+    f1 = yield m1
+    f2 = yield m2
+    for x, v in ((m1, f1), (m2, f2)):
+        if v < best_v:
+            best_x, best_v = x, v
+    for _ in range(iters):
+        if f1 <= f2:
+            b, m2, f2 = m2, m1, f1
+            m1 = b - _INV_PHI * (b - a)
+            f1 = yield m1
+            if f1 < best_v:
+                best_x, best_v = m1, f1
+        else:
+            a, m1, f1 = m1, m2, f2
+            m2 = a + _INV_PHI * (b - a)
+            f2 = yield m2
+            if f2 < best_v:
+                best_x, best_v = m2, f2
+    yield best_x, best_v
 
 
 def power_split_sweep(

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from . import rng
 from .core import SystemParams, power_coeff
-from .errors import DomainError
+from .errors import DomainError, require
 
 # Trials are drawn in fixed-size blocks, one counter-based stream per block,
 # so the estimate is a pure function of (seed, trials) no matter how blocks
@@ -66,8 +66,7 @@ def _tail_integral(y: float, lim: IntegrationLimits, params: SystemParams) -> fl
     root = math.sqrt(max(lim.headroom - y * y, 0.0))
     ratio = y / math.sqrt(lim.headroom)
     if ratio > 1.0:
-        if ratio > 1.0 + _ASIN_CLAMP:
-            raise AssertionError(f"asin argument {ratio} leaves [-1, 1] by more than {_ASIN_CLAMP}")
+        require(ratio <= 1.0 + _ASIN_CLAMP, "the asin argument leaves [-1, 1] by at most _ASIN_CLAMP")
         ratio = 1.0
     circular = y / 2.0 * root + lim.headroom / 2.0 * math.asin(ratio)
     return (
@@ -108,7 +107,7 @@ def closed_form_outage(
         )
     prob = certain + partial
 
-    assert -1e-9 <= prob <= 1.0 + 1e-9, f"closed-form outage {prob} outside [0, 1]"
+    require(-1e-9 <= prob <= 1.0 + 1e-9, "the closed-form outage probability lies in [0, 1]")
     return min(max(prob, 0.0), 1.0)
 
 

@@ -1,6 +1,10 @@
 """Command-line interface: parsing, precedence, exit codes, reports."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,3 +248,25 @@ def test_argparse_usage_error_is_systemexit():
     with pytest.raises(SystemExit) as exc:
         cli.main(["experiment", "--workers", "2"])  # no such flag
     assert exc.value.code == 2
+
+
+_BROKEN_NOMA = """
+import sys
+from pinchplace import cli, noma
+from pinchplace.core import NomaRates
+assert not __debug__, "this check needs python -O"
+noma.noma_rates = lambda *a, **k: NomaRates(strong=0.0, weak=0.0, sic=0.0)
+sys.exit(cli.main(["noma", sys.argv[1], "--rate-bpcu", "1"]))
+"""
+
+
+def test_broken_invariant_exits_4_under_python_O(tmp_path):
+    pair = tmp_path / "pair.txt"
+    pair.write_text("0 1\n10 4\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-O", "-c", _BROKEN_NOMA, str(pair)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 4, done.stderr
+    assert done.stderr.startswith("certification failure: invariant violated:")
+    assert "Traceback" not in done.stderr

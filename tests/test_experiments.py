@@ -1,5 +1,7 @@
 """Experiment sweep configuration and CSV pipeline."""
 
+import hashlib
+import logging
 import math
 
 import numpy as np
@@ -8,7 +10,8 @@ import pytest
 from pinchplace import experiments, rng
 from pinchplace.core import SystemParams, dbm_to_watt, nats_to_bpcu
 from pinchplace.errors import ConfigError
-from pinchplace.experiments import ExperimentConfig, merge_config, run_experiment, sample_layout
+from pinchplace.experiments import (ExperimentConfig, layout_digest, merge_config, run_experiment,
+                                    sample_layout, trial_layout)
 from pinchplace.oma_fairness import solve_max_min_rate
 
 PARAMS = SystemParams.default()
@@ -176,3 +179,24 @@ def test_scheme_listing_is_stable():
         "oma-greedy", "oma-greedy-highsnr", "oma-greedy-conv",
         "noma", "noma-conv", "outage", "outage-mc", "outage-mc-conv",
     }
+
+
+def _digest_per_trial(layouts):
+    return hashlib.sha256(b"".join(np.array(lay.users, dtype=float).tobytes() for lay in layouts)).hexdigest()
+
+
+@pytest.mark.parametrize("users", [1, 2, 8])
+@pytest.mark.parametrize("clustering", [False, True])
+def test_layout_digest_equals_the_per_trial_digest(users, clustering):
+    gen = rng.stream(9, rng.DOMAIN_TESTS, users)
+    layouts = [sample_layout(users, PARAMS, clustering, gen) for _ in range(17)]
+    assert layout_digest(layouts) == _digest_per_trial(layouts)
+
+
+def test_run_experiment_logs_each_points_layout_digest(caplog):
+    cfg = _tiny_config(trials=5)
+    with caplog.at_level(logging.DEBUG, logger="pinchplace.experiments"):
+        run_experiment(cfg)
+    want = [_digest_per_trial([trial_layout(cfg, i, t) for t in range(5)]) for i in range(2)]
+    got = [r.getMessage().rsplit("sha256=", 1)[1] for r in caplog.records if "sha256=" in r.getMessage()]
+    assert got == want

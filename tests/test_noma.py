@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from pinchplace import rng
-from pinchplace.core import SystemParams, UserLayout, min_power_terms
-from pinchplace.errors import DomainError, OrderingViolation
+from pinchplace import noma, rng
+from pinchplace.core import MinPowerTerms, NomaRates, SystemParams, UserLayout, min_power_terms
+from pinchplace.errors import CertificationError, DomainError, OrderingViolation
 from pinchplace.noma import (
     CERTIFIED_MIN_RATE,
     check_solution,
@@ -195,3 +195,20 @@ def test_search_maps_powers_back_to_layout_order():
     assert search.sic_user in (1, 2)
     assert len(search.powers) == 2 and all(p > 0 for p in search.powers)
     assert np.isclose(sum(search.powers), search.total, rtol=1e-15)
+
+
+def test_broken_invariants_raise_certification_error(monkeypatch):
+    real_rates = noma.noma_rates
+    with monkeypatch.context() as m:
+        m.setattr(noma, "noma_rates", lambda *a, **k: NomaRates(strong=0.0, weak=0.0, sic=0.0))
+        with pytest.raises(CertificationError, match="own rates equal the target"):
+            solve_min_power(PARAMS, ORDERED, 1.0)
+    with monkeypatch.context() as m:
+        m.setattr(noma, "noma_rates", lambda *a, **k: real_rates(*a, **k)._replace(sic=0.0))
+        with pytest.raises(CertificationError, match="SIC decode rate"):
+            solve_min_power(PARAMS, ORDERED, 1.0)
+    with monkeypatch.context() as m:
+        m.setattr(noma, "min_power_terms",
+                  lambda *a, **k: MinPowerTerms(coeff=0.0, xs=(0.0, 10.0), floors=(-1e-30, -1e-30)))
+        with pytest.raises(CertificationError, match="powers are nonnegative"):
+            solve_min_power(PARAMS, ORDERED, 1.0)

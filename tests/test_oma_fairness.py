@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from pinchplace import rng
-from pinchplace.core import SystemParams, UserLayout, min_power_terms, oma_rate, squared_distance
+from pinchplace import oma_fairness, rng
+from pinchplace.core import (MinPowerTerms, SystemParams, UserLayout, min_power_terms, oma_rate,
+                             squared_distance)
+from pinchplace.errors import CertificationError
 from pinchplace.oma_fairness import (
     conventional_max_min_rate,
     conventional_min_total_power,
@@ -171,3 +173,21 @@ def test_single_user_gets_overhead_antenna():
     # only the fixed cross-range offset remains
     terms = min_power_terms(PARAMS, lay, 1.0, slots=len(lay))
     assert np.isclose(sol.objective, terms.floors[0], rtol=1e-15)
+
+
+def test_broken_invariants_raise_certification_error(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(oma_fairness, "_mean_x", lambda layout: 100.0)
+        with pytest.raises(CertificationError, match="max-min placement lies on the waveguide"):
+            solve_max_min_rate(PARAMS, LAYOUT3, 1.0)
+        with pytest.raises(CertificationError, match="power-min placement lies on the waveguide"):
+            solve_min_total_power(PARAMS, LAYOUT3, 1.0)
+    with monkeypatch.context() as m:
+        m.setattr(oma_fairness, "squared_distance", lambda x, y, xa, h: -1.0 if x < 0 else 1.0)
+        with pytest.raises(CertificationError, match="max-min powers are nonnegative"):
+            solve_max_min_rate(PARAMS, LAYOUT3, 1.0)
+    with monkeypatch.context() as m:
+        m.setattr(oma_fairness, "min_power_terms",
+                  lambda *a, **k: MinPowerTerms(coeff=1.0, xs=(0.0, 0.0, 0.0), floors=(-5.0, 1.0, 1.0)))
+        with pytest.raises(CertificationError, match="power-min powers are nonnegative"):
+            solve_min_total_power(PARAMS, LAYOUT3, 1.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pinchplace import rng
-from pinchplace.core import SystemParams, UserLayout, bpcu_to_nats, min_power_terms, path_gain
+from pinchplace.core import SystemParams, UserLayout, bpcu_to_nats, dbm_to_watt, min_power_terms, path_gain
 from pinchplace.errors import DomainError, Infeasible
 from pinchplace.oma_greedy import (
     CASE_FLOOR_AT_1,
@@ -14,6 +14,7 @@ from pinchplace.oma_greedy import (
     CASE_INTERIOR,
     best_placement_high_snr,
     best_placement_search,
+    best_placements_search,
     derivative_roots,
     split_power,
     sum_rate,
@@ -149,6 +150,31 @@ def test_search_infeasible_everywhere():
         best_placement_search(PARAMS, LAYOUT, 1e-7, RATE, SEARCH_GRID)
     with pytest.raises(Infeasible):
         best_placement_high_snr(PARAMS, LAYOUT, 1e-7, RATE)
+
+
+def _search_or_none(layout, total_w, rate_nats, spec):
+    try:
+        return best_placement_search(PARAMS, layout, total_w, rate_nats, spec)
+    except Infeasible:
+        return None
+
+
+def test_block_search_equals_one_layout_searches_bit_for_bit():
+    gen = rng.stream(33, rng.DOMAIN_TESTS, 34)
+    spec = GridSpec(lo=-20.0, hi=20.0, points=2001, refine_iters=24)
+    infeasible = 0
+    for dbm in (0.0, 10.0, 20.0, 40.0, 60.0):
+        layouts = [UserLayout(tuple(
+            (float(x), float(y)) for x, y in zip(gen.uniform(-20, 20, 2), gen.uniform(-5, 5, 2))
+        )) for _ in range(12)]
+        total, rate = dbm_to_watt(dbm), bpcu_to_nats(float(gen.uniform(0.5, 2.0)))
+        got = best_placements_search(PARAMS, layouts, total, rate, spec)
+        want = [_search_or_none(lay, total, rate, spec) for lay in layouts]
+        assert got == want, f"block differs at {dbm} dBm"
+        infeasible += want.count(None)
+    assert 0 < infeasible < 60, f"{infeasible} infeasible layouts: the blocks must mix both kinds"
+    assert best_placements_search(PARAMS, [], 1.0, RATE, spec) == []
+    assert best_placements_search(PARAMS, [LAYOUT], 1e-7, RATE, spec) == [None]
 
 
 def test_symmetric_cubic_roots_frozen():

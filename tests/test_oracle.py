@@ -5,7 +5,8 @@ import pytest
 
 from pinchplace import rng
 from pinchplace.errors import Infeasible, NonFinite
-from pinchplace.oracle import GridSpec, certification_grid, grid_optimize, power_split_sweep
+from pinchplace.oracle import (GridSpec, certification_grid, grid_optimize, grid_optimize_rows,
+                               power_split_sweep)
 
 
 def test_gridspec_validation():
@@ -127,3 +128,68 @@ def test_power_split_sweep_infeasible_paths():
         power_split_sweep(lambda p: p, 0.0, spec)
     with pytest.raises(Infeasible):
         power_split_sweep(lambda p: p, 1.0, GridSpec(lo=5.0, hi=9.0, points=11))
+
+
+def _poly(a, b, c, xs):
+    return (xs - a) ** 2 * (xs - b) ** 2 + c * xs
+
+
+def _poly_rows(coeffs):
+    """A row objective over _poly with one (a, b, c) per row, and each row alone."""
+    a, b, c = (np.array(col) for col in zip(*coeffs))
+
+    def objective(rows, xs):
+        return _poly(a[rows], b[rows], c[rows], xs)
+
+    singles = [lambda xs, k=k: _poly(*coeffs[k], xs) for k in range(len(coeffs))]
+    return objective, singles
+
+
+@pytest.mark.parametrize("sense", ["min", "max"])
+def test_rows_equal_one_row_searches(sense):
+    gen = rng.stream(5, rng.DOMAIN_TESTS, 11)
+    coeffs = [tuple(float(v) for v in gen.uniform(-4, 4, 3)) for _ in range(23)]
+    objective, singles = _poly_rows(coeffs)
+    spec = GridSpec(lo=-6.0, hi=6.0, points=301, refine_iters=40)
+    got = grid_optimize_rows(objective, spec, len(coeffs), sense)
+    want = [grid_optimize(single, spec, sense) for single in singles]
+    assert got == want
+    for (x, v), single in zip(got, singles):
+        grid = single(spec.abscissae())
+        assert (v <= grid.min()) if sense == "min" else (v >= grid.max())
+        assert v == single(np.array([x]))[0]
+
+
+def test_rows_break_ties_toward_the_smallest_abscissa():
+    spec = GridSpec(lo=-2.0, hi=2.0, points=41, refine_iters=10)  # +-1 and +-0.5 land on the grid
+    roots = np.array([1.0, 0.25, 0.0])  # minima at x = +-1, x = +-0.5 and a flat row
+
+    def objective(rows, xs):
+        r = roots[rows]
+        return np.where(r > 0.0, (xs * xs - r) ** 2, 3.0 + 0.0 * xs)
+
+    got = grid_optimize_rows(objective, spec, 3)
+    assert [x for x, _ in got] == [-1.0, -0.5, -2.0]
+
+
+def test_infeasible_row_gives_none_and_the_others_still_refine():
+    coeffs = [(0.3, 1.7, 0.2), (0.0, 0.0, 0.0), (-2.5, 0.4, -1.1)]
+    objective, singles = _poly_rows(coeffs)
+
+    def holed(rows, xs):
+        values = objective(rows, xs)
+        return np.where(np.asarray(rows) == 1, np.nan, values)
+
+    spec = GridSpec(lo=-4.0, hi=4.0, points=81, refine_iters=30)
+    got = grid_optimize_rows(holed, spec, 3, skip_nonfinite=True)
+    assert got[1] is None
+    assert got[0] == grid_optimize(singles[0], spec) and got[2] == grid_optimize(singles[2], spec)
+    # refinement moved both live rows off the grid
+    grid = set(spec.abscissae().tolist())
+    assert got[0][0] not in grid and got[2][0] not in grid
+    with pytest.raises(NonFinite):
+        grid_optimize_rows(holed, spec, 3)
+
+
+def test_rows_of_an_empty_block():
+    assert grid_optimize_rows(lambda rows, xs: xs, GridSpec(lo=0.0, hi=1.0, points=11), 0) == []

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from pinchplace import rng
-from pinchplace.core import SystemParams, bpcu_to_nats, dbm_to_watt
-from pinchplace.errors import DomainError
+from pinchplace import outage, rng
+from pinchplace.core import SystemParams, bpcu_to_nats, dbm_to_watt, power_coeff
+from pinchplace.errors import CertificationError, DomainError
 from pinchplace.outage import closed_form_outage, monte_carlo_outage, outage_rate
 
 PARAMS = SystemParams.default()
@@ -116,3 +116,14 @@ def test_outage_rate_definition():
     assert np.isclose(outage_rate(0.25, 2.0), 1.5, rtol=1e-15)
     with pytest.raises(ValueError):
         outage_rate(1.5, 2.0)
+
+
+def test_broken_invariants_raise_certification_error(monkeypatch):
+    budget = dbm_to_watt(5.0)
+    with monkeypatch.context() as m:
+        m.setattr(outage, "_tail_integral", lambda y, lim, params: 1e3 * y)
+        with pytest.raises(CertificationError, match="outage probability lies in"):
+            closed_form_outage(PARAMS, 2, RATE, budget)
+    lim = outage._limits(PARAMS, budget / power_coeff(PARAMS, RATE, 2))
+    with pytest.raises(CertificationError, match="asin argument"):
+        outage._tail_integral(1.01 * math.sqrt(lim.headroom), lim, PARAMS)

@@ -1,0 +1,41 @@
+"""The experiment CSVs of the benchmark's sweep workloads match the recorded digests.
+
+perfbench/reference.json holds the sha256 of the contract columns of every
+experiment CSV the sweep workloads write for seeds 0-63; this guard replays
+seeds 0 and 1 through the CLI, so a change that moves a CSV byte fails here
+and not only in the benchmark.  It only reads perfbench/.
+"""
+
+import contextlib
+import importlib.util
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from pinchplace import cli
+
+_WORKLOADS_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", _WORKLOADS_FILE)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load_workloads()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("workload", ["sweep-closed-form", "sweep-greedy-search"])
+def test_sweep_csvs_match_reference_digests(workload, seed, tmp_path):
+    digests = []
+    for op in workloads.build(workload, seed, tmp_path).ops:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(op.argv) == 0, op.label
+        digests.append(workloads.csv_digest(op.csv_path.read_text()))
+    assert digests == workloads.load_reference()["digests"][workload][str(seed)]
