@@ -16,9 +16,8 @@ from . import noma, oracle
 from .core import PlacementSolution, SystemParams, UserLayout, path_gain, power_coeff, squared_distance
 
 # certification tolerances: closed forms must match their brute-force oracles
-CERT_REL = 1e-9            # max-min / power-min objective, relative
+CERT_REL = 1e-9            # max-min / power-min / NOMA objective, relative
 CERT_SPLIT_NATS = 1e-9     # two-user split vs power sweep, absolute nats
-CERT_NOMA_REL = 1e-6       # NOMA closed form vs position/order search
 _SPLIT_SWEEP_POINTS = 100001
 
 
@@ -128,13 +127,11 @@ def fast_below_search(fast: float, search: float) -> Check:
 
 def noma_search(params: SystemParams, ordered: UserLayout, rate_nats: float,
                 solution: noma.NomaSolution) -> Check:
-    """NOMA total power (W) against the search; only reported below 0.5 nat (no certificate)."""
+    """NOMA total power (W) against the position/order search, which it must match."""
     grid = oracle.certification_grid(-params.half_length, params.half_length)
     reference = noma.solve_min_power_search(params, ordered, rate_nats, grid).total
     gap = relative_gap(solution.total, reference)
-    name = "search" if solution.certified_optimal else "search (report only, rate < 0.5 nats)"
-    ok = abs(gap) <= CERT_NOMA_REL or not solution.certified_optimal
-    return Check(name, solution.total, reference, gap, CERT_NOMA_REL, ok)
+    return Check("search", solution.total, reference, gap, CERT_REL, abs(gap) <= CERT_REL)
 
 
 def outage_3sigma(probability: float, analytic: float, trials: int) -> Check:

@@ -296,7 +296,6 @@ def cmd_noma(args: argparse.Namespace) -> int:
         f"rates = ({nats_to_bpcu(sol.rates.strong):.6f}, {nats_to_bpcu(sol.rates.weak):.6f}, "
         f"{nats_to_bpcu(sol.rates.sic):.6f}) BPCU (strong, weak, sic)",
         f"assumptions ok: {assumptions.all_ok} (margin {assumptions.sic_distance_margin:.6g} m^2)",
-        f"closed form certified optimal: {sol.certified_optimal}",
     ]
     report = {
         "solver": "noma",
@@ -307,7 +306,6 @@ def cmd_noma(args: argparse.Namespace) -> int:
         "total_power_w": sol.total,
         "rates_bpcu": [nats_to_bpcu(r) for r in sol.rates],
         "assumptions_ok": assumptions.all_ok,
-        "certified_optimal": sol.certified_optimal,
     }
 
     checks = [certify.noma_search(params, ordered, rate, sol)] if args.certify else []

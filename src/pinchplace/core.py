@@ -48,6 +48,12 @@ class SystemParams:
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise ValueError(f"SystemParams.{name} must be a positive finite number, got {value!r}")
+        # every solver divides by these; one that under- or overflows a float has no solution
+        for name, value in (("height_m**2", self.height_m * self.height_m),
+                            ("half_length**2", self.half_length * self.half_length),
+                            ("path gain", path_gain(self))):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"SystemParams {name} is {value!r}; it must be a positive finite number")
 
     @classmethod
     def default(cls) -> "SystemParams":

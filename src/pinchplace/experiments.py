@@ -21,7 +21,7 @@ import numpy as np
 
 from . import oma_fairness, oma_greedy, noma, outage, rng
 from .core import SystemParams, UserLayout, bpcu_to_nats, dbm_to_watt, min_power_terms, nats_to_bpcu
-from .errors import ConfigError, Infeasible
+from .errors import ConfigError
 from .oracle import GridSpec
 
 logger = logging.getLogger(__name__)
@@ -71,30 +71,23 @@ def _eval_powermin_conv(params, layout, value, cfg):
     return oma_fairness.conventional_min_total_power(params, layout, value)
 
 
+def _throughputs(solutions):
+    return [math.nan if sol is None else nats_to_bpcu(sol.objective) for sol in solutions]
+
+
 def _eval_greedy(params, layouts, value, cfg):
     rate = bpcu_to_nats(cfg.rate_bpcu)
-    found = oma_greedy.best_placements_search(params, layouts, value, rate, cfg.grid)
-    return [math.nan if sol is None else nats_to_bpcu(sol.objective) for sol in found]
+    return _throughputs(oma_greedy.best_placements_search(params, layouts, value, rate, cfg.grid))
 
 
-@_per_layout
-def _eval_greedy_highsnr(params, layout, value, cfg):
+def _eval_greedy_highsnr(params, layouts, value, cfg):
+    found = oma_greedy.best_placements_high_snr(params, layouts, value, bpcu_to_nats(cfg.rate_bpcu))
+    return _throughputs([None if f is None else f.solution for f in found])
+
+
+def _eval_greedy_conv(params, layouts, value, cfg):
     rate = bpcu_to_nats(cfg.rate_bpcu)
-    try:
-        sol = oma_greedy.best_placement_high_snr(params, layout, value, rate)
-    except Infeasible:
-        return math.nan
-    return nats_to_bpcu(sol.solution.objective)
-
-
-@_per_layout
-def _eval_greedy_conv(params, layout, value, cfg):
-    rate = bpcu_to_nats(cfg.rate_bpcu)
-    try:
-        split = oma_greedy.split_power(params, layout, value, rate, 0.0)
-    except Infeasible:
-        return math.nan
-    return nats_to_bpcu(oma_greedy.sum_rate(params, layout, 0.0, split))
+    return _throughputs(oma_greedy.placements_at(params, layouts, value, rate, [0.0] * len(layouts)))
 
 
 @_per_layout

@@ -4,9 +4,9 @@ Both users are served simultaneously at the same per-user rate target.  The
 user closer to the waveguide (smaller |y|) acts as the strong user: it decodes
 and removes the other signal before its own.  Minimizing total power under
 the three rate constraints gives a closed-form placement between the two
-users, weighted toward the strong one by e^R, that is provably optimal for
-targets of at least half a nat.  A grid search over position and both SIC
-orders serves as the independent reference.
+users, weighted toward the strong one by e^R, that is provably optimal at
+every positive target (see solve_min_power).  A grid search over position and
+both SIC orders serves as the independent reference.
 """
 
 from __future__ import annotations
@@ -30,9 +30,6 @@ from .core import (
 from .errors import DomainError, OrderingViolation, require
 from .oracle import GridSpec, grid_optimize
 
-# Smallest rate target (nats) for which the closed form is provably optimal.
-CERTIFIED_MIN_RATE = 0.5
-
 _TOL = 1e-9
 
 
@@ -40,15 +37,13 @@ _TOL = 1e-9
 class NomaSolution:
     """x_star with per-user powers indexed like the layout; sic_user is the
     1-based index of the decoding (strong) user.  rates holds the achieved
-    (strong, weak, sic) rates in nats.  certified_optimal marks solutions
-    covered by the closed form's optimality guarantee."""
+    (strong, weak, sic) rates in nats."""
 
     x_star: float
     powers: tuple[float, float]
     sic_user: int
     rates: NomaRates
     total: float
-    certified_optimal: bool
 
 
 @dataclass(frozen=True)
@@ -120,9 +115,17 @@ def solve_min_power(params: SystemParams, layout: UserLayout, rate_nats: float) 
     The placement x* = (x_2 + e^R x_1) / (e^R + 1) sits between the users,
     pulled toward the strong user; its power covers exactly its own rate and
     the weak user's power is stacked on top of the resulting interference.
-    Both own rates come out exactly equal to the target.  Optimality is
-    guaranteed for rate_nats >= 0.5; below that the solution is still
-    returned but flagged uncertified, and the search may beat it.
+    Both own rates come out exactly equal to the target.
+
+    Optimal at every positive target.  Let g = e^R, c the one-slot
+    power_coeff and a_m = y_m^2 + h^2.  With user 1 decoding, the least total
+    power at x is c (g tau_1 + max(tau_1, tau_2)) >= c (g tau_1 + tau_2) (see
+    min_powers_at).  That bound is a convex quadratic minimized at x*, where
+    tau_2 - tau_1 = (x_2 - x_1)^2 (g - 1)/(g + 1) + a_2 - a_1 >= 0 for an
+    ordered pair, so the bound is tight there.  The other order's bound swaps
+    the weights of a_1 and a_2, which raises its minimum by
+    c (g - 1)(a_2 - a_1) >= 0.  As tau_1 <= tau_2 at x*, the SIC decode of
+    the weak signal also reaches the target.
     """
     if rate_nats <= 0:
         raise ValueError("rate target must be positive")
@@ -148,14 +151,12 @@ def solve_min_power(params: SystemParams, layout: UserLayout, rate_nats: float) 
         sq_dist_strong=squared_distance(x1, y1, x_star, h),
         sq_dist_weak=squared_distance(x2, y2, x_star, h),
     )
-    certified = rate_nats >= CERTIFIED_MIN_RATE
 
     require(p1 >= 0.0 and p2 >= 0.0, "NOMA powers are nonnegative")
     tol = _TOL * max(1.0, rate_nats)
     require(abs(rates.strong - rate_nats) <= tol and abs(rates.weak - rate_nats) <= tol,
             "both NOMA users' own rates equal the target")
-    if certified:
-        require(rates.sic >= rate_nats - tol, "the NOMA SIC decode rate reaches the target")
+    require(rates.sic >= rate_nats - tol, "the NOMA SIC decode rate reaches the target")
 
     return NomaSolution(
         x_star=x_star,
@@ -163,7 +164,6 @@ def solve_min_power(params: SystemParams, layout: UserLayout, rate_nats: float) 
         sic_user=1,
         rates=rates,
         total=p1 + p2,
-        certified_optimal=certified,
     )
 
 
@@ -215,7 +215,6 @@ def solve_min_power_search(
         sic_user=decoder + 1,
         rates=rates,
         total=p_dec + p_dir,
-        certified_optimal=False,
     )
 
 

@@ -10,7 +10,6 @@ two squared distances, whose stationary points are the real roots of a cubic.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -20,8 +19,6 @@ from .core import (PlacementSolution, SystemParams, UserLayout, path_gain, power
                    user_pair)
 from .errors import Infeasible
 from .oracle import GridSpec, grid_optimize, grid_optimize_rows
-
-logger = logging.getLogger(__name__)
 
 CASE_FLOOR_AT_2 = "boundary-at-2"
 CASE_FLOOR_AT_1 = "boundary-at-1"
@@ -53,12 +50,6 @@ class RootPlacement:
     allocation_case: str
 
 
-def _coords(layout: UserLayout) -> tuple[float, float, float, float]:
-    """(x1, y1, x2, y2) of a two-user layout."""
-    (x1, y1), (x2, y2) = user_pair(layout)
-    return x1, y1, x2, y2
-
-
 def _geometry(params: SystemParams, users, gain: float, x):
     """Squared distances tau_1, tau_2 at position(s) x and their scalings q_m = noise * tau_m / gain.
 
@@ -70,63 +61,35 @@ def _geometry(params: SystemParams, users, gain: float, x):
     return t1, t2, params.noise_w * t1 / gain, params.noise_w * t2 / gain
 
 
-def split_power(
-    params: SystemParams,
-    layout: UserLayout,
-    total_w: float,
-    rate_nats: float,
-    x: float,
-) -> PowerSplit:
-    """Optimal two-user power split at antenna position x.
+def _columns(params: SystemParams, layouts: list[UserLayout]) -> np.ndarray:
+    """(x1, y1, x2, y2) of each two-user layout of a block as the rows of a (4, B) array.
 
-    Maximizes the sum rate subject to both users reaching rate_nats.  The
-    multiplier analysis leaves three cases: pin user 2 to its floor when the
-    marginal-rate comparison 1/(P - floor_2 + q_1) - 1/(floor_2 + q_2) is
-    nonnegative (q_m being noise * tau_m / gain), the mirrored case for
-    user 1, and otherwise the interior split P/2 + (q_2 - q_1)/2 that
-    equalizes the effective channels.  Raises Infeasible when the budget
-    cannot cover both floors.
+    Raises ValueError when a user is outside the service area.
     """
-    if total_w <= 0:
-        raise ValueError("total power budget must be positive")
-    coeff = power_coeff(params, rate_nats, 2)
-    t1, t2, q1, q2 = _geometry(params, _coords(layout), path_gain(params), x)
-    floor1 = coeff * t1
-    floor2 = coeff * t2
-
-    if total_w < floor1 + floor2 - _FEAS_SLACK * total_w:
-        raise Infeasible(
-            f"budget {total_w} W cannot cover both rate floors ({floor1 + floor2} W) at x = {x}"
-        )
-
-    pin_2 = 1.0 / (total_w - floor2 + q1) - 1.0 / (floor2 + q2)
-    pin_1 = 1.0 / (total_w - floor1 + q2) - 1.0 / (floor1 + q1)
-    if pin_2 >= 0.0:
-        if pin_1 >= 0.0:
-            # only possible on the exact feasibility boundary; first case wins
-            logger.debug("both boundary cases active at x=%r, keeping %s", x, CASE_FLOOR_AT_2)
-        return PowerSplit(p1=total_w - floor2, p2=floor2, case=CASE_FLOOR_AT_2)
-    if pin_1 >= 0.0:
-        return PowerSplit(p1=floor1, p2=total_w - floor1, case=CASE_FLOOR_AT_1)
-    p1 = total_w / 2.0 + q2 / 2.0 - q1 / 2.0
-    return PowerSplit(p1=p1, p2=total_w - p1, case=CASE_INTERIOR)
+    for layout in layouts:
+        layout.validate(params)
+    return np.array([user_pair(layout) for layout in layouts], dtype=float).reshape(-1, 4).T
 
 
-def sum_rate(params: SystemParams, layout: UserLayout, x: float, split: PowerSplit) -> float:
-    """Sum of the two per-user rates for a given split, in nats per channel use."""
-    _, _, q1, q2 = _geometry(params, _coords(layout), path_gain(params), x)
-    return 0.5 * (math.log1p(split.p1 / q1) + math.log1p(split.p2 / q2))
+def _rate_sum(q1, q2, p1, p2):
+    """Sum of the two time-shared user rates, in nats per channel use."""
+    return 0.5 * (np.log1p(p1 / q1) + np.log1p(p2 / q2))
 
 
-def _sum_rate_curve(
-    params: SystemParams, users, gain: float, coeff: float, total_w: float, xs: np.ndarray
-) -> np.ndarray:
-    """Vectorized sum rate of the optimal split along xs; -inf where infeasible.
+def _kkt(params: SystemParams, users, gain: float, coeff: float, total_w: float, x):
+    """The optimal two-user power split at position(s) x: (p1, p2, pin_2, pin_1, sum rate).
 
-    users is (x1, y1, x2, y2) as in _geometry; gain is path_gain(params) and
-    coeff is power_coeff(params, rate_nats, 2).
+    Maximizes the sum rate subject to both users reaching the rate floor
+    coeff * tau_m.  The multiplier analysis leaves three cases: pin user 2 to
+    its floor when the marginal-rate comparison
+    pin_2 = 1/(P - floor_2 + q_1) - 1/(floor_2 + q_2) is nonnegative (q_m
+    being noise * tau_m / gain), the mirrored case pin_1 for user 1, and
+    otherwise the interior split P/2 + (q_2 - q_1)/2 that equalizes the
+    effective channels.  The sum rate is -inf where the budget cannot cover
+    both floors.  users is (x1, y1, x2, y2) as in _geometry; gain is
+    path_gain(params) and coeff is power_coeff(params, rate_nats, 2).
     """
-    t1, t2, q1, q2 = _geometry(params, users, gain, xs)
+    t1, t2, q1, q2 = _geometry(params, users, gain, x)
     floor1 = coeff * t1
     floor2 = coeff * t2
     feasible = total_w >= floor1 + floor2 - _FEAS_SLACK * total_w
@@ -140,32 +103,63 @@ def _sum_rate_curve(
             np.where(pin_1 >= 0.0, floor1, total_w / 2.0 + q2 / 2.0 - q1 / 2.0),
         )
         p2 = total_w - p1
-        rates = 0.5 * (np.log1p(p1 / q1) + np.log1p(p2 / q2))
-    return np.where(feasible, rates, -np.inf)
+        rates = _rate_sum(q1, q2, p1, p2)
+    return p1, p2, pin_2, pin_1, np.where(feasible, rates, -np.inf)
+
+
+def _case(pin_2: float, pin_1: float) -> str:
+    # both tests hold only on the exact feasibility boundary; the first case wins
+    return CASE_FLOOR_AT_2 if pin_2 >= 0.0 else CASE_FLOOR_AT_1 if pin_1 >= 0.0 else CASE_INTERIOR
+
+
+def _splits(params: SystemParams, layouts: list[UserLayout], total_w: float, rate_nats: float, xs):
+    """_kkt of each layout of a block at its own row of positions xs, shape (B, K)."""
+    if total_w <= 0:
+        raise ValueError("total power budget must be positive")
+    users = tuple(_columns(params, layouts)[:, :, None])
+    return _kkt(params, users, path_gain(params), power_coeff(params, rate_nats, 2), total_w,
+                np.asarray(xs, dtype=float))
+
+
+def split_power(params: SystemParams, layout: UserLayout, total_w: float, rate_nats: float, x: float) -> PowerSplit:
+    """Optimal two-user power split at antenna position x (the three cases of _kkt).
+
+    Raises Infeasible when the budget cannot cover both floors.
+    """
+    p1, p2, pin_2, pin_1, rate = (v.item() for v in _splits(params, [layout], total_w, rate_nats, [[x]]))
+    if rate == -math.inf:
+        raise Infeasible(f"budget {total_w} W cannot cover both rate floors at x = {x}")
+    return PowerSplit(p1=p1, p2=p2, case=_case(pin_2, pin_1))
+
+
+def sum_rate(params: SystemParams, layout: UserLayout, x: float, split: PowerSplit) -> float:
+    """Sum of the two per-user rates for a given split, in nats per channel use."""
+    _, _, q1, q2 = _geometry(params, _columns(params, [layout]), path_gain(params), x)
+    return _rate_sum(q1, q2, split.p1, split.p2).item()
 
 
 def _curves(params: SystemParams, layouts: list[UserLayout], total_w: float, rate_nats: float):
     """The sum-rate curve of each layout as one oracle row objective."""
-    for layout in layouts:
-        layout.validate(params)
-    users = [_coords(layout) for layout in layouts]
-    columns = np.array(users, dtype=float).T
+    columns = _columns(params, layouts)
+    users = columns.T.tolist()
     gain, coeff = path_gain(params), power_coeff(params, rate_nats, 2)
 
     def objective(rows, xs: np.ndarray) -> np.ndarray:
         # one row's plain scalars, or one column entry per probed row
         block = users[rows] if isinstance(rows, int) else tuple(columns[:, rows])
-        return _sum_rate_curve(params, block, gain, coeff, total_w, xs)
+        return _kkt(params, block, gain, coeff, total_w, xs)[4]
 
     return objective
 
 
-def _placement(
-    params: SystemParams, layout: UserLayout, total_w: float, rate_nats: float, x: float
-) -> PlacementSolution:
-    split = split_power(params, layout, total_w, rate_nats, x)
-    return PlacementSolution(x_star=x, powers=(split.p1, split.p2),
-                             objective=sum_rate(params, layout, x, split))
+def placements_at(
+    params: SystemParams, layouts: list[UserLayout], total_w: float, rate_nats: float, xs
+) -> list[PlacementSolution | None]:
+    """The optimal split and sum rate of each layout of a block at its position in xs; None where infeasible."""
+    p1, p2, _, _, rate = (v.ravel().tolist() for v in
+                          _splits(params, layouts, total_w, rate_nats, np.reshape(xs, (-1, 1))))
+    return [None if r == -math.inf else PlacementSolution(x_star=float(x), powers=(a, b), objective=r)
+            for x, a, b, r in zip(xs, p1, p2, rate)]
 
 
 def best_placement_search(
@@ -181,7 +175,7 @@ def best_placement_search(
     """
     curve = _curves(params, [layout], total_w, rate_nats)
     x_best, _ = grid_optimize(lambda xs: curve(0, xs), spec, sense="max", skip_nonfinite=True)
-    return _placement(params, layout, total_w, rate_nats, x_best)
+    return placements_at(params, [layout], total_w, rate_nats, [x_best])[0]
 
 
 def best_placements_search(
@@ -193,13 +187,17 @@ def best_placements_search(
 ) -> list[PlacementSolution | None]:
     """best_placement_search of each layout of a block, bit for bit; None where it is infeasible.
 
-    One _sum_rate_curve call serves the golden-section probes of every layout
-    in an iteration, so a block costs much less than its layouts one by one.
+    One KKT evaluation serves the golden-section probes of every layout in an
+    iteration, and one more places every feasible layout, so a block costs
+    much less than its layouts one by one.
     """
     found = grid_optimize_rows(_curves(params, layouts, total_w, rate_nats), spec, len(layouts),
                                sense="max", skip_nonfinite=True)
-    return [None if f is None else _placement(params, layout, total_w, rate_nats, f[0])
-            for layout, f in zip(layouts, found)]
+    kept = [i for i, f in enumerate(found) if f is not None]
+    placed = placements_at(params, [layouts[i] for i in kept], total_w, rate_nats,
+                           [found[i][0] for i in kept]) if kept else []
+    solutions = dict(zip(kept, placed))
+    return [solutions.get(i) for i in range(len(layouts))]
 
 
 def _derivative(layout: UserLayout, height_m: float, x: float) -> float:
@@ -289,6 +287,35 @@ def _polish(layout: UserLayout, height_m: float, x: float) -> float:
     return x
 
 
+def best_placements_high_snr(
+    params: SystemParams,
+    layouts: list[UserLayout],
+    total_w: float,
+    rate_nats: float,
+) -> list[RootPlacement | None]:
+    """best_placement_high_snr of each layout of a block; None where no candidate is feasible.
+
+    One KKT evaluation covers the candidates of every layout.
+    """
+    hl = params.half_length
+    roots, rows = [], []
+    for layout in layouts:
+        roots.append(derivative_roots(layout, params.height_m))
+        candidates = sorted({min(hl, max(-hl, r)) for r in roots[-1]} | {-hl, hl})
+        # at most three roots and two endpoints; a padding repeat never wins a tie over its first copy
+        rows.append(candidates + candidates[-1:] * (5 - len(candidates)))
+    xs = np.array(rows, dtype=float).reshape(-1, 5)
+    p1, p2, pin_2, pin_1, rate = _splits(params, layouts, total_w, rate_nats, xs)
+    at = (np.arange(len(layouts)), np.argmax(rate, axis=1))  # the first of equal rates, as a strict > scan
+    x, p1, p2, pin_2, pin_1, rate = (v[at].tolist() for v in (xs, p1, p2, pin_2, pin_1, rate))
+    return [None if rate[i] == -math.inf else RootPlacement(
+        solution=PlacementSolution(x_star=x[i], powers=(p1[i], p2[i]), objective=rate[i]),
+        roots=layout_roots,
+        winner=x[i],
+        allocation_case=_case(pin_2[i], pin_1[i]),
+    ) for i, layout_roots in enumerate(roots)]
+
+
 def best_placement_high_snr(
     params: SystemParams,
     layout: UserLayout,
@@ -304,30 +331,7 @@ def best_placement_high_snr(
     reference.  The winning candidate and its allocation case are recorded so
     callers can see when the high-power premise did not hold.
     """
-    layout.validate(params)
-    hl = params.half_length
-    roots = derivative_roots(layout, params.height_m)
-    candidates: list[float] = sorted(
-        {min(hl, max(-hl, r)) for r in roots} | {-hl, hl}
-    )
-
-    best: tuple[float, float, PowerSplit] | None = None
-    for x in candidates:
-        try:
-            split = split_power(params, layout, total_w, rate_nats, x)
-        except Infeasible:
-            continue
-        value = sum_rate(params, layout, x, split)
-        if best is None or value > best[1]:
-            best = (x, value, split)
-    if best is None:
+    (found,) = best_placements_high_snr(params, [layout], total_w, rate_nats)
+    if found is None:
         raise Infeasible("no candidate position can cover both rate floors")
-
-    x_star, value, split = best
-    return RootPlacement(
-        solution=PlacementSolution(x_star=x_star, powers=(split.p1, split.p2), objective=value),
-        roots=roots,
-        winner=x_star,
-        allocation_case=split.case,
-    )
-
+    return found

@@ -106,7 +106,7 @@ def test_noma_report(tmp_path, capsys):
     assert cli.main(["noma", str(path), "--rate-bpcu", "1.5", "--certify"]) == 0
     stdout = capsys.readouterr().out
     assert "user order by |y|: [2, 1]" in stdout
-    assert "certified optimal: True" in stdout and "PASS" in stdout
+    assert "certify search: gap = " in stdout and "(tol 1e-09) -> PASS" in stdout
     # users with the same x: the weighted-mean placement must not round outside them
     path.write_text("0.1 1\n0.1 -2\n")
     assert cli.main(["noma", str(path), "--rate-bpcu", "1", "--certify"]) == 0
@@ -159,6 +159,27 @@ def test_overflowing_input_exits_2(argv, request, capsys):
     code = cli.main([argv[0], request.getfixturevalue(argv[1]), *argv[2:]])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("setting", [
+    "height_m=1e-200",  # height_m**2 underflows to 0
+    "height_m=1e200",   # height_m**2 overflows
+    "fc_hz=1e170",      # the path gain underflows to 0
+    "fc_hz=1e-300",     # the path gain overflows
+    "length_m=1e-300",  # half_length**2 underflows to 0
+])
+@pytest.mark.parametrize("command", ["maxmin", "powermin", "greedy", "noma", "outage", "experiment"])
+def test_degenerate_constants_exit_2(command, setting, tmp_path, capsys):
+    argv = [command, "--set", setting]
+    if command == "experiment":
+        argv += ["--set", "schemes=outage"]
+    elif command != "outage":
+        pair = tmp_path / "pair.txt"
+        pair.write_text("0 0\n0 0\n")
+        argv.insert(1, str(pair))
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_certification_failure_exits_4(inst3, capsys, monkeypatch):

@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from pinchplace import noma, rng
+from pinchplace import certify, noma, rng
 from pinchplace.core import MinPowerTerms, NomaRates, SystemParams, UserLayout, min_power_terms
 from pinchplace.errors import CertificationError, DomainError, OrderingViolation
 from pinchplace.noma import (
-    CERTIFIED_MIN_RATE,
     check_solution,
     min_powers_at,
     oma_noma_power_gap,
@@ -17,7 +16,7 @@ from pinchplace.noma import (
     solve_min_power,
     solve_min_power_search,
 )
-from pinchplace.oracle import GridSpec
+from pinchplace.oracle import GridSpec, certification_grid
 
 PARAMS = SystemParams.default()
 ORDERED = UserLayout(((0.0, 1.0), (10.0, 4.0)))
@@ -41,7 +40,6 @@ def test_closed_form_frozen_case():
     assert np.isclose(sol.powers[1], NOMA_P2, rtol=1e-12)
     assert np.isclose(sol.total, NOMA_TOTAL, rtol=1e-12)
     assert sol.sic_user == 1
-    assert sol.certified_optimal
     assert np.isclose(sol.rates.strong, 1.0, rtol=0, atol=1e-12)
     assert np.isclose(sol.rates.weak, 1.0, rtol=0, atol=1e-12)
     assert np.isclose(sol.rates.sic, NOMA_SIC_RATE, rtol=1e-12)
@@ -123,13 +121,25 @@ def test_closed_form_matches_search():
             assert rel <= 1e-6, f"R={rate}: closed {closed.total} vs search {search.total}"
 
 
-def test_below_half_nat_is_uncertified():
-    sol = solve_min_power(PARAMS, ORDERED, 0.2)
-    assert not sol.certified_optimal
-    assert CERTIFIED_MIN_RATE == 0.5
-    # the search may only ever find something at least as cheap
-    search = solve_min_power_search(PARAMS, ORDERED, 0.2, SEARCH_GRID)
-    assert search.total <= sol.total * (1.0 + 1e-9)
+def test_closed_form_is_optimal_below_half_a_nat():
+    # the lower-bound argument in solve_min_power's docstring holds at every positive target
+    gen = rng.stream(44, rng.DOMAIN_TESTS, 43)
+    grid = certification_grid(-PARAMS.half_length, PARAMS.half_length)
+    for rate in (0.005, 0.05, 0.2, 0.45):
+        for near_equal_y in (False, True):
+            for _ in range(5):
+                ys = np.sort(np.abs(gen.uniform(-5, 5, 2)))
+                if near_equal_y:
+                    ys[1] = ys[0] * (1.0 + 1e-6)
+                lay = UserLayout((
+                    (float(gen.uniform(-20, 20)), float(ys[0])),
+                    (float(gen.uniform(-20, 20)), float(ys[1])),
+                ))
+                closed = solve_min_power(PARAMS, lay, rate)
+                search = solve_min_power_search(PARAMS, lay, rate, grid)
+                gap = certify.relative_gap(closed.total, search.total)
+                assert abs(gap) <= certify.CERT_REL, f"R={rate} {lay.users}: gap {gap}"
+                assert closed.rates.sic >= rate - 1e-9
 
 
 def test_ordering_helper_and_violation():

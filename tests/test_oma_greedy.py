@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from pinchplace import rng
-from pinchplace.core import SystemParams, UserLayout, bpcu_to_nats, dbm_to_watt, min_power_terms, path_gain
+from pinchplace.core import (PlacementSolution, SystemParams, UserLayout, bpcu_to_nats, dbm_to_watt,
+                             min_power_terms, path_gain)
 from pinchplace.errors import DomainError, Infeasible
 from pinchplace.oma_greedy import (
     CASE_FLOOR_AT_1,
@@ -14,8 +15,10 @@ from pinchplace.oma_greedy import (
     CASE_INTERIOR,
     best_placement_high_snr,
     best_placement_search,
+    best_placements_high_snr,
     best_placements_search,
     derivative_roots,
+    placements_at,
     split_power,
     sum_rate,
 )
@@ -175,6 +178,78 @@ def test_block_search_equals_one_layout_searches_bit_for_bit():
     assert 0 < infeasible < 60, f"{infeasible} infeasible layouts: the blocks must mix both kinds"
     assert best_placements_search(PARAMS, [], 1.0, RATE, spec) == []
     assert best_placements_search(PARAMS, [LAYOUT], 1e-7, RATE, spec) == [None]
+
+
+def _random_pairs(gen, count):
+    return [UserLayout(tuple(
+        (float(x), float(y)) for x, y in zip(gen.uniform(-20, 20, 2), gen.uniform(-5, 5, 2))
+    )) for _ in range(count)]
+
+
+def test_block_placements_equal_split_power_and_sum_rate_bit_for_bit():
+    gen = rng.stream(33, rng.DOMAIN_TESTS, 35)
+    spec = GridSpec(lo=-20.0, hi=20.0, points=2001, refine_iters=24)
+    infeasible = searched = 0
+    for dbm in (0.0, 10.0, 20.0, 40.0):
+        layouts = _random_pairs(gen, 12)
+        xs = gen.uniform(-20, 20, 12).tolist()
+        total, rate = dbm_to_watt(dbm), bpcu_to_nats(float(gen.uniform(0.5, 2.0)))
+        # placements at given positions, then the search's own final placements
+        cases = list(zip(layouts, xs, placements_at(PARAMS, layouts, total, rate, xs)))
+        for lay, sol in zip(layouts, best_placements_search(PARAMS, layouts, total, rate, spec)):
+            if sol is not None:
+                cases.append((lay, sol.x_star, sol))
+                searched += 1
+        for lay, x, sol in cases:
+            try:
+                split = split_power(PARAMS, lay, total, rate, x)
+            except Infeasible:
+                assert sol is None
+                infeasible += 1
+                continue
+            assert sol == PlacementSolution(x, (split.p1, split.p2), sum_rate(PARAMS, lay, x, split))
+    assert 0 < infeasible < 48 and searched > 0, f"{infeasible} infeasible: the blocks must mix both kinds"
+    with pytest.raises(ValueError):
+        placements_at(PARAMS, [LAYOUT], 0.0, RATE, [0.0])
+
+
+def _high_snr_one_candidate_at_a_time(layout, total_w, rate_nats):
+    """(x, sum rate, split) of the best high-SNR candidate, tried one by one; None if none is feasible."""
+    hl = PARAMS.half_length
+    best = None
+    for x in sorted({min(hl, max(-hl, r)) for r in derivative_roots(layout, PARAMS.height_m)} | {-hl, hl}):
+        try:
+            split = split_power(PARAMS, layout, total_w, rate_nats, x)
+        except Infeasible:
+            continue
+        value = sum_rate(PARAMS, layout, x, split)
+        if best is None or value > best[1]:
+            best = (x, value, split)
+    return best
+
+
+def test_block_high_snr_equals_one_layout_calls_bit_for_bit():
+    gen = rng.stream(33, rng.DOMAIN_TESTS, 36)
+    infeasible = 0
+    for dbm in (0.0, 10.0, 20.0, 40.0, 60.0):
+        layouts = _random_pairs(gen, 12)
+        total, rate = dbm_to_watt(dbm), bpcu_to_nats(float(gen.uniform(0.5, 2.0)))
+        for lay, fast in zip(layouts, best_placements_high_snr(PARAMS, layouts, total, rate)):
+            want = _high_snr_one_candidate_at_a_time(lay, total, rate)
+            if want is None:
+                assert fast is None
+                with pytest.raises(Infeasible):
+                    best_placement_high_snr(PARAMS, lay, total, rate)
+                infeasible += 1
+                continue
+            assert fast == best_placement_high_snr(PARAMS, lay, total, rate)
+            x, value, split = want
+            assert (fast.winner, fast.solution.objective, fast.solution.powers, fast.allocation_case) == (
+                x, value, (split.p1, split.p2), split.case)
+    assert 0 < infeasible < 60, f"{infeasible} infeasible layouts: the blocks must mix both kinds"
+    assert best_placements_high_snr(PARAMS, [], 1.0, RATE) == []
+    with pytest.raises(ValueError):
+        best_placements_high_snr(PARAMS, [LAYOUT], 0.0, RATE)
 
 
 def test_symmetric_cubic_roots_frozen():
