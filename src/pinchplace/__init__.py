@@ -7,6 +7,7 @@ certify it on any instance.
 """
 
 from .core import (
+    LayoutBlock,
     NomaRates,
     PlacementSolution,
     SystemParams,
@@ -57,6 +58,7 @@ __all__ = [
     "ExperimentConfig",
     "GridSpec",
     "Infeasible",
+    "LayoutBlock",
     "NomaRates",
     "NomaSolution",
     "NonFinite",

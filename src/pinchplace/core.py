@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -100,21 +100,78 @@ class UserLayout:
 
     def validate(self, params: SystemParams) -> None:
         """Raise ValueError when any user is outside the service area."""
+        LayoutBlock.from_layouts([self]).validate(params)
+
+
+@dataclass(frozen=True)
+class LayoutBlock:
+    """B layouts of M users each: user m of layout b sits at (xs[b, m], ys[b, m]).
+
+    Both arrays are C-contiguous float64 of shape (B, M).  The block solvers
+    take one and return one value per layout (row), each bit for bit what
+    the one-layout solver returns for that row alone; like Python floats,
+    they let a value overflow to inf without a warning.
+    """
+
+    xs: np.ndarray
+    ys: np.ndarray
+
+    def __post_init__(self) -> None:
+        xs = np.ascontiguousarray(self.xs, dtype=float)
+        ys = np.ascontiguousarray(self.ys, dtype=float)
+        if xs.ndim != 2 or xs.shape != ys.shape:
+            raise ValueError(f"LayoutBlock needs xs and ys of one (B, M) shape, got {xs.shape} and {ys.shape}")
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
+
+    @classmethod
+    def from_layouts(cls, layouts: Iterable[UserLayout]) -> "LayoutBlock":
+        """One row per layout; all layouts must have the same number of users."""
+        pairs = np.array([layout.users for layout in layouts], dtype=float)
+        return cls(pairs[..., 0], pairs[..., 1])
+
+    def __len__(self) -> int:
+        return self.xs.shape[0]
+
+    @property
+    def num_users(self) -> int:
+        return self.xs.shape[1]
+
+    def layout(self, row: int) -> UserLayout:
+        return UserLayout(tuple(zip(self.xs[row].tolist(), self.ys[row].tolist())))
+
+    def validate(self, params: SystemParams) -> None:
+        """Raise ValueError naming the first user (row by row) outside the service area."""
         hl, hw = params.half_length, params.half_width
-        for i, (x, y) in enumerate(self.users):
-            if not (-hl <= x <= hl and -hw <= y <= hw):
-                raise ValueError(
-                    f"user {i + 1} at ({x}, {y}) is outside the {params.length_m} x {params.width_m} m service area"
-                )
+        xs, ys = self.xs, self.ys
+        inside = (np.abs(xs) <= hl) & (np.abs(ys) <= hw)
+        if not inside.all():
+            row, user = np.argwhere(~inside)[0]
+            x, y = float(xs[row, user]), float(ys[row, user])
+            raise ValueError(
+                f"user {user + 1} at ({x}, {y}) is outside the {params.length_m} x {params.width_m} m service area"
+            )
 
 
 @dataclass(frozen=True)
 class PlacementSolution:
-    """Antenna position plus per-user transmit powers and the objective value."""
+    """Antenna position plus per-user transmit powers and the objective value.
+
+    A block solver returns one whose fields hold a row per layout: x_star and
+    objective of shape (B,), powers of shape (B, M).  An objective of -inf
+    marks an infeasible row.
+    """
 
     x_star: float
     powers: tuple[float, ...]
     objective: float
+
+    def row(self, i: int) -> "PlacementSolution | None":
+        """Layout i's solution of a block solution; None where that layout is infeasible."""
+        if self.objective[i] == -math.inf:
+            return None
+        return PlacementSolution(x_star=float(self.x_star[i]), powers=tuple(self.powers[i].tolist()),
+                                 objective=float(self.objective[i]))
 
 
 class NomaRates(NamedTuple):
@@ -126,11 +183,31 @@ class NomaRates(NamedTuple):
     sic: float
 
 
-def user_pair(layout: UserLayout) -> tuple[tuple[float, float], tuple[float, float]]:
-    """The two users of a two-user layout; DomainError for any other count."""
-    if len(layout) != 2:
-        raise DomainError(f"this solver serves exactly 2 users, got {len(layout)}")
-    return layout.users[0], layout.users[1]
+def user_pair(layout: UserLayout | LayoutBlock):
+    """The two users of a two-user layout as ((x1, y1), (x2, y2)); DomainError for any other count.
+
+    The coordinates are floats for a UserLayout and (B,) columns for a LayoutBlock.
+    """
+    if isinstance(layout, LayoutBlock):
+        count, users = layout.num_users, tuple(zip(layout.xs.T, layout.ys.T))
+    else:
+        count, users = len(layout), layout.users
+    if count != 2:
+        raise DomainError(f"this solver serves exactly 2 users, got {count}")
+    return users[0], users[1]
+
+
+def libm(fn: Callable[[float], float], values):
+    """fn, a function of the math module, applied to a float or to every element of an array.
+
+    numpy's own transcendentals differ from the C library's by an ulp on
+    some inputs, so the block solvers evaluate them with math.* element by
+    element: a block row then gets exactly the one-layout solver's value.
+    """
+    flat = np.asarray(values, dtype=float)
+    if flat.ndim == 0:
+        return fn(float(flat))
+    return np.fromiter(map(fn, flat.ravel().tolist()), dtype=float, count=flat.size).reshape(flat.shape)
 
 
 def path_gain(params: SystemParams) -> float:
@@ -169,9 +246,9 @@ def noma_rates(
     """
     g = path_gain(params)
     n = params.noise_w
-    strong = math.log1p(g * p_strong / (n * sq_dist_strong))
-    weak = math.log1p(g * p_weak / (g * p_strong + n * sq_dist_weak))
-    sic = math.log1p(g * p_weak / (g * p_strong + n * sq_dist_strong))
+    strong = libm(math.log1p, g * p_strong / (n * sq_dist_strong))
+    weak = libm(math.log1p, g * p_weak / (g * p_strong + n * sq_dist_weak))
+    sic = libm(math.log1p, g * p_weak / (g * p_strong + n * sq_dist_strong))
     return NomaRates(strong=strong, weak=weak, sic=sic)
 
 
@@ -203,26 +280,28 @@ class MinPowerTerms:
     Serving user m from position x needs
         power = coeff * (x - x_m)^2 + floors[m]
     where coeff (W/m^2) scales the along-waveguide offset and floors[m]
-    already contains the user's fixed cross-range and height offsets.
+    already contains the user's fixed cross-range and height offsets.  xs
+    and floors have shape (M,) for one layout and (B, M) for a block.
     """
 
     coeff: float
-    xs: tuple[float, ...]
-    floors: tuple[float, ...]
+    xs: np.ndarray
+    floors: np.ndarray
 
-    def powers_at(self, x: float) -> tuple[float, ...]:
-        """Each user's minimum power with the antenna at x."""
-        return tuple(self.coeff * (x - xm) * (x - xm) + f for xm, f in zip(self.xs, self.floors))
+    def powers_at(self, x) -> np.ndarray:
+        """Each user's minimum power with the antenna at x: a float, or one position per row of a block."""
+        offset = np.expand_dims(x, -1) - self.xs
+        return self.coeff * offset * offset + self.floors
 
 
 def min_power_terms(
-    params: SystemParams, layout: UserLayout, rate_nats: float, slots: int
+    params: SystemParams, layout: UserLayout | LayoutBlock, rate_nats: float, slots: int
 ) -> MinPowerTerms:
     """Invert the rate formula into per-user minimum-power terms (see power_coeff)."""
     coeff = power_coeff(params, rate_nats, slots)
     h2 = params.height_m * params.height_m
-    floors = tuple(coeff * (y * y + h2) for _, y in layout.users)
-    return MinPowerTerms(coeff=coeff, xs=tuple(x for x, _ in layout.users), floors=floors)
+    ys = layout.ys
+    return MinPowerTerms(coeff=coeff, xs=layout.xs, floors=coeff * (ys * ys + h2))
 
 
 def dbm_to_watt(dbm: float) -> float:

@@ -20,7 +20,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import oma_fairness, oma_greedy, noma, outage, rng
-from .core import SystemParams, UserLayout, bpcu_to_nats, dbm_to_watt, min_power_terms, nats_to_bpcu
+from .core import (LayoutBlock, SystemParams, UserLayout, bpcu_to_nats, dbm_to_watt, min_power_terms,
+                   nats_to_bpcu)
 from .errors import ConfigError
 from .oracle import GridSpec
 
@@ -44,74 +45,58 @@ class SchemeSpec:
     per_trial: bool  # False for sweep-level deterministic schemes
 
 
-def _per_layout(evaluate: Callable) -> Callable:
-    """Lift a one-layout evaluator to the block of one sweep point's layouts."""
-    def block(params, layouts, value, cfg):
-        return [evaluate(params, layout, value, cfg) for layout in layouts]
-    return block
+def _eval_maxmin(params, block, value, cfg):
+    return nats_to_bpcu(oma_fairness.solve_max_min_rates(params, block, value).objective)
 
 
-@_per_layout
-def _eval_maxmin(params, layout, value, cfg):
-    return nats_to_bpcu(oma_fairness.solve_max_min_rate(params, layout, value).objective)
+def _eval_maxmin_conv(params, block, value, cfg):
+    return nats_to_bpcu(oma_fairness.conventional_max_min_rates(params, block, value))
 
 
-@_per_layout
-def _eval_maxmin_conv(params, layout, value, cfg):
-    return nats_to_bpcu(oma_fairness.conventional_max_min_rate(params, layout, value))
+def _eval_powermin(params, block, value, cfg):
+    return oma_fairness.solve_min_total_powers(params, block, value).objective
 
 
-@_per_layout
-def _eval_powermin(params, layout, value, cfg):
-    return oma_fairness.solve_min_total_power(params, layout, value).objective
+def _eval_powermin_conv(params, block, value, cfg):
+    return oma_fairness.conventional_min_total_powers(params, block, value)
 
 
-@_per_layout
-def _eval_powermin_conv(params, layout, value, cfg):
-    return oma_fairness.conventional_min_total_power(params, layout, value)
-
-
-def _throughputs(solutions):
-    return [math.nan if sol is None else nats_to_bpcu(sol.objective) for sol in solutions]
-
-
-def _eval_greedy(params, layouts, value, cfg):
+# The greedy schemes' objective is -inf on an infeasible layout, which drops out
+# of the row like any non-finite value.
+def _eval_greedy(params, block, value, cfg):
     rate = bpcu_to_nats(cfg.rate_bpcu)
-    return _throughputs(oma_greedy.best_placements_search(params, layouts, value, rate, cfg.grid))
+    return nats_to_bpcu(oma_greedy.best_placements_search(params, block, value, rate, cfg.grid).objective)
 
 
-def _eval_greedy_highsnr(params, layouts, value, cfg):
-    found = oma_greedy.best_placements_high_snr(params, layouts, value, bpcu_to_nats(cfg.rate_bpcu))
-    return _throughputs([None if f is None else f.solution for f in found])
+def _eval_greedy_highsnr(params, block, value, cfg):
+    found = oma_greedy.best_placements_high_snr(params, block, value, bpcu_to_nats(cfg.rate_bpcu))
+    return nats_to_bpcu(found.solution.objective)
 
 
-def _eval_greedy_conv(params, layouts, value, cfg):
+def _eval_greedy_conv(params, block, value, cfg):
     rate = bpcu_to_nats(cfg.rate_bpcu)
-    return _throughputs(oma_greedy.placements_at(params, layouts, value, rate, [0.0] * len(layouts)))
+    return nats_to_bpcu(oma_greedy.placements_at(params, block, value, rate, np.zeros(len(block))).objective)
 
 
-@_per_layout
-def _eval_noma(params, layout, value, cfg):
-    ordered, _ = noma.order_by_waveguide_distance(layout)
-    return noma.solve_min_power(params, ordered, value).total
+def _eval_noma(params, block, value, cfg):
+    ordered, _ = noma.order_by_waveguide_distances(block)
+    return noma.solve_min_powers(params, ordered, value).total
 
 
-@_per_layout
-def _eval_noma_conv(params, layout, value, cfg):
-    totals = [sum(noma.min_powers_at(params, layout, value, 0.0, dec)) for dec in (0, 1)]
-    return min(totals)
+def _eval_noma_conv(params, block, value, cfg):
+    return noma.conventional_min_powers(params, block, value)
 
 
-@_per_layout
-def _eval_outage_mc(params, layout, value, cfg):
-    need = oma_fairness.solve_min_total_power(params, layout, bpcu_to_nats(cfg.rate_bpcu)).powers[0]
-    return 0.0 if need >= value else cfg.rate_bpcu
+# Both outage schemes compare user 0's power with the budget: at the mean point and at x = 0.
+def _eval_outage_mc(params, block, value, cfg):
+    need = oma_fairness.solve_min_total_powers(params, block, bpcu_to_nats(cfg.rate_bpcu)).powers[:, 0]
+    return np.where(need >= value, 0.0, cfg.rate_bpcu)
 
 
-@_per_layout
-def _eval_outage_mc_conv(params, layout, value, cfg):
-    terms = min_power_terms(params, layout, bpcu_to_nats(cfg.rate_bpcu), slots=len(layout))
-    return 0.0 if terms.powers_at(0.0)[0] >= value else cfg.rate_bpcu
+@np.errstate(over="ignore")
+def _eval_outage_mc_conv(params, block, value, cfg):
+    terms = min_power_terms(params, block, bpcu_to_nats(cfg.rate_bpcu), slots=block.num_users)
+    return np.where(terms.powers_at(0.0)[:, 0] >= value, 0.0, cfg.rate_bpcu)
 
 
 def _eval_outage_analytic(params, layout, value, cfg):
@@ -119,9 +104,9 @@ def _eval_outage_analytic(params, layout, value, cfg):
     return nats_to_bpcu(outage.outage_rate(p, bpcu_to_nats(cfg.rate_bpcu)))
 
 
-# Per-trial evaluators map (params, layouts, internal value, config) to one
-# metric per layout; the sweep-level one maps (params, None, value, config)
-# to the point's single value.
+# Per-trial evaluators map (params, LayoutBlock, internal value, config) to an
+# array of one metric per layout; the sweep-level one maps (params, None,
+# value, config) to the point's single value.
 SCHEMES: dict[str, tuple[SchemeSpec, Callable]] = {
     "oma-maxmin": (SchemeSpec(AXIS_POWER, "min_rate_bpcu", False, True), _eval_maxmin),
     "oma-maxmin-conv": (SchemeSpec(AXIS_POWER, "min_rate_bpcu", False, True), _eval_maxmin_conv),
@@ -301,22 +286,23 @@ class ExperimentConfig:
                               "it cannot run with clustering")
 
 
-def sample_layout(
-    num_users: int, params: SystemParams, clustering: bool, generator: np.random.Generator
-) -> UserLayout:
-    """Drop users uniformly over the service area.
+def sample_layout(num_users: int, params: SystemParams, clustering: bool, generator) -> LayoutBlock:
+    """Drop users uniformly over the service area, one layout per stream.
 
-    With clustering, x is confined to the strip [-length/4, -length/8] (users
-    bunch on one side of the waveguide) while y still spans the full width.
+    generator is one numpy Generator, which gives a one-row block, or the
+    rng.TrialStreams of a sweep point, which give one row per trial; each
+    stream's first 2 * num_users draws place its layout.  With clustering,
+    x is confined to the strip [-length/4, -length/8] (users bunch on one
+    side of the waveguide) while y still spans the full width.
     """
-    draws = generator.random((2, num_users))
+    draws = np.reshape(generator.random((2, num_users)), (-1, 2, num_users))
     if clustering:
         x_lo, x_hi = -params.length_m / 4.0, -params.length_m / 8.0
     else:
         x_lo, x_hi = -params.half_length, params.half_length
-    xs = x_lo + draws[0] * (x_hi - x_lo)
-    ys = (2.0 * draws[1] - 1.0) * params.half_width
-    return UserLayout(tuple(zip(xs.tolist(), ys.tolist())))
+    xs = x_lo + draws[:, 0] * (x_hi - x_lo)
+    ys = (2.0 * draws[:, 1] - 1.0) * params.half_width
+    return LayoutBlock(xs, ys)
 
 
 def internal_sweep_value(sweep: str, value: float) -> float:
@@ -324,16 +310,25 @@ def internal_sweep_value(sweep: str, value: float) -> float:
     return dbm_to_watt(value) if sweep == AXIS_POWER else bpcu_to_nats(value)
 
 
+def layout_block(config: ExperimentConfig, sweep_idx: int, trials: range) -> LayoutBlock:
+    """The layouts every scheme sees at one sweep point, one row per trial.
+
+    Row i is drawn from the stream (seed, DOMAIN_LAYOUTS, sweep_idx,
+    trials[i]) alone, so a layout does not depend on which other trials
+    share its block.
+    """
+    streams = rng.TrialStreams(config.seed, rng.DOMAIN_LAYOUTS, sweep_idx, trials)
+    return sample_layout(config.num_users, config.params, config.clustering, streams)
+
+
 def trial_layout(config: ExperimentConfig, sweep_idx: int, trial: int) -> UserLayout:
-    """The layout every scheme sees at one (sweep point, trial)."""
-    gen = rng.stream(config.seed, rng.DOMAIN_LAYOUTS, sweep_idx, trial)
-    return sample_layout(config.num_users, config.params, config.clustering, gen)
+    """The layout every scheme sees at one (sweep point, trial): a one-row view of its block."""
+    return layout_block(config, sweep_idx, range(trial, trial + 1)).layout(0)
 
 
-def layout_digest(layouts: list[UserLayout]) -> str:
-    """sha256 of the users' float64 coordinates, layout after layout."""
-    block = np.array([layout.users for layout in layouts], dtype=float)
-    return hashlib.sha256(block.tobytes()).hexdigest()
+def layout_digest(block: LayoutBlock) -> str:
+    """sha256 of the users' float64 (x, y) coordinates, layout after layout."""
+    return hashlib.sha256(np.stack([block.xs, block.ys], -1).tobytes()).hexdigest()
 
 
 def _format(value: float) -> str:
@@ -343,15 +338,16 @@ def _format(value: float) -> str:
 def run_experiment(config: ExperimentConfig) -> str:
     """Run the full sweep and return the CSV document as a string.
 
-    Each sweep point draws its layouts first and then hands the whole block
-    to each scheme's evaluator once.
+    Each sweep point draws its layouts as one LayoutBlock and then hands the
+    whole block to each scheme's evaluator once.
     """
     lines = ["sweep_value,scheme,metric,mean,stderr,trials"]
 
     for sweep_idx, sweep_value in enumerate(config.sweep_values):
         internal = internal_sweep_value(config.sweep, sweep_value)
-        layouts = [trial_layout(config, sweep_idx, trial) for trial in range(config.trials)]
-        logger.debug("sweep %s=%s layouts sha256=%s", config.sweep, sweep_value, layout_digest(layouts))
+        block = layout_block(config, sweep_idx, range(config.trials))
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("sweep %s=%s layouts sha256=%s", config.sweep, sweep_value, layout_digest(block))
 
         for name in config.schemes:
             spec, evaluator = SCHEMES[name]
@@ -359,7 +355,7 @@ def run_experiment(config: ExperimentConfig) -> str:
                 mean = evaluator(config.params, None, internal, config)
                 stderr, count = 0.0, 1
             else:
-                column = np.array(evaluator(config.params, layouts, internal, config), dtype=float)
+                column = np.asarray(evaluator(config.params, block, internal, config), dtype=float)
                 finite = np.isfinite(column)
                 count = int(finite.sum())
                 if count == 0:

@@ -18,9 +18,11 @@ import numpy as np
 
 from . import oma_fairness
 from .core import (
+    LayoutBlock,
     NomaRates,
     SystemParams,
     UserLayout,
+    libm,
     min_power_terms,
     noma_rates,
     power_coeff,
@@ -37,13 +39,24 @@ _TOL = 1e-9
 class NomaSolution:
     """x_star with per-user powers indexed like the layout; sic_user is the
     1-based index of the decoding (strong) user.  rates holds the achieved
-    (strong, weak, sic) rates in nats."""
+    (strong, weak, sic) rates in nats.  A block solution holds a (B,) array
+    in place of each float."""
 
     x_star: float
     powers: tuple[float, float]
     sic_user: int
     rates: NomaRates
     total: float
+
+    def row(self, i: int) -> "NomaSolution":
+        """Layout i's solution of a block solution."""
+        return NomaSolution(
+            x_star=float(self.x_star[i]),
+            powers=(float(self.powers[0][i]), float(self.powers[1][i])),
+            sic_user=self.sic_user,
+            rates=NomaRates(*(float(rate[i]) for rate in self.rates)),
+            total=float(self.total[i]),
+        )
 
 
 @dataclass(frozen=True)
@@ -64,24 +77,47 @@ class AssumptionChecks:
         return self.strong_user_ok and self.x_between_users and self.powers_nonnegative
 
 
+def order_by_waveguide_distances(block: LayoutBlock) -> tuple[LayoutBlock, np.ndarray]:
+    """order_by_waveguide_distance of every layout of a block; the permutations are the rows of a (B, M) array."""
+    # the key is y ** 2 (the C library's pow), as the one-layout order has always used; it need not round like y * y
+    perm = np.argsort(libm(lambda y: y ** 2, block.ys), axis=1, kind="stable")
+    ordered = LayoutBlock(np.take_along_axis(block.xs, perm, axis=1), np.take_along_axis(block.ys, perm, axis=1))
+    return ordered, perm
+
+
 def order_by_waveguide_distance(layout: UserLayout) -> tuple[UserLayout, tuple[int, ...]]:
     """Sort users by |y| ascending (stable, so ties keep the input order).
 
     Returns the reordered layout and the permutation p with
     ordered.users[i] == layout.users[p[i]].
     """
-    perm = tuple(sorted(range(len(layout)), key=lambda i: layout.users[i][1] ** 2))
-    ordered = UserLayout(tuple(layout.users[i] for i in perm))
-    return ordered, perm
+    ordered, perm = order_by_waveguide_distances(LayoutBlock.from_layouts([layout]))
+    return ordered.layout(0), tuple(perm[0].tolist())
 
 
-def _ordered_pair(layout: UserLayout) -> tuple[tuple[float, float], tuple[float, float]]:
-    (x1, y1), (x2, y2) = user_pair(layout)
-    if y1 * y1 > y2 * y2:
+def _ordered_pair(block: LayoutBlock):
+    (x1, y1), (x2, y2) = user_pair(block)
+    if (y1 * y1 > y2 * y2).any():
         raise OrderingViolation(
             "user 1 must be the one closer to the waveguide; call order_by_waveguide_distance first"
         )
     return (x1, y1), (x2, y2)
+
+
+@np.errstate(over="ignore")
+def _powers_at(params: SystemParams, block: LayoutBlock, rate_nats: float, x, decoder: int):
+    """min_powers_at of every layout of a block: (decoder_powers, direct_powers) as (B,) arrays."""
+    pair = user_pair(block)
+    if decoder not in (0, 1):
+        raise ValueError("decoder must be 0 or 1")
+    coeff = power_coeff(params, rate_nats, 1)
+    h = params.height_m
+    (xd, yd), (xo, yo) = pair[decoder], pair[1 - decoder]
+    tau_dec = squared_distance(xd, yd, x, h)
+    tau_dir = squared_distance(xo, yo, x, h)
+    p_dec = coeff * tau_dec
+    p_dir = math.expm1(rate_nats) * p_dec + coeff * np.maximum(tau_dec, tau_dir)
+    return p_dec, p_dir
 
 
 def min_powers_at(
@@ -96,17 +132,64 @@ def min_powers_at(
     sides, which reduces to coeff * ((e^R - 1) tau_decoder + max(tau_dec,
     tau_dir)).  Returns (decoder_power, direct_power).
     """
-    pair = user_pair(layout)
-    if decoder not in (0, 1):
-        raise ValueError("decoder must be 0 or 1")
-    coeff = power_coeff(params, rate_nats, 1)
+    p_dec, p_dir = _powers_at(params, LayoutBlock.from_layouts([layout]), rate_nats, x, decoder)
+    return float(p_dec[0]), float(p_dir[0])
+
+
+def conventional_min_powers(params: SystemParams, block: LayoutBlock, rate_nats: float) -> np.ndarray:
+    """Total power of each layout of a block with the antenna fixed at the area centre.
+
+    Takes the cheaper SIC order (min_powers_at at x = 0 for both decoders),
+    so it isolates the placement gain of solve_min_power.
+    """
+    by_decoder = [sum(_powers_at(params, block, rate_nats, 0.0, decoder)) for decoder in (0, 1)]
+    return np.where(by_decoder[1] < by_decoder[0], by_decoder[1], by_decoder[0])
+
+
+@np.errstate(over="ignore")
+def solve_min_powers(params: SystemParams, block: LayoutBlock, rate_nats: float) -> NomaSolution:
+    """solve_min_power of every ordered pair of a block, as one NomaSolution of (B,) arrays."""
+    if rate_nats <= 0:
+        raise ValueError("rate target must be positive")
+    block.validate(params)
+    (x1, y1), (x2, y2) = _ordered_pair(block)
+
+    terms = min_power_terms(params, block, rate_nats, slots=1)
+    growth = math.exp(rate_nats)
+    # min and max as Python's: the first argument wins a tie, so a signed zero keeps its sign
+    lo, hi = np.where(x2 < x1, x2, x1), np.where(x2 > x1, x2, x1)
+    # the weighted mean can round one ulp outside [lo, hi] when x1 == x2
+    weighted = (x2 + growth * x1) / (growth + 1.0)
+    above = np.where(lo > weighted, lo, weighted)
+    x_star = np.where(hi < above, hi, above)
+
+    p1, own2 = terms.powers_at(x_star).T
+    p2 = math.expm1(rate_nats) * p1 + own2
+    if not np.isfinite(p2).all():
+        raise DomainError(f"rate target {rate_nats} nats needs a non-finite weak-user power")
+
     h = params.height_m
-    (xd, yd), (xo, yo) = pair[decoder], pair[1 - decoder]
-    tau_dec = squared_distance(xd, yd, x, h)
-    tau_dir = squared_distance(xo, yo, x, h)
-    p_dec = coeff * tau_dec
-    p_dir = math.expm1(rate_nats) * p_dec + coeff * max(tau_dec, tau_dir)
-    return p_dec, p_dir
+    rates = noma_rates(
+        params,
+        p_strong=p1,
+        p_weak=p2,
+        sq_dist_strong=squared_distance(x1, y1, x_star, h),
+        sq_dist_weak=squared_distance(x2, y2, x_star, h),
+    )
+
+    require(bool(((p1 >= 0.0) & (p2 >= 0.0)).all()), "NOMA powers are nonnegative")
+    tol = _TOL * max(1.0, rate_nats)
+    require(bool(np.all((np.abs(rates.strong - rate_nats) <= tol) & (np.abs(rates.weak - rate_nats) <= tol))),
+            "both NOMA users' own rates equal the target")
+    require(bool(np.all(rates.sic >= rate_nats - tol)), "the NOMA SIC decode rate reaches the target")
+
+    return NomaSolution(
+        x_star=x_star,
+        powers=(p1, p2),
+        sic_user=1,
+        rates=rates,
+        total=p1 + p2,
+    )
 
 
 def solve_min_power(params: SystemParams, layout: UserLayout, rate_nats: float) -> NomaSolution:
@@ -127,44 +210,7 @@ def solve_min_power(params: SystemParams, layout: UserLayout, rate_nats: float) 
     c (g - 1)(a_2 - a_1) >= 0.  As tau_1 <= tau_2 at x*, the SIC decode of
     the weak signal also reaches the target.
     """
-    if rate_nats <= 0:
-        raise ValueError("rate target must be positive")
-    layout.validate(params)
-    (x1, y1), (x2, y2) = _ordered_pair(layout)
-
-    terms = min_power_terms(params, layout, rate_nats, slots=1)
-    growth = math.exp(rate_nats)
-    lo, hi = min(x1, x2), max(x1, x2)
-    # the weighted mean can round one ulp outside [lo, hi] when x1 == x2
-    x_star = min(max((x2 + growth * x1) / (growth + 1.0), lo), hi)
-
-    p1, own2 = terms.powers_at(x_star)
-    p2 = math.expm1(rate_nats) * p1 + own2
-    if not math.isfinite(p2):
-        raise DomainError(f"rate target {rate_nats} nats needs a non-finite weak-user power")
-
-    h = params.height_m
-    rates = noma_rates(
-        params,
-        p_strong=p1,
-        p_weak=p2,
-        sq_dist_strong=squared_distance(x1, y1, x_star, h),
-        sq_dist_weak=squared_distance(x2, y2, x_star, h),
-    )
-
-    require(p1 >= 0.0 and p2 >= 0.0, "NOMA powers are nonnegative")
-    tol = _TOL * max(1.0, rate_nats)
-    require(abs(rates.strong - rate_nats) <= tol and abs(rates.weak - rate_nats) <= tol,
-            "both NOMA users' own rates equal the target")
-    require(rates.sic >= rate_nats - tol, "the NOMA SIC decode rate reaches the target")
-
-    return NomaSolution(
-        x_star=x_star,
-        powers=(p1, p2),
-        sic_user=1,
-        rates=rates,
-        total=p1 + p2,
-    )
+    return solve_min_powers(params, LayoutBlock.from_layouts([layout]), rate_nats).row(0)
 
 
 def solve_min_power_search(

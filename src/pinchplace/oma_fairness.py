@@ -16,10 +16,14 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .core import (
+    LayoutBlock,
     PlacementSolution,
     SystemParams,
     UserLayout,
+    libm,
     min_power_terms,
     path_gain,
     power_coeff,
@@ -28,13 +32,44 @@ from .core import (
 from .errors import require
 
 
-def _mean_x(layout: UserLayout) -> float:
-    return float(layout.xs.mean())
+def _mean_x(block: LayoutBlock) -> np.ndarray:
+    # numpy's pairwise sum of each C-contiguous row, as for one layout's 1-D xs
+    return block.xs.mean(axis=1)
 
 
-def _common_rate(params: SystemParams, tau_sum: float, total_power_w: float, num_users: int) -> float:
+def _sum_users(values: np.ndarray) -> np.ndarray:
+    """Row sums of a (B, M) array, added left to right as Python's sum adds one layout's M terms."""
+    total = values[:, 0]
+    for m in range(1, values.shape[1]):
+        total = total + values[:, m]
+    return total
+
+
+def _on_waveguide(params: SystemParams, x: np.ndarray) -> bool:
+    return bool((np.abs(x) <= params.half_length).all())
+
+
+def _common_rate(params: SystemParams, tau_sum: np.ndarray, total_power_w: float, num_users: int) -> np.ndarray:
     """(1/M) log(1 + gP / (noise * sum(tau))), the rate every user gets under proportional powers."""
-    return math.log1p(path_gain(params) * total_power_w / (params.noise_w * tau_sum)) / num_users
+    return libm(math.log1p, path_gain(params) * total_power_w / (params.noise_w * tau_sum)) / num_users
+
+
+@np.errstate(over="ignore")
+def solve_max_min_rates(params: SystemParams, block: LayoutBlock, total_power_w: float) -> PlacementSolution:
+    """solve_max_min_rate of every layout of a block, as one PlacementSolution of (B,) and (B, M) arrays."""
+    if total_power_w <= 0:
+        raise ValueError("total power budget must be positive")
+    block.validate(params)
+
+    x_star = _mean_x(block)
+    taus = squared_distance(block.xs, block.ys, x_star[:, None], params.height_m)
+    tau_sum = _sum_users(taus)
+    common_rate = _common_rate(params, tau_sum, total_power_w, block.num_users)
+    powers = taus / tau_sum[:, None] * total_power_w
+
+    require(_on_waveguide(params, x_star), "the max-min placement lies on the waveguide")
+    require(bool((powers >= 0.0).all()), "max-min powers are nonnegative")
+    return PlacementSolution(x_star=x_star, powers=powers, objective=common_rate)
 
 
 def solve_max_min_rate(
@@ -48,21 +83,21 @@ def solve_max_min_rate(
     minimizes.  The objective of the returned solution is that common rate in
     nats per channel use.
     """
-    if total_power_w <= 0:
-        raise ValueError("total power budget must be positive")
-    layout.validate(params)
+    return solve_max_min_rates(params, LayoutBlock.from_layouts([layout]), total_power_w).row(0)
 
-    x_star = _mean_x(layout)
-    h = params.height_m
-    taus = [squared_distance(x, y, x_star, h) for x, y in layout.users]
-    tau_sum = sum(taus)
-    common_rate = _common_rate(params, tau_sum, total_power_w, len(layout))
-    powers = tuple(t / tau_sum * total_power_w for t in taus)
 
-    require(-params.half_length <= x_star <= params.half_length,
-            "the max-min placement lies on the waveguide")
-    require(all(p >= 0.0 for p in powers), "max-min powers are nonnegative")
-    return PlacementSolution(x_star=x_star, powers=powers, objective=common_rate)
+@np.errstate(over="ignore")
+def solve_min_total_powers(params: SystemParams, block: LayoutBlock, rate_nats: float) -> PlacementSolution:
+    """solve_min_total_power of every layout of a block, as one PlacementSolution of (B,) and (B, M) arrays."""
+    block.validate(params)
+    terms = min_power_terms(params, block, rate_nats, slots=block.num_users)
+
+    x_star = _mean_x(block)
+    powers = terms.powers_at(x_star)
+
+    require(_on_waveguide(params, x_star), "the power-min placement lies on the waveguide")
+    require(bool((powers >= 0.0).all()), "power-min powers are nonnegative")
+    return PlacementSolution(x_star=x_star, powers=powers, objective=_sum_users(powers))
 
 
 def solve_min_total_power(
@@ -74,16 +109,17 @@ def solve_min_total_power(
     coeff * sum((x - x_m)^2) + const and the mean-point antenna is optimal.
     The objective of the returned solution is the total power in watts.
     """
-    layout.validate(params)
-    terms = min_power_terms(params, layout, rate_nats, slots=len(layout))
+    return solve_min_total_powers(params, LayoutBlock.from_layouts([layout]), rate_nats).row(0)
 
-    x_star = _mean_x(layout)
-    powers = terms.powers_at(x_star)
 
-    require(-params.half_length <= x_star <= params.half_length,
-            "the power-min placement lies on the waveguide")
-    require(all(p >= 0.0 for p in powers), "power-min powers are nonnegative")
-    return PlacementSolution(x_star=x_star, powers=powers, objective=sum(powers))
+@np.errstate(over="ignore")
+def conventional_max_min_rates(params: SystemParams, block: LayoutBlock, total_power_w: float) -> np.ndarray:
+    """conventional_max_min_rate of every layout of a block."""
+    if total_power_w <= 0:
+        raise ValueError("total power budget must be positive")
+    block.validate(params)
+    tau_sum = _sum_users(squared_distance(block.xs, block.ys, 0.0, params.height_m))
+    return _common_rate(params, tau_sum, total_power_w, block.num_users)
 
 
 def conventional_max_min_rate(
@@ -95,20 +131,21 @@ def conventional_max_min_rate(
     distances), only the placement is fixed, so this isolates the placement
     gain of a movable antenna.
     """
-    if total_power_w <= 0:
-        raise ValueError("total power budget must be positive")
-    layout.validate(params)
-    h = params.height_m
-    tau_sum = sum(squared_distance(x, y, 0.0, h) for x, y in layout.users)
-    return _common_rate(params, tau_sum, total_power_w, len(layout))
+    return float(conventional_max_min_rates(params, LayoutBlock.from_layouts([layout]), total_power_w)[0])
+
+
+@np.errstate(over="ignore")
+def conventional_min_total_powers(params: SystemParams, block: LayoutBlock, rate_nats: float) -> np.ndarray:
+    """conventional_min_total_power of every layout of a block."""
+    block.validate(params)
+    return _sum_users(min_power_terms(params, block, rate_nats, slots=block.num_users).powers_at(0.0))
 
 
 def conventional_min_total_power(
     params: SystemParams, layout: UserLayout, rate_nats: float
 ) -> float:
     """Total power meeting rate_nats with the antenna fixed at the area centre."""
-    layout.validate(params)
-    return sum(min_power_terms(params, layout, rate_nats, slots=len(layout)).powers_at(0.0))
+    return float(conventional_min_total_powers(params, LayoutBlock.from_layouts([layout]), rate_nats)[0])
 
 
 def pinching_power_saving(params: SystemParams, layout: UserLayout, rate_nats: float) -> float:

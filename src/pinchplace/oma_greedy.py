@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (PlacementSolution, SystemParams, UserLayout, path_gain, power_coeff, squared_distance,
-                   user_pair)
+from .core import (LayoutBlock, PlacementSolution, SystemParams, UserLayout, libm, path_gain, power_coeff,
+                   squared_distance, user_pair)
 from .errors import Infeasible
 from .oracle import GridSpec, grid_optimize, grid_optimize_rows
 
@@ -42,12 +42,25 @@ class PowerSplit:
 
 @dataclass(frozen=True)
 class RootPlacement:
-    """Placement picked among the cubic's roots and the interval endpoints."""
+    """Placement picked among the cubic's roots and the interval endpoints.
+
+    A block placement holds one row per layout: a block PlacementSolution,
+    roots as a (B, 3) array padded with NaN, and (B,) winner and
+    allocation_case arrays.
+    """
 
     solution: PlacementSolution
     roots: tuple[float, ...]
     winner: float
     allocation_case: str
+
+    def row(self, i: int) -> "RootPlacement | None":
+        """Layout i's placement of a block placement; None where no candidate is feasible."""
+        solution = self.solution.row(i)
+        if solution is None:
+            return None
+        return RootPlacement(solution=solution, roots=tuple(r for r in self.roots[i].tolist() if not math.isnan(r)),
+                             winner=float(self.winner[i]), allocation_case=str(self.allocation_case[i]))
 
 
 def _geometry(params: SystemParams, users, gain: float, x):
@@ -61,14 +74,14 @@ def _geometry(params: SystemParams, users, gain: float, x):
     return t1, t2, params.noise_w * t1 / gain, params.noise_w * t2 / gain
 
 
-def _columns(params: SystemParams, layouts: list[UserLayout]) -> np.ndarray:
+def _columns(params: SystemParams, block: LayoutBlock) -> np.ndarray:
     """(x1, y1, x2, y2) of each two-user layout of a block as the rows of a (4, B) array.
 
     Raises ValueError when a user is outside the service area.
     """
-    for layout in layouts:
-        layout.validate(params)
-    return np.array([user_pair(layout) for layout in layouts], dtype=float).reshape(-1, 4).T
+    block.validate(params)
+    (x1, y1), (x2, y2) = user_pair(block)
+    return np.stack([x1, y1, x2, y2])
 
 
 def _rate_sum(q1, q2, p1, p2):
@@ -107,18 +120,20 @@ def _kkt(params: SystemParams, users, gain: float, coeff: float, total_w: float,
     return p1, p2, pin_2, pin_1, np.where(feasible, rates, -np.inf)
 
 
-def _case(pin_2: float, pin_1: float) -> str:
+def _cases(pin_2, pin_1):
     # both tests hold only on the exact feasibility boundary; the first case wins
-    return CASE_FLOOR_AT_2 if pin_2 >= 0.0 else CASE_FLOOR_AT_1 if pin_1 >= 0.0 else CASE_INTERIOR
+    return np.where(pin_2 >= 0.0, CASE_FLOOR_AT_2, np.where(pin_1 >= 0.0, CASE_FLOOR_AT_1, CASE_INTERIOR))
 
 
-def _splits(params: SystemParams, layouts: list[UserLayout], total_w: float, rate_nats: float, xs):
-    """_kkt of each layout of a block at its own row of positions xs, shape (B, K)."""
+def _splits(params: SystemParams, columns: np.ndarray, total_w: float, rate_nats: float, xs):
+    """_kkt of each layout of a block (its _columns) at its own row of positions xs, shape (B, K)."""
+    return _kkt(params, tuple(columns[:, :, None]), path_gain(params), power_coeff(params, rate_nats, 2), total_w,
+                np.asarray(xs, dtype=float))
+
+
+def _budget(total_w: float) -> None:
     if total_w <= 0:
         raise ValueError("total power budget must be positive")
-    users = tuple(_columns(params, layouts)[:, :, None])
-    return _kkt(params, users, path_gain(params), power_coeff(params, rate_nats, 2), total_w,
-                np.asarray(xs, dtype=float))
 
 
 def split_power(params: SystemParams, layout: UserLayout, total_w: float, rate_nats: float, x: float) -> PowerSplit:
@@ -126,21 +141,23 @@ def split_power(params: SystemParams, layout: UserLayout, total_w: float, rate_n
 
     Raises Infeasible when the budget cannot cover both floors.
     """
-    p1, p2, pin_2, pin_1, rate = (v.item() for v in _splits(params, [layout], total_w, rate_nats, [[x]]))
+    _budget(total_w)
+    columns = _columns(params, LayoutBlock.from_layouts([layout]))
+    p1, p2, pin_2, pin_1, rate = (v.item() for v in _splits(params, columns, total_w, rate_nats, [[x]]))
     if rate == -math.inf:
         raise Infeasible(f"budget {total_w} W cannot cover both rate floors at x = {x}")
-    return PowerSplit(p1=p1, p2=p2, case=_case(pin_2, pin_1))
+    return PowerSplit(p1=p1, p2=p2, case=str(_cases(pin_2, pin_1)))
 
 
 def sum_rate(params: SystemParams, layout: UserLayout, x: float, split: PowerSplit) -> float:
     """Sum of the two per-user rates for a given split, in nats per channel use."""
-    _, _, q1, q2 = _geometry(params, _columns(params, [layout]), path_gain(params), x)
+    columns = _columns(params, LayoutBlock.from_layouts([layout]))
+    _, _, q1, q2 = _geometry(params, columns, path_gain(params), x)
     return _rate_sum(q1, q2, split.p1, split.p2).item()
 
 
-def _curves(params: SystemParams, layouts: list[UserLayout], total_w: float, rate_nats: float):
-    """The sum-rate curve of each layout as one oracle row objective."""
-    columns = _columns(params, layouts)
+def _curves(params: SystemParams, columns: np.ndarray, total_w: float, rate_nats: float):
+    """The sum-rate curve of each layout of a block (its _columns) as one oracle row objective."""
     users = columns.T.tolist()
     gain, coeff = path_gain(params), power_coeff(params, rate_nats, 2)
 
@@ -152,14 +169,43 @@ def _curves(params: SystemParams, layouts: list[UserLayout], total_w: float, rat
     return objective
 
 
+def _placed(params: SystemParams, columns: np.ndarray, total_w: float, rate_nats: float, xs) -> PlacementSolution:
+    """The optimal split and sum rate of each layout at its position in xs (NaN for none): a block PlacementSolution."""
+    xs = np.asarray(xs, dtype=float)
+    p1, p2, _, _, rate = (v[:, 0] for v in _splits(params, columns, total_w, rate_nats, xs[:, None]))
+    return PlacementSolution(x_star=xs, powers=np.stack([p1, p2], axis=1), objective=rate)
+
+
 def placements_at(
-    params: SystemParams, layouts: list[UserLayout], total_w: float, rate_nats: float, xs
-) -> list[PlacementSolution | None]:
-    """The optimal split and sum rate of each layout of a block at its position in xs; None where infeasible."""
-    p1, p2, _, _, rate = (v.ravel().tolist() for v in
-                          _splits(params, layouts, total_w, rate_nats, np.reshape(xs, (-1, 1))))
-    return [None if r == -math.inf else PlacementSolution(x_star=float(x), powers=(a, b), objective=r)
-            for x, a, b, r in zip(xs, p1, p2, rate)]
+    params: SystemParams, block: LayoutBlock, total_w: float, rate_nats: float, xs
+) -> PlacementSolution:
+    """The optimal split and sum rate of each layout of a block at its position in xs.
+
+    Returns a block PlacementSolution whose objective is -inf where the budget cannot cover both floors.
+    """
+    _budget(total_w)
+    return _placed(params, _columns(params, block), total_w, rate_nats, xs)
+
+
+def best_placements_search(
+    params: SystemParams,
+    block: LayoutBlock,
+    total_w: float,
+    rate_nats: float,
+    spec: GridSpec,
+) -> PlacementSolution:
+    """best_placement_search of each layout of a block, bit for bit, as a block PlacementSolution.
+
+    Its objective is -inf (and its x_star NaN) where no grid point is
+    feasible.  One KKT evaluation serves the golden-section probes of every
+    layout in an iteration, and one more places every feasible layout, so a
+    block costs much less than its layouts one by one.
+    """
+    _budget(total_w)
+    columns = _columns(params, block)
+    found = grid_optimize_rows(_curves(params, columns, total_w, rate_nats), spec, len(block),
+                               sense="max", skip_nonfinite=True)
+    return _placed(params, columns, total_w, rate_nats, [math.nan if f is None else f[0] for f in found])
 
 
 def best_placement_search(
@@ -173,54 +219,87 @@ def best_placement_search(
 
     Raises Infeasible when no grid point can cover both rate floors.
     """
-    curve = _curves(params, [layout], total_w, rate_nats)
+    _budget(total_w)
+    columns = _columns(params, LayoutBlock.from_layouts([layout]))
+    curve = _curves(params, columns, total_w, rate_nats)
     x_best, _ = grid_optimize(lambda xs: curve(0, xs), spec, sense="max", skip_nonfinite=True)
-    return placements_at(params, [layout], total_w, rate_nats, [x_best])[0]
+    return _placed(params, columns, total_w, rate_nats, [x_best]).row(0)
 
 
-def best_placements_search(
-    params: SystemParams,
-    layouts: list[UserLayout],
-    total_w: float,
-    rate_nats: float,
-    spec: GridSpec,
-) -> list[PlacementSolution | None]:
-    """best_placement_search of each layout of a block, bit for bit; None where it is infeasible.
+def _cbrt(v: float) -> float:
+    return math.copysign(abs(v) ** (1.0 / 3.0), v)
 
-    One KKT evaluation serves the golden-section probes of every layout in an
-    iteration, and one more places every feasible layout, so a block costs
-    much less than its layouts one by one.
+
+def _stationary_points(block: LayoutBlock, height_m: float) -> np.ndarray:
+    """derivative_roots of each layout of a block as the rows of a (B, 3) array, padded with NaN."""
+    (x1, y1), (x2, y2) = user_pair(block)
+    h2 = height_m * height_m
+    a = y1 * y1 + h2
+    b = y2 * y2 + h2
+    mid = (x1 + x2) / 2.0
+    half = (x2 - x1) / 2.0
+    p = (a + b - 2.0 * half * half) / 2.0
+    q = half * (b - a) / 2.0
+
+    centred = np.full((len(block), 3), math.nan)
+    flat = (p == 0.0) & (q == 0.0)
+    centred[flat, 0] = 0.0
+    disc = (q / 2.0) * (q / 2.0) + libm(lambda v: v ** 3, p / 3.0)
+    one = ~flat & (disc > 0.0)
+    if one.any():
+        root, q_one = np.sqrt(disc[one]), q[one]
+        centred[one, 0] = libm(_cbrt, -q_one / 2.0 + root) + libm(_cbrt, -q_one / 2.0 - root)
+    three = ~flat & (disc < 0.0)  # three real roots; only reachable with p < 0
+    if three.any():
+        p_three = p[three]
+        radius = 2.0 * np.sqrt(-p_three / 3.0)
+        phase = libm(math.acos, np.minimum(1.0, np.maximum(-1.0, 3.0 * q[three] / (p_three * radius))))
+        for k in (0, 1, 2):
+            centred[three, k] = radius * libm(math.cos, phase / 3.0 - 2.0 * math.pi * k / 3.0)
+    double = ~flat & (disc == 0.0)
+    if double.any():
+        p_double, q_double = p[double], q[double]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            centred[double, 0] = np.where(p_double == 0.0, 0.0, 3.0 * q_double / p_double)
+            centred[double, 1] = np.where(p_double == 0.0, math.nan, -3.0 * q_double / (2.0 * p_double))
+
+    scale = np.maximum(np.maximum(np.maximum(np.maximum(1.0, np.abs(x1)), np.abs(x2)), np.sqrt(a)), np.sqrt(b))
+    polished = _polish(mid[:, None] + centred, x1[:, None], x2[:, None], a[:, None], b[:, None])
+    return _distinct(np.sort(polished, axis=1, kind="stable"), 1e-9 * scale)
+
+
+def _polish(x: np.ndarray, x1, x2, a, b) -> np.ndarray:
+    """Newton steps on d/dx [tau_1(x) tau_2(x)] = 0 for every entry of x at once (NaN entries stay NaN).
+
+    Each entry follows the one-root rule: at most 8 steps, stopping before
+    a step where the second derivative is 0 and after a step no larger than
+    1e-15 max(1, |x|).
     """
-    found = grid_optimize_rows(_curves(params, layouts, total_w, rate_nats), spec, len(layouts),
-                               sense="max", skip_nonfinite=True)
-    kept = [i for i, f in enumerate(found) if f is not None]
-    placed = placements_at(params, [layouts[i] for i in kept], total_w, rate_nats,
-                           [found[i][0] for i in kept]) if kept else []
-    solutions = dict(zip(kept, placed))
-    return [solutions.get(i) for i in range(len(layouts))]
+    x = x.copy()
+    linear, constant = a + b, b * x1 + a * x2
+    active = ~np.isnan(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(8):
+            if not active.any():
+                break
+            # the derivative and the second derivative, factored
+            u, v, w = x - x1, x - x2, 2.0 * x - x1 - x2
+            f = 2.0 * (u * v * w + linear * x - constant)
+            fp = 2.0 * (v * w + u * w + 2.0 * u * v + a + b)
+            active &= fp != 0.0
+            step = f / fp
+            np.subtract(x, step, out=x, where=active)
+            active &= np.abs(step) > 1e-15 * np.maximum(1.0, np.abs(x))
+    return x
 
 
-def _derivative(layout: UserLayout, height_m: float, x: float) -> float:
-    """d/dx of tau_1(x) tau_2(x), the product of the two squared distances, factored."""
-    (x1, y1), (x2, y2) = user_pair(layout)
-    h2 = height_m * height_m
-    a = y1 * y1 + h2
-    b = y2 * y2 + h2
-    return 2.0 * ((x - x1) * (x - x2) * (2.0 * x - x1 - x2) + (a + b) * x - (b * x1 + a * x2))
-
-
-def _second_derivative(layout: UserLayout, height_m: float, x: float) -> float:
-    (x1, y1), (x2, y2) = user_pair(layout)
-    h2 = height_m * height_m
-    a = y1 * y1 + h2
-    b = y2 * y2 + h2
-    return 2.0 * (
-        (x - x2) * (2.0 * x - x1 - x2)
-        + (x - x1) * (2.0 * x - x1 - x2)
-        + 2.0 * (x - x1) * (x - x2)
-        + a
-        + b
-    )
+def _distinct(ascending: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Drop each entry of an ascending (B, 3) row within width of the last kept one; NaN moves last."""
+    first, second, third = ascending.T
+    keep_second = second - first > width
+    keep_third = third - np.where(keep_second, second, first) > width
+    kept = np.stack([first, np.where(keep_second, second, math.nan), np.where(keep_third, third, math.nan)], axis=1)
+    return np.sort(kept, axis=1, kind="stable")
 
 
 def derivative_roots(layout: UserLayout, height_m: float) -> tuple[float, ...]:
@@ -233,87 +312,40 @@ def derivative_roots(layout: UserLayout, height_m: float) -> tuple[float, ...]:
     three roots are real and Cardano otherwise, then polished by Newton steps
     and deduplicated within a 1e-9 cluster width.
     """
-    (x1, y1), (x2, y2) = user_pair(layout)
-    h2 = height_m * height_m
-    a = y1 * y1 + h2
-    b = y2 * y2 + h2
-    mid = (x1 + x2) / 2.0
-    half = (x2 - x1) / 2.0
-    p = (a + b - 2.0 * half * half) / 2.0
-    q = half * (b - a) / 2.0
-
-    if p == 0.0 and q == 0.0:
-        centred = [0.0]
-    else:
-        disc = (q / 2.0) * (q / 2.0) + (p / 3.0) ** 3
-        if disc > 0.0:
-            root = math.sqrt(disc)
-            centred = [_cbrt(-q / 2.0 + root) + _cbrt(-q / 2.0 - root)]
-        elif disc < 0.0:
-            # three real roots; only reachable with p < 0
-            radius = 2.0 * math.sqrt(-p / 3.0)
-            cos_arg = 3.0 * q / (p * radius)
-            cos_arg = min(1.0, max(-1.0, cos_arg))
-            phase = math.acos(cos_arg)
-            centred = [
-                radius * math.cos(phase / 3.0 - 2.0 * math.pi * k / 3.0) for k in (0, 1, 2)
-            ]
-        else:
-            centred = [0.0] if p == 0.0 else [3.0 * q / p, -3.0 * q / (2.0 * p)]
-
-    scale = max(1.0, abs(x1), abs(x2), math.sqrt(a), math.sqrt(b))
-    polished = sorted(_polish(layout, height_m, mid + u) for u in centred)
-    roots: list[float] = []
-    for r in polished:
-        if not roots or r - roots[-1] > 1e-9 * scale:
-            roots.append(r)
-    return tuple(roots)
-
-
-def _cbrt(v: float) -> float:
-    return math.copysign(abs(v) ** (1.0 / 3.0), v)
-
-
-def _polish(layout: UserLayout, height_m: float, x: float) -> float:
-    for _ in range(8):
-        f = _derivative(layout, height_m, x)
-        fp = _second_derivative(layout, height_m, x)
-        if fp == 0.0:
-            break
-        step = f / fp
-        x -= step
-        if abs(step) <= 1e-15 * max(1.0, abs(x)):
-            break
-    return x
+    roots = _stationary_points(LayoutBlock.from_layouts([layout]), height_m)[0]
+    return tuple(r for r in roots.tolist() if not math.isnan(r))
 
 
 def best_placements_high_snr(
     params: SystemParams,
-    layouts: list[UserLayout],
+    block: LayoutBlock,
     total_w: float,
     rate_nats: float,
-) -> list[RootPlacement | None]:
-    """best_placement_high_snr of each layout of a block; None where no candidate is feasible.
+) -> RootPlacement:
+    """best_placement_high_snr of each layout of a block as a block RootPlacement.
 
-    One KKT evaluation covers the candidates of every layout.
+    Its objective is -inf where no candidate is feasible.  One KKT
+    evaluation covers the candidates of every layout.
     """
     hl = params.half_length
-    roots, rows = [], []
-    for layout in layouts:
-        roots.append(derivative_roots(layout, params.height_m))
-        candidates = sorted({min(hl, max(-hl, r)) for r in roots[-1]} | {-hl, hl})
-        # at most three roots and two endpoints; a padding repeat never wins a tie over its first copy
-        rows.append(candidates + candidates[-1:] * (5 - len(candidates)))
-    xs = np.array(rows, dtype=float).reshape(-1, 5)
-    p1, p2, pin_2, pin_1, rate = _splits(params, layouts, total_w, rate_nats, xs)
-    at = (np.arange(len(layouts)), np.argmax(rate, axis=1))  # the first of equal rates, as a strict > scan
-    x, p1, p2, pin_2, pin_1, rate = (v[at].tolist() for v in (xs, p1, p2, pin_2, pin_1, rate))
-    return [None if rate[i] == -math.inf else RootPlacement(
-        solution=PlacementSolution(x_star=x[i], powers=(p1[i], p2[i]), objective=rate[i]),
-        roots=layout_roots,
-        winner=x[i],
-        allocation_case=_case(pin_2[i], pin_1[i]),
-    ) for i, layout_roots in enumerate(roots)]
+    roots = _stationary_points(block, params.height_m)
+    _budget(total_w)
+    columns = _columns(params, block)
+    # at most three roots and two endpoints; an absent root pads as the endpoint hl, and a
+    # repeated candidate never wins a tie over its first copy
+    xs = np.full((len(block), 5), hl)
+    xs[:, :3] = np.where(np.isnan(roots), hl, np.minimum(hl, np.maximum(-hl, roots)))
+    xs[:, 3] = -hl
+    xs.sort(axis=1)
+    p1, p2, pin_2, pin_1, rate = _splits(params, columns, total_w, rate_nats, xs)
+    at = (np.arange(len(block)), np.argmax(rate, axis=1))  # the first of equal rates, as a strict > scan
+    x = xs[at]
+    return RootPlacement(
+        solution=PlacementSolution(x_star=x, powers=np.stack([p1[at], p2[at]], axis=1), objective=rate[at]),
+        roots=roots,
+        winner=x,
+        allocation_case=_cases(pin_2[at], pin_1[at]),
+    )
 
 
 def best_placement_high_snr(
@@ -331,7 +363,7 @@ def best_placement_high_snr(
     reference.  The winning candidate and its allocation case are recorded so
     callers can see when the high-power premise did not hold.
     """
-    (found,) = best_placements_high_snr(params, [layout], total_w, rate_nats)
+    found = best_placements_high_snr(params, LayoutBlock.from_layouts([layout]), total_w, rate_nats).row(0)
     if found is None:
         raise Infeasible("no candidate position can cover both rate floors")
     return found

@@ -30,8 +30,38 @@ def stream(seed: int, domain: int, index_a: int = 0, index_b: int = 0) -> np.ran
         raise ValueError(f"seed must fit in 64 bits, got {seed!r}")
     if not (0 <= domain < _U64):
         raise ValueError(f"domain must fit in 64 bits, got {domain!r}")
-    if index_a < 0 or index_b < 0:
-        raise ValueError("stream indices must be nonnegative")
+    if not (0 <= index_a < _U64 and 0 <= index_b < _U64):
+        # a larger index_b would carry into index_a's counter word and repeat another cell's stream
+        raise ValueError(f"stream indices must fit in 64 bits, got {index_a!r} and {index_b!r}")
     key = (seed << 64) | domain
     counter = (index_a << 192) + (index_b << 128)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+class TrialStreams:
+    """The streams (seed, domain, index_a, t) of every trial t in a range, drawn as one block.
+
+    random(shape) returns an array of shape (len(trials), *shape) whose row i
+    is stream(seed, domain, index_a, trials[i]).random(shape), bit for bit.
+    One generator serves every row: before each row it is given the state of
+    a fresh stream for that trial (counter at the trial's cell, empty output
+    buffer), which costs a fraction of building one.  Every call draws from
+    the start of each trial's stream.
+    """
+
+    def __init__(self, seed: int, domain: int, index_a: int, trials: range) -> None:
+        if trials and not (0 <= min(trials) and max(trials) < _U64):
+            raise ValueError(f"trial indices must fit in 64 bits, got {trials!r}")
+        self.trials = trials
+        self._generator = stream(seed, domain, index_a, 0)
+        self._fresh = self._generator.bit_generator.state  # before any draw: an empty output buffer
+
+    def random(self, shape: tuple[int, ...]) -> np.ndarray:
+        bits, state = self._generator.bit_generator, self._fresh
+        counter = state["state"]["counter"]  # four 64-bit words, least significant first
+        out = np.empty((len(self.trials), *shape))
+        for row, trial in enumerate(self.trials):
+            counter[2] = trial  # the index_b word of stream()'s counter
+            bits.state = state
+            self._generator.random(shape, out=out[row])
+        return out

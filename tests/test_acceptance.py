@@ -14,6 +14,7 @@ import numpy as np
 
 from pinchplace import rng
 from pinchplace.core import (
+    LayoutBlock,
     SystemParams,
     UserLayout,
     bpcu_to_nats,
@@ -62,7 +63,7 @@ def _report(num, ok, detail):
 
 def _layouts(gen, count, sizes):
     for i in range(count):
-        yield sample_layout(sizes[i % len(sizes)], PARAMS, False, gen)
+        yield sample_layout(sizes[i % len(sizes)], PARAMS, False, gen).layout(0)
 
 
 # --- 1: max-min closed form is never beaten by the grid oracle --------------
@@ -217,7 +218,9 @@ def test_c06_high_snr_route_matches_search():
     worst_rel = -math.inf
     worst_resid = 0.0
     layouts = list(_layouts(gen, 1000, (2,)))
-    for lay, slow in zip(layouts, best_placements_search(PARAMS, layouts, total, rate, spec)):
+    searched = best_placements_search(PARAMS, LayoutBlock.from_layouts(layouts), total, rate, spec)
+    for i, lay in enumerate(layouts):
+        slow = searched.row(i)
         fast = best_placement_high_snr(PARAMS, lay, total, rate)
         worst_rel = max(worst_rel, (slow.objective - fast.solution.objective) / slow.objective)
 
@@ -293,7 +296,7 @@ def test_c08_noma_certified_against_search():
     bad_checks = 0
     for rate in (0.5, 1.0, 2.0, 3.0):
         for _ in range(1000):
-            lay, _ = order_by_waveguide_distance(sample_layout(2, PARAMS, False, gen))
+            lay, _ = order_by_waveguide_distance(sample_layout(2, PARAMS, False, gen).layout(0))
             closed = solve_min_power(PARAMS, lay, rate)
             search = solve_min_power_search(PARAMS, lay, rate, spec)
             worst = max(worst, abs(closed.total - search.total) / search.total)
@@ -311,7 +314,7 @@ def test_c09_noma_gap_positive_at_high_rate():
     n = 10000
     wins = 0
     for _ in range(n):
-        lay, _ = order_by_waveguide_distance(sample_layout(2, PARAMS, False, gen))
+        lay, _ = order_by_waveguide_distance(sample_layout(2, PARAMS, False, gen).layout(0))
         if oma_noma_power_gap(PARAMS, lay, 3.0) > 0.0:
             wins += 1
     ok = wins == n
@@ -326,7 +329,7 @@ def _paired_maxmin_gaps(num_users, clustering, trials, stream_index):
     total_w = dbm_to_watt(30.0)
     gaps = np.empty(trials)
     for t in range(trials):
-        lay = sample_layout(num_users, PARAMS, clustering, gen)
+        lay = sample_layout(num_users, PARAMS, clustering, gen).layout(0)
         moved = solve_max_min_rate(PARAMS, lay, total_w).objective
         fixed = conventional_max_min_rate(PARAMS, lay, total_w)
         gaps[t] = nats_to_bpcu(moved - fixed)
@@ -363,7 +366,7 @@ def test_c11_total_power_scheme_ordering():
     noma_pin = np.empty(trials)
     noma_conv = np.empty(trials)
     for t in range(trials):
-        lay = sample_layout(2, PARAMS, False, gen)
+        lay = sample_layout(2, PARAMS, False, gen).layout(0)
         oma_pin[t] = solve_min_total_power(PARAMS, lay, rate).objective
         oma_conv[t] = conventional_min_total_power(PARAMS, lay, rate)
         ordered, _ = order_by_waveguide_distance(lay)

@@ -148,6 +148,12 @@ def test_exit_codes(inst2, tmp_path, capsys):
     assert "users must be >= 1" in capsys.readouterr().err
     assert cli.main(["experiment", "--set", "workers=2"]) == 2
     assert "unknown config keys: workers" in capsys.readouterr().err
+    # -4000 dBm underflows to a 0 W budget, which every greedy route rejects alike
+    assert cli.main(["greedy", inst2, "--power-dbm", "-4000"]) == 2
+    assert "total power budget must be positive" in capsys.readouterr().err
+    assert cli.main(["experiment", "--set", "schemes=oma-greedy", "--set", "sweep_start=-4000",
+                     "--set", "sweep_stop=-4000", "--set", "sweep_points=1"]) == 2
+    assert "total power budget must be positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pinchplace import experiments, rng
-from pinchplace.core import SystemParams, dbm_to_watt, nats_to_bpcu
+from pinchplace.core import LayoutBlock, SystemParams, dbm_to_watt, nats_to_bpcu
 from pinchplace.errors import ConfigError
 from pinchplace.experiments import (ExperimentConfig, layout_digest, merge_config, run_experiment,
                                     sample_layout, trial_layout)
@@ -75,10 +75,10 @@ def test_axis_defaults():
 def test_sample_layout_bounds_and_clustering():
     gen = rng.stream(1, rng.DOMAIN_TESTS, 50)
     for _ in range(100):
-        lay = sample_layout(4, PARAMS, False, gen)
+        lay = sample_layout(4, PARAMS, False, gen).layout(0)
         assert len(lay) == 4
         assert np.all(np.abs(lay.xs) <= 20.0) and np.all(np.abs(lay.ys) <= 5.0)
-        clustered = sample_layout(4, PARAMS, True, gen)
+        clustered = sample_layout(4, PARAMS, True, gen).layout(0)
         assert np.all(clustered.xs >= -10.0) and np.all(clustered.xs <= -5.0)
         assert np.all(np.abs(clustered.ys) <= 5.0)
 
@@ -86,7 +86,7 @@ def test_sample_layout_bounds_and_clustering():
 def test_sample_layout_is_a_pure_function_of_the_stream():
     a = sample_layout(3, PARAMS, False, rng.stream(9, rng.DOMAIN_LAYOUTS, 2, 5))
     b = sample_layout(3, PARAMS, False, rng.stream(9, rng.DOMAIN_LAYOUTS, 2, 5))
-    assert a.users == b.users
+    assert len(a) == 1 and a.layout(0).users == b.layout(0).users
 
 
 def test_internal_sweep_value_units():
@@ -124,7 +124,7 @@ def test_run_experiment_means_match_direct_solves():
     rates = []
     for trial in range(5):
         gen = rng.stream(5, rng.DOMAIN_LAYOUTS, 0, trial)
-        lay = sample_layout(2, PARAMS, False, gen)
+        lay = sample_layout(2, PARAMS, False, gen).layout(0)
         rates.append(nats_to_bpcu(solve_max_min_rate(PARAMS, lay, total_w).objective))
     assert np.isclose(float(row[3]), np.mean(rates), rtol=1e-10), (
         f"csv mean {row[3]} vs direct {np.mean(rates)}"
@@ -189,8 +189,8 @@ def _digest_per_trial(layouts):
 @pytest.mark.parametrize("clustering", [False, True])
 def test_layout_digest_equals_the_per_trial_digest(users, clustering):
     gen = rng.stream(9, rng.DOMAIN_TESTS, users)
-    layouts = [sample_layout(users, PARAMS, clustering, gen) for _ in range(17)]
-    assert layout_digest(layouts) == _digest_per_trial(layouts)
+    layouts = [sample_layout(users, PARAMS, clustering, gen).layout(0) for _ in range(17)]
+    assert layout_digest(LayoutBlock.from_layouts(layouts)) == _digest_per_trial(layouts)
 
 
 def test_run_experiment_logs_each_points_layout_digest(caplog):

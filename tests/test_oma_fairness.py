@@ -177,13 +177,13 @@ def test_single_user_gets_overhead_antenna():
 
 def test_broken_invariants_raise_certification_error(monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr(oma_fairness, "_mean_x", lambda layout: 100.0)
+        m.setattr(oma_fairness, "_mean_x", lambda block: np.full(len(block), 100.0))
         with pytest.raises(CertificationError, match="max-min placement lies on the waveguide"):
             solve_max_min_rate(PARAMS, LAYOUT3, 1.0)
         with pytest.raises(CertificationError, match="power-min placement lies on the waveguide"):
             solve_min_total_power(PARAMS, LAYOUT3, 1.0)
     with monkeypatch.context() as m:
-        m.setattr(oma_fairness, "squared_distance", lambda x, y, xa, h: -1.0 if x < 0 else 1.0)
+        m.setattr(oma_fairness, "squared_distance", lambda x, y, xa, h: np.where(x < 0, -1.0, 1.0))
         with pytest.raises(CertificationError, match="max-min powers are nonnegative"):
             solve_max_min_rate(PARAMS, LAYOUT3, 1.0)
     with monkeypatch.context() as m:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pinchplace import rng
-from pinchplace.core import (PlacementSolution, SystemParams, UserLayout, bpcu_to_nats, dbm_to_watt,
+from pinchplace.core import (LayoutBlock, PlacementSolution, SystemParams, UserLayout, bpcu_to_nats, dbm_to_watt,
                              min_power_terms, path_gain)
 from pinchplace.errors import DomainError, Infeasible
 from pinchplace.oma_greedy import (
@@ -171,13 +171,14 @@ def test_block_search_equals_one_layout_searches_bit_for_bit():
             (float(x), float(y)) for x, y in zip(gen.uniform(-20, 20, 2), gen.uniform(-5, 5, 2))
         )) for _ in range(12)]
         total, rate = dbm_to_watt(dbm), bpcu_to_nats(float(gen.uniform(0.5, 2.0)))
-        got = best_placements_search(PARAMS, layouts, total, rate, spec)
+        got = best_placements_search(PARAMS, LayoutBlock.from_layouts(layouts), total, rate, spec)
         want = [_search_or_none(lay, total, rate, spec) for lay in layouts]
-        assert got == want, f"block differs at {dbm} dBm"
+        assert [got.row(i) for i in range(len(layouts))] == want, f"block differs at {dbm} dBm"
         infeasible += want.count(None)
     assert 0 < infeasible < 60, f"{infeasible} infeasible layouts: the blocks must mix both kinds"
-    assert best_placements_search(PARAMS, [], 1.0, RATE, spec) == []
-    assert best_placements_search(PARAMS, [LAYOUT], 1e-7, RATE, spec) == [None]
+    empty = LayoutBlock(np.empty((0, 2)), np.empty((0, 2)))
+    assert len(best_placements_search(PARAMS, empty, 1.0, RATE, spec).objective) == 0
+    assert best_placements_search(PARAMS, LayoutBlock.from_layouts([LAYOUT]), 1e-7, RATE, spec).row(0) is None
 
 
 def _random_pairs(gen, count):
@@ -195,8 +196,12 @@ def test_block_placements_equal_split_power_and_sum_rate_bit_for_bit():
         xs = gen.uniform(-20, 20, 12).tolist()
         total, rate = dbm_to_watt(dbm), bpcu_to_nats(float(gen.uniform(0.5, 2.0)))
         # placements at given positions, then the search's own final placements
-        cases = list(zip(layouts, xs, placements_at(PARAMS, layouts, total, rate, xs)))
-        for lay, sol in zip(layouts, best_placements_search(PARAMS, layouts, total, rate, spec)):
+        block = LayoutBlock.from_layouts(layouts)
+        placed = placements_at(PARAMS, block, total, rate, xs)
+        cases = [(lay, x, placed.row(i)) for i, (lay, x) in enumerate(zip(layouts, xs))]
+        found = best_placements_search(PARAMS, block, total, rate, spec)
+        for i, lay in enumerate(layouts):
+            sol = found.row(i)
             if sol is not None:
                 cases.append((lay, sol.x_star, sol))
                 searched += 1
@@ -210,7 +215,7 @@ def test_block_placements_equal_split_power_and_sum_rate_bit_for_bit():
             assert sol == PlacementSolution(x, (split.p1, split.p2), sum_rate(PARAMS, lay, x, split))
     assert 0 < infeasible < 48 and searched > 0, f"{infeasible} infeasible: the blocks must mix both kinds"
     with pytest.raises(ValueError):
-        placements_at(PARAMS, [LAYOUT], 0.0, RATE, [0.0])
+        placements_at(PARAMS, LayoutBlock.from_layouts([LAYOUT]), 0.0, RATE, [0.0])
 
 
 def _high_snr_one_candidate_at_a_time(layout, total_w, rate_nats):
@@ -234,7 +239,9 @@ def test_block_high_snr_equals_one_layout_calls_bit_for_bit():
     for dbm in (0.0, 10.0, 20.0, 40.0, 60.0):
         layouts = _random_pairs(gen, 12)
         total, rate = dbm_to_watt(dbm), bpcu_to_nats(float(gen.uniform(0.5, 2.0)))
-        for lay, fast in zip(layouts, best_placements_high_snr(PARAMS, layouts, total, rate)):
+        found = best_placements_high_snr(PARAMS, LayoutBlock.from_layouts(layouts), total, rate)
+        for i, lay in enumerate(layouts):
+            fast = found.row(i)
             want = _high_snr_one_candidate_at_a_time(lay, total, rate)
             if want is None:
                 assert fast is None
@@ -247,9 +254,10 @@ def test_block_high_snr_equals_one_layout_calls_bit_for_bit():
             assert (fast.winner, fast.solution.objective, fast.solution.powers, fast.allocation_case) == (
                 x, value, (split.p1, split.p2), split.case)
     assert 0 < infeasible < 60, f"{infeasible} infeasible layouts: the blocks must mix both kinds"
-    assert best_placements_high_snr(PARAMS, [], 1.0, RATE) == []
+    empty = LayoutBlock(np.empty((0, 2)), np.empty((0, 2)))
+    assert len(best_placements_high_snr(PARAMS, empty, 1.0, RATE).winner) == 0
     with pytest.raises(ValueError):
-        best_placements_high_snr(PARAMS, [LAYOUT], 0.0, RATE)
+        best_placements_high_snr(PARAMS, LayoutBlock.from_layouts([LAYOUT]), 0.0, RATE)
 
 
 def test_symmetric_cubic_roots_frozen():
@@ -283,6 +291,64 @@ def test_root_residuals_vanish():
             t3 = -(b * x1 + a * x2)
             scale = max(1.0, abs(t1) + abs(t2) + abs(t3))
             assert abs(t1 + t2 + t3) <= 1e-9 * scale, f"residual at root {r}"
+
+
+def _roots_one_at_a_time(layout, height_m):
+    """derivative_roots as a scalar loop: each candidate root polished alone, then sorted and deduplicated."""
+    (x1, y1), (x2, y2) = layout.users
+    h2 = height_m * height_m
+    a, b = y1 * y1 + h2, y2 * y2 + h2
+    half = (x2 - x1) / 2.0
+    p = (a + b - 2.0 * half * half) / 2.0
+    q = half * (b - a) / 2.0
+    disc = (q / 2.0) * (q / 2.0) + (p / 3.0) ** 3
+    cbrt = lambda v: math.copysign(abs(v) ** (1.0 / 3.0), v)  # noqa: E731
+    if p == 0.0 and q == 0.0:
+        centred = [0.0]
+    elif disc > 0.0:
+        centred = [cbrt(-q / 2.0 + math.sqrt(disc)) + cbrt(-q / 2.0 - math.sqrt(disc))]
+    elif disc < 0.0:
+        radius = 2.0 * math.sqrt(-p / 3.0)
+        phase = math.acos(min(1.0, max(-1.0, 3.0 * q / (p * radius))))
+        centred = [radius * math.cos(phase / 3.0 - 2.0 * math.pi * k / 3.0) for k in (0, 1, 2)]
+    else:
+        centred = [0.0] if p == 0.0 else [3.0 * q / p, -3.0 * q / (2.0 * p)]
+
+    def polish(x):
+        for _ in range(8):
+            f = 2.0 * ((x - x1) * (x - x2) * (2.0 * x - x1 - x2) + (a + b) * x - (b * x1 + a * x2))
+            fp = 2.0 * ((x - x2) * (2.0 * x - x1 - x2) + (x - x1) * (2.0 * x - x1 - x2)
+                        + 2.0 * (x - x1) * (x - x2) + a + b)
+            if fp == 0.0:
+                break
+            step = f / fp
+            x -= step
+            if abs(step) <= 1e-15 * max(1.0, abs(x)):
+                break
+        return x
+
+    scale = max(1.0, abs(x1), abs(x2), math.sqrt(a), math.sqrt(b))
+    roots = []
+    for r in sorted(polish((x1 + x2) / 2.0 + u) for u in centred):
+        if not roots or r - roots[-1] > 1e-9 * scale:
+            roots.append(r)
+    return tuple(roots)
+
+
+def test_block_roots_equal_the_scalar_polish_bit_for_bit():
+    gen = rng.stream(33, rng.DOMAIN_TESTS, 37)
+    layouts = _random_pairs(gen, 300) + [
+        UserLayout(((-6.0, 2.0), (6.0, 2.0))), UserLayout(((2.5, 1.0), (2.5, 1.0))),
+        UserLayout(((-3.0, 0.0), (3.0, 0.0))), UserLayout(((0.0, 0.0), (0.0, 0.0))),
+        UserLayout(((-20.0, 5.0), (20.0, -5.0))), UserLayout(((1.0, 2.0), (1.0, -2.0))),
+    ]
+    counts = set()
+    for height in (0.5, PARAMS.height_m, 10.0):
+        for lay in layouts:
+            roots = derivative_roots(lay, height)
+            assert roots == _roots_one_at_a_time(lay, height), lay
+            counts.add(len(roots))
+    assert counts == {1, 3}, "the layouts must reach both the Cardano and the trigonometric branch"
 
 
 def distance_product(layout: UserLayout, height_m: float, x):

@@ -2,8 +2,10 @@
 
 perfbench/reference.json holds the sha256 of the contract columns of every
 experiment CSV the sweep workloads write for seeds 0-63; this guard replays
-seeds 0 and 1 through the CLI, so a change that moves a CSV byte fails here
-and not only in the benchmark.  It only reads perfbench/.
+seeds 0-7 of the closed-form sweeps and seeds 0-1 of the greedy search
+sweep through the CLI, so a change that moves a CSV byte (say, a numpy
+transcendental where the C library's used to be) fails here and not only in
+the benchmark.  It only reads perfbench/.
 """
 
 import contextlib
@@ -30,8 +32,8 @@ def _load_workloads():
 workloads = _load_workloads()
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("workload", ["sweep-closed-form", "sweep-greedy-search"])
+@pytest.mark.parametrize("workload,seed", [("sweep-closed-form", seed) for seed in range(8)]
+                         + [("sweep-greedy-search", seed) for seed in range(2)])
 def test_sweep_csvs_match_reference_digests(workload, seed, tmp_path):
     digests = []
     for op in workloads.build(workload, seed, tmp_path).ops:
