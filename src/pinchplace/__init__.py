@@ -27,12 +27,11 @@ from .errors import (
     DomainError,
     Infeasible,
     NonFinite,
-    OrderingViolation,
     ParseError,
     PinchError,
 )
 from .experiments import ExperimentConfig, run_experiment, sample_layout
-from .noma import NomaSolution, order_by_waveguide_distance, oma_noma_power_gap
+from .noma import NomaSolution, oma_noma_power_gap
 from .oma_fairness import (
     conventional_max_min_rate,
     conventional_min_total_power,
@@ -62,7 +61,6 @@ __all__ = [
     "NomaRates",
     "NomaSolution",
     "NonFinite",
-    "OrderingViolation",
     "OutageEstimate",
     "ParseError",
     "PinchError",
@@ -83,7 +81,6 @@ __all__ = [
     "noma_rates",
     "oma_noma_power_gap",
     "oma_rate",
-    "order_by_waveguide_distance",
     "outage_rate",
     "path_gain",
     "pinching_power_saving",

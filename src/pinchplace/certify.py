@@ -125,11 +125,11 @@ def fast_below_search(fast: float, search: float) -> Check:
     return Check("fast<=search", fast, search, fast - search, CERT_SPLIT_NATS, fast <= search + CERT_SPLIT_NATS)
 
 
-def noma_search(params: SystemParams, ordered: UserLayout, rate_nats: float,
+def noma_search(params: SystemParams, layout: UserLayout, rate_nats: float,
                 solution: noma.NomaSolution) -> Check:
     """NOMA total power (W) against the position/order search, which it must match."""
     grid = oracle.certification_grid(-params.half_length, params.half_length)
-    reference = noma.solve_min_power_search(params, ordered, rate_nats, grid).total
+    reference = noma.solve_min_power_search(params, layout, rate_nats, grid).total
     gap = relative_gap(solution.total, reference)
     return Check("search", solution.total, reference, gap, CERT_REL, abs(gap) <= CERT_REL)
 

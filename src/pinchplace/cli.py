@@ -196,11 +196,11 @@ def cmd_powermin(args: argparse.Namespace) -> int:
 def cmd_outage(args: argparse.Namespace) -> int:
     merged = _collect_mapping(args)
     params = experiments.build_params(merged)
-    num_users = int(merged["users"])
+    num_users = merged["users"]
     rate = bpcu_to_nats(float(merged["rate_bpcu"]))
     budget = dbm_to_watt(float(merged["power_dbm"]))
-    trials = int(merged["trials"])
-    seed = int(merged["seed"])
+    trials = merged["trials"]
+    seed = merged["seed"]
     if args.certify and num_users != 2:
         raise ConfigError("--certify for outage requires users = 2 (closed form)")
 
@@ -220,7 +220,7 @@ def cmd_outage(args: argparse.Namespace) -> int:
 
     checks = []
     if num_users == 2:
-        analytic = outage.closed_form_outage(params, 2, rate, budget)
+        analytic = outage.closed_form_outage(params, rate, budget)
         human.insert(1, f"closed form: p = {analytic:.6f}")
         report["closed_form_probability"] = analytic
         if args.certify:
@@ -246,7 +246,7 @@ def cmd_greedy(args: argparse.Namespace) -> int:
         f"floor = {float(merged['rate_bpcu']):.4f} BPCU)",
         f"search:   x* = {search.x_star:.9g} m, throughput = "
         f"{nats_to_bpcu(search.objective):.6f} BPCU, case = {split.case}",
-        f"fast:     x* = {fast.winner:.9g} m, throughput = "
+        f"fast:     x* = {fast.solution.x_star:.9g} m, throughput = "
         f"{nats_to_bpcu(fast.solution.objective):.6f} BPCU, case = {fast.allocation_case}",
         f"stationary points: {[f'{r:.6g}' for r in fast.roots]}",
         f"search-vs-fast gap = {rel_gap:.3e} rel",
@@ -260,7 +260,7 @@ def cmd_greedy(args: argparse.Namespace) -> int:
             "case": split.case,
         },
         "fast": {
-            "x_star_m": fast.winner,
+            "x_star_m": fast.solution.x_star,
             "powers_w": list(fast.solution.powers),
             "throughput_bpcu": nats_to_bpcu(fast.solution.objective),
             "case": fast.allocation_case,
@@ -282,16 +282,16 @@ def cmd_noma(args: argparse.Namespace) -> int:
     layout = read_layout(args.instance)
     rate = bpcu_to_nats(float(merged["rate_bpcu"]))
 
-    ordered, perm = noma.order_by_waveguide_distance(layout)
-    sol = noma.solve_min_power(params, ordered, rate)
-    assumptions = noma.check_solution(params, ordered, sol)
+    sol = noma.solve_min_power(params, layout, rate)
+    assumptions = noma.check_solution(params, layout, sol)
+    strong = sol.sic_user - 1
 
     human = [
         f"solver: noma (target = {float(merged['rate_bpcu']):.4f} BPCU = {rate:.6f} nats)",
-        f"user order by |y|: {[p + 1 for p in perm]} (sic_user = {sol.sic_user} of the ordered pair)",
+        f"sic_user = {sol.sic_user} (closer to the waveguide)",
         f"placement x* = {sol.x_star:.9g} m",
-        _power_line("  P_strong", sol.powers[0]),
-        _power_line("  P_weak", sol.powers[1]),
+        _power_line("  P_strong", sol.powers[strong]),
+        _power_line("  P_weak", sol.powers[1 - strong]),
         _power_line("total", sol.total),
         f"rates = ({nats_to_bpcu(sol.rates.strong):.6f}, {nats_to_bpcu(sol.rates.weak):.6f}, "
         f"{nats_to_bpcu(sol.rates.sic):.6f}) BPCU (strong, weak, sic)",
@@ -299,7 +299,6 @@ def cmd_noma(args: argparse.Namespace) -> int:
     ]
     report = {
         "solver": "noma",
-        "order": [p + 1 for p in perm],
         "sic_user": sol.sic_user,
         "x_star_m": sol.x_star,
         "powers_w": list(sol.powers),
@@ -308,13 +307,13 @@ def cmd_noma(args: argparse.Namespace) -> int:
         "assumptions_ok": assumptions.all_ok,
     }
 
-    checks = [certify.noma_search(params, ordered, rate, sol)] if args.certify else []
+    checks = [certify.noma_search(params, layout, rate, sol)] if args.certify else []
     return _finish(args, report, human, checks, "NOMA closed form disagreed with the search")
 
 
 def _spot_checks(cfg: experiments.ExperimentConfig, layout: UserLayout, v: float):
     """Yield (scheme family, check) for each configured family on one layout at sweep value v."""
-    families = {s.split("-conv")[0].replace("-highsnr", "").removesuffix("-mc") for s in cfg.schemes}
+    families = {experiments.SCHEMES[s][0].family for s in cfg.schemes}
     p, rate = cfg.params, bpcu_to_nats(cfg.rate_bpcu)
     if "oma-maxmin" in families:
         yield "oma-maxmin", certify.maxmin(
@@ -330,15 +329,14 @@ def _spot_checks(cfg: experiments.ExperimentConfig, layout: UserLayout, v: float
             check = certify.skipped("power-sweep", "infeasible trial")
         yield "oma-greedy", check
     if "noma" in families:
-        ordered, _ = noma.order_by_waveguide_distance(layout)
-        yield "noma", certify.noma_search(p, ordered, v, noma.solve_min_power(p, ordered, v))
+        yield "noma", certify.noma_search(p, layout, v, noma.solve_min_power(p, layout, v))
     if "outage" in families:
         if cfg.clustering:  # the closed form and this estimate assume uniform drops
             check = certify.skipped("monte-carlo 3-sigma", "clustered drops")
         else:
             estimate = outage.monte_carlo_outage(p, 2, rate, v, cfg.trials, cfg.seed)
             check = certify.outage_3sigma(
-                estimate.probability, outage.closed_form_outage(p, 2, rate, v), cfg.trials)
+                estimate.probability, outage.closed_form_outage(p, rate, v), cfg.trials)
         yield "outage", check
 
 

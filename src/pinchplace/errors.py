@@ -17,10 +17,6 @@ class DomainError(PinchError):
     """The requested operation is not defined for these inputs."""
 
 
-class OrderingViolation(PinchError):
-    """A solver requiring users ordered by waveguide distance got them unordered."""
-
-
 class ConfigError(PinchError):
     """An experiment or CLI configuration is invalid."""
 

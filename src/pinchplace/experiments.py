@@ -39,6 +39,7 @@ _AXIS_DEFAULTS = {
 
 @dataclass(frozen=True)
 class SchemeSpec:
+    family: str  # the closed form whose certify check vouches for the scheme
     axis: str
     metric: str
     two_user_only: bool
@@ -79,8 +80,7 @@ def _eval_greedy_conv(params, block, value, cfg):
 
 
 def _eval_noma(params, block, value, cfg):
-    ordered, _ = noma.order_by_waveguide_distances(block)
-    return noma.solve_min_powers(params, ordered, value).total
+    return noma.solve_min_powers(params, block, value).total
 
 
 def _eval_noma_conv(params, block, value, cfg):
@@ -100,7 +100,7 @@ def _eval_outage_mc_conv(params, block, value, cfg):
 
 
 def _eval_outage_analytic(params, layout, value, cfg):
-    p = outage.closed_form_outage(params, 2, bpcu_to_nats(cfg.rate_bpcu), value)
+    p = outage.closed_form_outage(params, bpcu_to_nats(cfg.rate_bpcu), value)
     return nats_to_bpcu(outage.outage_rate(p, bpcu_to_nats(cfg.rate_bpcu)))
 
 
@@ -108,18 +108,20 @@ def _eval_outage_analytic(params, layout, value, cfg):
 # array of one metric per layout; the sweep-level one maps (params, None,
 # value, config) to the point's single value.
 SCHEMES: dict[str, tuple[SchemeSpec, Callable]] = {
-    "oma-maxmin": (SchemeSpec(AXIS_POWER, "min_rate_bpcu", False, True), _eval_maxmin),
-    "oma-maxmin-conv": (SchemeSpec(AXIS_POWER, "min_rate_bpcu", False, True), _eval_maxmin_conv),
-    "oma-powermin": (SchemeSpec(AXIS_RATE, "total_power_w", False, True), _eval_powermin),
-    "oma-powermin-conv": (SchemeSpec(AXIS_RATE, "total_power_w", False, True), _eval_powermin_conv),
-    "oma-greedy": (SchemeSpec(AXIS_POWER, "throughput_bpcu", True, True), _eval_greedy),
-    "oma-greedy-highsnr": (SchemeSpec(AXIS_POWER, "throughput_bpcu", True, True), _eval_greedy_highsnr),
-    "oma-greedy-conv": (SchemeSpec(AXIS_POWER, "throughput_bpcu", True, True), _eval_greedy_conv),
-    "noma": (SchemeSpec(AXIS_RATE, "total_power_w", True, True), _eval_noma),
-    "noma-conv": (SchemeSpec(AXIS_RATE, "total_power_w", True, True), _eval_noma_conv),
-    "outage": (SchemeSpec(AXIS_POWER, "outage_rate_bpcu", True, False), _eval_outage_analytic),
-    "outage-mc": (SchemeSpec(AXIS_POWER, "outage_rate_bpcu", True, True), _eval_outage_mc),
-    "outage-mc-conv": (SchemeSpec(AXIS_POWER, "outage_rate_bpcu", True, True), _eval_outage_mc_conv),
+    "oma-maxmin": (SchemeSpec("oma-maxmin", AXIS_POWER, "min_rate_bpcu", False, True), _eval_maxmin),
+    "oma-maxmin-conv": (SchemeSpec("oma-maxmin", AXIS_POWER, "min_rate_bpcu", False, True), _eval_maxmin_conv),
+    "oma-powermin": (SchemeSpec("oma-powermin", AXIS_RATE, "total_power_w", False, True), _eval_powermin),
+    "oma-powermin-conv": (SchemeSpec("oma-powermin", AXIS_RATE, "total_power_w", False, True),
+                          _eval_powermin_conv),
+    "oma-greedy": (SchemeSpec("oma-greedy", AXIS_POWER, "throughput_bpcu", True, True), _eval_greedy),
+    "oma-greedy-highsnr": (SchemeSpec("oma-greedy", AXIS_POWER, "throughput_bpcu", True, True),
+                           _eval_greedy_highsnr),
+    "oma-greedy-conv": (SchemeSpec("oma-greedy", AXIS_POWER, "throughput_bpcu", True, True), _eval_greedy_conv),
+    "noma": (SchemeSpec("noma", AXIS_RATE, "total_power_w", True, True), _eval_noma),
+    "noma-conv": (SchemeSpec("noma", AXIS_RATE, "total_power_w", True, True), _eval_noma_conv),
+    "outage": (SchemeSpec("outage", AXIS_POWER, "outage_rate_bpcu", True, False), _eval_outage_analytic),
+    "outage-mc": (SchemeSpec("outage", AXIS_POWER, "outage_rate_bpcu", True, True), _eval_outage_mc),
+    "outage-mc-conv": (SchemeSpec("outage", AXIS_POWER, "outage_rate_bpcu", True, True), _eval_outage_mc_conv),
 }
 
 _DEFAULTS: dict[str, object] = {
@@ -142,6 +144,8 @@ _DEFAULTS: dict[str, object] = {
     "grid_points": 2001,
     "grid_refine": 24,
 }
+
+_INTEGER_KEYS = frozenset({"users", "trials", "seed", "sweep_points", "grid_points", "grid_refine"})
 
 _BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
@@ -179,7 +183,6 @@ def build_params(merged: Mapping[str, object]) -> SystemParams:
 
 
 def _coerce(key: str, raw: object):
-    default = _DEFAULTS[key]
     if isinstance(raw, str):
         raw = raw.strip()
         if key in ("schemes", "sweep"):
@@ -188,8 +191,18 @@ def _coerce(key: str, raw: object):
             if raw.lower() not in _BOOL_STRINGS:
                 raise ConfigError(f"{key} must be true or false, got {raw!r}")
             return _BOOL_STRINGS[raw.lower()]
+    if key in _INTEGER_KEYS:
+        # a count or a seed is never rounded: 2.7 trials is an error, not 2
         try:
-            return int(raw) if isinstance(default, int) and not isinstance(default, bool) else float(raw)
+            value = int(raw)
+        except (TypeError, ValueError, OverflowError):
+            value = None
+        if value is None or (not isinstance(raw, str) and value != raw):
+            raise ConfigError(f"{key} must be an integer, got {raw!r}")
+        return value
+    if isinstance(raw, str):
+        try:
+            return float(raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {raw!r}") from exc
     return raw
@@ -219,7 +232,6 @@ class ExperimentConfig:
         start = merged["sweep_start"] if merged["sweep_start"] is not None else d_start
         stop = merged["sweep_stop"] if merged["sweep_stop"] is not None else d_stop
         points = merged["sweep_points"] if merged["sweep_points"] is not None else d_points
-        points = int(points)
         if points < 1:
             raise ConfigError("sweep_points must be >= 1")
         if stop < start:
@@ -233,13 +245,13 @@ class ExperimentConfig:
             if name not in SCHEMES:
                 raise ConfigError(f"unknown scheme {name!r}; known: {', '.join(sorted(SCHEMES))}")
 
-        num_users = int(merged["users"])
+        num_users = merged["users"]
         if num_users < 1:
             raise ConfigError("users must be >= 1")
-        trials = int(merged["trials"])
+        trials = merged["trials"]
         if trials < 1:
             raise ConfigError("trials must be >= 1")
-        seed = int(merged["seed"])
+        seed = merged["seed"]
         if not 0 <= seed < 2**64:
             raise ConfigError("seed must fit in 64 bits")
         rate_bpcu = float(merged["rate_bpcu"])
@@ -251,8 +263,8 @@ class ExperimentConfig:
         grid = GridSpec(
             lo=-params.half_length,
             hi=params.half_length,
-            points=int(merged["grid_points"]),
-            refine_iters=int(merged["grid_refine"]),
+            points=merged["grid_points"],
+            refine_iters=merged["grid_refine"],
         )
 
         cfg = cls(

@@ -2,11 +2,14 @@
 
 Both users are served simultaneously at the same per-user rate target.  The
 user closer to the waveguide (smaller |y|) acts as the strong user: it decodes
-and removes the other signal before its own.  Minimizing total power under
-the three rate constraints gives a closed-form placement between the two
-users, weighted toward the strong one by e^R, that is provably optimal at
-every positive target (see solve_min_power).  A grid search over position and
-both SIC orders serves as the independent reference.
+and removes the other signal before its own.  The closed form picks that user
+itself, so a pair may come in any order; every solution indexes its powers
+like the input layout and names the strong user by its 1-based index
+(sic_user).  Minimizing total power under the three rate constraints gives a
+closed-form placement between the two users, weighted toward the strong one
+by e^R, that is provably optimal at every positive target (see
+solve_min_power).  A grid search over position and both SIC orders serves as
+the independent reference.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .core import (
     squared_distance,
     user_pair,
 )
-from .errors import DomainError, OrderingViolation, require
+from .errors import DomainError, require
 from .oracle import GridSpec, grid_optimize
 
 _TOL = 1e-9
@@ -37,10 +40,10 @@ _TOL = 1e-9
 
 @dataclass(frozen=True)
 class NomaSolution:
-    """x_star with per-user powers indexed like the layout; sic_user is the
-    1-based index of the decoding (strong) user.  rates holds the achieved
-    (strong, weak, sic) rates in nats.  A block solution holds a (B,) array
-    in place of each float."""
+    """x_star with per-user powers indexed like the input layout; sic_user is
+    the 1-based input index of the decoding (strong) user.  rates holds the
+    achieved (strong, weak, sic) rates in nats.  A block solution holds a
+    (B,) array in place of each number."""
 
     x_star: float
     powers: tuple[float, float]
@@ -53,7 +56,7 @@ class NomaSolution:
         return NomaSolution(
             x_star=float(self.x_star[i]),
             powers=(float(self.powers[0][i]), float(self.powers[1][i])),
-            sic_user=self.sic_user,
+            sic_user=int(self.sic_user[i]),
             rates=NomaRates(*(float(rate[i]) for rate in self.rates)),
             total=float(self.total[i]),
         )
@@ -75,33 +78,6 @@ class AssumptionChecks:
     @property
     def all_ok(self) -> bool:
         return self.strong_user_ok and self.x_between_users and self.powers_nonnegative
-
-
-def order_by_waveguide_distances(block: LayoutBlock) -> tuple[LayoutBlock, np.ndarray]:
-    """order_by_waveguide_distance of every layout of a block; the permutations are the rows of a (B, M) array."""
-    # the key is y ** 2 (the C library's pow), as the one-layout order has always used; it need not round like y * y
-    perm = np.argsort(libm(lambda y: y ** 2, block.ys), axis=1, kind="stable")
-    ordered = LayoutBlock(np.take_along_axis(block.xs, perm, axis=1), np.take_along_axis(block.ys, perm, axis=1))
-    return ordered, perm
-
-
-def order_by_waveguide_distance(layout: UserLayout) -> tuple[UserLayout, tuple[int, ...]]:
-    """Sort users by |y| ascending (stable, so ties keep the input order).
-
-    Returns the reordered layout and the permutation p with
-    ordered.users[i] == layout.users[p[i]].
-    """
-    ordered, perm = order_by_waveguide_distances(LayoutBlock.from_layouts([layout]))
-    return ordered.layout(0), tuple(perm[0].tolist())
-
-
-def _ordered_pair(block: LayoutBlock):
-    (x1, y1), (x2, y2) = user_pair(block)
-    if (y1 * y1 > y2 * y2).any():
-        raise OrderingViolation(
-            "user 1 must be the one closer to the waveguide; call order_by_waveguide_distance first"
-        )
-    return (x1, y1), (x2, y2)
 
 
 @np.errstate(over="ignore")
@@ -148,13 +124,19 @@ def conventional_min_powers(params: SystemParams, block: LayoutBlock, rate_nats:
 
 @np.errstate(over="ignore")
 def solve_min_powers(params: SystemParams, block: LayoutBlock, rate_nats: float) -> NomaSolution:
-    """solve_min_power of every ordered pair of a block, as one NomaSolution of (B,) arrays."""
+    """solve_min_power of every pair of a block, as one NomaSolution of (B,) arrays."""
     if rate_nats <= 0:
         raise ValueError("rate target must be positive")
     block.validate(params)
-    (x1, y1), (x2, y2) = _ordered_pair(block)
+    (_, ya), (_, yb) = user_pair(block)
+    # user 1 of the strong-first pair is the one closer to the waveguide; the key is y ** 2 (the C
+    # library's pow), and a tie keeps the input order
+    swap = libm(lambda y: y ** 2, yb) < libm(lambda y: y ** 2, ya)
+    flip = swap[:, None]
+    pair = LayoutBlock(np.where(flip, block.xs[:, ::-1], block.xs), np.where(flip, block.ys[:, ::-1], block.ys))
+    (x1, y1), (x2, y2) = user_pair(pair)
 
-    terms = min_power_terms(params, block, rate_nats, slots=1)
+    terms = min_power_terms(params, pair, rate_nats, slots=1)
     growth = math.exp(rate_nats)
     # min and max as Python's: the first argument wins a tie, so a signed zero keeps its sign
     lo, hi = np.where(x2 < x1, x2, x1), np.where(x2 > x1, x2, x1)
@@ -185,27 +167,31 @@ def solve_min_powers(params: SystemParams, block: LayoutBlock, rate_nats: float)
 
     return NomaSolution(
         x_star=x_star,
-        powers=(p1, p2),
-        sic_user=1,
+        powers=(np.where(swap, p2, p1), np.where(swap, p1, p2)),
+        sic_user=np.where(swap, 2, 1),
         rates=rates,
         total=p1 + p2,
     )
 
 
 def solve_min_power(params: SystemParams, layout: UserLayout, rate_nats: float) -> NomaSolution:
-    """Closed-form total-power minimizer for an ordered pair.
+    """Closed-form total-power minimizer for a pair in any order.
 
+    The strong (SIC) user is the one closer to the waveguide, the smaller
+    |y|; on a tie it is user 1.  Call it user 1 below and the other user 2.
     The placement x* = (x_2 + e^R x_1) / (e^R + 1) sits between the users,
     pulled toward the strong user; its power covers exactly its own rate and
     the weak user's power is stacked on top of the resulting interference.
-    Both own rates come out exactly equal to the target.
+    Both own rates come out exactly equal to the target.  The powers come
+    back indexed like the input layout and sic_user names the strong user's
+    input index, so swapping the users swaps the powers and nothing else.
 
     Optimal at every positive target.  Let g = e^R, c the one-slot
     power_coeff and a_m = y_m^2 + h^2.  With user 1 decoding, the least total
     power at x is c (g tau_1 + max(tau_1, tau_2)) >= c (g tau_1 + tau_2) (see
     min_powers_at).  That bound is a convex quadratic minimized at x*, where
-    tau_2 - tau_1 = (x_2 - x_1)^2 (g - 1)/(g + 1) + a_2 - a_1 >= 0 for an
-    ordered pair, so the bound is tight there.  The other order's bound swaps
+    tau_2 - tau_1 = (x_2 - x_1)^2 (g - 1)/(g + 1) + a_2 - a_1 >= 0 as
+    a_1 <= a_2, so the bound is tight there.  The other order's bound swaps
     the weights of a_1 and a_2, which raises its minimum by
     c (g - 1)(a_2 - a_1) >= 0.  As tau_1 <= tau_2 at x*, the SIC decode of
     the weak signal also reaches the target.
@@ -290,7 +276,7 @@ def check_solution(
 def oma_noma_power_gap(params: SystemParams, layout: UserLayout, rate_nats: float) -> float:
     """Total-power saving of pinching NOMA over centre-antenna time sharing.
 
-    The baseline serves each user of the ordered pair in its own slot from a
+    The baseline serves each user of the pair in its own slot from a
     centre-fixed antenna, so it pays the e^{2R} SNR price on both squared
     distances; the NOMA scheme pays e^R once and moves the antenna.  Returns
     baseline total minus NOMA total, in watts.

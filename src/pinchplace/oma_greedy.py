@@ -45,13 +45,12 @@ class RootPlacement:
     """Placement picked among the cubic's roots and the interval endpoints.
 
     A block placement holds one row per layout: a block PlacementSolution,
-    roots as a (B, 3) array padded with NaN, and (B,) winner and
-    allocation_case arrays.
+    roots as a (B, 3) array padded with NaN, and a (B,) allocation_case
+    array.
     """
 
     solution: PlacementSolution
     roots: tuple[float, ...]
-    winner: float
     allocation_case: str
 
     def row(self, i: int) -> "RootPlacement | None":
@@ -60,7 +59,7 @@ class RootPlacement:
         if solution is None:
             return None
         return RootPlacement(solution=solution, roots=tuple(r for r in self.roots[i].tolist() if not math.isnan(r)),
-                             winner=float(self.winner[i]), allocation_case=str(self.allocation_case[i]))
+                             allocation_case=str(self.allocation_case[i]))
 
 
 def _geometry(params: SystemParams, users, gain: float, x):
@@ -343,7 +342,6 @@ def best_placements_high_snr(
     return RootPlacement(
         solution=PlacementSolution(x_star=x, powers=np.stack([p1[at], p2[at]], axis=1), objective=rate[at]),
         roots=roots,
-        winner=x,
         allocation_case=_cases(pin_2[at], pin_1[at]),
     )
 

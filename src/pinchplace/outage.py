@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from . import rng
 from .core import SystemParams, power_coeff
-from .errors import DomainError, require
+from .errors import require
 
 # Trials are drawn in fixed-size blocks, one counter-based stream per block,
 # so the estimate is a pure function of (seed, trials) no matter how blocks
@@ -77,17 +77,13 @@ def _tail_integral(y: float, lim: IntegrationLimits, params: SystemParams) -> fl
     )
 
 
-def closed_form_outage(
-    params: SystemParams, num_users: int, rate_nats: float, budget_w: float
-) -> float:
+def closed_form_outage(params: SystemParams, rate_nats: float, budget_w: float) -> float:
     """Probability that the power-minimizing scheme needs more than budget_w
     for one user of a uniformly random two-user drop.
 
-    Defined for num_users == 2 only; DomainError otherwise.  rate_nats is the
-    per-user target of the underlying time-shared scheme.
+    rate_nats is the per-user target of the underlying two-slot time-shared
+    scheme; monte_carlo_outage covers other user counts.
     """
-    if num_users != 2:
-        raise DomainError(f"the closed form covers exactly 2 users, got {num_users}")
     if budget_w <= 0:
         raise ValueError("budget must be positive")
     if rate_nats <= 0:

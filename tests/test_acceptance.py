@@ -30,7 +30,6 @@ from pinchplace.noma import (
     check_solution,
     min_powers_at,
     oma_noma_power_gap,
-    order_by_waveguide_distance,
     solve_min_power,
     solve_min_power_search,
 )
@@ -150,7 +149,7 @@ def test_c04_outage_closed_form_vs_monte_carlo():
     zero_points = 0
     for i, dbm in enumerate(np.linspace(5.0, 35.0, 10)):
         budget = dbm_to_watt(float(dbm))
-        analytic = closed_form_outage(PARAMS, 2, rate, budget)
+        analytic = closed_form_outage(PARAMS, rate, budget)
         est = monte_carlo_outage(PARAMS, 2, rate, budget, trials, seed=SEED + i)
         sigma = math.sqrt(analytic * (1.0 - analytic) / trials)
         gap = abs(est.probability - analytic)
@@ -296,7 +295,7 @@ def test_c08_noma_certified_against_search():
     bad_checks = 0
     for rate in (0.5, 1.0, 2.0, 3.0):
         for _ in range(1000):
-            lay, _ = order_by_waveguide_distance(sample_layout(2, PARAMS, False, gen).layout(0))
+            lay = sample_layout(2, PARAMS, False, gen).layout(0)
             closed = solve_min_power(PARAMS, lay, rate)
             search = solve_min_power_search(PARAMS, lay, rate, spec)
             worst = max(worst, abs(closed.total - search.total) / search.total)
@@ -314,7 +313,7 @@ def test_c09_noma_gap_positive_at_high_rate():
     n = 10000
     wins = 0
     for _ in range(n):
-        lay, _ = order_by_waveguide_distance(sample_layout(2, PARAMS, False, gen).layout(0))
+        lay = sample_layout(2, PARAMS, False, gen).layout(0)
         if oma_noma_power_gap(PARAMS, lay, 3.0) > 0.0:
             wins += 1
     ok = wins == n
@@ -369,8 +368,7 @@ def test_c11_total_power_scheme_ordering():
         lay = sample_layout(2, PARAMS, False, gen).layout(0)
         oma_pin[t] = solve_min_total_power(PARAMS, lay, rate).objective
         oma_conv[t] = conventional_min_total_power(PARAMS, lay, rate)
-        ordered, _ = order_by_waveguide_distance(lay)
-        noma_pin[t] = solve_min_power(PARAMS, ordered, rate).total
+        noma_pin[t] = solve_min_power(PARAMS, lay, rate).total
         noma_conv[t] = min(
             sum(min_powers_at(PARAMS, lay, rate, 0.0, dec)) for dec in (0, 1)
         )

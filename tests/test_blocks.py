@@ -70,24 +70,17 @@ def test_power_min_blocks_equal_one_layout_solves(num_users, rate_bpcu):
 
 @pytest.mark.parametrize("rate_bpcu", [0.01, 0.5, 1.0, 4.0])
 def test_noma_blocks_equal_one_layout_solves(rate_bpcu):
+    # unordered drops: each row picks its own decoder; a tie in |y| (coincident users, both on
+    # the waveguide, both on one edge) keeps user 1, and user 1 on the far edge hands it to user 2
     block = _drops(2, 300)
     rate = bpcu_to_nats(rate_bpcu)
-    ordered, perms = noma.order_by_waveguide_distances(block)
-    solved = noma.solve_min_powers(PARAMS, ordered, rate)
+    solved = noma.solve_min_powers(PARAMS, block, rate)
     conventional = noma.conventional_min_powers(PARAMS, block, rate)
+    assert set(solved.sic_user.tolist()) == {1, 2}
+    assert all((solved.sic_user[k::10] == 1).all() for k in (0, 1, 5)) and (solved.sic_user[2::10] == 2).all()
     for i, lay in enumerate(_layouts(block)):
-        one_ordered, perm = noma.order_by_waveguide_distance(lay)
-        assert (ordered.layout(i), tuple(perms[i])) == (one_ordered, perm)
-        assert solved.row(i) == noma.solve_min_power(PARAMS, one_ordered, rate)
+        assert solved.row(i) == noma.solve_min_power(PARAMS, lay, rate)
         assert conventional[i] == min(sum(noma.min_powers_at(PARAMS, lay, rate, 0.0, dec)) for dec in (0, 1))
-
-
-def test_order_by_waveguide_distances_keeps_ties_in_input_order():
-    block = _drops(8, 301)
-    ordered, perms = noma.order_by_waveguide_distances(block)
-    for i, lay in enumerate(_layouts(block)):
-        one_ordered, perm = noma.order_by_waveguide_distance(lay)
-        assert ordered.layout(i) == one_ordered and tuple(perms[i]) == perm
 
 
 @pytest.mark.parametrize("dbm", [0.0, 20.0, 40.0])
@@ -132,8 +125,7 @@ def _one_layout_metric(name, lay, value, cfg):
     except Infeasible:
         return -np.inf
     if name == "noma":
-        ordered, _ = noma.order_by_waveguide_distance(lay)
-        return noma.solve_min_power(PARAMS, ordered, value).total
+        return noma.solve_min_power(PARAMS, lay, value).total
     if name == "noma-conv":
         return min(sum(noma.min_powers_at(PARAMS, lay, value, 0.0, dec)) for dec in (0, 1))
     if name == "outage-mc":
@@ -179,12 +171,12 @@ def test_broken_invariant_on_one_row_fails_the_block(monkeypatch):
         sic[-1] = 0.0
         return NomaRates(rates.strong, rates.weak, sic)
 
-    ordered, _ = noma.order_by_waveguide_distances(_drops(2, 601))
+    pairs = _drops(2, 601)
     with monkeypatch.context() as m:
         m.setattr(noma, "noma_rates", one_sic_short)
         with pytest.raises(CertificationError, match="SIC decode rate"):
-            noma.solve_min_powers(PARAMS, ordered, 1.0)
-    noma.solve_min_powers(PARAMS, ordered, 1.0)
+            noma.solve_min_powers(PARAMS, pairs, 1.0)
+    noma.solve_min_powers(PARAMS, pairs, 1.0)
 
 
 def test_block_rejects_users_outside_the_area_and_misshapen_arrays():
@@ -212,12 +204,13 @@ def test_block_rates_take_log1p_from_the_math_module():
             for x_star, rate in ((float(lay.xs.mean()), solved.objective[i]), (0.0, conventional[i])):
                 tau_sum = sum((x_star - x) * (x_star - x) + y * y + h2 for x, y in lay.users)
                 assert rate == math.log1p(gain * 0.5 / (noise * tau_sum)) / num_users
-    block, _ = noma.order_by_waveguide_distances(_drops(2, 810))
-    pairs = [lay.users for lay in _layouts(block)]
+    block = _drops(2, 810)
     for rate in np.linspace(0.05, 3.0, 24).tolist():  # the own rates sit at the target, so vary it
         solved = noma.solve_min_powers(PARAMS, block, rate)
-        for i, ((x1, y1), (x2, y2)) in enumerate(pairs):
-            x, p1, p2 = solved.x_star[i], solved.powers[0][i], solved.powers[1][i]
+        for i, lay in enumerate(_layouts(block)):
+            strong = solved.sic_user[i] - 1
+            (x1, y1), (x2, y2) = lay.users[strong], lay.users[1 - strong]
+            x, p1, p2 = solved.x_star[i], solved.powers[strong][i], solved.powers[1 - strong][i]
             d1, d2 = (x - x1) * (x - x1) + y1 * y1 + h2, (x - x2) * (x - x2) + y2 * y2 + h2
             assert (solved.rates.strong[i], solved.rates.weak[i], solved.rates.sic[i]) == (
                 math.log1p(gain * p1 / (noise * d1)), math.log1p(gain * p2 / (gain * p1 + noise * d2)),

@@ -102,11 +102,16 @@ def test_greedy_report(inst2, capsys):
 
 def test_noma_report(tmp_path, capsys):
     path = tmp_path / "pair.txt"
-    path.write_text("6 -4\n-8 2\n")  # deliberately unordered
-    assert cli.main(["noma", str(path), "--rate-bpcu", "1.5", "--certify"]) == 0
+    path.write_text("6 -4\n-8 2\n")  # user 2 is the one closer to the waveguide
+    out = tmp_path / "noma.json"
+    assert cli.main(["noma", str(path), "--rate-bpcu", "1.5", "--certify", "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
-    assert "user order by |y|: [2, 1]" in stdout
+    assert "\nsic_user = 2 (closer to the waveguide)\n" in stdout
     assert "certify search: gap = " in stdout and "(tol 1e-09) -> PASS" in stdout
+    report = json.loads(out.read_text())
+    assert report["sic_user"] == 2 and "order" not in report
+    p_strong, p_weak = report["powers_w"][1], report["powers_w"][0]
+    assert f"P_strong = {p_strong:.6e} W" in stdout and f"P_weak = {p_weak:.6e} W" in stdout
     # users with the same x: the weighted-mean placement must not round outside them
     path.write_text("0.1 1\n0.1 -2\n")
     assert cli.main(["noma", str(path), "--rate-bpcu", "1", "--certify"]) == 0
@@ -148,6 +153,11 @@ def test_exit_codes(inst2, tmp_path, capsys):
     assert "users must be >= 1" in capsys.readouterr().err
     assert cli.main(["experiment", "--set", "workers=2"]) == 2
     assert "unknown config keys: workers" in capsys.readouterr().err
+    # a count is never truncated: 2.7 sweep points is an error, not 2
+    assert cli.main(["experiment", "--set", "sweep_points=2.7", "--set", "trials=2"]) == 2
+    assert "sweep_points must be an integer, got '2.7'" in capsys.readouterr().err
+    assert cli.main(["outage", "--set", "trials=1e3"]) == 2
+    assert "trials must be an integer" in capsys.readouterr().err
     # -4000 dBm underflows to a 0 W budget, which every greedy route rejects alike
     assert cli.main(["greedy", inst2, "--power-dbm", "-4000"]) == 2
     assert "total power budget must be positive" in capsys.readouterr().err

@@ -24,6 +24,10 @@ def test_merge_config_defaults_and_coercion():
     assert merged["trials"] == 123 and isinstance(merged["trials"], int)
     assert merged["fc_hz"] == 3.5e9
     assert merged["clustering"] is True
+    # an integral number is taken whole for an integer key; sweep_points has no default to infer it from
+    merged = merge_config({"sweep_points": "3", "grid_points": 101.0})
+    assert (merged["sweep_points"], merged["grid_points"]) == (3, 101)
+    assert isinstance(merged["sweep_points"], int) and isinstance(merged["grid_points"], int)
 
 
 def test_merge_config_rejects_unknown_and_bad_values():
@@ -57,6 +61,12 @@ def test_build_params_maps_noise_dbm():
     ({"sweep_start": float("nan")}, "sweep_start must be a finite number"),
     ({"power_dbm": float("inf")}, "power_dbm must be a finite number"),
     ({"schemes": "outage", "clustering": True}, "uniform drops"),
+    ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+    ({"sweep_points": "2.7"}, "sweep_points must be an integer"),
+    ({"users": 2.000001}, "users must be an integer"),
+    ({"seed": "7.0"}, "seed must be an integer"),
+    ({"grid_points": float("inf")}, "grid_points must be an integer"),
+    ({"grid_refine": float("nan")}, "grid_refine must be an integer"),
 ])
 def test_from_mapping_validation(overrides, message):
     with pytest.raises(ConfigError, match=message):

@@ -7,12 +7,11 @@ import pytest
 
 from pinchplace import certify, noma, rng
 from pinchplace.core import MinPowerTerms, NomaRates, SystemParams, UserLayout, min_power_terms
-from pinchplace.errors import CertificationError, DomainError, OrderingViolation
+from pinchplace.errors import CertificationError, DomainError
 from pinchplace.noma import (
     check_solution,
     min_powers_at,
     oma_noma_power_gap,
-    order_by_waveguide_distance,
     solve_min_power,
     solve_min_power_search,
 )
@@ -51,8 +50,8 @@ def strong_user_margin(layout: UserLayout, rate_nats: float) -> float:
     Equals (x* - x_1)^2 + y_1^2 - (x* - x_2)^2 - y_2^2 with the closed-form
     x* substituted and the squared-offset difference factored:
     (x_2 - x_1)^2 / (e^R + 1)^2 * (1 - e^{2R}) + y_1^2 - y_2^2.  Nonpositive
-    means the decoder stays the stronger receiver, which holds for any
-    ordered pair once rate_nats >= 0.5.
+    means the decoder stays the stronger receiver, which holds at every
+    positive target when user 1 is the one closer to the waveguide.
     """
     (x1, y1), (x2, y2) = layout.users
     growth = math.exp(rate_nats)
@@ -142,17 +141,24 @@ def test_closed_form_is_optimal_below_half_a_nat():
                 assert closed.rates.sic >= rate - 1e-9
 
 
-def test_ordering_helper_and_violation():
-    lay = UserLayout(((3.0, -4.5), (-6.0, 1.0)))
-    ordered, perm = order_by_waveguide_distance(lay)
-    assert perm == (1, 0)
-    assert ordered.users[0] == (-6.0, 1.0)
-    with pytest.raises(OrderingViolation):
-        solve_min_power(PARAMS, lay, 1.0)
-    # ties keep input order
-    tie = UserLayout(((1.0, 2.0), (5.0, -2.0)))
-    _, perm_tie = order_by_waveguide_distance(tie)
-    assert perm_tie == (0, 1)
+def test_unordered_pair_mirrors_the_ordered_solution():
+    # the solver picks the user closer to the waveguide as the decoder itself
+    gen = rng.stream(44, rng.DOMAIN_TESTS, 44)
+    for rate in (0.05, 0.5, 1.0, 3.0):
+        for _ in range(50):
+            ys = np.sort(np.abs(gen.uniform(-5, 5, 2))) * np.sign(gen.uniform(-1, 1, 2))
+            ordered = UserLayout(((float(gen.uniform(-20, 20)), float(ys[0])),
+                                  (float(gen.uniform(-20, 20)), float(ys[1]))))
+            mirrored = UserLayout(ordered.users[::-1])
+            want, got = solve_min_power(PARAMS, ordered, rate), solve_min_power(PARAMS, mirrored, rate)
+            assert (want.sic_user, got.sic_user) == (1, 2)
+            assert (got.x_star, got.total, got.rates) == (want.x_star, want.total, want.rates)
+            assert got.powers == want.powers[::-1]
+            assert check_solution(PARAMS, mirrored, got) == check_solution(PARAMS, ordered, want)
+    # equal |y| keeps user 1 as the decoder, whatever the signs
+    for y1, y2 in ((2.0, -2.0), (-2.0, 2.0), (0.0, -0.0), (-0.0, 0.0), (0.0, 0.0)):
+        tie = UserLayout(((1.0, y1), (5.0, y2)))
+        assert solve_min_power(PARAMS, tie, 1.0).sic_user == 1
 
 
 def test_non_pairs_rejected():

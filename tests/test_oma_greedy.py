@@ -251,11 +251,11 @@ def test_block_high_snr_equals_one_layout_calls_bit_for_bit():
                 continue
             assert fast == best_placement_high_snr(PARAMS, lay, total, rate)
             x, value, split = want
-            assert (fast.winner, fast.solution.objective, fast.solution.powers, fast.allocation_case) == (
+            assert (fast.solution.x_star, fast.solution.objective, fast.solution.powers, fast.allocation_case) == (
                 x, value, (split.p1, split.p2), split.case)
     assert 0 < infeasible < 60, f"{infeasible} infeasible layouts: the blocks must mix both kinds"
     empty = LayoutBlock(np.empty((0, 2)), np.empty((0, 2)))
-    assert len(best_placements_high_snr(PARAMS, empty, 1.0, RATE).winner) == 0
+    assert len(best_placements_high_snr(PARAMS, empty, 1.0, RATE).solution.x_star) == 0
     with pytest.raises(ValueError):
         best_placements_high_snr(PARAMS, LayoutBlock.from_layouts([LAYOUT]), 0.0, RATE)
 
@@ -385,9 +385,8 @@ def test_high_snr_placement_approaches_search():
 
 def test_high_snr_reports_roots_and_case():
     fast = best_placement_high_snr(PARAMS, LAYOUT, 10.0, RATE)
-    assert fast.winner in fast.roots or abs(fast.winner) == PARAMS.half_length
+    assert fast.solution.x_star in fast.roots or abs(fast.solution.x_star) == PARAMS.half_length
     assert fast.allocation_case in (CASE_INTERIOR, CASE_FLOOR_AT_1, CASE_FLOOR_AT_2)
-    assert fast.solution.x_star == fast.winner
 
 
 def test_placement_sides_with_near_user():

@@ -7,7 +7,7 @@ import pytest
 
 from pinchplace import outage, rng
 from pinchplace.core import SystemParams, bpcu_to_nats, dbm_to_watt, power_coeff
-from pinchplace.errors import CertificationError, DomainError
+from pinchplace.errors import CertificationError
 from pinchplace.outage import closed_form_outage, monte_carlo_outage, outage_rate
 
 PARAMS = SystemParams.default()
@@ -26,7 +26,7 @@ FROZEN = {
 
 @pytest.mark.parametrize("dbm,want", sorted(FROZEN.items()))
 def test_closed_form_frozen(dbm, want):
-    got = closed_form_outage(PARAMS, 2, RATE, dbm_to_watt(dbm))
+    got = closed_form_outage(PARAMS, RATE, dbm_to_watt(dbm))
     if want == 0.0:
         assert got == 0.0, f"P_out({dbm} dBm) = {got}, want exact 0"
     else:
@@ -37,24 +37,22 @@ def test_budget_below_height_floor_is_certain_outage():
     # even a user straight below the antenna is unreachable
     coeff = 4.270277308687502e-05
     h2 = PARAMS.height_m ** 2
-    assert closed_form_outage(PARAMS, 2, RATE, 0.999 * coeff * h2) == 1.0
-    assert closed_form_outage(PARAMS, 2, RATE, 1.001 * coeff * h2) < 1.0
+    assert closed_form_outage(PARAMS, RATE, 0.999 * coeff * h2) == 1.0
+    assert closed_form_outage(PARAMS, RATE, 1.001 * coeff * h2) < 1.0
 
 
 def test_closed_form_monotone_in_budget():
     budgets = np.logspace(-4, 1, 40)
-    probs = [closed_form_outage(PARAMS, 2, RATE, float(b)) for b in budgets]
+    probs = [closed_form_outage(PARAMS, RATE, float(b)) for b in budgets]
     assert all(a >= b - 1e-15 for a, b in zip(probs, probs[1:])), "not nonincreasing"
     assert all(0.0 <= p <= 1.0 for p in probs)
 
 
 def test_closed_form_input_validation():
-    with pytest.raises(DomainError):
-        closed_form_outage(PARAMS, 3, RATE, 1.0)
     with pytest.raises(ValueError):
-        closed_form_outage(PARAMS, 2, RATE, 0.0)
+        closed_form_outage(PARAMS, RATE, 0.0)
     with pytest.raises(ValueError, match="rate target must be positive"):
-        closed_form_outage(PARAMS, 2, 0.0, 1.0)
+        closed_form_outage(PARAMS, 0.0, 1.0)
 
 
 def test_monte_carlo_is_deterministic():
@@ -123,7 +121,7 @@ def test_broken_invariants_raise_certification_error(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(outage, "_tail_integral", lambda y, lim, params: 1e3 * y)
         with pytest.raises(CertificationError, match="outage probability lies in"):
-            closed_form_outage(PARAMS, 2, RATE, budget)
+            closed_form_outage(PARAMS, RATE, budget)
     lim = outage._limits(PARAMS, budget / power_coeff(PARAMS, RATE, 2))
     with pytest.raises(CertificationError, match="asin argument"):
         outage._tail_integral(1.01 * math.sqrt(lim.headroom), lim, PARAMS)
