@@ -19,6 +19,7 @@ flags override both.  Exit codes: 0 ok, 2 bad config or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -343,10 +344,10 @@ def _spot_checks(cfg: experiments.ExperimentConfig, layout: UserLayout, v: float
 def _certify_experiment(cfg: experiments.ExperimentConfig) -> None:
     """Spot-check the first trial of each sweep point; print every line, then raise on a failure."""
     failures = 0
+    first_trials = experiments.layout_block(cfg, range(len(cfg.sweep_values)), 0)
     for sweep_idx, sweep_value in enumerate(cfg.sweep_values):
         internal = experiments.internal_sweep_value(cfg.sweep, sweep_value)
-        layout = experiments.trial_layout(cfg, sweep_idx, 0)
-        for family, check in _spot_checks(cfg, layout, internal):
+        for family, check in _spot_checks(cfg, first_trials.layout(sweep_idx), internal):
             print(_certify_line(check, f"sweep={sweep_value:g} {family} "))
             failures += not check.ok
     if failures:
@@ -370,6 +371,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ parser
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser; main parses with one built on its first call."""
     parser = argparse.ArgumentParser(
         prog="pinchplace",
         description=__doc__,
@@ -392,13 +394,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance", help="instance file, one 'x y' user per line")
     p.add_argument("--power-dbm", dest="power_dbm", type=float, help="total power budget")
     common(p)
-    p.set_defaults(handler=cmd_maxmin)
 
     p = sub.add_parser("powermin", help="total-power-minimizing placement for M users")
     p.add_argument("instance")
     p.add_argument("--rate-bpcu", dest="rate_bpcu", type=float, help="per-user rate target")
     common(p)
-    p.set_defaults(handler=cmd_powermin)
 
     p = sub.add_parser("outage", help="two-user outage probability under a per-user budget")
     p.add_argument("--power-dbm", dest="power_dbm", type=float, help="per-user power budget")
@@ -406,36 +406,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--users", type=int)
     p.add_argument("--trials", type=int)
     common(p)
-    p.set_defaults(handler=cmd_outage)
 
     p = sub.add_parser("greedy", help="two-user throughput placement with rate floors")
     p.add_argument("instance")
     p.add_argument("--power-dbm", dest="power_dbm", type=float)
     p.add_argument("--rate-bpcu", dest="rate_bpcu", type=float, help="per-user rate floor")
     common(p)
-    p.set_defaults(handler=cmd_greedy)
 
     p = sub.add_parser("noma", help="two-user superposition power minimization")
     p.add_argument("instance")
     p.add_argument("--rate-bpcu", dest="rate_bpcu", type=float)
     common(p)
-    p.set_defaults(handler=cmd_noma)
 
     p = sub.add_parser("experiment", help="Monte Carlo sweep, CSV output")
     p.add_argument("--trials", type=int)
     p.add_argument("--users", type=int)
     p.add_argument("--clustering", choices=["true", "false"])
     common(p)
-    p.set_defaults(handler=cmd_experiment)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps nothing between calls: each one returns a new namespace
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
+    # looked up per call, not bound into the cached parser, so that a wrapper
+    # installed on a cmd_ function after the first call still runs
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.handler(args)
+        return handler(args)
     except (ParseError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

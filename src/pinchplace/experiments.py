@@ -15,12 +15,12 @@ import hashlib
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
 from . import oma_fairness, oma_greedy, noma, outage, rng
-from .core import (LayoutBlock, SystemParams, UserLayout, bpcu_to_nats, dbm_to_watt, min_power_terms,
+from .core import (LayoutBlock, SystemParams, bpcu_to_nats, dbm_to_watt, min_power_terms,
                    nats_to_bpcu)
 from .errors import ConfigError
 from .oracle import GridSpec
@@ -322,20 +322,32 @@ def internal_sweep_value(sweep: str, value: float) -> float:
     return dbm_to_watt(value) if sweep == AXIS_POWER else bpcu_to_nats(value)
 
 
-def layout_block(config: ExperimentConfig, sweep_idx: int, trials: range) -> LayoutBlock:
-    """The layouts every scheme sees at one sweep point, one row per trial.
+def layout_block(config: ExperimentConfig, sweep_idx, trials) -> LayoutBlock:
+    """The layouts every scheme sees at some (sweep point, trial) cells, one row per cell.
 
-    Row i is drawn from the stream (seed, DOMAIN_LAYOUTS, sweep_idx,
-    trials[i]) alone, so a layout does not depend on which other trials
-    share its block.
+    sweep_idx and trials are ints, ranges or integer arrays, broadcast
+    against each other into rows.  Row i is drawn from the stream
+    (seed, DOMAIN_LAYOUTS, sweep_idx[i], trials[i]) alone, so a layout does
+    not depend on which other rows share its block.
     """
     streams = rng.TrialStreams(config.seed, rng.DOMAIN_LAYOUTS, sweep_idx, trials)
     return sample_layout(config.num_users, config.params, config.clustering, streams)
 
 
-def trial_layout(config: ExperimentConfig, sweep_idx: int, trial: int) -> UserLayout:
-    """The layout every scheme sees at one (sweep point, trial): a one-row view of its block."""
-    return layout_block(config, sweep_idx, range(trial, trial + 1)).layout(0)
+def sweep_blocks(config: ExperimentConfig) -> Iterator[LayoutBlock]:
+    """Each sweep point's LayoutBlock, one row per trial, in sweep order.
+
+    One draw covers as many whole points as one pass of the Philox kernel
+    holds; a point larger than that is drawn alone, one pass per chunk of rows.
+    """
+    points, trials = len(config.sweep_values), config.trials
+    per_draw = max(1, rng.rows_per_pass(2 * config.num_users) // trials)
+    for first in range(0, points, per_draw):
+        drawn = min(per_draw, points - first)
+        block = layout_block(config, np.repeat(np.arange(first, first + drawn, dtype=np.uint64), trials),
+                             np.tile(np.arange(trials, dtype=np.uint64), drawn))
+        for start in range(0, drawn * trials, trials):
+            yield LayoutBlock(block.xs[start:start + trials], block.ys[start:start + trials])
 
 
 def layout_digest(block: LayoutBlock) -> str:
@@ -350,14 +362,13 @@ def _format(value: float) -> str:
 def run_experiment(config: ExperimentConfig) -> str:
     """Run the full sweep and return the CSV document as a string.
 
-    Each sweep point draws its layouts as one LayoutBlock and then hands the
-    whole block to each scheme's evaluator once.
+    Each sweep point's layouts form one LayoutBlock (sweep_blocks), which
+    goes whole to each scheme's evaluator once.
     """
     lines = ["sweep_value,scheme,metric,mean,stderr,trials"]
 
-    for sweep_idx, sweep_value in enumerate(config.sweep_values):
+    for sweep_value, block in zip(config.sweep_values, sweep_blocks(config)):
         internal = internal_sweep_value(config.sweep, sweep_value)
-        block = layout_block(config, sweep_idx, range(config.trials))
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug("sweep %s=%s layouts sha256=%s", config.sweep, sweep_value, layout_digest(block))
 

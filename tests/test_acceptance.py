@@ -25,7 +25,7 @@ from pinchplace.core import (
     squared_distance,
 )
 from pinchplace.errors import Infeasible
-from pinchplace.experiments import ExperimentConfig, run_experiment, sample_layout, trial_layout
+from pinchplace.experiments import ExperimentConfig, layout_block, run_experiment, sample_layout
 from pinchplace.noma import (
     check_solution,
     min_powers_at,
@@ -404,9 +404,10 @@ def test_c12_experiment_determinism():
         cfg = ExperimentConfig.from_mapping(mapping)
         outputs.update(run_experiment(cfg) for _ in range(2))
         for sweep_idx in range(len(cfg.sweep_values)):
-            forward = [trial_layout(cfg, sweep_idx, t).users for t in range(cfg.trials)]
-            backward = [trial_layout(cfg, sweep_idx, t).users for t in reversed(range(cfg.trials))]
-            order_free &= forward == backward[::-1]
+            forward = layout_block(cfg, sweep_idx, range(cfg.trials))
+            backward = layout_block(cfg, sweep_idx, range(cfg.trials - 1, -1, -1))
+            order_free &= (np.array_equal(forward.xs, backward.xs[::-1])
+                           and np.array_equal(forward.ys, backward.ys[::-1]))
     ok = len(outputs) == 2 and order_free  # one unique CSV per config
     _report(12, ok, f"experiment CSVs byte-identical across reruns: {len(outputs)} unique outputs "
                     f"from 4 runs (want 2); trial layouts same in reversed trial order: {order_free}")

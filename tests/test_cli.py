@@ -1,5 +1,6 @@
 """Command-line interface: parsing, precedence, exit codes, reports."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -285,6 +286,42 @@ def test_argparse_usage_error_is_systemexit():
     with pytest.raises(SystemExit) as exc:
         cli.main(["experiment", "--workers", "2"])  # no such flag
     assert exc.value.code == 2
+
+
+def test_main_calls_share_no_state(inst3, tmp_path, capsys):
+    assert cli.main(["outage", "--set", "trials=7"]) == 0
+    assert "(7 trials)" in capsys.readouterr().out
+    assert cli.main(["outage"]) == 0
+    assert "(1000 trials)" in capsys.readouterr().out  # the default, not the previous call's --set
+    out = tmp_path / "report.json"
+    assert cli.main(["maxmin", inst3, "--certify", "--out", str(out)]) == 0
+    assert "certify grid" in capsys.readouterr().out
+    out.unlink()
+    assert cli.main(["maxmin", inst3]) == 0
+    assert "certify" not in capsys.readouterr().out and not out.exists()
+
+
+def test_main_builds_one_parser_and_build_parser_stays_fresh(monkeypatch, capsys):
+    assert inspect.isfunction(cli.build_parser)
+    assert cli.build_parser() is not cli.build_parser()
+    real, built = cli.build_parser, []
+
+    def counted():
+        built.append(real())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert cli.main(["outage", "--trials", "10"]) == 0
+        # the cached parser does not pin the handlers: one patched in later runs
+        called = []
+        monkeypatch.setattr(cli, "cmd_outage", lambda args: called.append(args.trials) or 0)
+        assert cli.main(["outage", "--trials", "3"]) == 0 and called == [3]
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
 
 
 _BROKEN_NOMA = """

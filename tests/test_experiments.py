@@ -10,8 +10,7 @@ import pytest
 from pinchplace import experiments, rng
 from pinchplace.core import LayoutBlock, SystemParams, dbm_to_watt, nats_to_bpcu
 from pinchplace.errors import ConfigError
-from pinchplace.experiments import (ExperimentConfig, layout_digest, merge_config, run_experiment,
-                                    sample_layout, trial_layout)
+from pinchplace.experiments import ExperimentConfig, layout_digest, merge_config, run_experiment, sample_layout
 from pinchplace.oma_fairness import solve_max_min_rate
 
 PARAMS = SystemParams.default()
@@ -207,6 +206,24 @@ def test_run_experiment_logs_each_points_layout_digest(caplog):
     cfg = _tiny_config(trials=5)
     with caplog.at_level(logging.DEBUG, logger="pinchplace.experiments"):
         run_experiment(cfg)
-    want = [_digest_per_trial([trial_layout(cfg, i, t) for t in range(5)]) for i in range(2)]
+    def one_stream_per_trial(sweep_idx):
+        return [sample_layout(2, cfg.params, False, rng.stream(cfg.seed, rng.DOMAIN_LAYOUTS, sweep_idx, t)).layout(0)
+                for t in range(5)]
+
+    want = [_digest_per_trial(one_stream_per_trial(i)) for i in range(2)]
     got = [r.getMessage().rsplit("sha256=", 1)[1] for r in caplog.records if "sha256=" in r.getMessage()]
     assert got == want
+
+
+@pytest.mark.parametrize("pass_blocks", [1, 12])
+def test_sweep_layouts_do_not_depend_on_how_points_are_drawn(pass_blocks, monkeypatch):
+    # by default the three points share one draw; 1 draws each point in one-row passes, 12 two points at once
+    cfg = _tiny_config(trials=6, sweep_points=3)
+    csv = run_experiment(cfg)
+    monkeypatch.setattr(rng, "PASS_BLOCKS", pass_blocks)
+    blocks = list(experiments.sweep_blocks(cfg))
+    assert len(blocks) == 3
+    for sweep_idx, block in enumerate(blocks):
+        alone = experiments.layout_block(cfg, sweep_idx, range(6))
+        assert np.array_equal(block.xs, alone.xs) and np.array_equal(block.ys, alone.ys)
+    assert run_experiment(cfg) == csv
