@@ -31,7 +31,7 @@ from .errors import (
     PinchError,
 )
 from .experiments import ExperimentConfig, run_experiment, sample_layout
-from .noma import NomaSolution, oma_noma_power_gap
+from .noma import NomaSolution
 from .oma_fairness import (
     conventional_max_min_rate,
     conventional_min_total_power,
@@ -43,7 +43,6 @@ from .oma_greedy import (
     best_placement_high_snr,
     best_placement_search,
     split_power,
-    sum_rate,
 )
 from .oracle import GridSpec, certification_grid, grid_optimize, power_split_sweep
 from .outage import OutageEstimate, closed_form_outage, monte_carlo_outage, outage_rate
@@ -79,7 +78,6 @@ __all__ = [
     "monte_carlo_outage",
     "nats_to_bpcu",
     "noma_rates",
-    "oma_noma_power_gap",
     "oma_rate",
     "outage_rate",
     "path_gain",
@@ -91,6 +89,5 @@ __all__ = [
     "solve_min_total_power",
     "split_power",
     "squared_distance",
-    "sum_rate",
     "watt_to_dbm",
 ]

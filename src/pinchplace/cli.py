@@ -26,7 +26,7 @@ import sys
 from pathlib import Path
 
 from . import certify, experiments, noma, oma_fairness, oma_greedy, oracle, outage
-from .core import UserLayout, bpcu_to_nats, dbm_to_watt, nats_to_bpcu, watt_to_dbm
+from .core import LayoutBlock, UserLayout, bpcu_to_nats, dbm_to_watt, nats_to_bpcu, watt_to_dbm
 from .errors import CertificationError, ConfigError, Infeasible, ParseError, PinchError
 
 _CONFIG_HELP = """\
@@ -142,7 +142,7 @@ def cmd_maxmin(args: argparse.Namespace) -> int:
     layout = read_layout(args.instance)
     total_w = dbm_to_watt(float(merged["power_dbm"]))
     try:
-        sol = oma_fairness.solve_max_min_rate(params, layout, total_w)
+        sol = oma_fairness.solve_max_min_rate(params, LayoutBlock.from_layouts([layout]), total_w).row(0)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -170,8 +170,9 @@ def cmd_powermin(args: argparse.Namespace) -> int:
     params = experiments.build_params(merged)
     layout = read_layout(args.instance)
     rate = bpcu_to_nats(float(merged["rate_bpcu"]))
-    sol = oma_fairness.solve_min_total_power(params, layout, rate)
-    saving = oma_fairness.pinching_power_saving(params, layout, rate)
+    one = LayoutBlock.from_layouts([layout])
+    sol = oma_fairness.solve_min_total_power(params, one, rate).row(0)
+    saving = float(oma_fairness.pinching_power_saving(params, one, rate)[0])
 
     human = [
         f"solver: powermin ({len(layout)} users, target = {float(merged['rate_bpcu']):.4f} BPCU)",
@@ -283,7 +284,7 @@ def cmd_noma(args: argparse.Namespace) -> int:
     layout = read_layout(args.instance)
     rate = bpcu_to_nats(float(merged["rate_bpcu"]))
 
-    sol = noma.solve_min_power(params, layout, rate)
+    sol = noma.solve_min_power(params, LayoutBlock.from_layouts([layout]), rate).row(0)
     assumptions = noma.check_solution(params, layout, sol)
     strong = sol.sic_user - 1
 
@@ -315,13 +316,12 @@ def cmd_noma(args: argparse.Namespace) -> int:
 def _spot_checks(cfg: experiments.ExperimentConfig, layout: UserLayout, v: float):
     """Yield (scheme family, check) for each configured family on one layout at sweep value v."""
     families = {experiments.SCHEMES[s][0].family for s in cfg.schemes}
-    p, rate = cfg.params, bpcu_to_nats(cfg.rate_bpcu)
+    p, rate, one = cfg.params, bpcu_to_nats(cfg.rate_bpcu), LayoutBlock.from_layouts([layout])
     if "oma-maxmin" in families:
-        yield "oma-maxmin", certify.maxmin(
-            p, layout, v, oma_fairness.solve_max_min_rate(p, layout, v).objective)
+        yield "oma-maxmin", certify.maxmin(p, layout, v, oma_fairness.solve_max_min_rate(p, one, v).row(0).objective)
     if "oma-powermin" in families:
         yield "oma-powermin", certify.powermin(
-            p, layout, v, oma_fairness.solve_min_total_power(p, layout, v).objective)
+            p, layout, v, oma_fairness.solve_min_total_power(p, one, v).row(0).objective)
     if "oma-greedy" in families:
         try:
             search = oma_greedy.best_placement_search(p, layout, v, rate, cfg.grid)
@@ -330,7 +330,7 @@ def _spot_checks(cfg: experiments.ExperimentConfig, layout: UserLayout, v: float
             check = certify.skipped("power-sweep", "infeasible trial")
         yield "oma-greedy", check
     if "noma" in families:
-        yield "noma", certify.noma_search(p, layout, v, noma.solve_min_power(p, layout, v))
+        yield "noma", certify.noma_search(p, layout, v, noma.solve_min_power(p, one, v).row(0))
     if "outage" in families:
         if cfg.clustering:  # the closed form and this estimate assume uniform drops
             check = certify.skipped("monte-carlo 3-sigma", "clustered drops")

@@ -109,8 +109,8 @@ class LayoutBlock:
 
     Both arrays are C-contiguous float64 of shape (B, M).  The block solvers
     take one and return one value per layout (row), each bit for bit what
-    the one-layout solver returns for that row alone; like Python floats,
-    they let a value overflow to inf without a warning.
+    they return for the one-row block of that layout alone; like Python
+    floats, they let a value overflow to inf without a warning.
     """
 
     xs: np.ndarray
@@ -202,7 +202,8 @@ def libm(fn: Callable[[float], float], values):
 
     numpy's own transcendentals differ from the C library's by an ulp on
     some inputs, so the block solvers evaluate them with math.* element by
-    element: a block row then gets exactly the one-layout solver's value.
+    element: every row then keeps the C library's value bit for bit, as
+    the recorded CSV digests expect.
     """
     flat = np.asarray(values, dtype=float)
     if flat.ndim == 0:

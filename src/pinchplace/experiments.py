@@ -47,19 +47,19 @@ class SchemeSpec:
 
 
 def _eval_maxmin(params, block, value, cfg):
-    return nats_to_bpcu(oma_fairness.solve_max_min_rates(params, block, value).objective)
+    return nats_to_bpcu(oma_fairness.solve_max_min_rate(params, block, value).objective)
 
 
 def _eval_maxmin_conv(params, block, value, cfg):
-    return nats_to_bpcu(oma_fairness.conventional_max_min_rates(params, block, value))
+    return nats_to_bpcu(oma_fairness.conventional_max_min_rate(params, block, value))
 
 
 def _eval_powermin(params, block, value, cfg):
-    return oma_fairness.solve_min_total_powers(params, block, value).objective
+    return oma_fairness.solve_min_total_power(params, block, value).objective
 
 
 def _eval_powermin_conv(params, block, value, cfg):
-    return oma_fairness.conventional_min_total_powers(params, block, value)
+    return oma_fairness.conventional_min_total_power(params, block, value)
 
 
 # The greedy schemes' objective is -inf on an infeasible layout, which drops out
@@ -80,7 +80,7 @@ def _eval_greedy_conv(params, block, value, cfg):
 
 
 def _eval_noma(params, block, value, cfg):
-    return noma.solve_min_powers(params, block, value).total
+    return noma.solve_min_power(params, block, value).total
 
 
 def _eval_noma_conv(params, block, value, cfg):
@@ -89,7 +89,7 @@ def _eval_noma_conv(params, block, value, cfg):
 
 # Both outage schemes compare user 0's power with the budget: at the mean point and at x = 0.
 def _eval_outage_mc(params, block, value, cfg):
-    need = oma_fairness.solve_min_total_powers(params, block, bpcu_to_nats(cfg.rate_bpcu)).powers[:, 0]
+    need = oma_fairness.solve_min_total_power(params, block, bpcu_to_nats(cfg.rate_bpcu)).powers[:, 0]
     return np.where(need >= value, 0.0, cfg.rate_bpcu)
 
 

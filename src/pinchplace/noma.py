@@ -10,6 +10,10 @@ closed-form placement between the two users, weighted toward the strong one
 by e^R, that is provably optimal at every positive target (see
 solve_min_power).  A grid search over position and both SIC orders serves as
 the independent reference.
+
+The closed-form solvers take a LayoutBlock of B pairs and return one value
+per pair (row); row i depends on pair i alone.  A caller with one pair passes
+LayoutBlock.from_layouts([layout]) and reads row 0.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import oma_fairness
 from .core import (
     LayoutBlock,
     NomaRates,
@@ -81,8 +84,17 @@ class AssumptionChecks:
 
 
 @np.errstate(over="ignore")
-def _powers_at(params: SystemParams, block: LayoutBlock, rate_nats: float, x, decoder: int):
-    """min_powers_at of every layout of a block: (decoder_powers, direct_powers) as (B,) arrays."""
+def min_powers_at(params: SystemParams, block: LayoutBlock, rate_nats: float, x, decoder: int):
+    """Cheapest feasible powers of each pair of a block at position x with a fixed SIC order.
+
+    decoder is the 0-based index of the SIC-performing user.  Its own rate
+    constraint fixes its power at coeff * tau_decoder; the other user's power
+    must satisfy both interference-limited constraints (its own decode and the
+    decoder's decode of it), so it takes the larger of the two right-hand
+    sides, which reduces to coeff * ((e^R - 1) tau_decoder + max(tau_dec,
+    tau_dir)).  x is one position or one per row.  Returns (decoder_powers,
+    direct_powers) as (B,) arrays.
+    """
     pair = user_pair(block)
     if decoder not in (0, 1):
         raise ValueError("decoder must be 0 or 1")
@@ -96,35 +108,40 @@ def _powers_at(params: SystemParams, block: LayoutBlock, rate_nats: float, x, de
     return p_dec, p_dir
 
 
-def min_powers_at(
-    params: SystemParams, layout: UserLayout, rate_nats: float, x: float, decoder: int
-) -> tuple[float, float]:
-    """Cheapest feasible powers at a fixed position x with a fixed SIC order.
-
-    decoder is the 0-based index of the SIC-performing user.  Its own rate
-    constraint fixes its power at coeff * tau_decoder; the other user's power
-    must satisfy both interference-limited constraints (its own decode and the
-    decoder's decode of it), so it takes the larger of the two right-hand
-    sides, which reduces to coeff * ((e^R - 1) tau_decoder + max(tau_dec,
-    tau_dir)).  Returns (decoder_power, direct_power).
-    """
-    p_dec, p_dir = _powers_at(params, LayoutBlock.from_layouts([layout]), rate_nats, x, decoder)
-    return float(p_dec[0]), float(p_dir[0])
-
-
 def conventional_min_powers(params: SystemParams, block: LayoutBlock, rate_nats: float) -> np.ndarray:
     """Total power of each layout of a block with the antenna fixed at the area centre.
 
     Takes the cheaper SIC order (min_powers_at at x = 0 for both decoders),
     so it isolates the placement gain of solve_min_power.
     """
-    by_decoder = [sum(_powers_at(params, block, rate_nats, 0.0, decoder)) for decoder in (0, 1)]
+    by_decoder = [sum(min_powers_at(params, block, rate_nats, 0.0, decoder)) for decoder in (0, 1)]
     return np.where(by_decoder[1] < by_decoder[0], by_decoder[1], by_decoder[0])
 
 
 @np.errstate(over="ignore")
-def solve_min_powers(params: SystemParams, block: LayoutBlock, rate_nats: float) -> NomaSolution:
-    """solve_min_power of every pair of a block, as one NomaSolution of (B,) arrays."""
+def solve_min_power(params: SystemParams, block: LayoutBlock, rate_nats: float) -> NomaSolution:
+    """Closed-form total-power minimizer of each pair of a block, in any order.
+
+    Returns a block NomaSolution of (B,) arrays; its row(i) is pair i's.
+    The strong (SIC) user is the one closer to the waveguide, the smaller
+    |y|; on a tie it is user 1.  Call it user 1 below and the other user 2.
+    The placement x* = (x_2 + e^R x_1) / (e^R + 1) sits between the users,
+    pulled toward the strong user; its power covers exactly its own rate and
+    the weak user's power is stacked on top of the resulting interference.
+    Both own rates come out exactly equal to the target.  The powers come
+    back indexed like the input layout and sic_user names the strong user's
+    input index, so swapping the users swaps the powers and nothing else.
+
+    Optimal at every positive target.  Let g = e^R, c the one-slot
+    power_coeff and a_m = y_m^2 + h^2.  With user 1 decoding, the least total
+    power at x is c (g tau_1 + max(tau_1, tau_2)) >= c (g tau_1 + tau_2) (see
+    min_powers_at).  That bound is a convex quadratic minimized at x*, where
+    tau_2 - tau_1 = (x_2 - x_1)^2 (g - 1)/(g + 1) + a_2 - a_1 >= 0 as
+    a_1 <= a_2, so the bound is tight there.  The other order's bound swaps
+    the weights of a_1 and a_2, which raises its minimum by
+    c (g - 1)(a_2 - a_1) >= 0.  As tau_1 <= tau_2 at x*, the SIC decode of
+    the weak signal also reaches the target.
+    """
     if rate_nats <= 0:
         raise ValueError("rate target must be positive")
     block.validate(params)
@@ -174,31 +191,6 @@ def solve_min_powers(params: SystemParams, block: LayoutBlock, rate_nats: float)
     )
 
 
-def solve_min_power(params: SystemParams, layout: UserLayout, rate_nats: float) -> NomaSolution:
-    """Closed-form total-power minimizer for a pair in any order.
-
-    The strong (SIC) user is the one closer to the waveguide, the smaller
-    |y|; on a tie it is user 1.  Call it user 1 below and the other user 2.
-    The placement x* = (x_2 + e^R x_1) / (e^R + 1) sits between the users,
-    pulled toward the strong user; its power covers exactly its own rate and
-    the weak user's power is stacked on top of the resulting interference.
-    Both own rates come out exactly equal to the target.  The powers come
-    back indexed like the input layout and sic_user names the strong user's
-    input index, so swapping the users swaps the powers and nothing else.
-
-    Optimal at every positive target.  Let g = e^R, c the one-slot
-    power_coeff and a_m = y_m^2 + h^2.  With user 1 decoding, the least total
-    power at x is c (g tau_1 + max(tau_1, tau_2)) >= c (g tau_1 + tau_2) (see
-    min_powers_at).  That bound is a convex quadratic minimized at x*, where
-    tau_2 - tau_1 = (x_2 - x_1)^2 (g - 1)/(g + 1) + a_2 - a_1 >= 0 as
-    a_1 <= a_2, so the bound is tight there.  The other order's bound swaps
-    the weights of a_1 and a_2, which raises its minimum by
-    c (g - 1)(a_2 - a_1) >= 0.  As tau_1 <= tau_2 at x*, the SIC decode of
-    the weak signal also reaches the target.
-    """
-    return solve_min_powers(params, LayoutBlock.from_layouts([layout]), rate_nats).row(0)
-
-
 def solve_min_power_search(
     params: SystemParams, layout: UserLayout, rate_nats: float, spec: GridSpec
 ) -> NomaSolution:
@@ -231,7 +223,8 @@ def solve_min_power_search(
             best = (value, x_opt, decoder)
 
     _, x_star, decoder = best
-    p_dec, p_dir = min_powers_at(params, layout, rate_nats, x_star, decoder)
+    p_dec, p_dir = min_powers_at(params, LayoutBlock.from_layouts([layout]), rate_nats, x_star, decoder)
+    p_dec, p_dir = float(p_dec[0]), float(p_dir[0])
     (xd, yd), (xo, yo) = pair[decoder], pair[1 - decoder]
     rates = noma_rates(
         params,
@@ -271,15 +264,3 @@ def check_solution(
         x_between_users=between and inside,
         powers_nonnegative=all(p >= power_floor for p in solution.powers),
     )
-
-
-def oma_noma_power_gap(params: SystemParams, layout: UserLayout, rate_nats: float) -> float:
-    """Total-power saving of pinching NOMA over centre-antenna time sharing.
-
-    The baseline serves each user of the pair in its own slot from a
-    centre-fixed antenna, so it pays the e^{2R} SNR price on both squared
-    distances; the NOMA scheme pays e^R once and moves the antenna.  Returns
-    baseline total minus NOMA total, in watts.
-    """
-    noma = solve_min_power(params, layout, rate_nats)
-    return oma_fairness.conventional_min_total_power(params, layout, rate_nats) - noma.total

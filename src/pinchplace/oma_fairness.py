@@ -10,6 +10,10 @@ Both share the same placement: the antenna goes to the mean of the user
 x-coordinates.  For max-min, powers proportional to the squared distances
 equalize every rate; for power minimization each user gets exactly the power
 that meets its target.
+
+Every solver takes a LayoutBlock of B layouts and returns one value per
+layout (row); row i depends on layout i alone.  A caller with one layout
+passes LayoutBlock.from_layouts([layout]) and reads row 0.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from .core import (
     LayoutBlock,
     PlacementSolution,
     SystemParams,
-    UserLayout,
     libm,
     min_power_terms,
     path_gain,
@@ -55,8 +58,15 @@ def _common_rate(params: SystemParams, tau_sum: np.ndarray, total_power_w: float
 
 
 @np.errstate(over="ignore")
-def solve_max_min_rates(params: SystemParams, block: LayoutBlock, total_power_w: float) -> PlacementSolution:
-    """solve_max_min_rate of every layout of a block, as one PlacementSolution of (B,) and (B, M) arrays."""
+def solve_max_min_rate(params: SystemParams, block: LayoutBlock, total_power_w: float) -> PlacementSolution:
+    """Maximize the worst per-user rate of each layout of a block under a total power budget.
+
+    With powers chosen as P_m = tau_m / sum(tau) * P all rates are equal and
+    the common rate (1/M) log(1 + gP / (noise * sum(tau))) depends on the
+    antenna position only through sum(tau), which a mean-point antenna
+    minimizes.  Returns a block PlacementSolution whose objective is that
+    common rate in nats per channel use.
+    """
     if total_power_w <= 0:
         raise ValueError("total power budget must be positive")
     block.validate(params)
@@ -72,23 +82,15 @@ def solve_max_min_rates(params: SystemParams, block: LayoutBlock, total_power_w:
     return PlacementSolution(x_star=x_star, powers=powers, objective=common_rate)
 
 
-def solve_max_min_rate(
-    params: SystemParams, layout: UserLayout, total_power_w: float
-) -> PlacementSolution:
-    """Maximize the worst per-user rate under a total power budget.
-
-    With powers chosen as P_m = tau_m / sum(tau) * P all rates are equal and
-    the common rate (1/M) log(1 + gP / (noise * sum(tau))) depends on the
-    antenna position only through sum(tau), which a mean-point antenna
-    minimizes.  The objective of the returned solution is that common rate in
-    nats per channel use.
-    """
-    return solve_max_min_rates(params, LayoutBlock.from_layouts([layout]), total_power_w).row(0)
-
-
 @np.errstate(over="ignore")
-def solve_min_total_powers(params: SystemParams, block: LayoutBlock, rate_nats: float) -> PlacementSolution:
-    """solve_min_total_power of every layout of a block, as one PlacementSolution of (B,) and (B, M) arrays."""
+def solve_min_total_power(params: SystemParams, block: LayoutBlock, rate_nats: float) -> PlacementSolution:
+    """Minimize each layout's total transmit power while every user reaches rate_nats.
+
+    Each user needs coeff * (x - x_m)^2 + floor_m watts, so the total is
+    coeff * sum((x - x_m)^2) + const and the mean-point antenna is optimal.
+    Returns a block PlacementSolution whose objective is the total power in
+    watts.
+    """
     block.validate(params)
     terms = min_power_terms(params, block, rate_nats, slots=block.num_users)
 
@@ -100,21 +102,14 @@ def solve_min_total_powers(params: SystemParams, block: LayoutBlock, rate_nats: 
     return PlacementSolution(x_star=x_star, powers=powers, objective=_sum_users(powers))
 
 
-def solve_min_total_power(
-    params: SystemParams, layout: UserLayout, rate_nats: float
-) -> PlacementSolution:
-    """Minimize total transmit power while every user reaches rate_nats.
-
-    Each user needs coeff * (x - x_m)^2 + floor_m watts, so the total is
-    coeff * sum((x - x_m)^2) + const and the mean-point antenna is optimal.
-    The objective of the returned solution is the total power in watts.
-    """
-    return solve_min_total_powers(params, LayoutBlock.from_layouts([layout]), rate_nats).row(0)
-
-
 @np.errstate(over="ignore")
-def conventional_max_min_rates(params: SystemParams, block: LayoutBlock, total_power_w: float) -> np.ndarray:
-    """conventional_max_min_rate of every layout of a block."""
+def conventional_max_min_rate(params: SystemParams, block: LayoutBlock, total_power_w: float) -> np.ndarray:
+    """Best common rate of each layout of a block with the antenna fixed at the area centre.
+
+    Power allocation is still optimized (proportional to the squared
+    distances), only the placement is fixed, so this isolates the placement
+    gain of a movable antenna.
+    """
     if total_power_w <= 0:
         raise ValueError("total power budget must be positive")
     block.validate(params)
@@ -122,41 +117,22 @@ def conventional_max_min_rates(params: SystemParams, block: LayoutBlock, total_p
     return _common_rate(params, tau_sum, total_power_w, block.num_users)
 
 
-def conventional_max_min_rate(
-    params: SystemParams, layout: UserLayout, total_power_w: float
-) -> float:
-    """Best common rate with the antenna fixed at the area centre.
-
-    Power allocation is still optimized (proportional to the squared
-    distances), only the placement is fixed, so this isolates the placement
-    gain of a movable antenna.
-    """
-    return float(conventional_max_min_rates(params, LayoutBlock.from_layouts([layout]), total_power_w)[0])
-
-
 @np.errstate(over="ignore")
-def conventional_min_total_powers(params: SystemParams, block: LayoutBlock, rate_nats: float) -> np.ndarray:
-    """conventional_min_total_power of every layout of a block."""
+def conventional_min_total_power(params: SystemParams, block: LayoutBlock, rate_nats: float) -> np.ndarray:
+    """Total power of each layout of a block meeting rate_nats with the antenna fixed at the area centre."""
     block.validate(params)
     return _sum_users(min_power_terms(params, block, rate_nats, slots=block.num_users).powers_at(0.0))
 
 
-def conventional_min_total_power(
-    params: SystemParams, layout: UserLayout, rate_nats: float
-) -> float:
-    """Total power meeting rate_nats with the antenna fixed at the area centre."""
-    return float(conventional_min_total_powers(params, LayoutBlock.from_layouts([layout]), rate_nats)[0])
-
-
-def pinching_power_saving(params: SystemParams, layout: UserLayout, rate_nats: float) -> float:
-    """Power saved by moving the antenna from the centre to the mean point.
+@np.errstate(over="ignore")
+def pinching_power_saving(params: SystemParams, block: LayoutBlock, rate_nats: float) -> np.ndarray:
+    """Power saved in each layout of a block by moving the antenna from the centre to the mean point.
 
     Expanding conventional minus pinching totals collapses to
     coeff * (sum x_m)^2 / M, which is nonnegative and grows when users
     cluster on one side of the area.
     """
-    layout.validate(params)
-    coeff = power_coeff(params, rate_nats, len(layout))
-    x_sum = float(layout.xs.sum())
-    return coeff * x_sum * x_sum / len(layout)
-
+    block.validate(params)
+    coeff = power_coeff(params, rate_nats, block.num_users)
+    x_sum = block.xs.sum(axis=1)
+    return coeff * x_sum * x_sum / block.num_users

@@ -83,11 +83,6 @@ def _columns(params: SystemParams, block: LayoutBlock) -> np.ndarray:
     return np.stack([x1, y1, x2, y2])
 
 
-def _rate_sum(q1, q2, p1, p2):
-    """Sum of the two time-shared user rates, in nats per channel use."""
-    return 0.5 * (np.log1p(p1 / q1) + np.log1p(p2 / q2))
-
-
 def _kkt(params: SystemParams, users, gain: float, coeff: float, total_w: float, x):
     """The optimal two-user power split at position(s) x: (p1, p2, pin_2, pin_1, sum rate).
 
@@ -115,7 +110,7 @@ def _kkt(params: SystemParams, users, gain: float, coeff: float, total_w: float,
             np.where(pin_1 >= 0.0, floor1, total_w / 2.0 + q2 / 2.0 - q1 / 2.0),
         )
         p2 = total_w - p1
-        rates = _rate_sum(q1, q2, p1, p2)
+        rates = 0.5 * (np.log1p(p1 / q1) + np.log1p(p2 / q2))  # the two time-shared rates, in nats
     return p1, p2, pin_2, pin_1, np.where(feasible, rates, -np.inf)
 
 
@@ -146,13 +141,6 @@ def split_power(params: SystemParams, layout: UserLayout, total_w: float, rate_n
     if rate == -math.inf:
         raise Infeasible(f"budget {total_w} W cannot cover both rate floors at x = {x}")
     return PowerSplit(p1=p1, p2=p2, case=str(_cases(pin_2, pin_1)))
-
-
-def sum_rate(params: SystemParams, layout: UserLayout, x: float, split: PowerSplit) -> float:
-    """Sum of the two per-user rates for a given split, in nats per channel use."""
-    columns = _columns(params, LayoutBlock.from_layouts([layout]))
-    _, _, q1, q2 = _geometry(params, columns, path_gain(params), x)
-    return _rate_sum(q1, q2, split.p1, split.p2).item()
 
 
 def _curves(params: SystemParams, columns: np.ndarray, total_w: float, rate_nats: float):
@@ -230,7 +218,16 @@ def _cbrt(v: float) -> float:
 
 
 def _stationary_points(block: LayoutBlock, height_m: float) -> np.ndarray:
-    """derivative_roots of each layout of a block as the rows of a (B, 3) array, padded with NaN."""
+    """Real roots of d/dx [tau_1(x) tau_2(x)] of each layout of a block, ascending in the rows of a (B, 3) array.
+
+    The derivative reduces, after centring at the user midpoint, to the
+    depressed cubic u^3 + p u + q with p = (a + b - 2 h^2)/2 and
+    q = h (b - a)/2, where a and b are the users' fixed squared offsets and
+    h is half their x separation.  Solved by the trigonometric form when all
+    three roots are real and Cardano otherwise, then polished by Newton steps
+    and deduplicated within a 1e-9 cluster width; a row with fewer roots is
+    padded with NaN.
+    """
     (x1, y1), (x2, y2) = user_pair(block)
     h2 = height_m * height_m
     a = y1 * y1 + h2
@@ -299,20 +296,6 @@ def _distinct(ascending: np.ndarray, width: np.ndarray) -> np.ndarray:
     keep_third = third - np.where(keep_second, second, first) > width
     kept = np.stack([first, np.where(keep_second, second, math.nan), np.where(keep_third, third, math.nan)], axis=1)
     return np.sort(kept, axis=1, kind="stable")
-
-
-def derivative_roots(layout: UserLayout, height_m: float) -> tuple[float, ...]:
-    """Real roots of d/dx [tau_1(x) tau_2(x)], ascending.
-
-    The derivative reduces, after centring at the user midpoint, to the
-    depressed cubic u^3 + p u + q with p = (a + b - 2 h^2)/2 and
-    q = h (b - a)/2, where a and b are the users' fixed squared offsets and
-    h is half their x separation.  Solved by the trigonometric form when all
-    three roots are real and Cardano otherwise, then polished by Newton steps
-    and deduplicated within a 1e-9 cluster width.
-    """
-    roots = _stationary_points(LayoutBlock.from_layouts([layout]), height_m)[0]
-    return tuple(r for r in roots.tolist() if not math.isnan(r))
 
 
 def best_placements_high_snr(

@@ -58,6 +58,12 @@ def _limits(params: SystemParams, budget_over_coeff: float) -> IntegrationLimits
     return IntegrationLimits(headroom=headroom, normalized=normalized, y_hi=y_hi, y_lo=y_lo)
 
 
+def _budget_over_coeff(params: SystemParams, rate_nats: float, budget_w: float, slots: int) -> float:
+    """The largest squared distance the budget can serve, in m^2; inf where the coefficient underflows to 0."""
+    coeff = power_coeff(params, rate_nats, slots)
+    return budget_w / coeff if coeff > 0.0 else math.inf
+
+
 def _tail_integral(y: float, lim: IntegrationLimits, params: SystemParams) -> float:
     """Antiderivative of 1 - 2 sqrt(w(y)) + w(y) where w(y) is the normalized
     x-part threshold at cross-range y.  Valid for 0 <= y <= sqrt(headroom)."""
@@ -89,7 +95,7 @@ def closed_form_outage(params: SystemParams, rate_nats: float, budget_w: float) 
     if rate_nats <= 0:
         raise ValueError("rate target must be positive")
 
-    budget_over_coeff = budget_w / power_coeff(params, rate_nats, 2)
+    budget_over_coeff = _budget_over_coeff(params, rate_nats, budget_w, 2)
     if budget_over_coeff <= params.height_m * params.height_m:
         return 1.0
 
@@ -132,7 +138,7 @@ def monte_carlo_outage(
 
     h2 = params.height_m * params.height_m
     # outage  <=>  coeff * ((xbar - x_m)^2 + y_m^2 + h^2) >= budget
-    threshold = budget_w / power_coeff(params, rate_nats, num_users) - h2
+    threshold = _budget_over_coeff(params, rate_nats, budget_w, num_users) - h2
 
     hl, hw = params.half_length, params.half_width
     failures = 0

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from pinchplace import rng
+from pinchplace import noma, oma_fairness, rng
 from pinchplace.core import (
     LayoutBlock,
     SystemParams,
@@ -26,26 +26,8 @@ from pinchplace.core import (
 )
 from pinchplace.errors import Infeasible
 from pinchplace.experiments import ExperimentConfig, layout_block, run_experiment, sample_layout
-from pinchplace.noma import (
-    check_solution,
-    min_powers_at,
-    oma_noma_power_gap,
-    solve_min_power,
-    solve_min_power_search,
-)
-from pinchplace.oma_fairness import (
-    conventional_max_min_rate,
-    conventional_min_total_power,
-    pinching_power_saving,
-    solve_max_min_rate,
-    solve_min_total_power,
-)
-from pinchplace.oma_greedy import (
-    best_placement_high_snr,
-    best_placements_search,
-    split_power,
-    sum_rate,
-)
+from pinchplace.noma import check_solution, solve_min_power_search
+from pinchplace.oma_greedy import best_placement_high_snr, best_placements_search, placements_at
 from pinchplace.oracle import GridSpec, certification_grid, grid_optimize, power_split_sweep
 from pinchplace.outage import closed_form_outage, monte_carlo_outage
 from pair_geometry import closer_to_near_user
@@ -65,6 +47,26 @@ def _layouts(gen, count, sizes):
         yield sample_layout(sizes[i % len(sizes)], PARAMS, False, gen).layout(0)
 
 
+class _Successive:
+    """count successive draws of one Generator at once, for sample_layout.
+
+    random(shape) returns count draws of that shape stacked on a new first
+    axis: a Generator fills an array in C order, so this equals count calls
+    made one after the other.
+    """
+
+    def __init__(self, gen, count):
+        self.gen, self.count = gen, count
+
+    def random(self, shape):
+        return self.gen.random((self.count, *shape))
+
+
+def _block(num_users, clustering, gen, count):
+    """The layouts of count successive sample_layout calls on gen, as one LayoutBlock."""
+    return sample_layout(num_users, PARAMS, clustering, _Successive(gen, count))
+
+
 # --- 1: max-min closed form is never beaten by the grid oracle --------------
 
 def test_c01_maxmin_certified_against_grid_oracle():
@@ -75,7 +77,7 @@ def test_c01_maxmin_certified_against_grid_oracle():
     worst = -math.inf
     for lay in _layouts(gen, 1000, (2, 3, 5)):
         total_w = dbm_to_watt(float(gen.uniform(0.0, 40.0)))
-        sol = solve_max_min_rate(PARAMS, lay, total_w)
+        sol = oma_fairness.solve_max_min_rate(PARAMS, LayoutBlock.from_layouts([lay]), total_w).row(0)
         xs_u, ys_u = lay.xs, lay.ys
 
         def oracle(xs):
@@ -101,7 +103,7 @@ def test_c02_powermin_certified_against_grid_oracle():
     worst = -math.inf
     for lay in _layouts(gen, 1000, (2, 3, 5)):
         rate = bpcu_to_nats(float(gen.uniform(0.5, 4.0)))
-        sol = solve_min_total_power(PARAMS, lay, rate)
+        sol = oma_fairness.solve_min_total_power(PARAMS, LayoutBlock.from_layouts([lay]), rate).row(0)
         terms = min_power_terms(PARAMS, lay, rate, slots=len(lay))
         xs_u = lay.xs
         floor_sum = sum(terms.floors)
@@ -123,11 +125,14 @@ def test_c03_power_saving_identity():
     gen = rng.stream(SEED, rng.DOMAIN_TESTS, 3)
     worst = 0.0
     negative = 0
-    for lay in _layouts(gen, 10000, (2, 3, 4, 5, 6)):
+    sizes = (2, 3, 4, 5, 6)
+    for i in range(10000):
+        # each layout has its own rate target, so each one is a one-row block
+        block = sample_layout(sizes[i % len(sizes)], PARAMS, False, gen)
         rate = bpcu_to_nats(float(gen.uniform(0.5, 4.0)))
-        saving = pinching_power_saving(PARAMS, lay, rate)
-        conv = conventional_min_total_power(PARAMS, lay, rate)
-        pin = solve_min_total_power(PARAMS, lay, rate).objective
+        saving = oma_fairness.pinching_power_saving(PARAMS, block, rate)[0]
+        conv = oma_fairness.conventional_min_total_power(PARAMS, block, rate)[0]
+        pin = oma_fairness.solve_min_total_power(PARAMS, block, rate).objective[0]
         if saving < 0.0:
             negative += 1
         # the subtraction cancels catastrophically when the saving is tiny,
@@ -181,7 +186,7 @@ def test_c05_allocation_never_beaten_by_power_sweep():
         t1 = (x - x1) ** 2 + y1 * y1 + h2
         t2 = (x - x2) ** 2 + y2 * y2 + h2
         total = coeff * (t1 + t2) * float(10.0 ** gen.uniform(0.0, 2.0))
-        got = sum_rate(PARAMS, lay, x, split_power(PARAMS, lay, total, rate, x))
+        got = placements_at(PARAMS, LayoutBlock.from_layouts([lay]), total, rate, [x]).objective[0]
 
         q1, q2 = PARAMS.noise_w * t1 / g, PARAMS.noise_w * t2 / g
         f1, f2 = coeff * t1, coeff * t2
@@ -294,9 +299,10 @@ def test_c08_noma_certified_against_search():
     worst = -math.inf
     bad_checks = 0
     for rate in (0.5, 1.0, 2.0, 3.0):
-        for _ in range(1000):
-            lay = sample_layout(2, PARAMS, False, gen).layout(0)
-            closed = solve_min_power(PARAMS, lay, rate)
+        block = _block(2, False, gen, 1000)
+        solved = noma.solve_min_power(PARAMS, block, rate)
+        for i in range(len(block)):
+            lay, closed = block.layout(i), solved.row(i)
             search = solve_min_power_search(PARAMS, lay, rate, spec)
             worst = max(worst, abs(closed.total - search.total) / search.total)
             if not check_solution(PARAMS, lay, closed).all_ok:
@@ -311,11 +317,11 @@ def test_c08_noma_certified_against_search():
 def test_c09_noma_gap_positive_at_high_rate():
     gen = rng.stream(SEED, rng.DOMAIN_TESTS, 9)
     n = 10000
-    wins = 0
-    for _ in range(n):
-        lay = sample_layout(2, PARAMS, False, gen).layout(0)
-        if oma_noma_power_gap(PARAMS, lay, 3.0) > 0.0:
-            wins += 1
+    block = _block(2, False, gen, n)
+    # centre-antenna time sharing's total power minus pinching NOMA's
+    gaps = (oma_fairness.conventional_min_total_power(PARAMS, block, 3.0)
+            - noma.solve_min_power(PARAMS, block, 3.0).total)
+    wins = int((gaps > 0.0).sum())
     ok = wins == n
     _report(9, ok, f"NOMA vs centre time-sharing power gap positive on {wins}/{n} "
                    f"layouts at R = 3 nats (100% required)")
@@ -326,13 +332,10 @@ def test_c09_noma_gap_positive_at_high_rate():
 def _paired_maxmin_gaps(num_users, clustering, trials, stream_index):
     gen = rng.stream(SEED, rng.DOMAIN_TESTS, stream_index)
     total_w = dbm_to_watt(30.0)
-    gaps = np.empty(trials)
-    for t in range(trials):
-        lay = sample_layout(num_users, PARAMS, clustering, gen).layout(0)
-        moved = solve_max_min_rate(PARAMS, lay, total_w).objective
-        fixed = conventional_max_min_rate(PARAMS, lay, total_w)
-        gaps[t] = nats_to_bpcu(moved - fixed)
-    return gaps
+    block = _block(num_users, clustering, gen, trials)
+    moved = oma_fairness.solve_max_min_rate(PARAMS, block, total_w).objective
+    fixed = oma_fairness.conventional_max_min_rate(PARAMS, block, total_w)
+    return nats_to_bpcu(moved - fixed)
 
 
 def test_c10_placement_gain_shrinks_with_users_survives_clustering():
@@ -360,18 +363,11 @@ def test_c11_total_power_scheme_ordering():
     gen = rng.stream(SEED, rng.DOMAIN_TESTS, 11)
     trials = 10000
     rate = bpcu_to_nats(2.0)
-    oma_pin = np.empty(trials)
-    oma_conv = np.empty(trials)
-    noma_pin = np.empty(trials)
-    noma_conv = np.empty(trials)
-    for t in range(trials):
-        lay = sample_layout(2, PARAMS, False, gen).layout(0)
-        oma_pin[t] = solve_min_total_power(PARAMS, lay, rate).objective
-        oma_conv[t] = conventional_min_total_power(PARAMS, lay, rate)
-        noma_pin[t] = solve_min_power(PARAMS, lay, rate).total
-        noma_conv[t] = min(
-            sum(min_powers_at(PARAMS, lay, rate, 0.0, dec)) for dec in (0, 1)
-        )
+    block = _block(2, False, gen, trials)
+    oma_pin = oma_fairness.solve_min_total_power(PARAMS, block, rate).objective
+    oma_conv = oma_fairness.conventional_min_total_power(PARAMS, block, rate)
+    noma_pin = noma.solve_min_power(PARAMS, block, rate).total
+    noma_conv = np.minimum(*(sum(noma.min_powers_at(PARAMS, block, rate, 0.0, dec)) for dec in (0, 1)))
 
     def margin(hi, lo):
         diff = hi - lo

@@ -1,20 +1,25 @@
-"""Block solvers against their one-layout counterparts, compared with ==.
+"""Block solvers row by row, compared with ==.
 
 Every drop set mixes uniform and clustered drops with degenerate rows:
 coincident users, users on the waveguide (y = 0) and users on the edge of
-the service area.  A block row must equal the one-layout result exactly,
-and a broken invariant on any one row must fail the whole block.
+the service area.  Row i of a block must equal the one-row block of layout i
+exactly (and the greedy block routes the one-row greedy routes), and a
+broken invariant on any one row must fail the whole block.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinchplace import experiments, noma, oma_fairness, oma_greedy, rng
 from pinchplace.core import (LayoutBlock, NomaRates, SystemParams, bpcu_to_nats, dbm_to_watt, min_power_terms,
                              nats_to_bpcu, path_gain)
 from pinchplace.errors import CertificationError, Infeasible
+from pinchplace.oracle import GridSpec
 
 PARAMS = SystemParams.default()
 DROPS = 240
@@ -42,16 +47,20 @@ def _layouts(block: LayoutBlock):
     return [block.layout(i) for i in range(len(block))]
 
 
+def _one(layout) -> LayoutBlock:
+    return LayoutBlock.from_layouts([layout])
+
+
 @pytest.mark.parametrize("num_users", [1, 2, 3, 8])
 @pytest.mark.parametrize("dbm", [-100.0, 0.0, 40.0])
 def test_max_min_blocks_equal_one_layout_solves(num_users, dbm):
     block = _drops(num_users, 100 + num_users)
     total = dbm_to_watt(dbm)
-    solved = oma_fairness.solve_max_min_rates(PARAMS, block, total)
-    conventional = oma_fairness.conventional_max_min_rates(PARAMS, block, total)
+    solved = oma_fairness.solve_max_min_rate(PARAMS, block, total)
+    conventional = oma_fairness.conventional_max_min_rate(PARAMS, block, total)
     for i, lay in enumerate(_layouts(block)):
-        assert solved.row(i) == oma_fairness.solve_max_min_rate(PARAMS, lay, total)
-        assert conventional[i] == oma_fairness.conventional_max_min_rate(PARAMS, lay, total)
+        assert solved.row(i) == oma_fairness.solve_max_min_rate(PARAMS, _one(lay), total).row(0)
+        assert conventional[i] == oma_fairness.conventional_max_min_rate(PARAMS, _one(lay), total)[0]
 
 
 @pytest.mark.parametrize("num_users", [1, 2, 3, 8])
@@ -59,12 +68,14 @@ def test_max_min_blocks_equal_one_layout_solves(num_users, dbm):
 def test_power_min_blocks_equal_one_layout_solves(num_users, rate_bpcu):
     block = _drops(num_users, 200 + num_users)
     rate = bpcu_to_nats(rate_bpcu)
-    solved = oma_fairness.solve_min_total_powers(PARAMS, block, rate)
-    conventional = oma_fairness.conventional_min_total_powers(PARAMS, block, rate)
+    solved = oma_fairness.solve_min_total_power(PARAMS, block, rate)
+    conventional = oma_fairness.conventional_min_total_power(PARAMS, block, rate)
+    saving = oma_fairness.pinching_power_saving(PARAMS, block, rate)
     at_centre = min_power_terms(PARAMS, block, rate, slots=num_users).powers_at(0.0)
     for i, lay in enumerate(_layouts(block)):
-        assert solved.row(i) == oma_fairness.solve_min_total_power(PARAMS, lay, rate)
-        assert conventional[i] == oma_fairness.conventional_min_total_power(PARAMS, lay, rate)
+        assert solved.row(i) == oma_fairness.solve_min_total_power(PARAMS, _one(lay), rate).row(0)
+        assert conventional[i] == oma_fairness.conventional_min_total_power(PARAMS, _one(lay), rate)[0]
+        assert saving[i] == oma_fairness.pinching_power_saving(PARAMS, _one(lay), rate)[0]
         assert tuple(at_centre[i]) == tuple(min_power_terms(PARAMS, lay, rate, slots=num_users).powers_at(0.0))
 
 
@@ -74,13 +85,14 @@ def test_noma_blocks_equal_one_layout_solves(rate_bpcu):
     # the waveguide, both on one edge) keeps user 1, and user 1 on the far edge hands it to user 2
     block = _drops(2, 300)
     rate = bpcu_to_nats(rate_bpcu)
-    solved = noma.solve_min_powers(PARAMS, block, rate)
+    solved = noma.solve_min_power(PARAMS, block, rate)
     conventional = noma.conventional_min_powers(PARAMS, block, rate)
     assert set(solved.sic_user.tolist()) == {1, 2}
     assert all((solved.sic_user[k::10] == 1).all() for k in (0, 1, 5)) and (solved.sic_user[2::10] == 2).all()
     for i, lay in enumerate(_layouts(block)):
-        assert solved.row(i) == noma.solve_min_power(PARAMS, lay, rate)
-        assert conventional[i] == min(sum(noma.min_powers_at(PARAMS, lay, rate, 0.0, dec)) for dec in (0, 1))
+        assert solved.row(i) == noma.solve_min_power(PARAMS, _one(lay), rate).row(0)
+        by_decoder = [float(sum(noma.min_powers_at(PARAMS, _one(lay), rate, 0.0, dec))[0]) for dec in (0, 1)]
+        assert conventional[i] == min(by_decoder)
 
 
 @pytest.mark.parametrize("dbm", [0.0, 20.0, 40.0])
@@ -90,46 +102,47 @@ def test_greedy_blocks_equal_one_layout_solves(dbm):
     fast = oma_greedy.best_placements_high_snr(PARAMS, block, total, rate)
     at_centre = oma_greedy.placements_at(PARAMS, block, total, rate, np.zeros(len(block)))
     for i, lay in enumerate(_layouts(block)):
-        assert tuple(r for r in fast.roots[i] if not np.isnan(r)) == oma_greedy.derivative_roots(lay, PARAMS.height_m)
+        alone = oma_greedy.best_placements_high_snr(PARAMS, _one(lay), total, rate)
+        assert fast.roots[i].tobytes() == alone.roots[0].tobytes()
         try:
             want = oma_greedy.best_placement_high_snr(PARAMS, lay, total, rate)
         except Infeasible:
             want = None
         assert fast.row(i) == want
         centre = at_centre.row(i)
+        assert centre == oma_greedy.placements_at(PARAMS, _one(lay), total, rate, [0.0]).row(0)
         if centre is not None:
             split = oma_greedy.split_power(PARAMS, lay, total, rate, 0.0)
             assert centre.powers == (split.p1, split.p2)
-            assert centre.objective == oma_greedy.sum_rate(PARAMS, lay, 0.0, split)
 
 
 def _one_layout_metric(name, lay, value, cfg):
-    """The metric of one per-trial scheme on one layout, from the one-layout solvers alone."""
+    """The metric of one per-trial scheme on one layout, from direct solver calls on its one-row block."""
     rate = bpcu_to_nats(cfg.rate_bpcu)
+    one = _one(lay)
+    if name == "oma-maxmin":
+        return nats_to_bpcu(oma_fairness.solve_max_min_rate(PARAMS, one, value).objective[0])
+    if name == "oma-maxmin-conv":
+        return nats_to_bpcu(oma_fairness.conventional_max_min_rate(PARAMS, one, value)[0])
+    if name == "oma-powermin":
+        return oma_fairness.solve_min_total_power(PARAMS, one, value).objective[0]
+    if name == "oma-powermin-conv":
+        return oma_fairness.conventional_min_total_power(PARAMS, one, value)[0]
+    if name == "oma-greedy-conv":
+        return nats_to_bpcu(oma_greedy.placements_at(PARAMS, one, value, rate, [0.0]).objective[0])
     try:
-        if name == "oma-maxmin":
-            return nats_to_bpcu(oma_fairness.solve_max_min_rate(PARAMS, lay, value).objective)
-        if name == "oma-maxmin-conv":
-            return nats_to_bpcu(oma_fairness.conventional_max_min_rate(PARAMS, lay, value))
-        if name == "oma-powermin":
-            return oma_fairness.solve_min_total_power(PARAMS, lay, value).objective
-        if name == "oma-powermin-conv":
-            return oma_fairness.conventional_min_total_power(PARAMS, lay, value)
         if name == "oma-greedy":
             return nats_to_bpcu(oma_greedy.best_placement_search(PARAMS, lay, value, rate, cfg.grid).objective)
         if name == "oma-greedy-highsnr":
             return nats_to_bpcu(oma_greedy.best_placement_high_snr(PARAMS, lay, value, rate).solution.objective)
-        if name == "oma-greedy-conv":
-            split = oma_greedy.split_power(PARAMS, lay, value, rate, 0.0)
-            return nats_to_bpcu(oma_greedy.sum_rate(PARAMS, lay, 0.0, split))
     except Infeasible:
         return -np.inf
     if name == "noma":
-        return noma.solve_min_power(PARAMS, lay, value).total
+        return noma.solve_min_power(PARAMS, one, value).total[0]
     if name == "noma-conv":
-        return min(sum(noma.min_powers_at(PARAMS, lay, value, 0.0, dec)) for dec in (0, 1))
+        return min(float(sum(noma.min_powers_at(PARAMS, one, value, 0.0, dec))[0]) for dec in (0, 1))
     if name == "outage-mc":
-        need = oma_fairness.solve_min_total_power(PARAMS, lay, rate).powers[0]
+        need = oma_fairness.solve_min_total_power(PARAMS, one, rate).powers[0, 0]
     else:
         need = min_power_terms(PARAMS, lay, rate, slots=len(lay)).powers_at(0.0)[0]
     return 0.0 if need >= value else cfg.rate_bpcu
@@ -144,7 +157,92 @@ def test_scheme_evaluators_equal_one_layout_metrics(name):
     for sweep_value in cfg.sweep_values[::3]:
         value = experiments.internal_sweep_value(cfg.sweep, sweep_value)
         got = np.asarray(evaluator(PARAMS, block, value, cfg), dtype=float).tolist()
-        assert got == [_one_layout_metric(name, lay, value, cfg) for lay in _layouts(block)], sweep_value
+        assert got == [float(_one_layout_metric(name, lay, value, cfg)) for lay in _layouts(block)], sweep_value
+
+
+def _leaves(result):
+    """Every array of a block result (an array, a result dataclass or a tuple of them), depth first."""
+    if isinstance(result, np.ndarray):
+        return [result]
+    if dataclasses.is_dataclass(result):
+        return [leaf for field in dataclasses.fields(result) for leaf in _leaves(getattr(result, field.name))]
+    return [leaf for part in result for leaf in _leaves(part)]
+
+
+def _bits(value):
+    value = np.asarray(value)
+    return value.tobytes() if value.dtype.kind == "f" else value.tolist()
+
+
+def _assert_rows_independent(solve, block, *per_row):
+    """Row i of solve(block, *per_row) equals solve on the one-row block of layout i, bit for bit.
+
+    Each per_row argument holds one entry per row; the one-row call gets entry i.
+    """
+    whole = _leaves(solve(block, *per_row))
+    for i in range(len(block)):
+        alone = _leaves(solve(_one(block.layout(i)), *(np.asarray(arg)[i:i + 1] for arg in per_row)))
+        assert len(alone) == len(whole)
+        for got, want in zip(whole, alone):
+            assert _bits(got[i]) == _bits(want[0]), f"row {i}"
+
+
+_HL, _HW = PARAMS.half_length, PARAMS.half_width
+
+
+def _coordinate(limit):
+    # signed zeros and the area's edges, besides any value inside it
+    return st.one_of(st.sampled_from([0.0, -0.0, limit, -limit]), st.floats(-limit, limit))
+
+
+@st.composite
+def _blocks(draw, num_users):
+    """A block of 1 to 6 layouts, some with coincident users or with near-equal |y|."""
+    rows = draw(st.integers(1, 6))
+    xs = draw(st.lists(st.lists(_coordinate(_HL), min_size=num_users, max_size=num_users),
+                       min_size=rows, max_size=rows))
+    ys = draw(st.lists(st.lists(_coordinate(_HW), min_size=num_users, max_size=num_users),
+                       min_size=rows, max_size=rows))
+    for x, y in zip(xs, ys):
+        kind = draw(st.sampled_from(["plain", "coincident", "near-equal |y|"]))
+        if kind == "coincident":
+            x[:], y[:] = [x[0]] * num_users, [y[0]] * num_users
+        elif kind == "near-equal |y|" and num_users > 1:
+            y[1] = -y[0] * (1.0 - 2.0 ** -40)
+    return LayoutBlock(np.array(xs), np.array(ys))
+
+
+_BUDGETS_W = st.floats(-100.0, 40.0).map(dbm_to_watt)
+_RATES_NATS = st.floats(0.01, 4.0).map(bpcu_to_nats)
+_PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
+
+
+@_PROPERTY
+@given(data=st.data(), num_users=st.integers(1, 8), total=_BUDGETS_W, rate=_RATES_NATS)
+def test_fairness_rows_depend_on_their_own_layout_only(data, num_users, total, rate):
+    block = data.draw(_blocks(num_users))
+    _assert_rows_independent(lambda b: oma_fairness.solve_max_min_rate(PARAMS, b, total), block)
+    _assert_rows_independent(lambda b: oma_fairness.conventional_max_min_rate(PARAMS, b, total), block)
+    _assert_rows_independent(lambda b: oma_fairness.solve_min_total_power(PARAMS, b, rate), block)
+    _assert_rows_independent(lambda b: oma_fairness.conventional_min_total_power(PARAMS, b, rate), block)
+    _assert_rows_independent(lambda b: oma_fairness.pinching_power_saving(PARAMS, b, rate), block)
+
+
+_PAIR_GRID = GridSpec(lo=-_HL, hi=_HL, points=101, refine_iters=6)
+
+
+@_PROPERTY
+@given(data=st.data(), total=_BUDGETS_W, rate=_RATES_NATS)
+def test_pair_rows_depend_on_their_own_layout_only(data, total, rate):
+    block = data.draw(_blocks(2))
+    xs = data.draw(st.lists(_coordinate(_HL), min_size=len(block), max_size=len(block)))
+    _assert_rows_independent(lambda b: noma.solve_min_power(PARAMS, b, rate), block)
+    _assert_rows_independent(lambda b: noma.conventional_min_powers(PARAMS, b, rate), block)
+    for decoder in (0, 1):
+        _assert_rows_independent(lambda b, x: noma.min_powers_at(PARAMS, b, rate, x, decoder), block, xs)
+    _assert_rows_independent(lambda b, x: oma_greedy.placements_at(PARAMS, b, total, rate, x), block, xs)
+    _assert_rows_independent(lambda b: oma_greedy.best_placements_high_snr(PARAMS, b, total, rate), block)
+    _assert_rows_independent(lambda b: oma_greedy.best_placements_search(PARAMS, b, total, rate, _PAIR_GRID), block)
 
 
 def test_broken_invariant_on_one_row_fails_the_block(monkeypatch):
@@ -159,9 +257,9 @@ def test_broken_invariant_on_one_row_fails_the_block(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(oma_fairness, "_mean_x", one_row_off)
         with pytest.raises(CertificationError, match="max-min placement lies on the waveguide"):
-            oma_fairness.solve_max_min_rates(PARAMS, block, 1.0)
+            oma_fairness.solve_max_min_rate(PARAMS, block, 1.0)
         with pytest.raises(CertificationError, match="power-min placement lies on the waveguide"):
-            oma_fairness.solve_min_total_powers(PARAMS, block, 1.0)
+            oma_fairness.solve_min_total_power(PARAMS, block, 1.0)
 
     real_rates = noma.noma_rates
 
@@ -175,8 +273,8 @@ def test_broken_invariant_on_one_row_fails_the_block(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(noma, "noma_rates", one_sic_short)
         with pytest.raises(CertificationError, match="SIC decode rate"):
-            noma.solve_min_powers(PARAMS, pairs, 1.0)
-    noma.solve_min_powers(PARAMS, pairs, 1.0)
+            noma.solve_min_power(PARAMS, pairs, 1.0)
+    noma.solve_min_power(PARAMS, pairs, 1.0)
 
 
 def test_block_rejects_users_outside_the_area_and_misshapen_arrays():
@@ -184,7 +282,7 @@ def test_block_rejects_users_outside_the_area_and_misshapen_arrays():
     xs = block.xs.copy()
     xs[7, 1] = 20.5
     with pytest.raises(ValueError, match=r"user 2 at \(20.5, "):
-        oma_fairness.solve_max_min_rates(PARAMS, LayoutBlock(xs, block.ys), 1.0)
+        oma_fairness.solve_max_min_rate(PARAMS, LayoutBlock(xs, block.ys), 1.0)
     with pytest.raises(ValueError, match="one \\(B, M\\) shape"):
         LayoutBlock(np.zeros((3, 2)), np.zeros((3, 3)))
     with pytest.raises(ValueError, match="one \\(B, M\\) shape"):
@@ -198,15 +296,15 @@ def test_block_rates_take_log1p_from_the_math_module():
     h2 = PARAMS.height_m * PARAMS.height_m
     for num_users in (2, 3, 8):
         block = _drops(num_users, 800 + num_users)
-        solved = oma_fairness.solve_max_min_rates(PARAMS, block, 0.5)
-        conventional = oma_fairness.conventional_max_min_rates(PARAMS, block, 0.5)
+        solved = oma_fairness.solve_max_min_rate(PARAMS, block, 0.5)
+        conventional = oma_fairness.conventional_max_min_rate(PARAMS, block, 0.5)
         for i, lay in enumerate(_layouts(block)):
             for x_star, rate in ((float(lay.xs.mean()), solved.objective[i]), (0.0, conventional[i])):
                 tau_sum = sum((x_star - x) * (x_star - x) + y * y + h2 for x, y in lay.users)
                 assert rate == math.log1p(gain * 0.5 / (noise * tau_sum)) / num_users
     block = _drops(2, 810)
     for rate in np.linspace(0.05, 3.0, 24).tolist():  # the own rates sit at the target, so vary it
-        solved = noma.solve_min_powers(PARAMS, block, rate)
+        solved = noma.solve_min_power(PARAMS, block, rate)
         for i, lay in enumerate(_layouts(block)):
             strong = solved.sic_user[i] - 1
             (x1, y1), (x2, y2) = lay.users[strong], lay.users[1 - strong]

@@ -199,11 +199,45 @@ def test_degenerate_constants_exit_2(command, setting, tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+_FLAGS = {"maxmin": ("power_dbm",), "powermin": ("rate_bpcu",), "greedy": ("power_dbm", "rate_bpcu"),
+          "noma": ("rate_bpcu",), "outage": ("power_dbm", "rate_bpcu")}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e308", "-1e308", "0", "-5", "1e-320", "400"])
+@pytest.mark.parametrize("key", ["power_dbm", "rate_bpcu"])
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+def test_extreme_budget_or_target_keeps_the_exit_code_contract(command, key, value, inst2, capsys):
+    # the subcommand's own flag where it has one, else --set; --certify except on the slow greedy check
+    setting = [f"--{key.replace('_', '-')}={value}"] if key in _FLAGS[command] else ["--set", f"{key}={value}"]
+    instance = [] if command == "outage" else [inst2]
+    certify_flag = [] if command == "greedy" else ["--certify"]
+    assert cli.main([command, *instance, *setting, *certify_flag]) in (0, 2, 3, 4)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["outage", "--rate-bpcu", "1e-320", "--trials", "200"],
+    ["experiment", "--set", "schemes=outage", "--set", "rate_bpcu=1e-320", "--set", "trials=2",
+     "--set", "sweep_points=1"],
+])
+def test_underflowing_power_coefficient_gives_zero_outage(argv, capsys):
+    # 1e-320 BPCU needs a power coefficient that underflows to 0 W/m^2: no budget is ever short
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    if argv[0] == "outage":
+        assert "closed form: p = 0.000000\n" in out and "monte carlo: p = 0.000000 +- 0.000000" in out
+    else:  # the outage rate (1 - p) R equals the whole target
+        assert out.splitlines()[1].split(",")[3] == f"{1e-320:.12g}"
+    assert cli.main([*argv, "--certify"]) == 0
+    checks = [line for line in capsys.readouterr().out.splitlines() if line.startswith("certify")]
+    assert len(checks) == 1 and checks[0].endswith("gap = 0.000e+00 (tol 1e-12) -> PASS")
+
+
 def test_certification_failure_exits_4(inst3, capsys, monkeypatch):
     real = oma_fairness.solve_max_min_rate
 
-    def corrupted(params, layout, total_w):
-        sol = real(params, layout, total_w)
+    def corrupted(params, block, total_w):
+        sol = real(params, block, total_w)
         return PlacementSolution(sol.x_star, sol.powers, sol.objective * 0.9)
 
     monkeypatch.setattr(oma_fairness, "solve_max_min_rate", corrupted)
@@ -235,8 +269,8 @@ def test_nonzero_value_against_zero_oracle_fails(inst3, capsys, monkeypatch):
 def test_experiment_certification_failure_prints_lines_then_exits_4(capsys, monkeypatch):
     real = oma_fairness.solve_max_min_rate
 
-    def corrupted(params, layout, total_w):
-        sol = real(params, layout, total_w)
+    def corrupted(params, block, total_w):
+        sol = real(params, block, total_w)
         return PlacementSolution(sol.x_star, sol.powers, sol.objective * 0.9)
 
     monkeypatch.setattr(oma_fairness, "solve_max_min_rate", corrupted)

@@ -133,8 +133,8 @@ def test_run_experiment_means_match_direct_solves():
     rates = []
     for trial in range(5):
         gen = rng.stream(5, rng.DOMAIN_LAYOUTS, 0, trial)
-        lay = sample_layout(2, PARAMS, False, gen).layout(0)
-        rates.append(nats_to_bpcu(solve_max_min_rate(PARAMS, lay, total_w).objective))
+        block = sample_layout(2, PARAMS, False, gen)
+        rates.append(nats_to_bpcu(solve_max_min_rate(PARAMS, block, total_w).objective[0]))
     assert np.isclose(float(row[3]), np.mean(rates), rtol=1e-10), (
         f"csv mean {row[3]} vs direct {np.mean(rates)}"
     )

@@ -1,20 +1,17 @@
-"""Two-user superposition (NOMA) power minimization."""
+"""Two-user superposition (NOMA) power minimization.
+
+The closed-form solvers take a LayoutBlock; a single pair goes in as a one-row block.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from pinchplace import certify, noma, rng
-from pinchplace.core import MinPowerTerms, NomaRates, SystemParams, UserLayout, min_power_terms
+from pinchplace import certify, noma, oma_fairness, rng
+from pinchplace.core import LayoutBlock, MinPowerTerms, NomaRates, SystemParams, UserLayout, min_power_terms
 from pinchplace.errors import CertificationError, DomainError
-from pinchplace.noma import (
-    check_solution,
-    min_powers_at,
-    oma_noma_power_gap,
-    solve_min_power,
-    solve_min_power_search,
-)
+from pinchplace.noma import check_solution, solve_min_power_search
 from pinchplace.oracle import GridSpec, certification_grid
 
 PARAMS = SystemParams.default()
@@ -32,8 +29,23 @@ OMA_CENTRE_TOTAL = 0.0011881324429778488
 NOMA_GAP = 0.0008915806170096084
 
 
+def _one(layout):
+    return LayoutBlock.from_layouts([layout])
+
+
+def _noma_savings(block, rate_nats):
+    """Centre-antenna time sharing's total power minus pinching NOMA's, for each pair of a block.
+
+    The baseline serves each user in its own slot from a centre-fixed antenna,
+    so it pays the e^{2R} SNR price on both squared distances; NOMA pays e^R
+    once and moves the antenna.
+    """
+    return (oma_fairness.conventional_min_total_power(PARAMS, block, rate_nats)
+            - noma.solve_min_power(PARAMS, block, rate_nats).total)
+
+
 def test_closed_form_frozen_case():
-    sol = solve_min_power(PARAMS, ORDERED, 1.0)
+    sol = noma.solve_min_power(PARAMS, _one(ORDERED), 1.0).row(0)
     assert np.isclose(sol.x_star, NOMA_X, rtol=1e-13), f"x {sol.x_star}"
     assert np.isclose(sol.powers[0], NOMA_P1, rtol=1e-12)
     assert np.isclose(sol.powers[1], NOMA_P2, rtol=1e-12)
@@ -60,7 +72,7 @@ def strong_user_margin(layout: UserLayout, rate_nats: float) -> float:
 
 
 def test_margin_frozen_and_grouped_form_agrees():
-    sol = solve_min_power(PARAMS, ORDERED, 1.0)
+    sol = noma.solve_min_power(PARAMS, _one(ORDERED), 1.0).row(0)
     checks = check_solution(PARAMS, ORDERED, sol)
     assert checks.all_ok
     assert np.isclose(checks.sic_distance_margin, NOMA_MARGIN, rtol=1e-12)
@@ -69,13 +81,13 @@ def test_margin_frozen_and_grouped_form_agrees():
 
 
 def test_gap_frozen_case():
-    assert np.isclose(oma_noma_power_gap(PARAMS, ORDERED, 1.0), NOMA_GAP, rtol=1e-12)
+    assert np.isclose(_noma_savings(_one(ORDERED), 1.0)[0], NOMA_GAP, rtol=1e-12)
 
 
 def test_placement_weighting_identity():
     # e^R = 2 turns the placement into a 2:1 interior division point
     lay = UserLayout(((0.0, 1.0), (10.0, 4.0)))
-    sol = solve_min_power(PARAMS, lay, math.log(2.0))
+    sol = noma.solve_min_power(PARAMS, _one(lay), math.log(2.0)).row(0)
     assert np.isclose(sol.x_star, 10.0 / 3.0, rtol=1e-15)
 
 
@@ -88,7 +100,7 @@ def test_rates_meet_target_exactly():
             (float(gen.uniform(-20, 20)), float(ys[1] * np.sign(gen.uniform(-1, 1)))),
         ))
         rate = float(gen.uniform(0.5, 3.0))
-        sol = solve_min_power(PARAMS, lay, rate)
+        sol = noma.solve_min_power(PARAMS, _one(lay), rate).row(0)
         tol = 1e-9 * max(1.0, rate)
         assert abs(sol.rates.strong - rate) <= tol
         assert abs(sol.rates.weak - rate) <= tol
@@ -100,7 +112,7 @@ def test_rates_meet_target_exactly():
 def test_users_with_the_same_x_keep_the_placement_between_them():
     # the weighted mean (x2 + e^R x1) / (e^R + 1) rounds one ulp above 0.1 here
     lay = UserLayout(((0.1, 1.0), (0.1, -2.0)))
-    sol = solve_min_power(PARAMS, lay, math.log(2.0))
+    sol = noma.solve_min_power(PARAMS, _one(lay), math.log(2.0)).row(0)
     assert sol.x_star == 0.1
     assert check_solution(PARAMS, lay, sol).all_ok
 
@@ -114,7 +126,7 @@ def test_closed_form_matches_search():
                 (float(gen.uniform(-20, 20)), float(ys[0])),
                 (float(gen.uniform(-20, 20)), float(ys[1])),
             ))
-            closed = solve_min_power(PARAMS, lay, rate)
+            closed = noma.solve_min_power(PARAMS, _one(lay), rate).row(0)
             search = solve_min_power_search(PARAMS, lay, rate, SEARCH_GRID)
             rel = abs(closed.total - search.total) / search.total
             assert rel <= 1e-6, f"R={rate}: closed {closed.total} vs search {search.total}"
@@ -134,7 +146,7 @@ def test_closed_form_is_optimal_below_half_a_nat():
                     (float(gen.uniform(-20, 20)), float(ys[0])),
                     (float(gen.uniform(-20, 20)), float(ys[1])),
                 ))
-                closed = solve_min_power(PARAMS, lay, rate)
+                closed = noma.solve_min_power(PARAMS, _one(lay), rate).row(0)
                 search = solve_min_power_search(PARAMS, lay, rate, grid)
                 gap = certify.relative_gap(closed.total, search.total)
                 assert abs(gap) <= certify.CERT_REL, f"R={rate} {lay.users}: gap {gap}"
@@ -150,7 +162,7 @@ def test_unordered_pair_mirrors_the_ordered_solution():
             ordered = UserLayout(((float(gen.uniform(-20, 20)), float(ys[0])),
                                   (float(gen.uniform(-20, 20)), float(ys[1]))))
             mirrored = UserLayout(ordered.users[::-1])
-            want, got = solve_min_power(PARAMS, ordered, rate), solve_min_power(PARAMS, mirrored, rate)
+            want, got = (noma.solve_min_power(PARAMS, _one(lay), rate).row(0) for lay in (ordered, mirrored))
             assert (want.sic_user, got.sic_user) == (1, 2)
             assert (got.x_star, got.total, got.rates) == (want.x_star, want.total, want.rates)
             assert got.powers == want.powers[::-1]
@@ -158,44 +170,45 @@ def test_unordered_pair_mirrors_the_ordered_solution():
     # equal |y| keeps user 1 as the decoder, whatever the signs
     for y1, y2 in ((2.0, -2.0), (-2.0, 2.0), (0.0, -0.0), (-0.0, 0.0), (0.0, 0.0)):
         tie = UserLayout(((1.0, y1), (5.0, y2)))
-        assert solve_min_power(PARAMS, tie, 1.0).sic_user == 1
+        assert noma.solve_min_power(PARAMS, _one(tie), 1.0).row(0).sic_user == 1
 
 
 def test_non_pairs_rejected():
     with pytest.raises(DomainError):
-        solve_min_power(PARAMS, UserLayout(((0.0, 0.0),)), 1.0)
+        noma.solve_min_power(PARAMS, _one(UserLayout(((0.0, 0.0),))), 1.0)
     with pytest.raises(DomainError):
         solve_min_power_search(PARAMS, UserLayout(((0.0, 0.0),)), 1.0, SEARCH_GRID)
     with pytest.raises(ValueError):
-        solve_min_power(PARAMS, ORDERED, 0.0)
+        noma.solve_min_power(PARAMS, _one(ORDERED), 0.0)
 
 
 def test_min_powers_at_covers_both_constraints():
     # the direct user's power must survive both its own decode and the
     # decoder's decode of it, whichever distance is worse
     for decoder in (0, 1):
-        p_dec, p_dir = min_powers_at(PARAMS, ORDERED, 1.0, 3.0, decoder)
+        (p_dec,), (p_dir,) = noma.min_powers_at(PARAMS, _one(ORDERED), 1.0, 3.0, decoder)
         assert p_dec > 0 and p_dir > 0
         assert p_dir > math.expm1(1.0) * p_dec  # interference stacking
     with pytest.raises(ValueError):
-        min_powers_at(PARAMS, ORDERED, 1.0, 3.0, 2)
+        noma.min_powers_at(PARAMS, _one(ORDERED), 1.0, 3.0, 2)
 
 
 def test_gap_positive_at_high_rate():
     gen = rng.stream(44, rng.DOMAIN_TESTS, 42)
+    layouts = []
     for _ in range(200):
         ys = np.sort(np.abs(gen.uniform(-5, 5, 2)))
-        lay = UserLayout((
+        layouts.append(UserLayout((
             (float(gen.uniform(-20, 20)), float(ys[0])),
             (float(gen.uniform(-20, 20)), float(ys[1])),
-        ))
-        assert oma_noma_power_gap(PARAMS, lay, 3.0) > 0.0
+        )))
+    assert (_noma_savings(LayoutBlock.from_layouts(layouts), 3.0) > 0.0).all()
 
 
 def test_colocated_centre_users_need_half_the_oma_power():
     lay = UserLayout(((0.0, 1.7), (0.0, 1.7)))
     rate = 1.0
-    noma_total = solve_min_power(PARAMS, lay, rate).total
+    noma_total = noma.solve_min_power(PARAMS, _one(lay), rate).row(0).total
     coeff2 = min_power_terms(PARAMS, lay, rate, slots=2).coeff
     tau = 1.7 ** 2 + PARAMS.height_m ** 2
     oma_total = coeff2 * tau * 2.0
@@ -218,13 +231,13 @@ def test_broken_invariants_raise_certification_error(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(noma, "noma_rates", lambda *a, **k: NomaRates(strong=0.0, weak=0.0, sic=0.0))
         with pytest.raises(CertificationError, match="own rates equal the target"):
-            solve_min_power(PARAMS, ORDERED, 1.0)
+            noma.solve_min_power(PARAMS, _one(ORDERED), 1.0)
     with monkeypatch.context() as m:
         m.setattr(noma, "noma_rates", lambda *a, **k: real_rates(*a, **k)._replace(sic=0.0))
         with pytest.raises(CertificationError, match="SIC decode rate"):
-            solve_min_power(PARAMS, ORDERED, 1.0)
+            noma.solve_min_power(PARAMS, _one(ORDERED), 1.0)
     with monkeypatch.context() as m:
         m.setattr(noma, "min_power_terms",
                   lambda *a, **k: MinPowerTerms(coeff=0.0, xs=(0.0, 10.0), floors=(-1e-30, -1e-30)))
         with pytest.raises(CertificationError, match="powers are nonnegative"):
-            solve_min_power(PARAMS, ORDERED, 1.0)
+            noma.solve_min_power(PARAMS, _one(ORDERED), 1.0)

@@ -1,19 +1,15 @@
-"""Max-min fairness and total-power minimization for time-shared downlinks."""
+"""Max-min fairness and total-power minimization for time-shared downlinks.
+
+The solvers take a LayoutBlock; a single layout goes in as a one-row block.
+"""
 
 import numpy as np
 import pytest
 
 from pinchplace import oma_fairness, rng
-from pinchplace.core import (MinPowerTerms, SystemParams, UserLayout, min_power_terms, oma_rate,
+from pinchplace.core import (LayoutBlock, MinPowerTerms, SystemParams, UserLayout, min_power_terms, oma_rate,
                              squared_distance)
 from pinchplace.errors import CertificationError
-from pinchplace.oma_fairness import (
-    conventional_max_min_rate,
-    conventional_min_total_power,
-    pinching_power_saving,
-    solve_max_min_rate,
-    solve_min_total_power,
-)
 from pinchplace.oracle import GridSpec, grid_optimize
 
 PARAMS = SystemParams.default()
@@ -29,6 +25,10 @@ POWERMIN_CONV = 0.01779499854295507
 POWERMIN_SAVING = 2.978940428377372e-05
 
 
+def _one(layout):
+    return LayoutBlock.from_layouts([layout])
+
+
 def _random_layout(gen, m):
     return UserLayout(tuple(
         (float(x), float(y))
@@ -37,7 +37,7 @@ def _random_layout(gen, m):
 
 
 def test_max_min_frozen_case():
-    sol = solve_max_min_rate(PARAMS, LAYOUT3, 0.1)
+    sol = oma_fairness.solve_max_min_rate(PARAMS, _one(LAYOUT3), 0.1).row(0)
     assert np.isclose(sol.x_star, MAXMIN_X, rtol=1e-14)
     assert np.isclose(sol.objective, MAXMIN_RATE, rtol=1e-12), f"rate {sol.objective}"
     assert np.allclose(sol.powers, MAXMIN_POWERS, rtol=1e-12)
@@ -50,7 +50,7 @@ def test_max_min_rates_are_equalized():
         m = int(gen.integers(2, 7))
         lay = _random_layout(gen, m)
         p = float(gen.uniform(1e-4, 10.0))
-        sol = solve_max_min_rate(PARAMS, lay, p)
+        sol = oma_fairness.solve_max_min_rate(PARAMS, _one(lay), p).row(0)
         rates = [
             oma_rate(PARAMS, pw, squared_distance(x, y, sol.x_star, PARAMS.height_m), m)
             for pw, (x, y) in zip(sol.powers, lay.users)
@@ -65,8 +65,8 @@ def test_max_min_beats_centre_antenna():
     for _ in range(150):
         lay = _random_layout(gen, int(gen.integers(2, 7)))
         p = float(gen.uniform(1e-4, 10.0))
-        moved = solve_max_min_rate(PARAMS, lay, p).objective
-        fixed = conventional_max_min_rate(PARAMS, lay, p)
+        moved = oma_fairness.solve_max_min_rate(PARAMS, _one(lay), p).row(0).objective
+        fixed = oma_fairness.conventional_max_min_rate(PARAMS, _one(lay), p)[0]
         assert moved >= fixed - 1e-15, f"{moved} < {fixed}"
 
 
@@ -77,7 +77,7 @@ def test_max_min_matches_grid_oracle():
         m = int(gen.integers(2, 6))
         lay = _random_layout(gen, m)
         p = float(gen.uniform(1e-3, 10.0))
-        sol = solve_max_min_rate(PARAMS, lay, p)
+        sol = oma_fairness.solve_max_min_rate(PARAMS, _one(lay), p).row(0)
 
         def oracle_rate(xs):
             tau_sum = sum(
@@ -92,21 +92,21 @@ def test_max_min_matches_grid_oracle():
 
 def test_max_min_input_validation():
     with pytest.raises(ValueError):
-        solve_max_min_rate(PARAMS, LAYOUT3, 0.0)
+        oma_fairness.solve_max_min_rate(PARAMS, _one(LAYOUT3), 0.0)
     with pytest.raises(ValueError):
-        solve_max_min_rate(PARAMS, UserLayout(((50.0, 0.0),)), 1.0)
+        oma_fairness.solve_max_min_rate(PARAMS, _one(UserLayout(((50.0, 0.0),))), 1.0)
     with pytest.raises(ValueError):
-        conventional_max_min_rate(PARAMS, LAYOUT3, -1.0)
+        oma_fairness.conventional_max_min_rate(PARAMS, _one(LAYOUT3), -1.0)
 
 
 def test_power_min_frozen_case():
-    sol = solve_min_total_power(PARAMS, LAYOUT3, 1.25)
+    sol = oma_fairness.solve_min_total_power(PARAMS, _one(LAYOUT3), 1.25).row(0)
     assert np.isclose(sol.x_star, MAXMIN_X, rtol=1e-14)  # same mean-point placement
     assert np.isclose(sol.objective, POWERMIN_TOTAL, rtol=1e-12), f"total {sol.objective}"
     assert np.allclose(sol.powers, POWERMIN_POWERS, rtol=1e-12)
-    assert np.isclose(conventional_min_total_power(PARAMS, LAYOUT3, 1.25),
+    assert np.isclose(oma_fairness.conventional_min_total_power(PARAMS, _one(LAYOUT3), 1.25)[0],
                       POWERMIN_CONV, rtol=1e-12)
-    assert np.isclose(pinching_power_saving(PARAMS, LAYOUT3, 1.25),
+    assert np.isclose(oma_fairness.pinching_power_saving(PARAMS, _one(LAYOUT3), 1.25)[0],
                       POWERMIN_SAVING, rtol=1e-12)
 
 
@@ -116,7 +116,7 @@ def test_power_min_meets_rate_exactly():
         m = int(gen.integers(2, 7))
         lay = _random_layout(gen, m)
         rate = float(gen.uniform(0.05, 3.0))
-        sol = solve_min_total_power(PARAMS, lay, rate)
+        sol = oma_fairness.solve_min_total_power(PARAMS, _one(lay), rate).row(0)
         for pw, (x, y) in zip(sol.powers, lay.users):
             tau = squared_distance(x, y, sol.x_star, PARAMS.height_m)
             assert np.isclose(oma_rate(PARAMS, pw, tau, m), rate, rtol=1e-12)
@@ -129,7 +129,7 @@ def test_power_min_matches_grid_oracle():
         m = int(gen.integers(2, 6))
         lay = _random_layout(gen, m)
         rate = float(gen.uniform(0.05, 3.0))
-        sol = solve_min_total_power(PARAMS, lay, rate)
+        sol = oma_fairness.solve_min_total_power(PARAMS, _one(lay), rate).row(0)
         terms = min_power_terms(PARAMS, lay, rate, slots=len(lay))
 
         def oracle_total(xs):
@@ -148,9 +148,9 @@ def test_saving_identity_and_sign():
         m = int(gen.integers(2, 7))
         lay = _random_layout(gen, m)
         rate = float(gen.uniform(0.05, 3.0))
-        saving = pinching_power_saving(PARAMS, lay, rate)
-        conv = conventional_min_total_power(PARAMS, lay, rate)
-        pin = solve_min_total_power(PARAMS, lay, rate).objective
+        saving = oma_fairness.pinching_power_saving(PARAMS, _one(lay), rate)[0]
+        conv = oma_fairness.conventional_min_total_power(PARAMS, _one(lay), rate)[0]
+        pin = oma_fairness.solve_min_total_power(PARAMS, _one(lay), rate).row(0).objective
         assert saving >= 0.0
         assert abs(saving - (conv - pin)) <= 1e-12 * conv, (
             f"identity broke: {saving} vs {conv - pin}"
@@ -160,15 +160,15 @@ def test_saving_identity_and_sign():
 def test_saving_vanishes_for_balanced_layouts():
     # mirror-image users put the mean at the centre, so moving buys nothing
     lay = UserLayout(((-7.5, 2.0), (7.5, -3.0)))
-    assert pinching_power_saving(PARAMS, lay, 1.0) == 0.0
-    pin = solve_min_total_power(PARAMS, lay, 1.0).objective
-    conv = conventional_min_total_power(PARAMS, lay, 1.0)
+    assert oma_fairness.pinching_power_saving(PARAMS, _one(lay), 1.0)[0] == 0.0
+    pin = oma_fairness.solve_min_total_power(PARAMS, _one(lay), 1.0).row(0).objective
+    conv = oma_fairness.conventional_min_total_power(PARAMS, _one(lay), 1.0)[0]
     assert np.isclose(pin, conv, rtol=1e-15)
 
 
 def test_single_user_gets_overhead_antenna():
     lay = UserLayout(((-11.25, 4.0),))
-    sol = solve_min_total_power(PARAMS, lay, 1.0)
+    sol = oma_fairness.solve_min_total_power(PARAMS, _one(lay), 1.0).row(0)
     assert sol.x_star == -11.25
     # only the fixed cross-range offset remains
     terms = min_power_terms(PARAMS, lay, 1.0, slots=len(lay))
@@ -179,15 +179,15 @@ def test_broken_invariants_raise_certification_error(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(oma_fairness, "_mean_x", lambda block: np.full(len(block), 100.0))
         with pytest.raises(CertificationError, match="max-min placement lies on the waveguide"):
-            solve_max_min_rate(PARAMS, LAYOUT3, 1.0)
+            oma_fairness.solve_max_min_rate(PARAMS, _one(LAYOUT3), 1.0)
         with pytest.raises(CertificationError, match="power-min placement lies on the waveguide"):
-            solve_min_total_power(PARAMS, LAYOUT3, 1.0)
+            oma_fairness.solve_min_total_power(PARAMS, _one(LAYOUT3), 1.0)
     with monkeypatch.context() as m:
         m.setattr(oma_fairness, "squared_distance", lambda x, y, xa, h: np.where(x < 0, -1.0, 1.0))
         with pytest.raises(CertificationError, match="max-min powers are nonnegative"):
-            solve_max_min_rate(PARAMS, LAYOUT3, 1.0)
+            oma_fairness.solve_max_min_rate(PARAMS, _one(LAYOUT3), 1.0)
     with monkeypatch.context() as m:
         m.setattr(oma_fairness, "min_power_terms",
                   lambda *a, **k: MinPowerTerms(coeff=1.0, xs=(0.0, 0.0, 0.0), floors=(-5.0, 1.0, 1.0)))
         with pytest.raises(CertificationError, match="power-min powers are nonnegative"):
-            solve_min_total_power(PARAMS, LAYOUT3, 1.0)
+            oma_fairness.solve_min_total_power(PARAMS, _one(LAYOUT3), 1.0)

@@ -1,13 +1,14 @@
 """Two-user throughput placement and allocation with per-user rate floors."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from pinchplace import rng
-from pinchplace.core import (LayoutBlock, PlacementSolution, SystemParams, UserLayout, bpcu_to_nats, dbm_to_watt,
-                             min_power_terms, path_gain)
+from pinchplace.core import (LayoutBlock, SystemParams, UserLayout, bpcu_to_nats, dbm_to_watt, min_power_terms,
+                             oma_rate, path_gain, squared_distance)
 from pinchplace.errors import DomainError, Infeasible
 from pinchplace.oma_greedy import (
     CASE_FLOOR_AT_1,
@@ -17,10 +18,8 @@ from pinchplace.oma_greedy import (
     best_placement_search,
     best_placements_high_snr,
     best_placements_search,
-    derivative_roots,
     placements_at,
     split_power,
-    sum_rate,
 )
 from pinchplace.oracle import GridSpec, power_split_sweep
 from pair_geometry import closer_to_near_user
@@ -37,6 +36,23 @@ PIN2_P1 = 0.00019941380273267749
 PIN2_SUM_RATE = 1.5942965289234263
 PIN1_P1 = 0.0002802403921546404
 PIN1_SUM_RATE = 1.095493191662411
+
+
+def _one(layout):
+    return LayoutBlock.from_layouts([layout])
+
+
+def _sum_rate(layout, x, p1, p2):
+    """The two users' time-shared rates at x, added: the independent rate formula."""
+    return sum(oma_rate(PARAMS, p, squared_distance(ux, uy, x, PARAMS.height_m), 2)
+               for p, (ux, uy) in zip((p1, p2), layout.users))
+
+
+def _roots(layouts, height_m=PARAMS.height_m):
+    """Each layout's stationary points of the distance product, read off the high-SNR route's block result."""
+    params = dataclasses.replace(PARAMS, height_m=height_m)
+    found = best_placements_high_snr(params, LayoutBlock.from_layouts(layouts), 1.0, RATE)
+    return [tuple(r for r in row if not math.isnan(r)) for row in found.roots.tolist()]
 
 
 def _sweep_best(layout, total_w, rate_nats, x, points=20001):
@@ -66,7 +82,7 @@ def test_split_interior_frozen():
     assert split.case == CASE_INTERIOR
     assert np.isclose(split.p1, INTERIOR_P1, rtol=1e-12), f"p1 {split.p1}"
     assert np.isclose(split.total, 0.01, rtol=1e-15)
-    got = sum_rate(PARAMS, LAYOUT, -1.0, split)
+    got = _sum_rate(LAYOUT, -1.0, split.p1, split.p2)
     assert np.isclose(got, INTERIOR_SUM_RATE, rtol=1e-12), f"rate {got}"
 
 
@@ -74,14 +90,14 @@ def test_split_pins_user_two_frozen():
     split = split_power(PARAMS, LAYOUT, 5e-4, RATE, -7.9)
     assert split.case == CASE_FLOOR_AT_2
     assert np.isclose(split.p1, PIN2_P1, rtol=1e-12)
-    assert np.isclose(sum_rate(PARAMS, LAYOUT, -7.9, split), PIN2_SUM_RATE, rtol=1e-12)
+    assert np.isclose(_sum_rate(LAYOUT, -7.9, split.p1, split.p2), PIN2_SUM_RATE, rtol=1e-12)
 
 
 def test_split_pins_user_one_frozen():
     split = split_power(PARAMS, LAYOUT, 4e-4, RATE, 5.8)
     assert split.case == CASE_FLOOR_AT_1
     assert np.isclose(split.p1, PIN1_P1, rtol=1e-12)
-    assert np.isclose(sum_rate(PARAMS, LAYOUT, 5.8, split), PIN1_SUM_RATE, rtol=1e-12)
+    assert np.isclose(_sum_rate(LAYOUT, 5.8, split.p1, split.p2), PIN1_SUM_RATE, rtol=1e-12)
 
 
 def test_pinned_user_sits_exactly_at_its_floor_rate():
@@ -132,7 +148,7 @@ def test_split_matches_brute_force_sweep():
         )
         total = floors * float(10.0 ** gen.uniform(0.0, 2.0))
         split = split_power(PARAMS, lay, total, RATE, x)
-        got = sum_rate(PARAMS, lay, x, split)
+        got = _sum_rate(lay, x, split.p1, split.p2)
         _, best = _sweep_best(lay, total, RATE, x)
         assert got >= best - 1e-9, f"split rate {got} below sweep {best}"
 
@@ -144,7 +160,7 @@ def test_search_placement_beats_every_grid_point():
             split = split_power(PARAMS, LAYOUT, 0.01, RATE, float(x))
         except Infeasible:
             continue
-        r = sum_rate(PARAMS, LAYOUT, float(x), split)
+        r = _sum_rate(LAYOUT, float(x), split.p1, split.p2)
         assert sol.objective >= r - 1e-9, f"beaten at x={x}: {r} > {sol.objective}"
 
 
@@ -212,7 +228,9 @@ def test_block_placements_equal_split_power_and_sum_rate_bit_for_bit():
                 assert sol is None
                 infeasible += 1
                 continue
-            assert sol == PlacementSolution(x, (split.p1, split.p2), sum_rate(PARAMS, lay, x, split))
+            assert (sol.x_star, sol.powers) == (x, (split.p1, split.p2))
+            assert sol == placements_at(PARAMS, _one(lay), total, rate, [x]).row(0)
+            assert np.isclose(sol.objective, _sum_rate(lay, x, split.p1, split.p2), rtol=1e-12)
     assert 0 < infeasible < 48 and searched > 0, f"{infeasible} infeasible: the blocks must mix both kinds"
     with pytest.raises(ValueError):
         placements_at(PARAMS, LayoutBlock.from_layouts([LAYOUT]), 0.0, RATE, [0.0])
@@ -222,12 +240,12 @@ def _high_snr_one_candidate_at_a_time(layout, total_w, rate_nats):
     """(x, sum rate, split) of the best high-SNR candidate, tried one by one; None if none is feasible."""
     hl = PARAMS.half_length
     best = None
-    for x in sorted({min(hl, max(-hl, r)) for r in derivative_roots(layout, PARAMS.height_m)} | {-hl, hl}):
+    for x in sorted({min(hl, max(-hl, r)) for r in _roots_one_at_a_time(layout, PARAMS.height_m)} | {-hl, hl}):
         try:
             split = split_power(PARAMS, layout, total_w, rate_nats, x)
         except Infeasible:
             continue
-        value = sum_rate(PARAMS, layout, x, split)
+        value = placements_at(PARAMS, _one(layout), total_w, rate_nats, [x]).objective[0]
         if best is None or value > best[1]:
             best = (x, value, split)
     return best
@@ -261,29 +279,26 @@ def test_block_high_snr_equals_one_layout_calls_bit_for_bit():
 
 
 def test_symmetric_cubic_roots_frozen():
-    lay = UserLayout(((-6.0, 2.0), (6.0, 2.0)))
-    roots = derivative_roots(lay, PARAMS.height_m)
+    (roots,) = _roots([UserLayout(((-6.0, 2.0), (6.0, 2.0)))])
     want = (-math.sqrt(23.0), 0.0, math.sqrt(23.0))
     assert len(roots) == 3
     assert np.allclose(roots, want, rtol=0, atol=1e-9), f"roots {roots}"
 
 
 def test_colocated_users_single_root():
-    lay = UserLayout(((2.5, 1.0), (2.5, 1.0)))
-    roots = derivative_roots(lay, PARAMS.height_m)
+    (roots,) = _roots([UserLayout(((2.5, 1.0), (2.5, 1.0)))])
     assert len(roots) == 1 and np.isclose(roots[0], 2.5, atol=1e-12)
 
 
 def test_root_residuals_vanish():
     gen = rng.stream(33, rng.DOMAIN_TESTS, 31)
-    for _ in range(300):
-        lay = UserLayout(tuple(
-            (float(x), float(y)) for x, y in zip(gen.uniform(-20, 20, 2), gen.uniform(-5, 5, 2))
-        ))
+    layouts = [UserLayout(tuple(
+        (float(x), float(y)) for x, y in zip(gen.uniform(-20, 20, 2), gen.uniform(-5, 5, 2))
+    )) for _ in range(300)]
+    for lay, roots in zip(layouts, _roots(layouts)):
         (x1, y1), (x2, y2) = lay.users
         h2 = PARAMS.height_m ** 2
         a, b = y1 * y1 + h2, y2 * y2 + h2
-        roots = derivative_roots(lay, PARAMS.height_m)
         assert 1 <= len(roots) <= 3
         for r in roots:
             t1 = (r - x1) * (r - x2) * (2.0 * r - x1 - x2)
@@ -294,7 +309,8 @@ def test_root_residuals_vanish():
 
 
 def _roots_one_at_a_time(layout, height_m):
-    """derivative_roots as a scalar loop: each candidate root polished alone, then sorted and deduplicated."""
+    """The distance product's stationary points as a scalar loop: each candidate root polished alone,
+    then sorted and deduplicated."""
     (x1, y1), (x2, y2) = layout.users
     h2 = height_m * height_m
     a, b = y1 * y1 + h2, y2 * y2 + h2
@@ -344,8 +360,7 @@ def test_block_roots_equal_the_scalar_polish_bit_for_bit():
     ]
     counts = set()
     for height in (0.5, PARAMS.height_m, 10.0):
-        for lay in layouts:
-            roots = derivative_roots(lay, height)
+        for lay, roots in zip(layouts, _roots(layouts, height)):
             assert roots == _roots_one_at_a_time(lay, height), lay
             counts.add(len(roots))
     assert counts == {1, 3}, "the layouts must reach both the Cardano and the trigonometric branch"
@@ -360,7 +375,7 @@ def distance_product(layout: UserLayout, height_m: float, x):
 
 def test_roots_are_stationary_points_of_distance_product():
     lay = UserLayout(((-9.0, 1.0), (4.0, -3.5)))
-    for r in derivative_roots(lay, PARAMS.height_m):
+    for r in _roots([lay])[0]:
         eps = 1e-5
         f0 = distance_product(lay, PARAMS.height_m, r)
         fp = (distance_product(lay, PARAMS.height_m, r + eps)

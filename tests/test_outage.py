@@ -108,6 +108,14 @@ def test_monte_carlo_input_validation():
         monte_carlo_outage(PARAMS, 2, 0.0, 1.0, 10, seed=0)
 
 
+def test_underflowing_power_coefficient_never_runs_out_of_budget():
+    # at 1e-320 nats the coefficient underflows to 0 W/m^2; both routes take the limit p = 0
+    assert power_coeff(PARAMS, 1e-320, 2) == 0.0
+    assert closed_form_outage(PARAMS, 1e-320, 1e-3) == 0.0
+    for num_users in (1, 2, 5):
+        assert monte_carlo_outage(PARAMS, num_users, 1e-320, 1e-3, 500, seed=3).probability == 0.0
+
+
 def test_outage_rate_definition():
     assert outage_rate(0.0, 2.0) == 2.0
     assert outage_rate(1.0, 2.0) == 0.0
