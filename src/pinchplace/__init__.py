@@ -11,7 +11,6 @@ from .core import (
     NomaRates,
     PlacementSolution,
     SystemParams,
-    UserLayout,
     bpcu_to_nats,
     dbm_to_watt,
     nats_to_bpcu,
@@ -65,7 +64,6 @@ __all__ = [
     "PinchError",
     "PlacementSolution",
     "SystemParams",
-    "UserLayout",
     "best_placement_high_snr",
     "best_placement_search",
     "bpcu_to_nats",

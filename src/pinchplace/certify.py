@@ -2,7 +2,8 @@
 
 Each check compares a closed-form value with a reference that shares none of
 its algebra (a position grid, a power-split sweep, the NOMA position/order
-search or Monte Carlo) and returns one ``Check`` record.
+search or Monte Carlo) and returns one ``Check`` record.  The instance
+checks take the instance as a one-row LayoutBlock.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import noma, oracle
-from .core import PlacementSolution, SystemParams, UserLayout, path_gain, power_coeff, squared_distance
+from .core import (LayoutBlock, PlacementSolution, SystemParams, one_pair, one_row, path_gain, power_coeff,
+                   squared_distance)
 
 # certification tolerances: closed forms must match their brute-force oracles
 CERT_REL = 1e-9            # max-min / power-min / NOMA objective, relative
@@ -47,40 +49,36 @@ def skipped(name: str, reason: str) -> Check:
     return Check(f"{name} ({reason} skipped)", math.nan, math.nan, math.nan, math.nan, True)
 
 
-def _maxmin_oracle(params: SystemParams, layout: UserLayout, total_w: float) -> float:
-    xs_u, ys_u = layout.xs, layout.ys
-    h = params.height_m
-    g = path_gain(params)
-
-    def objective(xs: np.ndarray) -> np.ndarray:
-        tau_sum = squared_distance(xs_u[None, :], ys_u[None, :], xs[:, None], h).sum(axis=1)
-        return np.log1p(g * total_w / (params.noise_w * tau_sum)) / len(layout)
-
-    grid = oracle.certification_grid(-params.half_length, params.half_length)
-    return oracle.grid_optimize(objective, grid, sense="max")[1]
-
-
-def _powermin_oracle(params: SystemParams, layout: UserLayout, rate_nats: float) -> float:
-    coeff = power_coeff(params, rate_nats, len(layout))
-    xs_u, ys_u = layout.xs, layout.ys
+def _grid_reference(params: SystemParams, block: LayoutBlock, of_tau_sum, sense: str) -> float:
+    """The position grid's best of of_tau_sum(sum over users of the squared distances) for a one-row block."""
+    xs_u, ys_u = one_row(block).xs, block.ys
     h = params.height_m
 
     def objective(xs: np.ndarray) -> np.ndarray:
-        return coeff * squared_distance(
-            xs_u[None, :], ys_u[None, :], xs[:, None], h
-        ).sum(axis=1)
+        return of_tau_sum(squared_distance(xs_u, ys_u, xs[:, None], h).sum(axis=1))
 
     grid = oracle.certification_grid(-params.half_length, params.half_length)
-    return oracle.grid_optimize(objective, grid, sense="min")[1]
+    return oracle.grid_optimize(objective, grid, sense=sense)[1]
+
+
+def _maxmin_oracle(params: SystemParams, block: LayoutBlock, total_w: float) -> float:
+    g, noise_w, num_users = path_gain(params), params.noise_w, block.num_users
+    return _grid_reference(params, block, lambda tau_sum: np.log1p(g * total_w / (noise_w * tau_sum)) / num_users,
+                           "max")
+
+
+def _powermin_oracle(params: SystemParams, block: LayoutBlock, rate_nats: float) -> float:
+    coeff = power_coeff(params, rate_nats, block.num_users)
+    return _grid_reference(params, block, lambda tau_sum: coeff * tau_sum, "min")
 
 
 def _split_sweep_value(
-    params: SystemParams, layout: UserLayout, total_w: float, rate_nats: float, x: float
+    params: SystemParams, block: LayoutBlock, total_w: float, rate_nats: float, x: float
 ) -> float:
     """Best sum rate over a dense sweep of the first user's power at fixed x."""
     coeff = power_coeff(params, rate_nats, 2)
     h = params.height_m
-    (x1, y1), (x2, y2) = layout.users
+    (x1, y1), (x2, y2) = one_pair(block)
     t1 = squared_distance(x1, y1, x, h)
     t2 = squared_distance(x2, y2, x, h)
     g = path_gain(params)
@@ -98,24 +96,24 @@ def _split_sweep_value(
     return oracle.power_split_sweep(evaluator, total_w, spec)[1]
 
 
-def maxmin(params: SystemParams, layout: UserLayout, total_w: float, objective: float) -> Check:
+def maxmin(params: SystemParams, block: LayoutBlock, total_w: float, objective: float) -> Check:
     """The max-min rate (nats) may not fall below the position grid's best."""
-    reference = _maxmin_oracle(params, layout, total_w)
+    reference = _maxmin_oracle(params, block, total_w)
     gap = relative_gap(objective, reference)
     return Check("grid", objective, reference, gap, CERT_REL, math.isfinite(gap) and gap >= -CERT_REL)
 
 
-def powermin(params: SystemParams, layout: UserLayout, rate_nats: float, objective: float) -> Check:
+def powermin(params: SystemParams, block: LayoutBlock, rate_nats: float, objective: float) -> Check:
     """The minimum total power (W) may not exceed the position grid's best."""
-    reference = _powermin_oracle(params, layout, rate_nats)
+    reference = _powermin_oracle(params, block, rate_nats)
     gap = relative_gap(objective, reference)
     return Check("grid", objective, reference, gap, CERT_REL, math.isfinite(gap) and gap <= CERT_REL)
 
 
-def power_sweep(params: SystemParams, layout: UserLayout, total_w: float, rate_nats: float,
+def power_sweep(params: SystemParams, block: LayoutBlock, total_w: float, rate_nats: float,
                 search: PlacementSolution) -> Check:
     """No swept power split at the searched position may beat its KKT split (nats)."""
-    reference = _split_sweep_value(params, layout, total_w, rate_nats, search.x_star)
+    reference = _split_sweep_value(params, block, total_w, rate_nats, search.x_star)
     gap = reference - search.objective
     return Check("power-sweep", search.objective, reference, gap, CERT_SPLIT_NATS, gap <= CERT_SPLIT_NATS)
 
@@ -125,11 +123,11 @@ def fast_below_search(fast: float, search: float) -> Check:
     return Check("fast<=search", fast, search, fast - search, CERT_SPLIT_NATS, fast <= search + CERT_SPLIT_NATS)
 
 
-def noma_search(params: SystemParams, layout: UserLayout, rate_nats: float,
+def noma_search(params: SystemParams, block: LayoutBlock, rate_nats: float,
                 solution: noma.NomaSolution) -> Check:
     """NOMA total power (W) against the position/order search, which it must match."""
     grid = oracle.certification_grid(-params.half_length, params.half_length)
-    reference = noma.solve_min_power_search(params, layout, rate_nats, grid).total
+    reference = noma.solve_min_power_search(params, block, rate_nats, grid).total
     gap = relative_gap(solution.total, reference)
     return Check("search", solution.total, reference, gap, CERT_REL, abs(gap) <= CERT_REL)
 

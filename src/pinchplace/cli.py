@@ -22,11 +22,12 @@ import argparse
 import functools
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
 from . import certify, experiments, noma, oma_fairness, oma_greedy, oracle, outage
-from .core import LayoutBlock, UserLayout, bpcu_to_nats, dbm_to_watt, nats_to_bpcu, watt_to_dbm
+from .core import LayoutBlock, bpcu_to_nats, dbm_to_watt, nats_to_bpcu, watt_to_dbm
 from .errors import CertificationError, ConfigError, Infeasible, ParseError, PinchError
 
 _CONFIG_HELP = """\
@@ -68,7 +69,8 @@ def parse_kv_text(text: str, origin: str) -> dict[str, str]:
     return out
 
 
-def read_layout(path: str) -> UserLayout:
+def read_layout(path: str) -> LayoutBlock:
+    """The instance file's users as a one-row block."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -82,12 +84,15 @@ def read_layout(path: str) -> UserLayout:
         if len(parts) != 2:
             raise ParseError(f"{path}:{lineno}: expected 'x y', got {raw.strip()!r}")
         try:
-            rows.append((float(parts[0]), float(parts[1])))
+            x, y = float(parts[0]), float(parts[1])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: non-numeric coordinate in {raw.strip()!r}") from exc
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ParseError(f"{path}:{lineno}: non-finite coordinate in {raw.strip()!r}")
+        rows.append((x, y))
     if not rows:
         raise ParseError(f"{path}: no users found")
-    return UserLayout(tuple(rows))
+    return LayoutBlock.from_layouts([rows])
 
 
 def _collect_mapping(args: argparse.Namespace) -> dict[str, object]:
@@ -142,13 +147,13 @@ def cmd_maxmin(args: argparse.Namespace) -> int:
     layout = read_layout(args.instance)
     total_w = dbm_to_watt(float(merged["power_dbm"]))
     try:
-        sol = oma_fairness.solve_max_min_rate(params, LayoutBlock.from_layouts([layout]), total_w).row(0)
+        sol = oma_fairness.solve_max_min_rate(params, layout, total_w).row(0)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     rate_bpcu = nats_to_bpcu(sol.objective)
     human = [
-        f"solver: maxmin ({len(layout)} users, P = {float(merged['power_dbm']):.2f} dBm)",
+        f"solver: maxmin ({layout.num_users} users, P = {float(merged['power_dbm']):.2f} dBm)",
         f"placement x* = {sol.x_star:.9g} m",
         f"min rate = {rate_bpcu:.6f} BPCU",
     ]
@@ -170,12 +175,11 @@ def cmd_powermin(args: argparse.Namespace) -> int:
     params = experiments.build_params(merged)
     layout = read_layout(args.instance)
     rate = bpcu_to_nats(float(merged["rate_bpcu"]))
-    one = LayoutBlock.from_layouts([layout])
-    sol = oma_fairness.solve_min_total_power(params, one, rate).row(0)
-    saving = float(oma_fairness.pinching_power_saving(params, one, rate)[0])
+    sol = oma_fairness.solve_min_total_power(params, layout, rate).row(0)
+    saving = float(oma_fairness.pinching_power_saving(params, layout, rate)[0])
 
     human = [
-        f"solver: powermin ({len(layout)} users, target = {float(merged['rate_bpcu']):.4f} BPCU)",
+        f"solver: powermin ({layout.num_users} users, target = {float(merged['rate_bpcu']):.4f} BPCU)",
         f"placement x* = {sol.x_star:.9g} m",
         _power_line("total power", sol.objective),
         _power_line("saving vs centre antenna", saving) if saving > 0 else
@@ -239,19 +243,13 @@ def cmd_greedy(args: argparse.Namespace) -> int:
     grid = oracle.certification_grid(-params.half_length, params.half_length)
 
     search = oma_greedy.best_placement_search(params, layout, total_w, rate, grid)
-    fast = oma_greedy.best_placement_high_snr(params, layout, total_w, rate)
     split = oma_greedy.split_power(params, layout, total_w, rate, search.x_star)
-    rel_gap = (search.objective - fast.solution.objective) / abs(search.objective)
 
     human = [
         f"solver: greedy (P = {float(merged['power_dbm']):.2f} dBm, "
         f"floor = {float(merged['rate_bpcu']):.4f} BPCU)",
         f"search:   x* = {search.x_star:.9g} m, throughput = "
         f"{nats_to_bpcu(search.objective):.6f} BPCU, case = {split.case}",
-        f"fast:     x* = {fast.solution.x_star:.9g} m, throughput = "
-        f"{nats_to_bpcu(fast.solution.objective):.6f} BPCU, case = {fast.allocation_case}",
-        f"stationary points: {[f'{r:.6g}' for r in fast.roots]}",
-        f"search-vs-fast gap = {rel_gap:.3e} rel",
     ]
     report = {
         "solver": "greedy",
@@ -261,20 +259,33 @@ def cmd_greedy(args: argparse.Namespace) -> int:
             "throughput_bpcu": nats_to_bpcu(search.objective),
             "case": split.case,
         },
-        "fast": {
+        "fast": None,
+        "gap_rel": None,
+    }
+    try:
+        fast = oma_greedy.best_placement_high_snr(params, layout, total_w, rate)
+    except Infeasible as exc:  # the cubic's few candidates can all miss a floor that some grid point covers
+        human.append(f"fast:     infeasible ({exc})")
+        fast_check = certify.skipped("fast<=search", "no feasible fast candidate")
+    else:
+        rel_gap = (search.objective - fast.solution.objective) / abs(search.objective)
+        human += [
+            f"fast:     x* = {fast.solution.x_star:.9g} m, throughput = "
+            f"{nats_to_bpcu(fast.solution.objective):.6f} BPCU, case = {fast.allocation_case}",
+            f"stationary points: {[f'{r:.6g}' for r in fast.roots]}",
+            f"search-vs-fast gap = {rel_gap:.3e} rel",
+        ]
+        report["fast"] = {
             "x_star_m": fast.solution.x_star,
             "powers_w": list(fast.solution.powers),
             "throughput_bpcu": nats_to_bpcu(fast.solution.objective),
             "case": fast.allocation_case,
             "roots_m": list(fast.roots),
-        },
-        "gap_rel": rel_gap,
-    }
+        }
+        report["gap_rel"] = rel_gap
+        fast_check = certify.fast_below_search(fast.solution.objective, search.objective)
 
-    checks = [
-        certify.power_sweep(params, layout, total_w, rate, search),
-        certify.fast_below_search(fast.solution.objective, search.objective),
-    ] if args.certify else []
+    checks = [certify.power_sweep(params, layout, total_w, rate, search), fast_check] if args.certify else []
     return _finish(args, report, human, checks, "greedy allocation failed its brute-force check")
 
 
@@ -284,7 +295,7 @@ def cmd_noma(args: argparse.Namespace) -> int:
     layout = read_layout(args.instance)
     rate = bpcu_to_nats(float(merged["rate_bpcu"]))
 
-    sol = noma.solve_min_power(params, LayoutBlock.from_layouts([layout]), rate).row(0)
+    sol = noma.solve_min_power(params, layout, rate).row(0)
     assumptions = noma.check_solution(params, layout, sol)
     strong = sol.sic_user - 1
 
@@ -313,15 +324,15 @@ def cmd_noma(args: argparse.Namespace) -> int:
     return _finish(args, report, human, checks, "NOMA closed form disagreed with the search")
 
 
-def _spot_checks(cfg: experiments.ExperimentConfig, layout: UserLayout, v: float):
-    """Yield (scheme family, check) for each configured family on one layout at sweep value v."""
+def _spot_checks(cfg: experiments.ExperimentConfig, layout: LayoutBlock, v: float):
+    """Yield (scheme family, check) for each configured family on a one-row block at sweep value v."""
     families = {experiments.SCHEMES[s][0].family for s in cfg.schemes}
-    p, rate, one = cfg.params, bpcu_to_nats(cfg.rate_bpcu), LayoutBlock.from_layouts([layout])
+    p, rate = cfg.params, bpcu_to_nats(cfg.rate_bpcu)
     if "oma-maxmin" in families:
-        yield "oma-maxmin", certify.maxmin(p, layout, v, oma_fairness.solve_max_min_rate(p, one, v).row(0).objective)
+        yield "oma-maxmin", certify.maxmin(p, layout, v, oma_fairness.solve_max_min_rate(p, layout, v).row(0).objective)
     if "oma-powermin" in families:
         yield "oma-powermin", certify.powermin(
-            p, layout, v, oma_fairness.solve_min_total_power(p, one, v).row(0).objective)
+            p, layout, v, oma_fairness.solve_min_total_power(p, layout, v).row(0).objective)
     if "oma-greedy" in families:
         try:
             search = oma_greedy.best_placement_search(p, layout, v, rate, cfg.grid)
@@ -330,7 +341,7 @@ def _spot_checks(cfg: experiments.ExperimentConfig, layout: UserLayout, v: float
             check = certify.skipped("power-sweep", "infeasible trial")
         yield "oma-greedy", check
     if "noma" in families:
-        yield "noma", certify.noma_search(p, layout, v, noma.solve_min_power(p, one, v).row(0))
+        yield "noma", certify.noma_search(p, layout, v, noma.solve_min_power(p, layout, v).row(0))
     if "outage" in families:
         if cfg.clustering:  # the closed form and this estimate assume uniform drops
             check = certify.skipped("monte-carlo 3-sigma", "clustered drops")
@@ -347,7 +358,7 @@ def _certify_experiment(cfg: experiments.ExperimentConfig) -> None:
     first_trials = experiments.layout_block(cfg, range(len(cfg.sweep_values)), 0)
     for sweep_idx, sweep_value in enumerate(cfg.sweep_values):
         internal = experiments.internal_sweep_value(cfg.sweep, sweep_value)
-        for family, check in _spot_checks(cfg, first_trials.layout(sweep_idx), internal):
+        for family, check in _spot_checks(cfg, first_trials[sweep_idx:sweep_idx + 1], internal):
             print(_certify_line(check, f"sweep={sweep_value:g} {family} "))
             failures += not check.ok
     if failures:

@@ -70,46 +70,13 @@ class SystemParams:
 
 
 @dataclass(frozen=True)
-class UserLayout:
-    """Positions of the served users as ((x_1, y_1), ..., (x_M, y_M))."""
-
-    users: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.users) == 0:
-            raise ValueError("UserLayout needs at least one user")
-        clean = tuple((float(x), float(y)) for x, y in self.users)
-        if any(not (math.isfinite(x) and math.isfinite(y)) for x, y in clean):
-            raise ValueError("user coordinates must be finite")
-        object.__setattr__(self, "users", clean)
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Iterable[float]]) -> "UserLayout":
-        return cls(tuple((float(p[0]), float(p[1])) for p in (tuple(q) for q in pairs)))
-
-    def __len__(self) -> int:
-        return len(self.users)
-
-    @property
-    def xs(self) -> np.ndarray:
-        return np.array([u[0] for u in self.users], dtype=float)
-
-    @property
-    def ys(self) -> np.ndarray:
-        return np.array([u[1] for u in self.users], dtype=float)
-
-    def validate(self, params: SystemParams) -> None:
-        """Raise ValueError when any user is outside the service area."""
-        LayoutBlock.from_layouts([self]).validate(params)
-
-
-@dataclass(frozen=True)
 class LayoutBlock:
     """B layouts of M users each: user m of layout b sits at (xs[b, m], ys[b, m]).
 
     Both arrays are C-contiguous float64 of shape (B, M).  The block solvers
     take one and return one value per layout (row), each bit for bit what
-    they return for the one-row block of that layout alone; like Python
+    they return for the one-row block of that layout alone (block[i:i + 1]),
+    which is also how a single instance is passed; like Python
     floats, they let a value overflow to inf without a warning.
     """
 
@@ -125,20 +92,29 @@ class LayoutBlock:
         object.__setattr__(self, "ys", ys)
 
     @classmethod
-    def from_layouts(cls, layouts: Iterable[UserLayout]) -> "LayoutBlock":
-        """One row per layout; all layouts must have the same number of users."""
-        pairs = np.array([layout.users for layout in layouts], dtype=float)
+    def from_layouts(cls, layouts: Iterable[Iterable[tuple[float, float]]]) -> "LayoutBlock":
+        """One row per layout, each a sequence of (x, y) users; all layouts must have the same number of users.
+
+        Raises ValueError on no layouts, no users, layouts of unequal size or a user that is no (x, y) pair.
+        """
+        try:
+            pairs = np.array([list(layout) for layout in layouts], dtype=float)
+        except (TypeError, ValueError):  # a layout or user that is not a sequence, or ragged ones
+            pairs = np.empty(0)
+        if pairs.ndim != 3 or pairs.shape[2] != 2 or pairs.size == 0:
+            raise ValueError("LayoutBlock.from_layouts needs one or more equal-sized layouts of (x, y) pairs")
         return cls(pairs[..., 0], pairs[..., 1])
 
     def __len__(self) -> int:
         return self.xs.shape[0]
 
+    def __getitem__(self, rows: slice) -> "LayoutBlock":
+        """The layouts of a slice of rows as a block of their own; block[i:i + 1] is layout i alone."""
+        return LayoutBlock(self.xs[rows], self.ys[rows])
+
     @property
     def num_users(self) -> int:
         return self.xs.shape[1]
-
-    def layout(self, row: int) -> UserLayout:
-        return UserLayout(tuple(zip(self.xs[row].tolist(), self.ys[row].tolist())))
 
     def validate(self, params: SystemParams) -> None:
         """Raise ValueError naming the first user (row by row) outside the service area."""
@@ -183,18 +159,31 @@ class NomaRates(NamedTuple):
     sic: float
 
 
-def user_pair(layout: UserLayout | LayoutBlock):
-    """The two users of a two-user layout as ((x1, y1), (x2, y2)); DomainError for any other count.
+def user_pair(block: LayoutBlock):
+    """The two users of each layout of a block as ((x1, y1), (x2, y2)), each coordinate a (B,) column.
 
-    The coordinates are floats for a UserLayout and (B,) columns for a LayoutBlock.
+    DomainError for any other number of users.
     """
-    if isinstance(layout, LayoutBlock):
-        count, users = layout.num_users, tuple(zip(layout.xs.T, layout.ys.T))
-    else:
-        count, users = len(layout), layout.users
-    if count != 2:
-        raise DomainError(f"this solver serves exactly 2 users, got {count}")
-    return users[0], users[1]
+    if block.num_users != 2:
+        raise DomainError(f"this solver serves exactly 2 users, got {block.num_users}")
+    return (block.xs[:, 0], block.ys[:, 0]), (block.xs[:, 1], block.ys[:, 1])
+
+
+def one_row(block: LayoutBlock) -> LayoutBlock:
+    """block itself when it holds exactly one layout; DomainError for any other row count.
+
+    Every single-instance route takes a one-row block through this check, so
+    a block of several layouts is refused rather than read as its first row.
+    """
+    if len(block) != 1:
+        raise DomainError(f"this route takes a one-row block, got {len(block)} rows")
+    return block
+
+
+def one_pair(block: LayoutBlock) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The two users of a one-row two-user block as float (x, y) pairs (see one_row and user_pair)."""
+    (x1, y1), (x2, y2) = user_pair(one_row(block))
+    return (float(x1[0]), float(y1[0])), (float(x2[0]), float(y2[0]))
 
 
 def libm(fn: Callable[[float], float], values):
@@ -282,7 +271,7 @@ class MinPowerTerms:
         power = coeff * (x - x_m)^2 + floors[m]
     where coeff (W/m^2) scales the along-waveguide offset and floors[m]
     already contains the user's fixed cross-range and height offsets.  xs
-    and floors have shape (M,) for one layout and (B, M) for a block.
+    and floors have the block's (B, M) shape.
     """
 
     coeff: float
@@ -290,19 +279,17 @@ class MinPowerTerms:
     floors: np.ndarray
 
     def powers_at(self, x) -> np.ndarray:
-        """Each user's minimum power with the antenna at x: a float, or one position per row of a block."""
+        """Each user's minimum power with the antenna at x: one position, or one per row of the block."""
         offset = np.expand_dims(x, -1) - self.xs
         return self.coeff * offset * offset + self.floors
 
 
-def min_power_terms(
-    params: SystemParams, layout: UserLayout | LayoutBlock, rate_nats: float, slots: int
-) -> MinPowerTerms:
+def min_power_terms(params: SystemParams, block: LayoutBlock, rate_nats: float, slots: int) -> MinPowerTerms:
     """Invert the rate formula into per-user minimum-power terms (see power_coeff)."""
     coeff = power_coeff(params, rate_nats, slots)
     h2 = params.height_m * params.height_m
-    ys = layout.ys
-    return MinPowerTerms(coeff=coeff, xs=layout.xs, floors=coeff * (ys * ys + h2))
+    ys = block.ys
+    return MinPowerTerms(coeff=coeff, xs=block.xs, floors=coeff * (ys * ys + h2))
 
 
 def dbm_to_watt(dbm: float) -> float:

@@ -347,7 +347,7 @@ def sweep_blocks(config: ExperimentConfig) -> Iterator[LayoutBlock]:
         block = layout_block(config, np.repeat(np.arange(first, first + drawn, dtype=np.uint64), trials),
                              np.tile(np.arange(trials, dtype=np.uint64), drawn))
         for start in range(0, drawn * trials, trials):
-            yield LayoutBlock(block.xs[start:start + trials], block.ys[start:start + trials])
+            yield block[start:start + trials]
 
 
 def layout_digest(block: LayoutBlock) -> str:

@@ -12,8 +12,9 @@ solve_min_power).  A grid search over position and both SIC orders serves as
 the independent reference.
 
 The closed-form solvers take a LayoutBlock of B pairs and return one value
-per pair (row); row i depends on pair i alone.  A caller with one pair passes
-LayoutBlock.from_layouts([layout]) and reads row 0.
+per pair (row); row i depends on pair i alone.  A single pair is a one-row
+block, whose solution is row(0).  The search reference and check_solution
+take one-row blocks only.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from .core import (
     LayoutBlock,
     NomaRates,
     SystemParams,
-    UserLayout,
     libm,
     min_power_terms,
     noma_rates,
+    one_pair,
     power_coeff,
     squared_distance,
     user_pair,
@@ -191,10 +192,8 @@ def solve_min_power(params: SystemParams, block: LayoutBlock, rate_nats: float) 
     )
 
 
-def solve_min_power_search(
-    params: SystemParams, layout: UserLayout, rate_nats: float, spec: GridSpec
-) -> NomaSolution:
-    """Reference route: grid-search the position for both SIC orders.
+def solve_min_power_search(params: SystemParams, block: LayoutBlock, rate_nats: float, spec: GridSpec) -> NomaSolution:
+    """Reference route for a one-row block: grid-search the position for both SIC orders.
 
     No ordering requirement; ties between orders keep the lower-indexed
     decoder.  The result carries exactly-met constraints at the grid optimum
@@ -202,8 +201,8 @@ def solve_min_power_search(
     """
     if rate_nats <= 0:
         raise ValueError("rate target must be positive")
-    layout.validate(params)
-    pair = user_pair(layout)
+    block.validate(params)
+    pair = one_pair(block)
 
     coeff = power_coeff(params, rate_nats, 1)
     growth = math.exp(rate_nats)
@@ -223,31 +222,17 @@ def solve_min_power_search(
             best = (value, x_opt, decoder)
 
     _, x_star, decoder = best
-    p_dec, p_dir = min_powers_at(params, LayoutBlock.from_layouts([layout]), rate_nats, x_star, decoder)
-    p_dec, p_dir = float(p_dec[0]), float(p_dir[0])
+    p_dec, p_dir = (float(p[0]) for p in min_powers_at(params, block, rate_nats, x_star, decoder))
     (xd, yd), (xo, yo) = pair[decoder], pair[1 - decoder]
-    rates = noma_rates(
-        params,
-        p_strong=p_dec,
-        p_weak=p_dir,
-        sq_dist_strong=squared_distance(xd, yd, x_star, h),
-        sq_dist_weak=squared_distance(xo, yo, x_star, h),
-    )
+    rates = noma_rates(params, p_strong=p_dec, p_weak=p_dir, sq_dist_strong=squared_distance(xd, yd, x_star, h),
+                       sq_dist_weak=squared_distance(xo, yo, x_star, h))
     powers = (p_dec, p_dir) if decoder == 0 else (p_dir, p_dec)
-    return NomaSolution(
-        x_star=x_star,
-        powers=powers,
-        sic_user=decoder + 1,
-        rates=rates,
-        total=p_dec + p_dir,
-    )
+    return NomaSolution(x_star=x_star, powers=powers, sic_user=decoder + 1, rates=rates, total=p_dec + p_dir)
 
 
-def check_solution(
-    params: SystemParams, layout: UserLayout, solution: NomaSolution
-) -> AssumptionChecks:
-    """Check the closed form's working assumptions on an actual solution."""
-    pair = user_pair(layout)
+def check_solution(params: SystemParams, block: LayoutBlock, solution: NomaSolution) -> AssumptionChecks:
+    """Check the closed form's working assumptions on the solution of a one-row block."""
+    pair = one_pair(block)
     decoder = solution.sic_user - 1
     (xd, yd), (xo, yo) = pair[decoder], pair[1 - decoder]
     x = solution.x_star

@@ -12,8 +12,8 @@ equalize every rate; for power minimization each user gets exactly the power
 that meets its target.
 
 Every solver takes a LayoutBlock of B layouts and returns one value per
-layout (row); row i depends on layout i alone.  A caller with one layout
-passes LayoutBlock.from_layouts([layout]) and reads row 0.
+layout (row); row i depends on layout i alone.  A single layout is a one-row
+block, and its value is row 0.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (LayoutBlock, PlacementSolution, SystemParams, UserLayout, libm, path_gain, power_coeff,
+from .core import (LayoutBlock, PlacementSolution, SystemParams, libm, one_row, path_gain, power_coeff,
                    squared_distance, user_pair)
 from .errors import Infeasible
 from .oracle import GridSpec, grid_optimize, grid_optimize_rows
@@ -130,13 +130,13 @@ def _budget(total_w: float) -> None:
         raise ValueError("total power budget must be positive")
 
 
-def split_power(params: SystemParams, layout: UserLayout, total_w: float, rate_nats: float, x: float) -> PowerSplit:
-    """Optimal two-user power split at antenna position x (the three cases of _kkt).
+def split_power(params: SystemParams, block: LayoutBlock, total_w: float, rate_nats: float, x: float) -> PowerSplit:
+    """Optimal two-user power split of a one-row block at antenna position x (the three cases of _kkt).
 
     Raises Infeasible when the budget cannot cover both floors.
     """
     _budget(total_w)
-    columns = _columns(params, LayoutBlock.from_layouts([layout]))
+    columns = _columns(params, one_row(block))
     p1, p2, pin_2, pin_1, rate = (v.item() for v in _splits(params, columns, total_w, rate_nats, [[x]]))
     if rate == -math.inf:
         raise Infeasible(f"budget {total_w} W cannot cover both rate floors at x = {x}")
@@ -196,18 +196,14 @@ def best_placements_search(
 
 
 def best_placement_search(
-    params: SystemParams,
-    layout: UserLayout,
-    total_w: float,
-    rate_nats: float,
-    spec: GridSpec,
+    params: SystemParams, block: LayoutBlock, total_w: float, rate_nats: float, spec: GridSpec
 ) -> PlacementSolution:
-    """Certified route: grid search over x with the closed-form split at each point.
+    """Certified route for a one-row block: grid search over x with the closed-form split at each point.
 
     Raises Infeasible when no grid point can cover both rate floors.
     """
     _budget(total_w)
-    columns = _columns(params, LayoutBlock.from_layouts([layout]))
+    columns = _columns(params, one_row(block))
     curve = _curves(params, columns, total_w, rate_nats)
     x_best, _ = grid_optimize(lambda xs: curve(0, xs), spec, sense="max", skip_nonfinite=True)
     return _placed(params, columns, total_w, rate_nats, [x_best]).row(0)
@@ -330,13 +326,10 @@ def best_placements_high_snr(
 
 
 def best_placement_high_snr(
-    params: SystemParams,
-    layout: UserLayout,
-    total_w: float,
-    rate_nats: float,
+    params: SystemParams, block: LayoutBlock, total_w: float, rate_nats: float
 ) -> RootPlacement:
-    """Fast route: place the antenna at the best stationary point of the
-    distance product, falling back to the interval endpoints.
+    """Fast route for a one-row block: place the antenna at the best stationary
+    point of the distance product, falling back to the interval endpoints.
 
     Exact when the budget is large enough that the interior split wins
     everywhere (the sum rate then decreases in the distance product); at
@@ -344,7 +337,7 @@ def best_placement_high_snr(
     reference.  The winning candidate and its allocation case are recorded so
     callers can see when the high-power premise did not hold.
     """
-    found = best_placements_high_snr(params, LayoutBlock.from_layouts([layout]), total_w, rate_nats).row(0)
+    found = best_placements_high_snr(params, one_row(block), total_w, rate_nats).row(0)
     if found is None:
         raise Infeasible("no candidate position can cover both rate floors")
     return found

@@ -2,13 +2,13 @@
 
 
 def closer_to_near_user(layout, x_star: float, slack: float = 1e-9) -> bool:
-    """Whether the placement sides with the user nearer the waveguide.
+    """Whether the placement sides with the user nearer the waveguide; layout is ((x1, y1), (x2, y2)).
 
     The throughput-optimal position is never farther (along x) from the user
     with the smaller |y| than from the other one.  Ties in |y| require
     equality within slack.
     """
-    (x1, y1), (x2, y2) = layout.users
+    (x1, y1), (x2, y2) = layout
     d1 = abs(x_star - x1)
     d2 = abs(x_star - x2)
     ok = True

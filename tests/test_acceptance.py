@@ -14,13 +14,12 @@ import numpy as np
 
 from pinchplace import noma, oma_fairness, rng
 from pinchplace.core import (
-    LayoutBlock,
     SystemParams,
-    UserLayout,
     bpcu_to_nats,
     dbm_to_watt,
     min_power_terms,
     nats_to_bpcu,
+    one_pair,
     path_gain,
     squared_distance,
 )
@@ -43,8 +42,9 @@ def _report(num, ok, detail):
 
 
 def _layouts(gen, count, sizes):
+    """count one-row blocks, drawn one after the other from gen."""
     for i in range(count):
-        yield sample_layout(sizes[i % len(sizes)], PARAMS, False, gen).layout(0)
+        yield sample_layout(sizes[i % len(sizes)], PARAMS, False, gen)
 
 
 class _Successive:
@@ -77,14 +77,14 @@ def test_c01_maxmin_certified_against_grid_oracle():
     worst = -math.inf
     for lay in _layouts(gen, 1000, (2, 3, 5)):
         total_w = dbm_to_watt(float(gen.uniform(0.0, 40.0)))
-        sol = oma_fairness.solve_max_min_rate(PARAMS, LayoutBlock.from_layouts([lay]), total_w).row(0)
-        xs_u, ys_u = lay.xs, lay.ys
+        sol = oma_fairness.solve_max_min_rate(PARAMS, lay, total_w).row(0)
+        xs_u, ys_u = lay.xs[0], lay.ys[0]
 
         def oracle(xs):
             tau_sum = squared_distance(
                 xs_u[None, :], ys_u[None, :], xs[:, None], PARAMS.height_m
             ).sum(axis=1)
-            return np.log1p(g * total_w / (PARAMS.noise_w * tau_sum)) / len(lay)
+            return np.log1p(g * total_w / (PARAMS.noise_w * tau_sum)) / lay.num_users
 
         _, best = grid_optimize(oracle, spec, sense="max")
         worst = max(worst, (best - sol.objective) / abs(best))
@@ -103,10 +103,10 @@ def test_c02_powermin_certified_against_grid_oracle():
     worst = -math.inf
     for lay in _layouts(gen, 1000, (2, 3, 5)):
         rate = bpcu_to_nats(float(gen.uniform(0.5, 4.0)))
-        sol = oma_fairness.solve_min_total_power(PARAMS, LayoutBlock.from_layouts([lay]), rate).row(0)
-        terms = min_power_terms(PARAMS, lay, rate, slots=len(lay))
-        xs_u = lay.xs
-        floor_sum = sum(terms.floors)
+        sol = oma_fairness.solve_min_total_power(PARAMS, lay, rate).row(0)
+        terms = min_power_terms(PARAMS, lay, rate, slots=lay.num_users)
+        xs_u = lay.xs[0]
+        floor_sum = sum(terms.floors[0])
 
         def oracle(xs):
             return terms.coeff * ((xs[:, None] - xs_u[None, :]) ** 2).sum(axis=1) + floor_sum
@@ -181,12 +181,12 @@ def test_c05_allocation_never_beaten_by_power_sweep():
     for lay in _layouts(gen, 1000, (2,)):
         x = float(gen.uniform(-PARAMS.half_length, PARAMS.half_length))
         coeff = min_power_terms(PARAMS, lay, rate, slots=2).coeff
-        (x1, y1), (x2, y2) = lay.users
+        (x1, y1), (x2, y2) = one_pair(lay)
         h2 = PARAMS.height_m ** 2
         t1 = (x - x1) ** 2 + y1 * y1 + h2
         t2 = (x - x2) ** 2 + y2 * y2 + h2
         total = coeff * (t1 + t2) * float(10.0 ** gen.uniform(0.0, 2.0))
-        got = placements_at(PARAMS, LayoutBlock.from_layouts([lay]), total, rate, [x]).objective[0]
+        got = placements_at(PARAMS, lay, total, rate, [x]).objective[0]
 
         q1, q2 = PARAMS.noise_w * t1 / g, PARAMS.noise_w * t2 / g
         f1, f2 = coeff * t1, coeff * t2
@@ -221,14 +221,14 @@ def test_c06_high_snr_route_matches_search():
                     points=8001, refine_iters=40)
     worst_rel = -math.inf
     worst_resid = 0.0
-    layouts = list(_layouts(gen, 1000, (2,)))
-    searched = best_placements_search(PARAMS, LayoutBlock.from_layouts(layouts), total, rate, spec)
-    for i, lay in enumerate(layouts):
-        slow = searched.row(i)
+    block = _block(2, False, gen, 1000)
+    searched = best_placements_search(PARAMS, block, total, rate, spec)
+    for i in range(len(block)):
+        lay, slow = block[i:i + 1], searched.row(i)
         fast = best_placement_high_snr(PARAMS, lay, total, rate)
         worst_rel = max(worst_rel, (slow.objective - fast.solution.objective) / slow.objective)
 
-        (x1, y1), (x2, y2) = lay.users
+        (x1, y1), (x2, y2) = one_pair(lay)
         h2 = PARAMS.height_m ** 2
         a, b = y1 * y1 + h2, y2 * y2 + h2
         for r in fast.roots:
@@ -282,8 +282,7 @@ def test_c07_minimizer_prefers_near_user():
 
     violations = 0
     for i in range(n):
-        lay = UserLayout(((float(x_u[0, i]), float(y_u[0, i])),
-                          (float(x_u[1, i]), float(y_u[1, i]))))
+        lay = ((float(x_u[0, i]), float(y_u[0, i])), (float(x_u[1, i]), float(y_u[1, i])))
         if not closer_to_near_user(lay, float(x_star[i])):
             violations += 1
     ok = violations == 0
@@ -302,7 +301,7 @@ def test_c08_noma_certified_against_search():
         block = _block(2, False, gen, 1000)
         solved = noma.solve_min_power(PARAMS, block, rate)
         for i in range(len(block)):
-            lay, closed = block.layout(i), solved.row(i)
+            lay, closed = block[i:i + 1], solved.row(i)
             search = solve_min_power_search(PARAMS, lay, rate, spec)
             worst = max(worst, abs(closed.total - search.total) / search.total)
             if not check_solution(PARAMS, lay, closed).all_ok:

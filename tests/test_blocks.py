@@ -2,9 +2,10 @@
 
 Every drop set mixes uniform and clustered drops with degenerate rows:
 coincident users, users on the waveguide (y = 0) and users on the edge of
-the service area.  Row i of a block must equal the one-row block of layout i
-exactly (and the greedy block routes the one-row greedy routes), and a
-broken invariant on any one row must fail the whole block.
+the service area.  Row i of a block must equal the one-row block of layout i,
+block[i:i + 1], exactly (and the greedy block routes the one-row greedy
+routes), a broken invariant on any one row must fail the whole block, and
+every single-instance route must refuse a block of any other row count.
 """
 
 import dataclasses
@@ -15,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pinchplace import experiments, noma, oma_fairness, oma_greedy, rng
+from pinchplace import certify, experiments, noma, oma_fairness, oma_greedy, rng
 from pinchplace.core import (LayoutBlock, NomaRates, SystemParams, bpcu_to_nats, dbm_to_watt, min_power_terms,
                              nats_to_bpcu, path_gain)
-from pinchplace.errors import CertificationError, Infeasible
+from pinchplace.errors import CertificationError, DomainError, Infeasible
 from pinchplace.oracle import GridSpec
 
 PARAMS = SystemParams.default()
@@ -43,12 +44,14 @@ def _drops(num_users: int, seed: int) -> LayoutBlock:
     return LayoutBlock(xs, ys)
 
 
-def _layouts(block: LayoutBlock):
-    return [block.layout(i) for i in range(len(block))]
+def _rows(block: LayoutBlock):
+    """Each layout of a block as its own one-row block, block[i:i + 1]."""
+    return [block[i:i + 1] for i in range(len(block))]
 
 
-def _one(layout) -> LayoutBlock:
-    return LayoutBlock.from_layouts([layout])
+def _users(one: LayoutBlock):
+    """The (x, y) float pairs of a one-row block."""
+    return list(zip(one.xs[0].tolist(), one.ys[0].tolist()))
 
 
 @pytest.mark.parametrize("num_users", [1, 2, 3, 8])
@@ -58,9 +61,9 @@ def test_max_min_blocks_equal_one_layout_solves(num_users, dbm):
     total = dbm_to_watt(dbm)
     solved = oma_fairness.solve_max_min_rate(PARAMS, block, total)
     conventional = oma_fairness.conventional_max_min_rate(PARAMS, block, total)
-    for i, lay in enumerate(_layouts(block)):
-        assert solved.row(i) == oma_fairness.solve_max_min_rate(PARAMS, _one(lay), total).row(0)
-        assert conventional[i] == oma_fairness.conventional_max_min_rate(PARAMS, _one(lay), total)[0]
+    for i, lay in enumerate(_rows(block)):
+        assert solved.row(i) == oma_fairness.solve_max_min_rate(PARAMS, lay, total).row(0)
+        assert conventional[i] == oma_fairness.conventional_max_min_rate(PARAMS, lay, total)[0]
 
 
 @pytest.mark.parametrize("num_users", [1, 2, 3, 8])
@@ -72,11 +75,11 @@ def test_power_min_blocks_equal_one_layout_solves(num_users, rate_bpcu):
     conventional = oma_fairness.conventional_min_total_power(PARAMS, block, rate)
     saving = oma_fairness.pinching_power_saving(PARAMS, block, rate)
     at_centre = min_power_terms(PARAMS, block, rate, slots=num_users).powers_at(0.0)
-    for i, lay in enumerate(_layouts(block)):
-        assert solved.row(i) == oma_fairness.solve_min_total_power(PARAMS, _one(lay), rate).row(0)
-        assert conventional[i] == oma_fairness.conventional_min_total_power(PARAMS, _one(lay), rate)[0]
-        assert saving[i] == oma_fairness.pinching_power_saving(PARAMS, _one(lay), rate)[0]
-        assert tuple(at_centre[i]) == tuple(min_power_terms(PARAMS, lay, rate, slots=num_users).powers_at(0.0))
+    for i, lay in enumerate(_rows(block)):
+        assert solved.row(i) == oma_fairness.solve_min_total_power(PARAMS, lay, rate).row(0)
+        assert conventional[i] == oma_fairness.conventional_min_total_power(PARAMS, lay, rate)[0]
+        assert saving[i] == oma_fairness.pinching_power_saving(PARAMS, lay, rate)[0]
+        assert tuple(at_centre[i]) == tuple(min_power_terms(PARAMS, lay, rate, slots=num_users).powers_at(0.0)[0])
 
 
 @pytest.mark.parametrize("rate_bpcu", [0.01, 0.5, 1.0, 4.0])
@@ -89,9 +92,9 @@ def test_noma_blocks_equal_one_layout_solves(rate_bpcu):
     conventional = noma.conventional_min_powers(PARAMS, block, rate)
     assert set(solved.sic_user.tolist()) == {1, 2}
     assert all((solved.sic_user[k::10] == 1).all() for k in (0, 1, 5)) and (solved.sic_user[2::10] == 2).all()
-    for i, lay in enumerate(_layouts(block)):
-        assert solved.row(i) == noma.solve_min_power(PARAMS, _one(lay), rate).row(0)
-        by_decoder = [float(sum(noma.min_powers_at(PARAMS, _one(lay), rate, 0.0, dec))[0]) for dec in (0, 1)]
+    for i, lay in enumerate(_rows(block)):
+        assert solved.row(i) == noma.solve_min_power(PARAMS, lay, rate).row(0)
+        by_decoder = [float(sum(noma.min_powers_at(PARAMS, lay, rate, 0.0, dec))[0]) for dec in (0, 1)]
         assert conventional[i] == min(by_decoder)
 
 
@@ -101,8 +104,8 @@ def test_greedy_blocks_equal_one_layout_solves(dbm):
     total, rate = dbm_to_watt(dbm), bpcu_to_nats(1.0)
     fast = oma_greedy.best_placements_high_snr(PARAMS, block, total, rate)
     at_centre = oma_greedy.placements_at(PARAMS, block, total, rate, np.zeros(len(block)))
-    for i, lay in enumerate(_layouts(block)):
-        alone = oma_greedy.best_placements_high_snr(PARAMS, _one(lay), total, rate)
+    for i, lay in enumerate(_rows(block)):
+        alone = oma_greedy.best_placements_high_snr(PARAMS, lay, total, rate)
         assert fast.roots[i].tobytes() == alone.roots[0].tobytes()
         try:
             want = oma_greedy.best_placement_high_snr(PARAMS, lay, total, rate)
@@ -110,16 +113,15 @@ def test_greedy_blocks_equal_one_layout_solves(dbm):
             want = None
         assert fast.row(i) == want
         centre = at_centre.row(i)
-        assert centre == oma_greedy.placements_at(PARAMS, _one(lay), total, rate, [0.0]).row(0)
+        assert centre == oma_greedy.placements_at(PARAMS, lay, total, rate, [0.0]).row(0)
         if centre is not None:
             split = oma_greedy.split_power(PARAMS, lay, total, rate, 0.0)
             assert centre.powers == (split.p1, split.p2)
 
 
-def _one_layout_metric(name, lay, value, cfg):
-    """The metric of one per-trial scheme on one layout, from direct solver calls on its one-row block."""
+def _one_layout_metric(name, one, value, cfg):
+    """The metric of one per-trial scheme on a one-row block, from direct solver calls."""
     rate = bpcu_to_nats(cfg.rate_bpcu)
-    one = _one(lay)
     if name == "oma-maxmin":
         return nats_to_bpcu(oma_fairness.solve_max_min_rate(PARAMS, one, value).objective[0])
     if name == "oma-maxmin-conv":
@@ -132,9 +134,9 @@ def _one_layout_metric(name, lay, value, cfg):
         return nats_to_bpcu(oma_greedy.placements_at(PARAMS, one, value, rate, [0.0]).objective[0])
     try:
         if name == "oma-greedy":
-            return nats_to_bpcu(oma_greedy.best_placement_search(PARAMS, lay, value, rate, cfg.grid).objective)
+            return nats_to_bpcu(oma_greedy.best_placement_search(PARAMS, one, value, rate, cfg.grid).objective)
         if name == "oma-greedy-highsnr":
-            return nats_to_bpcu(oma_greedy.best_placement_high_snr(PARAMS, lay, value, rate).solution.objective)
+            return nats_to_bpcu(oma_greedy.best_placement_high_snr(PARAMS, one, value, rate).solution.objective)
     except Infeasible:
         return -np.inf
     if name == "noma":
@@ -144,7 +146,7 @@ def _one_layout_metric(name, lay, value, cfg):
     if name == "outage-mc":
         need = oma_fairness.solve_min_total_power(PARAMS, one, rate).powers[0, 0]
     else:
-        need = min_power_terms(PARAMS, lay, rate, slots=len(lay)).powers_at(0.0)[0]
+        need = min_power_terms(PARAMS, one, rate, slots=one.num_users).powers_at(0.0)[0, 0]
     return 0.0 if need >= value else cfg.rate_bpcu
 
 
@@ -157,7 +159,7 @@ def test_scheme_evaluators_equal_one_layout_metrics(name):
     for sweep_value in cfg.sweep_values[::3]:
         value = experiments.internal_sweep_value(cfg.sweep, sweep_value)
         got = np.asarray(evaluator(PARAMS, block, value, cfg), dtype=float).tolist()
-        assert got == [float(_one_layout_metric(name, lay, value, cfg)) for lay in _layouts(block)], sweep_value
+        assert got == [float(_one_layout_metric(name, lay, value, cfg)) for lay in _rows(block)], sweep_value
 
 
 def _leaves(result):
@@ -181,7 +183,7 @@ def _assert_rows_independent(solve, block, *per_row):
     """
     whole = _leaves(solve(block, *per_row))
     for i in range(len(block)):
-        alone = _leaves(solve(_one(block.layout(i)), *(np.asarray(arg)[i:i + 1] for arg in per_row)))
+        alone = _leaves(solve(block[i:i + 1], *(np.asarray(arg)[i:i + 1] for arg in per_row)))
         assert len(alone) == len(whole)
         for got, want in zip(whole, alone):
             assert _bits(got[i]) == _bits(want[0]), f"row {i}"
@@ -245,6 +247,62 @@ def test_pair_rows_depend_on_their_own_layout_only(data, total, rate):
     _assert_rows_independent(lambda b: oma_greedy.best_placements_search(PARAMS, b, total, rate, _PAIR_GRID), block)
 
 
+def _or_none(route, *args):
+    try:
+        return route(*args)
+    except Infeasible:
+        return None
+
+
+@pytest.mark.parametrize("dbm", [0.0, 30.0])
+def test_one_row_greedy_routes_equal_rows_of_their_block_routes_bit_for_bit(dbm):
+    # repr tells every float64 apart (signed zeros included), so equal reprs are equal bits
+    block = _drops(2, 900)[::4]
+    total, rate = dbm_to_watt(dbm), bpcu_to_nats(1.0)
+    searched = oma_greedy.best_placements_search(PARAMS, block, total, rate, _PAIR_GRID)
+    fast = oma_greedy.best_placements_high_snr(PARAMS, block, total, rate)
+    at_centre = oma_greedy.placements_at(PARAMS, block, total, rate, np.zeros(len(block)))
+    for i in range(len(block)):
+        one = block[i:i + 1]
+        assert repr(_or_none(oma_greedy.best_placement_search, PARAMS, one, total, rate, _PAIR_GRID)) == repr(
+            searched.row(i))
+        assert repr(_or_none(oma_greedy.best_placement_high_snr, PARAMS, one, total, rate)) == repr(fast.row(i))
+        split = _or_none(oma_greedy.split_power, PARAMS, one, total, rate, 0.0)
+        centre = at_centre.row(i)
+        assert (split is None) == (centre is None)
+        if split is not None:
+            assert repr((split.p1, split.p2)) == repr(centre.powers)
+
+
+def test_one_row_routes_refuse_any_other_row_count():
+    pairs = _drops(2, 901)
+    total, rate = dbm_to_watt(30.0), bpcu_to_nats(1.0)
+    one = pairs[1:2]
+    search = oma_greedy.best_placement_search(PARAMS, one, total, rate, _PAIR_GRID)
+    closed = noma.solve_min_power(PARAMS, one, rate).row(0)
+    routes = {
+        "certify.maxmin": lambda b: certify.maxmin(PARAMS, b, total, 1.0),
+        "certify.powermin": lambda b: certify.powermin(PARAMS, b, rate, 1.0),
+        "certify.power_sweep": lambda b: certify.power_sweep(PARAMS, b, total, rate, search),
+        "certify.noma_search": lambda b: certify.noma_search(PARAMS, b, rate, closed),
+        "certify._maxmin_oracle": lambda b: certify._maxmin_oracle(PARAMS, b, total),
+        "certify._powermin_oracle": lambda b: certify._powermin_oracle(PARAMS, b, rate),
+        "certify._split_sweep_value": lambda b: certify._split_sweep_value(PARAMS, b, total, rate, 0.0),
+        "noma.solve_min_power_search": lambda b: noma.solve_min_power_search(PARAMS, b, rate, _PAIR_GRID),
+        "noma.check_solution": lambda b: noma.check_solution(PARAMS, b, closed),
+        "oma_greedy.split_power": lambda b: oma_greedy.split_power(PARAMS, b, total, rate, 0.0),
+        "oma_greedy.best_placement_search": lambda b: oma_greedy.best_placement_search(PARAMS, b, total, rate,
+                                                                                        _PAIR_GRID),
+        "oma_greedy.best_placement_high_snr": lambda b: oma_greedy.best_placement_high_snr(PARAMS, b, total, rate),
+    }
+    for name, route in routes.items():
+        route(one)
+        for rows in (pairs[:2], pairs[:0], pairs):
+            with pytest.raises(DomainError, match=f"one-row block, got {len(rows)} rows"):
+                route(rows)
+                pytest.fail(f"{name} took a block of {len(rows)} rows")
+
+
 def test_broken_invariant_on_one_row_fails_the_block(monkeypatch):
     block = _drops(3, 600)
     real_mean = oma_fairness._mean_x
@@ -298,16 +356,16 @@ def test_block_rates_take_log1p_from_the_math_module():
         block = _drops(num_users, 800 + num_users)
         solved = oma_fairness.solve_max_min_rate(PARAMS, block, 0.5)
         conventional = oma_fairness.conventional_max_min_rate(PARAMS, block, 0.5)
-        for i, lay in enumerate(_layouts(block)):
-            for x_star, rate in ((float(lay.xs.mean()), solved.objective[i]), (0.0, conventional[i])):
-                tau_sum = sum((x_star - x) * (x_star - x) + y * y + h2 for x, y in lay.users)
+        for i, lay in enumerate(_rows(block)):
+            for x_star, rate in ((float(lay.xs[0].mean()), solved.objective[i]), (0.0, conventional[i])):
+                tau_sum = sum((x_star - x) * (x_star - x) + y * y + h2 for x, y in _users(lay))
                 assert rate == math.log1p(gain * 0.5 / (noise * tau_sum)) / num_users
     block = _drops(2, 810)
     for rate in np.linspace(0.05, 3.0, 24).tolist():  # the own rates sit at the target, so vary it
         solved = noma.solve_min_power(PARAMS, block, rate)
-        for i, lay in enumerate(_layouts(block)):
+        for i, lay in enumerate(_rows(block)):
             strong = solved.sic_user[i] - 1
-            (x1, y1), (x2, y2) = lay.users[strong], lay.users[1 - strong]
+            (x1, y1), (x2, y2) = _users(lay)[strong], _users(lay)[1 - strong]
             x, p1, p2 = solved.x_star[i], solved.powers[strong][i], solved.powers[1 - strong][i]
             d1, d2 = (x - x1) * (x - x1) + y1 * y1 + h2, (x - x2) * (x - x2) + y2 * y2 + h2
             assert (solved.rates.strong[i], solved.rates.weak[i], solved.rates.sic[i]) == (

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pinchplace import certify, cli, oma_fairness
-from pinchplace.core import PlacementSolution
+from pinchplace.core import LayoutBlock, PlacementSolution
 from pinchplace.errors import ParseError
 
 
@@ -40,7 +40,8 @@ def test_parse_kv_text():
 
 def test_read_layout(inst3):
     lay = cli.read_layout(inst3)
-    assert lay.users == ((-12.5, 3.25), (4.0, -1.5), (9.75, 2.0))
+    assert isinstance(lay, LayoutBlock) and len(lay) == 1
+    assert lay.xs.tolist() == [[-12.5, 4.0, 9.75]] and lay.ys.tolist() == [[3.25, -1.5, 2.0]]
 
 
 def test_read_layout_errors(tmp_path):
@@ -53,6 +54,9 @@ def test_read_layout_errors(tmp_path):
         cli.read_layout(str(bad))
     bad.write_text("# only comments\n")
     with pytest.raises(ParseError, match="no users"):
+        cli.read_layout(str(bad))
+    bad.write_text("1 2\n3 1e400\n")
+    with pytest.raises(ParseError, match="bad.txt:2: non-finite coordinate"):
         cli.read_layout(str(bad))
     with pytest.raises(ParseError, match="cannot read"):
         cli.read_layout(str(tmp_path / "missing.txt"))
@@ -118,6 +122,38 @@ def test_noma_report(tmp_path, capsys):
     assert cli.main(["noma", str(path), "--rate-bpcu", "1", "--certify"]) == 0
     stdout = capsys.readouterr().out
     assert "placement x* = 0.1 m" in stdout and "PASS" in stdout
+
+
+def test_greedy_without_a_feasible_fast_candidate_reports_the_search(tmp_path, capsys):
+    # the search covers both floors near x = 0, but the cubic's only root (-0.599 m) and the
+    # two ends of the waveguide miss one of them, so the fast route has no candidate
+    path = tmp_path / "pair.txt"
+    path.write_text("-1 0\n1 5\n")
+    for dbm in ("-7.30", "-7.25"):
+        out = tmp_path / f"greedy{dbm}.json"
+        argv = ["greedy", str(path), "--rate-bpcu", "1", "--power-dbm", dbm, "--certify", "--out", str(out)]
+        assert cli.main(argv) == 0
+        stdout = capsys.readouterr().out
+        assert "fast:     infeasible (no candidate position can cover both rate floors)" in stdout
+        assert "stationary points" not in stdout and "search-vs-fast gap" not in stdout
+        checks = [line for line in stdout.splitlines() if line.startswith("certify")]
+        assert len(checks) == 2 and all(line.endswith("-> PASS") for line in checks)
+        assert checks[0].startswith("certify power-sweep: gap = ")
+        assert checks[1].startswith("certify fast<=search (no feasible fast candidate skipped)")
+        report = json.loads(out.read_text())
+        assert report["fast"] is None and report["gap_rel"] is None
+        assert report["search"]["throughput_bpcu"] > 2.0 and report["certify"]["pass"] is True
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("command", ["maxmin", "powermin", "greedy", "noma"])
+def test_non_finite_instance_coordinates_exit_2(command, value, tmp_path, capsys):
+    path = tmp_path / "pair.txt"
+    for text in (f"{value} 1\n2 3\n", f"-1 1\n2 {value}\n"):
+        path.write_text(text)
+        assert cli.main([command, str(path), "--certify"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:") and "non-finite coordinate" in err and "Traceback" not in err
 
 
 def test_flag_precedence_over_set_over_config(inst3, tmp_path, capsys):

@@ -7,8 +7,8 @@ import pytest
 
 from pinchplace import core, rng
 from pinchplace.core import (
+    LayoutBlock,
     SystemParams,
-    UserLayout,
     bpcu_to_nats,
     dbm_to_watt,
     min_power_terms,
@@ -19,6 +19,7 @@ from pinchplace.core import (
     squared_distance,
     watt_to_dbm,
 )
+from pinchplace.errors import DomainError
 
 PARAMS = SystemParams.default()
 
@@ -60,26 +61,67 @@ def test_params_reject_nonpositive(field, bad):
 
 
 def test_layout_construction_and_views():
-    lay = UserLayout.from_pairs([[-1, 2], (3.5, -4)])
-    assert len(lay) == 2
-    assert lay.users == ((-1.0, 2.0), (3.5, -4.0))
-    assert np.array_equal(lay.xs, [-1.0, 3.5])
-    assert np.array_equal(lay.ys, [2.0, -4.0])
+    block = LayoutBlock.from_layouts([[[-1, 2], (3.5, -4)], ((0, 0.5), [7, 1])])
+    assert (len(block), block.num_users) == (2, 2)
+    assert block.xs.dtype == float and block.xs.flags.c_contiguous
+    assert np.array_equal(block.xs, [[-1.0, 3.5], [0.0, 7.0]])
+    assert np.array_equal(block.ys, [[2.0, -4.0], [0.5, 1.0]])
+    # a slice of rows is a block of its own; block[i:i + 1] is layout i alone
+    second = block[1:2]
+    assert isinstance(second, LayoutBlock) and len(second) == 1
+    assert np.array_equal(second.xs, [[0.0, 7.0]]) and np.array_equal(second.ys, [[0.5, 1.0]])
+    assert np.array_equal(block[::-1].xs, block.xs[::-1]) and block[::-1].xs.flags.c_contiguous
+    assert len(block[2:]) == 0
+
+
+@pytest.mark.parametrize("layouts", [
+    [],                                  # no layouts
+    [[]],                                # no users
+    [[(0.0, 1.0)], [(0.0, 1.0), (2.0, 3.0)]],  # ragged
+    [[(0.0, 1.0, 2.0)]],                 # not a pair
+    [[(0.0,)]],
+    [[0.0, 1.0]],                        # users that are not sequences
+    [None],
+    [[("x", 1.0)]],
+])
+def test_layout_block_from_layouts_rejects_malformed_input(layouts):
+    with pytest.raises(ValueError, match="from_layouts"):
+        LayoutBlock.from_layouts(layouts)
 
 
 def test_layout_rejects_empty_and_nonfinite():
     with pytest.raises(ValueError):
-        UserLayout(())
-    with pytest.raises(ValueError):
-        UserLayout(((0.0, math.nan),))
+        LayoutBlock.from_layouts([[]])
+    # a block holds any float; validate refuses a non-finite user as outside the area
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="outside"):
+            LayoutBlock.from_layouts([[(0.0, 1.0), (bad, 0.0)]]).validate(PARAMS)
+        with pytest.raises(ValueError, match="outside"):
+            LayoutBlock.from_layouts([[(0.0, bad)]]).validate(PARAMS)
 
 
 def test_layout_validate_bounds():
-    UserLayout(((20.0, 5.0), (-20.0, -5.0))).validate(PARAMS)  # corners are legal
+    LayoutBlock.from_layouts([[(20.0, 5.0), (-20.0, -5.0)]]).validate(PARAMS)  # corners are legal
     with pytest.raises(ValueError, match="outside"):
-        UserLayout(((20.1, 0.0),)).validate(PARAMS)
+        LayoutBlock.from_layouts([[(20.1, 0.0)]]).validate(PARAMS)
     with pytest.raises(ValueError, match="outside"):
-        UserLayout(((0.0, -5.2),)).validate(PARAMS)
+        LayoutBlock.from_layouts([[(0.0, -5.2)]]).validate(PARAMS)
+    with pytest.raises(ValueError, match=r"user 2 at \(0.0, -5.2\)"):  # the first bad user, row by row
+        LayoutBlock.from_layouts([[(0.0, 0.0), (0.0, 0.0)], [(0.0, 0.0), (0.0, -5.2)]]).validate(PARAMS)
+
+
+def test_one_row_and_one_pair_refuse_other_shapes():
+    block = LayoutBlock.from_layouts([[(-1.0, 2.0), (3.5, -4.0)], [(0.0, 0.5), (7.0, 1.0)]])
+    one = block[1:2]
+    assert core.one_row(one) is one
+    assert core.one_pair(block[1:2]) == ((0.0, 0.5), (7.0, 1.0))
+    for rows in (block, block[:0]):
+        with pytest.raises(DomainError, match="one-row block"):
+            core.one_row(rows)
+        with pytest.raises(DomainError, match="one-row block"):
+            core.one_pair(rows)
+    with pytest.raises(DomainError, match="exactly 2 users"):
+        core.one_pair(LayoutBlock.from_layouts([[(0.0, 0.0)]]))
 
 
 def test_squared_distance_scalar_and_broadcast():
@@ -126,13 +168,12 @@ def test_min_power_terms_inverts_the_rate_formula():
     gen = rng.stream(99, rng.DOMAIN_TESTS, 1)
     for _ in range(200):
         m = int(gen.integers(1, 6))
-        lay = UserLayout(tuple((float(x), float(y)) for x, y in
-                               zip(gen.uniform(-20, 20, m), gen.uniform(-5, 5, m))))
+        users = list(zip(gen.uniform(-20, 20, m).tolist(), gen.uniform(-5, 5, m).tolist()))
         rate = float(gen.uniform(0.05, 3.0))
         slots = int(gen.integers(1, 5))
-        terms = min_power_terms(PARAMS, lay, rate, slots)
+        terms = min_power_terms(PARAMS, LayoutBlock.from_layouts([users]), rate, slots)
         x_ant = float(gen.uniform(-20, 20))
-        for (ux, uy), floor in zip(lay.users, terms.floors):
+        for (ux, uy), floor in zip(users, terms.floors[0]):
             p = terms.coeff * (x_ant - ux) ** 2 + floor
             tau = squared_distance(ux, uy, x_ant, PARAMS.height_m)
             back = oma_rate(PARAMS, p, tau, slots)
@@ -140,7 +181,7 @@ def test_min_power_terms_inverts_the_rate_formula():
 
 
 def test_min_power_terms_frozen_coefficients():
-    lay = UserLayout(((0.0, 0.0),))
+    lay = LayoutBlock.from_layouts([[(0.0, 0.0)]])
     # slots = 3 at R = 1.25 nats, and slots = 2 at R = 2.5 BPCU
     assert np.isclose(min_power_terms(PARAMS, lay, 1.25, 3).coeff,
                       5.7195656224845545e-05, rtol=1e-12)
@@ -149,7 +190,7 @@ def test_min_power_terms_frozen_coefficients():
 
 
 def test_min_power_terms_rejects_bad_inputs():
-    lay = UserLayout(((0.0, 0.0),))
+    lay = LayoutBlock.from_layouts([[(0.0, 0.0)]])
     with pytest.raises(ValueError):
         min_power_terms(PARAMS, lay, -0.1, 2)
     with pytest.raises(ValueError):

@@ -81,13 +81,18 @@ def test_axis_defaults():
     assert cfg_rate.sweep_values == tuple(np.linspace(0.5, 4.0, 8))
 
 
+def _users(one):
+    """The (x, y) float pairs of a one-row block."""
+    return list(zip(one.xs[0].tolist(), one.ys[0].tolist()))
+
+
 def test_sample_layout_bounds_and_clustering():
     gen = rng.stream(1, rng.DOMAIN_TESTS, 50)
     for _ in range(100):
-        lay = sample_layout(4, PARAMS, False, gen).layout(0)
-        assert len(lay) == 4
+        lay = sample_layout(4, PARAMS, False, gen)
+        assert (len(lay), lay.num_users) == (1, 4)
         assert np.all(np.abs(lay.xs) <= 20.0) and np.all(np.abs(lay.ys) <= 5.0)
-        clustered = sample_layout(4, PARAMS, True, gen).layout(0)
+        clustered = sample_layout(4, PARAMS, True, gen)
         assert np.all(clustered.xs >= -10.0) and np.all(clustered.xs <= -5.0)
         assert np.all(np.abs(clustered.ys) <= 5.0)
 
@@ -95,7 +100,7 @@ def test_sample_layout_bounds_and_clustering():
 def test_sample_layout_is_a_pure_function_of_the_stream():
     a = sample_layout(3, PARAMS, False, rng.stream(9, rng.DOMAIN_LAYOUTS, 2, 5))
     b = sample_layout(3, PARAMS, False, rng.stream(9, rng.DOMAIN_LAYOUTS, 2, 5))
-    assert len(a) == 1 and a.layout(0).users == b.layout(0).users
+    assert len(a) == 1 and _users(a) == _users(b)
 
 
 def test_internal_sweep_value_units():
@@ -191,14 +196,14 @@ def test_scheme_listing_is_stable():
 
 
 def _digest_per_trial(layouts):
-    return hashlib.sha256(b"".join(np.array(lay.users, dtype=float).tobytes() for lay in layouts)).hexdigest()
+    return hashlib.sha256(b"".join(np.array(users, dtype=float).tobytes() for users in layouts)).hexdigest()
 
 
 @pytest.mark.parametrize("users", [1, 2, 8])
 @pytest.mark.parametrize("clustering", [False, True])
 def test_layout_digest_equals_the_per_trial_digest(users, clustering):
     gen = rng.stream(9, rng.DOMAIN_TESTS, users)
-    layouts = [sample_layout(users, PARAMS, clustering, gen).layout(0) for _ in range(17)]
+    layouts = [_users(sample_layout(users, PARAMS, clustering, gen)) for _ in range(17)]
     assert layout_digest(LayoutBlock.from_layouts(layouts)) == _digest_per_trial(layouts)
 
 
@@ -207,7 +212,7 @@ def test_run_experiment_logs_each_points_layout_digest(caplog):
     with caplog.at_level(logging.DEBUG, logger="pinchplace.experiments"):
         run_experiment(cfg)
     def one_stream_per_trial(sweep_idx):
-        return [sample_layout(2, cfg.params, False, rng.stream(cfg.seed, rng.DOMAIN_LAYOUTS, sweep_idx, t)).layout(0)
+        return [_users(sample_layout(2, cfg.params, False, rng.stream(cfg.seed, rng.DOMAIN_LAYOUTS, sweep_idx, t)))
                 for t in range(5)]
 
     want = [_digest_per_trial(one_stream_per_trial(i)) for i in range(2)]

@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from pinchplace import oma_fairness, rng
-from pinchplace.core import (LayoutBlock, MinPowerTerms, SystemParams, UserLayout, min_power_terms, oma_rate,
-                             squared_distance)
+from pinchplace.core import LayoutBlock, MinPowerTerms, SystemParams, min_power_terms, oma_rate, squared_distance
 from pinchplace.errors import CertificationError
 from pinchplace.oracle import GridSpec, grid_optimize
 
 PARAMS = SystemParams.default()
-LAYOUT3 = UserLayout(((-12.5, 3.25), (4.0, -1.5), (9.75, 2.0)))
+LAYOUT3 = ((-12.5, 3.25), (4.0, -1.5), (9.75, 2.0))
 
 # frozen against a 50-digit reference computation
 MAXMIN_X = 0.4166666666666667
@@ -25,15 +24,13 @@ POWERMIN_CONV = 0.01779499854295507
 POWERMIN_SAVING = 2.978940428377372e-05
 
 
-def _one(layout):
-    return LayoutBlock.from_layouts([layout])
+def _one(users):
+    """The one-row block of one layout's (x, y) users."""
+    return LayoutBlock.from_layouts([users])
 
 
 def _random_layout(gen, m):
-    return UserLayout(tuple(
-        (float(x), float(y))
-        for x, y in zip(gen.uniform(-20, 20, m), gen.uniform(-5, 5, m))
-    ))
+    return tuple((float(x), float(y)) for x, y in zip(gen.uniform(-20, 20, m), gen.uniform(-5, 5, m)))
 
 
 def test_max_min_frozen_case():
@@ -53,11 +50,11 @@ def test_max_min_rates_are_equalized():
         sol = oma_fairness.solve_max_min_rate(PARAMS, _one(lay), p).row(0)
         rates = [
             oma_rate(PARAMS, pw, squared_distance(x, y, sol.x_star, PARAMS.height_m), m)
-            for pw, (x, y) in zip(sol.powers, lay.users)
+            for pw, (x, y) in zip(sol.powers, lay)
         ]
         assert np.allclose(rates, sol.objective, rtol=1e-12), f"unequal rates {rates}"
         assert np.isclose(sum(sol.powers), p, rtol=1e-12)
-        assert np.isclose(sol.x_star, lay.xs.mean(), rtol=0, atol=1e-12)
+        assert np.isclose(sol.x_star, _one(lay).xs.mean(), rtol=0, atol=1e-12)
 
 
 def test_max_min_beats_centre_antenna():
@@ -81,7 +78,7 @@ def test_max_min_matches_grid_oracle():
 
         def oracle_rate(xs):
             tau_sum = sum(
-                squared_distance(x, y, xs, PARAMS.height_m) for x, y in lay.users
+                squared_distance(x, y, xs, PARAMS.height_m) for x, y in lay
             )
             snr = 7.259481705540116e-07 * p / (PARAMS.noise_w * tau_sum)
             return np.log1p(snr) / m
@@ -94,7 +91,7 @@ def test_max_min_input_validation():
     with pytest.raises(ValueError):
         oma_fairness.solve_max_min_rate(PARAMS, _one(LAYOUT3), 0.0)
     with pytest.raises(ValueError):
-        oma_fairness.solve_max_min_rate(PARAMS, _one(UserLayout(((50.0, 0.0),))), 1.0)
+        oma_fairness.solve_max_min_rate(PARAMS, _one(((50.0, 0.0),)), 1.0)
     with pytest.raises(ValueError):
         oma_fairness.conventional_max_min_rate(PARAMS, _one(LAYOUT3), -1.0)
 
@@ -117,7 +114,7 @@ def test_power_min_meets_rate_exactly():
         lay = _random_layout(gen, m)
         rate = float(gen.uniform(0.05, 3.0))
         sol = oma_fairness.solve_min_total_power(PARAMS, _one(lay), rate).row(0)
-        for pw, (x, y) in zip(sol.powers, lay.users):
+        for pw, (x, y) in zip(sol.powers, lay):
             tau = squared_distance(x, y, sol.x_star, PARAMS.height_m)
             assert np.isclose(oma_rate(PARAMS, pw, tau, m), rate, rtol=1e-12)
 
@@ -130,12 +127,12 @@ def test_power_min_matches_grid_oracle():
         lay = _random_layout(gen, m)
         rate = float(gen.uniform(0.05, 3.0))
         sol = oma_fairness.solve_min_total_power(PARAMS, _one(lay), rate).row(0)
-        terms = min_power_terms(PARAMS, lay, rate, slots=len(lay))
+        terms = min_power_terms(PARAMS, _one(lay), rate, slots=len(lay))
 
         def oracle_total(xs):
             return sum(
                 terms.coeff * (xs - x) * (xs - x) + fl
-                for (x, _), fl in zip(lay.users, terms.floors)
+                for (x, _), fl in zip(lay, terms.floors[0])
             )
 
         _, best = grid_optimize(oracle_total, spec, sense="min")
@@ -159,7 +156,7 @@ def test_saving_identity_and_sign():
 
 def test_saving_vanishes_for_balanced_layouts():
     # mirror-image users put the mean at the centre, so moving buys nothing
-    lay = UserLayout(((-7.5, 2.0), (7.5, -3.0)))
+    lay = ((-7.5, 2.0), (7.5, -3.0))
     assert oma_fairness.pinching_power_saving(PARAMS, _one(lay), 1.0)[0] == 0.0
     pin = oma_fairness.solve_min_total_power(PARAMS, _one(lay), 1.0).row(0).objective
     conv = oma_fairness.conventional_min_total_power(PARAMS, _one(lay), 1.0)[0]
@@ -167,12 +164,12 @@ def test_saving_vanishes_for_balanced_layouts():
 
 
 def test_single_user_gets_overhead_antenna():
-    lay = UserLayout(((-11.25, 4.0),))
+    lay = ((-11.25, 4.0),)
     sol = oma_fairness.solve_min_total_power(PARAMS, _one(lay), 1.0).row(0)
     assert sol.x_star == -11.25
     # only the fixed cross-range offset remains
-    terms = min_power_terms(PARAMS, lay, 1.0, slots=len(lay))
-    assert np.isclose(sol.objective, terms.floors[0], rtol=1e-15)
+    terms = min_power_terms(PARAMS, _one(lay), 1.0, slots=len(lay))
+    assert np.isclose(sol.objective, terms.floors[0, 0], rtol=1e-15)
 
 
 def test_broken_invariants_raise_certification_error(monkeypatch):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from pinchplace import rng
-from pinchplace.core import (LayoutBlock, SystemParams, UserLayout, bpcu_to_nats, dbm_to_watt, min_power_terms,
-                             oma_rate, path_gain, squared_distance)
+from pinchplace.core import (LayoutBlock, SystemParams, bpcu_to_nats, dbm_to_watt, min_power_terms, oma_rate,
+                             path_gain, squared_distance)
 from pinchplace.errors import DomainError, Infeasible
 from pinchplace.oma_greedy import (
     CASE_FLOOR_AT_1,
@@ -25,7 +25,7 @@ from pinchplace.oracle import GridSpec, power_split_sweep
 from pair_geometry import closer_to_near_user
 
 PARAMS = SystemParams.default()
-LAYOUT = UserLayout(((-8.0, 2.0), (6.0, -4.0)))
+LAYOUT = ((-8.0, 2.0), (6.0, -4.0))
 RATE = bpcu_to_nats(0.5)
 SEARCH_GRID = GridSpec(lo=-20.0, hi=20.0, points=4001, refine_iters=30)
 
@@ -38,14 +38,19 @@ PIN1_P1 = 0.0002802403921546404
 PIN1_SUM_RATE = 1.095493191662411
 
 
-def _one(layout):
-    return LayoutBlock.from_layouts([layout])
+def _one(users):
+    """The one-row block of one layout's (x, y) users."""
+    return LayoutBlock.from_layouts([users])
+
+
+def _random_pair(gen):
+    return tuple((float(x), float(y)) for x, y in zip(gen.uniform(-20, 20, 2), gen.uniform(-5, 5, 2)))
 
 
 def _sum_rate(layout, x, p1, p2):
     """The two users' time-shared rates at x, added: the independent rate formula."""
     return sum(oma_rate(PARAMS, p, squared_distance(ux, uy, x, PARAMS.height_m), 2)
-               for p, (ux, uy) in zip((p1, p2), layout.users))
+               for p, (ux, uy) in zip((p1, p2), layout))
 
 
 def _roots(layouts, height_m=PARAMS.height_m):
@@ -57,8 +62,8 @@ def _roots(layouts, height_m=PARAMS.height_m):
 
 def _sweep_best(layout, total_w, rate_nats, x, points=20001):
     """Independent check: brute-force the split instead of trusting the cases."""
-    coeff = min_power_terms(PARAMS, layout, rate_nats, slots=2).coeff
-    (x1, y1), (x2, y2) = layout.users
+    coeff = min_power_terms(PARAMS, _one(layout), rate_nats, slots=2).coeff
+    (x1, y1), (x2, y2) = layout
     h2 = PARAMS.height_m ** 2
     t1 = (x - x1) ** 2 + y1 * y1 + h2
     t2 = (x - x2) ** 2 + y2 * y2 + h2
@@ -78,7 +83,7 @@ def _sweep_best(layout, total_w, rate_nats, x, points=20001):
 
 
 def test_split_interior_frozen():
-    split = split_power(PARAMS, LAYOUT, 0.01, RATE, -1.0)
+    split = split_power(PARAMS, _one(LAYOUT), 0.01, RATE, -1.0)
     assert split.case == CASE_INTERIOR
     assert np.isclose(split.p1, INTERIOR_P1, rtol=1e-12), f"p1 {split.p1}"
     assert np.isclose(split.total, 0.01, rtol=1e-15)
@@ -87,14 +92,14 @@ def test_split_interior_frozen():
 
 
 def test_split_pins_user_two_frozen():
-    split = split_power(PARAMS, LAYOUT, 5e-4, RATE, -7.9)
+    split = split_power(PARAMS, _one(LAYOUT), 5e-4, RATE, -7.9)
     assert split.case == CASE_FLOOR_AT_2
     assert np.isclose(split.p1, PIN2_P1, rtol=1e-12)
     assert np.isclose(_sum_rate(LAYOUT, -7.9, split.p1, split.p2), PIN2_SUM_RATE, rtol=1e-12)
 
 
 def test_split_pins_user_one_frozen():
-    split = split_power(PARAMS, LAYOUT, 4e-4, RATE, 5.8)
+    split = split_power(PARAMS, _one(LAYOUT), 4e-4, RATE, 5.8)
     assert split.case == CASE_FLOOR_AT_1
     assert np.isclose(split.p1, PIN1_P1, rtol=1e-12)
     assert np.isclose(_sum_rate(LAYOUT, 5.8, split.p1, split.p2), PIN1_SUM_RATE, rtol=1e-12)
@@ -103,8 +108,8 @@ def test_split_pins_user_one_frozen():
 def test_pinned_user_sits_exactly_at_its_floor_rate():
     g = path_gain(PARAMS)
     for x, p, floor_user in ((-7.9, 5e-4, 2), (5.8, 4e-4, 1)):
-        split = split_power(PARAMS, LAYOUT, p, RATE, x)
-        (x1, y1), (x2, y2) = LAYOUT.users
+        split = split_power(PARAMS, _one(LAYOUT), p, RATE, x)
+        (x1, y1), (x2, y2) = LAYOUT
         h2 = PARAMS.height_m ** 2
         tau = ((x - x1) ** 2 + y1 * y1 + h2, (x - x2) ** 2 + y2 * y2 + h2)
         pw = (split.p1, split.p2)[floor_user - 1]
@@ -115,49 +120,47 @@ def test_pinned_user_sits_exactly_at_its_floor_rate():
 
 def test_split_infeasible_budget():
     with pytest.raises(Infeasible):
-        split_power(PARAMS, LAYOUT, 1e-5, RATE, -1.0)
+        split_power(PARAMS, _one(LAYOUT), 1e-5, RATE, -1.0)
     with pytest.raises(ValueError):
-        split_power(PARAMS, LAYOUT, 0.0, RATE, -1.0)
+        split_power(PARAMS, _one(LAYOUT), 0.0, RATE, -1.0)
 
 
 def test_split_exact_floor_budget_is_feasible():
-    coeff = min_power_terms(PARAMS, LAYOUT, RATE, slots=2).coeff
+    coeff = min_power_terms(PARAMS, _one(LAYOUT), RATE, slots=2).coeff
     h2 = PARAMS.height_m ** 2
     t1 = (-1.0 + 8.0) ** 2 + 4.0 + h2
     t2 = (-1.0 - 6.0) ** 2 + 16.0 + h2
     total = coeff * (t1 + t2)
-    split = split_power(PARAMS, LAYOUT, total, RATE, -1.0)
+    split = split_power(PARAMS, _one(LAYOUT), total, RATE, -1.0)
     assert np.isclose(split.p1 + split.p2, total, rtol=1e-12)
 
 
 def test_split_rejects_non_pairs():
     with pytest.raises(DomainError):
-        split_power(PARAMS, UserLayout(((0.0, 0.0),)), 1.0, RATE, 0.0)
+        split_power(PARAMS, _one(((0.0, 0.0),)), 1.0, RATE, 0.0)
 
 
 def test_split_matches_brute_force_sweep():
     gen = rng.stream(33, rng.DOMAIN_TESTS, 30)
     for _ in range(60):
-        lay = UserLayout(tuple(
-            (float(x), float(y)) for x, y in zip(gen.uniform(-20, 20, 2), gen.uniform(-5, 5, 2))
-        ))
+        lay = _random_pair(gen)
         x = float(gen.uniform(-20, 20))
-        coeff = min_power_terms(PARAMS, lay, RATE, slots=2).coeff
+        coeff = min_power_terms(PARAMS, _one(lay), RATE, slots=2).coeff
         floors = coeff * sum(
-            (x - ux) ** 2 + uy * uy + PARAMS.height_m ** 2 for ux, uy in lay.users
+            (x - ux) ** 2 + uy * uy + PARAMS.height_m ** 2 for ux, uy in lay
         )
         total = floors * float(10.0 ** gen.uniform(0.0, 2.0))
-        split = split_power(PARAMS, lay, total, RATE, x)
+        split = split_power(PARAMS, _one(lay), total, RATE, x)
         got = _sum_rate(lay, x, split.p1, split.p2)
         _, best = _sweep_best(lay, total, RATE, x)
         assert got >= best - 1e-9, f"split rate {got} below sweep {best}"
 
 
 def test_search_placement_beats_every_grid_point():
-    sol = best_placement_search(PARAMS, LAYOUT, 0.01, RATE, SEARCH_GRID)
+    sol = best_placement_search(PARAMS, _one(LAYOUT), 0.01, RATE, SEARCH_GRID)
     for x in np.linspace(-20, 20, 401):
         try:
-            split = split_power(PARAMS, LAYOUT, 0.01, RATE, float(x))
+            split = split_power(PARAMS, _one(LAYOUT), 0.01, RATE, float(x))
         except Infeasible:
             continue
         r = _sum_rate(LAYOUT, float(x), split.p1, split.p2)
@@ -166,14 +169,14 @@ def test_search_placement_beats_every_grid_point():
 
 def test_search_infeasible_everywhere():
     with pytest.raises(Infeasible):
-        best_placement_search(PARAMS, LAYOUT, 1e-7, RATE, SEARCH_GRID)
+        best_placement_search(PARAMS, _one(LAYOUT), 1e-7, RATE, SEARCH_GRID)
     with pytest.raises(Infeasible):
-        best_placement_high_snr(PARAMS, LAYOUT, 1e-7, RATE)
+        best_placement_high_snr(PARAMS, _one(LAYOUT), 1e-7, RATE)
 
 
 def _search_or_none(layout, total_w, rate_nats, spec):
     try:
-        return best_placement_search(PARAMS, layout, total_w, rate_nats, spec)
+        return best_placement_search(PARAMS, _one(layout), total_w, rate_nats, spec)
     except Infeasible:
         return None
 
@@ -183,9 +186,7 @@ def test_block_search_equals_one_layout_searches_bit_for_bit():
     spec = GridSpec(lo=-20.0, hi=20.0, points=2001, refine_iters=24)
     infeasible = 0
     for dbm in (0.0, 10.0, 20.0, 40.0, 60.0):
-        layouts = [UserLayout(tuple(
-            (float(x), float(y)) for x, y in zip(gen.uniform(-20, 20, 2), gen.uniform(-5, 5, 2))
-        )) for _ in range(12)]
+        layouts = _random_pairs(gen, 12)
         total, rate = dbm_to_watt(dbm), bpcu_to_nats(float(gen.uniform(0.5, 2.0)))
         got = best_placements_search(PARAMS, LayoutBlock.from_layouts(layouts), total, rate, spec)
         want = [_search_or_none(lay, total, rate, spec) for lay in layouts]
@@ -194,13 +195,11 @@ def test_block_search_equals_one_layout_searches_bit_for_bit():
     assert 0 < infeasible < 60, f"{infeasible} infeasible layouts: the blocks must mix both kinds"
     empty = LayoutBlock(np.empty((0, 2)), np.empty((0, 2)))
     assert len(best_placements_search(PARAMS, empty, 1.0, RATE, spec).objective) == 0
-    assert best_placements_search(PARAMS, LayoutBlock.from_layouts([LAYOUT]), 1e-7, RATE, spec).row(0) is None
+    assert best_placements_search(PARAMS, _one(LAYOUT), 1e-7, RATE, spec).row(0) is None
 
 
 def _random_pairs(gen, count):
-    return [UserLayout(tuple(
-        (float(x), float(y)) for x, y in zip(gen.uniform(-20, 20, 2), gen.uniform(-5, 5, 2))
-    )) for _ in range(count)]
+    return [_random_pair(gen) for _ in range(count)]
 
 
 def test_block_placements_equal_split_power_and_sum_rate_bit_for_bit():
@@ -223,7 +222,7 @@ def test_block_placements_equal_split_power_and_sum_rate_bit_for_bit():
                 searched += 1
         for lay, x, sol in cases:
             try:
-                split = split_power(PARAMS, lay, total, rate, x)
+                split = split_power(PARAMS, _one(lay), total, rate, x)
             except Infeasible:
                 assert sol is None
                 infeasible += 1
@@ -233,7 +232,7 @@ def test_block_placements_equal_split_power_and_sum_rate_bit_for_bit():
             assert np.isclose(sol.objective, _sum_rate(lay, x, split.p1, split.p2), rtol=1e-12)
     assert 0 < infeasible < 48 and searched > 0, f"{infeasible} infeasible: the blocks must mix both kinds"
     with pytest.raises(ValueError):
-        placements_at(PARAMS, LayoutBlock.from_layouts([LAYOUT]), 0.0, RATE, [0.0])
+        placements_at(PARAMS, _one(LAYOUT), 0.0, RATE, [0.0])
 
 
 def _high_snr_one_candidate_at_a_time(layout, total_w, rate_nats):
@@ -242,7 +241,7 @@ def _high_snr_one_candidate_at_a_time(layout, total_w, rate_nats):
     best = None
     for x in sorted({min(hl, max(-hl, r)) for r in _roots_one_at_a_time(layout, PARAMS.height_m)} | {-hl, hl}):
         try:
-            split = split_power(PARAMS, layout, total_w, rate_nats, x)
+            split = split_power(PARAMS, _one(layout), total_w, rate_nats, x)
         except Infeasible:
             continue
         value = placements_at(PARAMS, _one(layout), total_w, rate_nats, [x]).objective[0]
@@ -264,10 +263,10 @@ def test_block_high_snr_equals_one_layout_calls_bit_for_bit():
             if want is None:
                 assert fast is None
                 with pytest.raises(Infeasible):
-                    best_placement_high_snr(PARAMS, lay, total, rate)
+                    best_placement_high_snr(PARAMS, _one(lay), total, rate)
                 infeasible += 1
                 continue
-            assert fast == best_placement_high_snr(PARAMS, lay, total, rate)
+            assert fast == best_placement_high_snr(PARAMS, _one(lay), total, rate)
             x, value, split = want
             assert (fast.solution.x_star, fast.solution.objective, fast.solution.powers, fast.allocation_case) == (
                 x, value, (split.p1, split.p2), split.case)
@@ -275,28 +274,26 @@ def test_block_high_snr_equals_one_layout_calls_bit_for_bit():
     empty = LayoutBlock(np.empty((0, 2)), np.empty((0, 2)))
     assert len(best_placements_high_snr(PARAMS, empty, 1.0, RATE).solution.x_star) == 0
     with pytest.raises(ValueError):
-        best_placements_high_snr(PARAMS, LayoutBlock.from_layouts([LAYOUT]), 0.0, RATE)
+        best_placements_high_snr(PARAMS, _one(LAYOUT), 0.0, RATE)
 
 
 def test_symmetric_cubic_roots_frozen():
-    (roots,) = _roots([UserLayout(((-6.0, 2.0), (6.0, 2.0)))])
+    (roots,) = _roots([((-6.0, 2.0), (6.0, 2.0))])
     want = (-math.sqrt(23.0), 0.0, math.sqrt(23.0))
     assert len(roots) == 3
     assert np.allclose(roots, want, rtol=0, atol=1e-9), f"roots {roots}"
 
 
 def test_colocated_users_single_root():
-    (roots,) = _roots([UserLayout(((2.5, 1.0), (2.5, 1.0)))])
+    (roots,) = _roots([((2.5, 1.0), (2.5, 1.0))])
     assert len(roots) == 1 and np.isclose(roots[0], 2.5, atol=1e-12)
 
 
 def test_root_residuals_vanish():
     gen = rng.stream(33, rng.DOMAIN_TESTS, 31)
-    layouts = [UserLayout(tuple(
-        (float(x), float(y)) for x, y in zip(gen.uniform(-20, 20, 2), gen.uniform(-5, 5, 2))
-    )) for _ in range(300)]
+    layouts = _random_pairs(gen, 300)
     for lay, roots in zip(layouts, _roots(layouts)):
-        (x1, y1), (x2, y2) = lay.users
+        (x1, y1), (x2, y2) = lay
         h2 = PARAMS.height_m ** 2
         a, b = y1 * y1 + h2, y2 * y2 + h2
         assert 1 <= len(roots) <= 3
@@ -311,7 +308,7 @@ def test_root_residuals_vanish():
 def _roots_one_at_a_time(layout, height_m):
     """The distance product's stationary points as a scalar loop: each candidate root polished alone,
     then sorted and deduplicated."""
-    (x1, y1), (x2, y2) = layout.users
+    (x1, y1), (x2, y2) = layout
     h2 = height_m * height_m
     a, b = y1 * y1 + h2, y2 * y2 + h2
     half = (x2 - x1) / 2.0
@@ -354,9 +351,9 @@ def _roots_one_at_a_time(layout, height_m):
 def test_block_roots_equal_the_scalar_polish_bit_for_bit():
     gen = rng.stream(33, rng.DOMAIN_TESTS, 37)
     layouts = _random_pairs(gen, 300) + [
-        UserLayout(((-6.0, 2.0), (6.0, 2.0))), UserLayout(((2.5, 1.0), (2.5, 1.0))),
-        UserLayout(((-3.0, 0.0), (3.0, 0.0))), UserLayout(((0.0, 0.0), (0.0, 0.0))),
-        UserLayout(((-20.0, 5.0), (20.0, -5.0))), UserLayout(((1.0, 2.0), (1.0, -2.0))),
+        ((-6.0, 2.0), (6.0, 2.0)), ((2.5, 1.0), (2.5, 1.0)),
+        ((-3.0, 0.0), (3.0, 0.0)), ((0.0, 0.0), (0.0, 0.0)),
+        ((-20.0, 5.0), (20.0, -5.0)), ((1.0, 2.0), (1.0, -2.0)),
     ]
     counts = set()
     for height in (0.5, PARAMS.height_m, 10.0):
@@ -366,15 +363,15 @@ def test_block_roots_equal_the_scalar_polish_bit_for_bit():
     assert counts == {1, 3}, "the layouts must reach both the Cardano and the trigonometric branch"
 
 
-def distance_product(layout: UserLayout, height_m: float, x):
+def distance_product(layout, height_m: float, x):
     """Product of the two squared antenna-user distances; broadcasts over x."""
-    (x1, y1), (x2, y2) = layout.users
+    (x1, y1), (x2, y2) = layout
     h2 = height_m * height_m
     return ((x - x1) * (x - x1) + y1 * y1 + h2) * ((x - x2) * (x - x2) + y2 * y2 + h2)
 
 
 def test_roots_are_stationary_points_of_distance_product():
-    lay = UserLayout(((-9.0, 1.0), (4.0, -3.5)))
+    lay = ((-9.0, 1.0), (4.0, -3.5))
     for r in _roots([lay])[0]:
         eps = 1e-5
         f0 = distance_product(lay, PARAMS.height_m, r)
@@ -388,18 +385,16 @@ def test_high_snr_placement_approaches_search():
     total = 10.0  # 40 dBm
     rate = bpcu_to_nats(1.0)
     for _ in range(40):
-        lay = UserLayout(tuple(
-            (float(x), float(y)) for x, y in zip(gen.uniform(-20, 20, 2), gen.uniform(-5, 5, 2))
-        ))
-        fast = best_placement_high_snr(PARAMS, lay, total, rate)
-        slow = best_placement_search(PARAMS, lay, total, rate, SEARCH_GRID)
+        lay = _random_pair(gen)
+        fast = best_placement_high_snr(PARAMS, _one(lay), total, rate)
+        slow = best_placement_search(PARAMS, _one(lay), total, rate, SEARCH_GRID)
         rel = (slow.objective - fast.solution.objective) / slow.objective
         assert rel <= 1e-3, f"fast route {rel:.2e} worse than search"
         assert fast.solution.objective <= slow.objective + 1e-9
 
 
 def test_high_snr_reports_roots_and_case():
-    fast = best_placement_high_snr(PARAMS, LAYOUT, 10.0, RATE)
+    fast = best_placement_high_snr(PARAMS, _one(LAYOUT), 10.0, RATE)
     assert fast.solution.x_star in fast.roots or abs(fast.solution.x_star) == PARAMS.half_length
     assert fast.allocation_case in (CASE_INTERIOR, CASE_FLOOR_AT_1, CASE_FLOOR_AT_2)
 
@@ -410,18 +405,16 @@ def test_placement_sides_with_near_user():
     from pinchplace.oracle import grid_optimize
 
     for _ in range(100):
-        lay = UserLayout(tuple(
-            (float(x), float(y)) for x, y in zip(gen.uniform(-20, 20, 2), gen.uniform(-5, 5, 2))
-        ))
+        lay = _random_pair(gen)
         x_star, _ = grid_optimize(
             lambda xs: distance_product(lay, PARAMS.height_m, xs), spec, sense="min"
         )
         assert closer_to_near_user(lay, x_star), (
-            f"minimizer {x_star} sided with the far user for {lay.users}"
+            f"minimizer {x_star} sided with the far user for {lay}"
         )
 
 
 def test_closer_to_near_user_tie_requires_balance():
-    lay = UserLayout(((-5.0, 3.0), (5.0, -3.0)))  # equal |y|
+    lay = ((-5.0, 3.0), (5.0, -3.0))  # equal |y|
     assert closer_to_near_user(lay, 0.0)
     assert not closer_to_near_user(lay, -4.0)
