@@ -19,6 +19,7 @@ flags override both.  Exit codes: 0 ok, 2 bad config or parse error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import logging
@@ -125,15 +126,26 @@ def _certify_line(check: certify.Check, prefix: str = "") -> str:
             f"{'PASS' if check.ok else 'FAIL'}")
 
 
+def _json_ready(value):
+    """value with every non-finite float (a skipped check's NaN, the inf gap to a zero reference) as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _json_ready(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_ready(item) for item in value]
+    return value
+
+
 def _finish(args: argparse.Namespace, report: dict, human: list[str],
             checks: list[certify.Check], failure: str) -> int:
-    """Print the report and write it to --out with its certification checks; raise if one failed."""
+    """Print the report and write it to --out, as strict JSON, with its certification checks; raise if one failed."""
     if checks:
         human.extend(_certify_line(c) for c in checks)
         report["certify"] = {"pass": all(c.ok for c in checks), "checks": [vars(c) for c in checks]}
     print("\n".join(human))
     if args.out:
-        Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        Path(args.out).write_text(json.dumps(_json_ready(report), indent=2, sort_keys=True, allow_nan=False) + "\n")
     if checks and not report["certify"]["pass"]:
         raise CertificationError(failure)
     return 0
@@ -444,26 +456,52 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@contextlib.contextmanager
+def _debug_to_stderr():
+    """For one call of main, send the package's DEBUG records to sys.stderr as it is for that call.
+
+    Only the pinchplace logger is touched, and only for the call: it stops
+    propagating meanwhile, so a host program's root handlers see no record
+    twice, and its handlers, level and propagation come back afterwards.
+    logging.basicConfig would not do: it does nothing once the root logger
+    has a handler, and force=True would remove the host's handlers.
+    """
+    log = logging.getLogger("pinchplace")
+    saved = log.level, log.propagate
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter(logging.BASIC_FORMAT))
+    log.addHandler(handler)
+    log.setLevel(logging.DEBUG)
+    log.propagate = False
+    try:
+        yield
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(saved[0])
+        log.propagate = saved[1]
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
     # looked up per call, not bound into the cached parser, so that a wrapper
     # installed on a cmd_ function after the first call still runs
     handler = globals()[f"cmd_{args.command}"]
-    try:
-        return handler(args)
-    except (ParseError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Infeasible as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 3
-    except CertificationError as exc:
-        print(f"certification failure: {exc}", file=sys.stderr)
-        return 4
-    except (PinchError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # the package logs only at DEBUG, so without --verbose main leaves logging alone
+    with _debug_to_stderr() if args.verbose else contextlib.nullcontext():
+        try:
+            return handler(args)
+        except (ParseError, ConfigError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except Infeasible as exc:
+            print(f"infeasible: {exc}", file=sys.stderr)
+            return 3
+        except CertificationError as exc:
+            print(f"certification failure: {exc}", file=sys.stderr)
+            return 4
+        except (PinchError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -200,6 +200,40 @@ def libm(fn: Callable[[float], float], values):
     return np.fromiter(map(fn, flat.ravel().tolist()), dtype=float, count=flat.size).reshape(flat.shape)
 
 
+def per_row(value):
+    """A sweep value as a block solver broadcasts it: a float as is, a (B,) column as (B, 1).
+
+    The solvers that take a total power or a rate target accept either one
+    float for every layout of a block or a (B,) column with one value per
+    layout; row i then equals the one-row block of layout i solved with
+    column[i] as a float, bit for bit.
+    """
+    return np.asarray(value)[:, None] if np.ndim(value) else value
+
+
+def first_where(value, flagged) -> float:
+    """The first entry of value (a float or a (B,) column) where the boolean flagged holds."""
+    return float(np.broadcast_to(value, np.shape(flagged))[flagged][0])
+
+
+def require_rows(value, block: LayoutBlock, what: str) -> None:
+    """ValueError unless value is a float or a column with one entry per layout of block (see per_row)."""
+    shape = np.shape(value)
+    if shape and shape != (len(block),):
+        raise ValueError(f"{what} must be a float or a ({len(block)},) column, got shape {shape}")
+
+
+def require_positive(value, block: LayoutBlock, what: str) -> None:
+    """ValueError naming the first entry of value (a float or a (B,) column) that is not positive.
+
+    A column whose length is not the block's also fails (see require_rows).
+    """
+    require_rows(value, block, what)
+    low = value <= 0
+    if np.any(low):
+        raise ValueError(f"{what} must be positive, got {first_where(value, low)!r}")
+
+
 def path_gain(params: SystemParams) -> float:
     """Free-space gain numerator (c / (4 pi f_c))^2, in m^2."""
     quarter_wave_scale = SPEED_OF_LIGHT / (4.0 * math.pi * params.carrier_hz)
@@ -242,24 +276,32 @@ def noma_rates(
     return NomaRates(strong=strong, weak=weak, sic=sic)
 
 
-def power_coeff(params: SystemParams, rate_nats: float, slots: int) -> float:
+def _expm1(value: float) -> float:
+    try:
+        return math.expm1(value)
+    except OverflowError:
+        return math.inf
+
+
+def power_coeff(params: SystemParams, rate_nats, slots: int):
     """Watts per m^2 of squared distance that one user needs to reach rate_nats.
 
     slots is the time-sharing factor: the number of users for OMA schemes
     (each user gets a 1/M slot, so the SNR must hit e^(M R) - 1) and 1 for
-    NOMA, where users transmit simultaneously.  DomainError when the
-    coefficient overflows.
+    NOMA, where users transmit simultaneously.  rate_nats is a float, which
+    gives a float, or a (B,) column, which gives one coefficient per entry.
+    DomainError, naming the first such target, when a coefficient overflows.
     """
-    if rate_nats < 0:
-        raise ValueError("rate target must be nonnegative")
+    low = rate_nats < 0
+    if np.any(low):
+        raise ValueError(f"rate target must be nonnegative, got {first_where(rate_nats, low)!r}")
     if slots < 1:
         raise ValueError("slots must be >= 1")
-    try:
-        coeff = params.noise_w / path_gain(params) * math.expm1(slots * rate_nats)
-    except OverflowError:
-        coeff = math.inf
-    if not math.isfinite(coeff):
-        raise DomainError(f"rate target {rate_nats} nats over {slots} slot(s) needs a non-finite power")
+    coeff = params.noise_w / path_gain(params) * libm(_expm1, slots * rate_nats)
+    overflow = ~np.isfinite(coeff)
+    if np.any(overflow):
+        raise DomainError(f"rate target {first_where(rate_nats, overflow)} nats over {slots} slot(s) "
+                          "needs a non-finite power")
     return coeff
 
 
@@ -271,7 +313,8 @@ class MinPowerTerms:
         power = coeff * (x - x_m)^2 + floors[m]
     where coeff (W/m^2) scales the along-waveguide offset and floors[m]
     already contains the user's fixed cross-range and height offsets.  xs
-    and floors have the block's (B, M) shape.
+    and floors have the block's (B, M) shape; coeff is a float, or (B, 1)
+    for a column of rate targets.
     """
 
     coeff: float
@@ -284,9 +327,10 @@ class MinPowerTerms:
         return self.coeff * offset * offset + self.floors
 
 
-def min_power_terms(params: SystemParams, block: LayoutBlock, rate_nats: float, slots: int) -> MinPowerTerms:
-    """Invert the rate formula into per-user minimum-power terms (see power_coeff)."""
-    coeff = power_coeff(params, rate_nats, slots)
+def min_power_terms(params: SystemParams, block: LayoutBlock, rate_nats, slots: int) -> MinPowerTerms:
+    """Invert the rate formula into per-user minimum-power terms (see power_coeff and per_row)."""
+    require_rows(rate_nats, block, "rate target")
+    coeff = per_row(power_coeff(params, rate_nats, slots))
     h2 = params.height_m * params.height_m
     ys = block.ys
     return MinPowerTerms(coeff=coeff, xs=block.xs, floors=coeff * (ys * ys + h2))

@@ -87,7 +87,7 @@ def _eval_noma_conv(params, block, value, cfg):
     return noma.conventional_min_powers(params, block, value)
 
 
-# Both outage schemes compare user 0's power with the budget: at the mean point and at x = 0.
+# Both outage schemes compare user 0's power with the budget (one per row): at the mean point and at x = 0.
 def _eval_outage_mc(params, block, value, cfg):
     need = oma_fairness.solve_min_total_power(params, block, bpcu_to_nats(cfg.rate_bpcu)).powers[:, 0]
     return np.where(need >= value, 0.0, cfg.rate_bpcu)
@@ -104,8 +104,9 @@ def _eval_outage_analytic(params, layout, value, cfg):
     return nats_to_bpcu(outage.outage_rate(p, bpcu_to_nats(cfg.rate_bpcu)))
 
 
-# Per-trial evaluators map (params, LayoutBlock, internal value, config) to an
-# array of one metric per layout; the sweep-level one maps (params, None,
+# Per-trial evaluators map (params, LayoutBlock, internal values, config) to an
+# array of one metric per layout, where the values are a float or a (B,) column
+# with each layout's own sweep value; the sweep-level one maps (params, None,
 # value, config) to the point's single value.
 SCHEMES: dict[str, tuple[SchemeSpec, Callable]] = {
     "oma-maxmin": (SchemeSpec("oma-maxmin", AXIS_POWER, "min_rate_bpcu", False, True), _eval_maxmin),
@@ -334,20 +335,20 @@ def layout_block(config: ExperimentConfig, sweep_idx, trials) -> LayoutBlock:
     return sample_layout(config.num_users, config.params, config.clustering, streams)
 
 
-def sweep_blocks(config: ExperimentConfig) -> Iterator[LayoutBlock]:
-    """Each sweep point's LayoutBlock, one row per trial, in sweep order.
+def sweep_blocks(config: ExperimentConfig) -> Iterator[tuple[range, LayoutBlock]]:
+    """The sweep's layouts as drawn, in sweep order: (points, block) per draw.
 
     One draw covers as many whole points as one pass of the Philox kernel
-    holds; a point larger than that is drawn alone, one pass per chunk of rows.
+    holds (rng.rows_per_pass); a point larger than that is drawn alone, one
+    pass per chunk of rows.  The block holds trials rows per point: point
+    points[k]'s trials are its rows k * trials to (k + 1) * trials.
     """
     points, trials = len(config.sweep_values), config.trials
     per_draw = max(1, rng.rows_per_pass(2 * config.num_users) // trials)
     for first in range(0, points, per_draw):
-        drawn = min(per_draw, points - first)
-        block = layout_block(config, np.repeat(np.arange(first, first + drawn, dtype=np.uint64), trials),
-                             np.tile(np.arange(trials, dtype=np.uint64), drawn))
-        for start in range(0, drawn * trials, trials):
-            yield block[start:start + trials]
+        drawn = range(first, min(first + per_draw, points))
+        yield drawn, layout_block(config, np.repeat(np.arange(drawn.start, drawn.stop, dtype=np.uint64), trials),
+                                  np.tile(np.arange(trials, dtype=np.uint64), len(drawn)))
 
 
 def layout_digest(block: LayoutBlock) -> str:
@@ -362,34 +363,46 @@ def _format(value: float) -> str:
 def run_experiment(config: ExperimentConfig) -> str:
     """Run the full sweep and return the CSV document as a string.
 
-    Each sweep point's layouts form one LayoutBlock (sweep_blocks), which
-    goes whole to each scheme's evaluator once.
+    Each draw of sweep_blocks goes whole to each per-trial scheme's evaluator
+    once, with a (B,) column that gives every row its own point's internal
+    sweep value; the metric columns are then cut back into points, and each
+    point's lines (and the sweep-level schemes' values) follow in sweep order.
     """
     lines = ["sweep_value,scheme,metric,mean,stderr,trials"]
+    trials = config.trials
+    internal = [internal_sweep_value(config.sweep, v) for v in config.sweep_values]
 
-    for sweep_value, block in zip(config.sweep_values, sweep_blocks(config)):
-        internal = internal_sweep_value(config.sweep, sweep_value)
+    for points, block in sweep_blocks(config):
         if logger.isEnabledFor(logging.DEBUG):
-            logger.debug("sweep %s=%s layouts sha256=%s", config.sweep, sweep_value, layout_digest(block))
-
+            for k, point in enumerate(points):
+                logger.debug("sweep %s=%s layouts sha256=%s", config.sweep, config.sweep_values[point],
+                             layout_digest(block[k * trials:(k + 1) * trials]))
+        values = np.repeat(internal[points.start:points.stop], trials)
+        metrics = {}
         for name in config.schemes:
             spec, evaluator = SCHEMES[name]
-            if not spec.per_trial:
-                mean = evaluator(config.params, None, internal, config)
-                stderr, count = 0.0, 1
-            else:
-                column = np.asarray(evaluator(config.params, block, internal, config), dtype=float)
-                finite = np.isfinite(column)
-                count = int(finite.sum())
-                if count == 0:
-                    mean, stderr = math.nan, math.nan
+            if spec.per_trial:
+                metrics[name] = np.asarray(evaluator(config.params, block, values, config), dtype=float)
+
+        for k, point in enumerate(points):
+            for name in config.schemes:
+                spec, evaluator = SCHEMES[name]
+                if spec.per_trial:
+                    mean, stderr, count = _summary(metrics[name][k * trials:(k + 1) * trials])
                 else:
-                    kept = column[finite]
-                    mean = float(kept.mean())
-                    stderr = float(kept.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
-            lines.append(
-                f"{format(sweep_value, '.10g')},{name},{spec.metric},"
-                f"{_format(mean)},{_format(stderr)},{count}"
-            )
+                    mean, stderr, count = evaluator(config.params, None, internal[point], config), 0.0, 1
+                lines.append(f"{format(config.sweep_values[point], '.10g')},{name},{spec.metric},"
+                             f"{_format(mean)},{_format(stderr)},{count}")
 
     return "\n".join(lines) + "\n"
+
+
+def _summary(column: np.ndarray) -> tuple[float, float, int]:
+    """Mean, standard error and count of a point's finite per-trial metrics (NaN, NaN, 0 for none)."""
+    finite = np.isfinite(column)
+    count = int(finite.sum())
+    if count == 0:
+        return math.nan, math.nan, 0
+    kept = column[finite]
+    stderr = float(kept.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
+    return float(kept.mean()), stderr, count

@@ -13,8 +13,9 @@ the independent reference.
 
 The closed-form solvers take a LayoutBlock of B pairs and return one value
 per pair (row); row i depends on pair i alone.  A single pair is a one-row
-block, whose solution is row(0).  The search reference and check_solution
-take one-row blocks only.
+block, whose solution is row(0).  Their rate target is one float for the
+whole block or a (B,) column with one target per pair.  The search reference
+and check_solution take one-row blocks only.
 """
 
 from __future__ import annotations
@@ -28,11 +29,14 @@ from .core import (
     LayoutBlock,
     NomaRates,
     SystemParams,
+    first_where,
     libm,
     min_power_terms,
     noma_rates,
     one_pair,
     power_coeff,
+    require_positive,
+    require_rows,
     squared_distance,
     user_pair,
 )
@@ -85,7 +89,7 @@ class AssumptionChecks:
 
 
 @np.errstate(over="ignore")
-def min_powers_at(params: SystemParams, block: LayoutBlock, rate_nats: float, x, decoder: int):
+def min_powers_at(params: SystemParams, block: LayoutBlock, rate_nats, x, decoder: int):
     """Cheapest feasible powers of each pair of a block at position x with a fixed SIC order.
 
     decoder is the 0-based index of the SIC-performing user.  Its own rate
@@ -93,23 +97,24 @@ def min_powers_at(params: SystemParams, block: LayoutBlock, rate_nats: float, x,
     must satisfy both interference-limited constraints (its own decode and the
     decoder's decode of it), so it takes the larger of the two right-hand
     sides, which reduces to coeff * ((e^R - 1) tau_decoder + max(tau_dec,
-    tau_dir)).  x is one position or one per row.  Returns (decoder_powers,
-    direct_powers) as (B,) arrays.
+    tau_dir)).  x is one position or one per row, and so is rate_nats.
+    Returns (decoder_powers, direct_powers) as (B,) arrays.
     """
     pair = user_pair(block)
     if decoder not in (0, 1):
         raise ValueError("decoder must be 0 or 1")
+    require_rows(rate_nats, block, "rate target")
     coeff = power_coeff(params, rate_nats, 1)
     h = params.height_m
     (xd, yd), (xo, yo) = pair[decoder], pair[1 - decoder]
     tau_dec = squared_distance(xd, yd, x, h)
     tau_dir = squared_distance(xo, yo, x, h)
     p_dec = coeff * tau_dec
-    p_dir = math.expm1(rate_nats) * p_dec + coeff * np.maximum(tau_dec, tau_dir)
+    p_dir = libm(math.expm1, rate_nats) * p_dec + coeff * np.maximum(tau_dec, tau_dir)
     return p_dec, p_dir
 
 
-def conventional_min_powers(params: SystemParams, block: LayoutBlock, rate_nats: float) -> np.ndarray:
+def conventional_min_powers(params: SystemParams, block: LayoutBlock, rate_nats) -> np.ndarray:
     """Total power of each layout of a block with the antenna fixed at the area centre.
 
     Takes the cheaper SIC order (min_powers_at at x = 0 for both decoders),
@@ -120,7 +125,7 @@ def conventional_min_powers(params: SystemParams, block: LayoutBlock, rate_nats:
 
 
 @np.errstate(over="ignore")
-def solve_min_power(params: SystemParams, block: LayoutBlock, rate_nats: float) -> NomaSolution:
+def solve_min_power(params: SystemParams, block: LayoutBlock, rate_nats) -> NomaSolution:
     """Closed-form total-power minimizer of each pair of a block, in any order.
 
     Returns a block NomaSolution of (B,) arrays; its row(i) is pair i's.
@@ -143,8 +148,7 @@ def solve_min_power(params: SystemParams, block: LayoutBlock, rate_nats: float) 
     c (g - 1)(a_2 - a_1) >= 0.  As tau_1 <= tau_2 at x*, the SIC decode of
     the weak signal also reaches the target.
     """
-    if rate_nats <= 0:
-        raise ValueError("rate target must be positive")
+    require_positive(rate_nats, block, "rate target")
     block.validate(params)
     (_, ya), (_, yb) = user_pair(block)
     # user 1 of the strong-first pair is the one closer to the waveguide; the key is y ** 2 (the C
@@ -155,7 +159,7 @@ def solve_min_power(params: SystemParams, block: LayoutBlock, rate_nats: float) 
     (x1, y1), (x2, y2) = user_pair(pair)
 
     terms = min_power_terms(params, pair, rate_nats, slots=1)
-    growth = math.exp(rate_nats)
+    growth = libm(math.exp, rate_nats)
     # min and max as Python's: the first argument wins a tie, so a signed zero keeps its sign
     lo, hi = np.where(x2 < x1, x2, x1), np.where(x2 > x1, x2, x1)
     # the weighted mean can round one ulp outside [lo, hi] when x1 == x2
@@ -164,9 +168,10 @@ def solve_min_power(params: SystemParams, block: LayoutBlock, rate_nats: float) 
     x_star = np.where(hi < above, hi, above)
 
     p1, own2 = terms.powers_at(x_star).T
-    p2 = math.expm1(rate_nats) * p1 + own2
-    if not np.isfinite(p2).all():
-        raise DomainError(f"rate target {rate_nats} nats needs a non-finite weak-user power")
+    p2 = libm(math.expm1, rate_nats) * p1 + own2
+    overflow = ~np.isfinite(p2)
+    if overflow.any():
+        raise DomainError(f"rate target {first_where(rate_nats, overflow)} nats needs a non-finite weak-user power")
 
     h = params.height_m
     rates = noma_rates(
@@ -178,7 +183,7 @@ def solve_min_power(params: SystemParams, block: LayoutBlock, rate_nats: float) 
     )
 
     require(bool(((p1 >= 0.0) & (p2 >= 0.0)).all()), "NOMA powers are nonnegative")
-    tol = _TOL * max(1.0, rate_nats)
+    tol = _TOL * np.maximum(1.0, rate_nats)
     require(bool(np.all((np.abs(rates.strong - rate_nats) <= tol) & (np.abs(rates.weak - rate_nats) <= tol))),
             "both NOMA users' own rates equal the target")
     require(bool(np.all(rates.sic >= rate_nats - tol)), "the NOMA SIC decode rate reaches the target")
@@ -199,8 +204,7 @@ def solve_min_power_search(params: SystemParams, block: LayoutBlock, rate_nats: 
     decoder.  The result carries exactly-met constraints at the grid optimum
     but only numerical (not closed-form) optimality.
     """
-    if rate_nats <= 0:
-        raise ValueError("rate target must be positive")
+    require_positive(rate_nats, block, "rate target")
     block.validate(params)
     pair = one_pair(block)
 

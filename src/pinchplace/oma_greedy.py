@@ -6,6 +6,10 @@ to its floor, or an equalizing interior split).  The placement itself is found
 two ways: a certified grid search over the waveguide, and a fast route that
 observes that at high power the objective is dominated by the product of the
 two squared distances, whose stationary points are the real roots of a cubic.
+
+The block routes take the total budget as one float for the whole block or
+as a (B,) column with one budget per layout (core.per_row); the rate floor is
+one float.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (LayoutBlock, PlacementSolution, SystemParams, libm, one_row, path_gain, power_coeff,
-                   squared_distance, user_pair)
+from .core import (LayoutBlock, PlacementSolution, SystemParams, libm, one_row, path_gain, per_row, power_coeff,
+                   require_positive, squared_distance, user_pair)
 from .errors import Infeasible
 from .oracle import GridSpec, grid_optimize, grid_optimize_rows
 
@@ -83,7 +87,7 @@ def _columns(params: SystemParams, block: LayoutBlock) -> np.ndarray:
     return np.stack([x1, y1, x2, y2])
 
 
-def _kkt(params: SystemParams, users, gain: float, coeff: float, total_w: float, x):
+def _kkt(params: SystemParams, users, gain: float, coeff: float, total_w, x):
     """The optimal two-user power split at position(s) x: (p1, p2, pin_2, pin_1, sum rate).
 
     Maximizes the sum rate subject to both users reaching the rate floor
@@ -93,8 +97,9 @@ def _kkt(params: SystemParams, users, gain: float, coeff: float, total_w: float,
     being noise * tau_m / gain), the mirrored case pin_1 for user 1, and
     otherwise the interior split P/2 + (q_2 - q_1)/2 that equalizes the
     effective channels.  The sum rate is -inf where the budget cannot cover
-    both floors.  users is (x1, y1, x2, y2) as in _geometry; gain is
-    path_gain(params) and coeff is power_coeff(params, rate_nats, 2).
+    both floors.  users is (x1, y1, x2, y2) as in _geometry, and total_w a
+    scalar or an array like them; gain is path_gain(params) and coeff is
+    power_coeff(params, rate_nats, 2).
     """
     t1, t2, q1, q2 = _geometry(params, users, gain, x)
     floor1 = coeff * t1
@@ -119,15 +124,10 @@ def _cases(pin_2, pin_1):
     return np.where(pin_2 >= 0.0, CASE_FLOOR_AT_2, np.where(pin_1 >= 0.0, CASE_FLOOR_AT_1, CASE_INTERIOR))
 
 
-def _splits(params: SystemParams, columns: np.ndarray, total_w: float, rate_nats: float, xs):
+def _splits(params: SystemParams, columns: np.ndarray, total_w, rate_nats: float, xs):
     """_kkt of each layout of a block (its _columns) at its own row of positions xs, shape (B, K)."""
-    return _kkt(params, tuple(columns[:, :, None]), path_gain(params), power_coeff(params, rate_nats, 2), total_w,
-                np.asarray(xs, dtype=float))
-
-
-def _budget(total_w: float) -> None:
-    if total_w <= 0:
-        raise ValueError("total power budget must be positive")
+    return _kkt(params, tuple(columns[:, :, None]), path_gain(params), power_coeff(params, rate_nats, 2),
+                per_row(total_w), np.asarray(xs, dtype=float))
 
 
 def split_power(params: SystemParams, block: LayoutBlock, total_w: float, rate_nats: float, x: float) -> PowerSplit:
@@ -135,7 +135,7 @@ def split_power(params: SystemParams, block: LayoutBlock, total_w: float, rate_n
 
     Raises Infeasible when the budget cannot cover both floors.
     """
-    _budget(total_w)
+    require_positive(total_w, block, "total power budget")
     columns = _columns(params, one_row(block))
     p1, p2, pin_2, pin_1, rate = (v.item() for v in _splits(params, columns, total_w, rate_nats, [[x]]))
     if rate == -math.inf:
@@ -143,52 +143,52 @@ def split_power(params: SystemParams, block: LayoutBlock, total_w: float, rate_n
     return PowerSplit(p1=p1, p2=p2, case=str(_cases(pin_2, pin_1)))
 
 
-def _curves(params: SystemParams, columns: np.ndarray, total_w: float, rate_nats: float):
-    """The sum-rate curve of each layout of a block (its _columns) as one oracle row objective."""
-    users = columns.T.tolist()
+def _curves(params: SystemParams, columns: np.ndarray, total_w, rate_nats: float):
+    """The sum-rate curve of each layout of a block (its _columns) as one oracle row objective.
+
+    total_w is one budget or one per layout; a row reads its own, like its users.
+    """
+    budgets = np.broadcast_to(np.asarray(total_w, dtype=float), columns.shape[1:])
+    users, budget = columns.T.tolist(), budgets.tolist()
     gain, coeff = path_gain(params), power_coeff(params, rate_nats, 2)
 
     def objective(rows, xs: np.ndarray) -> np.ndarray:
         # one row's plain scalars, or one column entry per probed row
-        block = users[rows] if isinstance(rows, int) else tuple(columns[:, rows])
-        return _kkt(params, block, gain, coeff, total_w, xs)[4]
+        if isinstance(rows, int):
+            return _kkt(params, users[rows], gain, coeff, budget[rows], xs)[4]
+        return _kkt(params, tuple(columns[:, rows]), gain, coeff, budgets[rows], xs)[4]
 
     return objective
 
 
-def _placed(params: SystemParams, columns: np.ndarray, total_w: float, rate_nats: float, xs) -> PlacementSolution:
+def _placed(params: SystemParams, columns: np.ndarray, total_w, rate_nats: float, xs) -> PlacementSolution:
     """The optimal split and sum rate of each layout at its position in xs (NaN for none): a block PlacementSolution."""
     xs = np.asarray(xs, dtype=float)
     p1, p2, _, _, rate = (v[:, 0] for v in _splits(params, columns, total_w, rate_nats, xs[:, None]))
     return PlacementSolution(x_star=xs, powers=np.stack([p1, p2], axis=1), objective=rate)
 
 
-def placements_at(
-    params: SystemParams, block: LayoutBlock, total_w: float, rate_nats: float, xs
-) -> PlacementSolution:
+def placements_at(params: SystemParams, block: LayoutBlock, total_w, rate_nats: float, xs) -> PlacementSolution:
     """The optimal split and sum rate of each layout of a block at its position in xs.
 
     Returns a block PlacementSolution whose objective is -inf where the budget cannot cover both floors.
     """
-    _budget(total_w)
+    require_positive(total_w, block, "total power budget")
     return _placed(params, _columns(params, block), total_w, rate_nats, xs)
 
 
 def best_placements_search(
-    params: SystemParams,
-    block: LayoutBlock,
-    total_w: float,
-    rate_nats: float,
-    spec: GridSpec,
+    params: SystemParams, block: LayoutBlock, total_w, rate_nats: float, spec: GridSpec
 ) -> PlacementSolution:
     """best_placement_search of each layout of a block, bit for bit, as a block PlacementSolution.
 
     Its objective is -inf (and its x_star NaN) where no grid point is
     feasible.  One KKT evaluation serves the golden-section probes of every
     layout in an iteration, and one more places every feasible layout, so a
-    block costs much less than its layouts one by one.
+    block costs much less than its layouts one by one, all the more when a
+    column of budgets lets one call search a whole sweep.
     """
-    _budget(total_w)
+    require_positive(total_w, block, "total power budget")
     columns = _columns(params, block)
     found = grid_optimize_rows(_curves(params, columns, total_w, rate_nats), spec, len(block),
                                sense="max", skip_nonfinite=True)
@@ -202,7 +202,7 @@ def best_placement_search(
 
     Raises Infeasible when no grid point can cover both rate floors.
     """
-    _budget(total_w)
+    require_positive(total_w, block, "total power budget")
     columns = _columns(params, one_row(block))
     curve = _curves(params, columns, total_w, rate_nats)
     x_best, _ = grid_optimize(lambda xs: curve(0, xs), spec, sense="max", skip_nonfinite=True)
@@ -294,12 +294,7 @@ def _distinct(ascending: np.ndarray, width: np.ndarray) -> np.ndarray:
     return np.sort(kept, axis=1, kind="stable")
 
 
-def best_placements_high_snr(
-    params: SystemParams,
-    block: LayoutBlock,
-    total_w: float,
-    rate_nats: float,
-) -> RootPlacement:
+def best_placements_high_snr(params: SystemParams, block: LayoutBlock, total_w, rate_nats: float) -> RootPlacement:
     """best_placement_high_snr of each layout of a block as a block RootPlacement.
 
     Its objective is -inf where no candidate is feasible.  One KKT
@@ -307,7 +302,7 @@ def best_placements_high_snr(
     """
     hl = params.half_length
     roots = _stationary_points(block, params.height_m)
-    _budget(total_w)
+    require_positive(total_w, block, "total power budget")
     columns = _columns(params, block)
     # at most three roots and two endpoints; an absent root pads as the endpoint hl, and a
     # repeated candidate never wins a tie over its first copy

@@ -14,6 +14,7 @@ import numpy as np
 
 from pinchplace import noma, oma_fairness, rng
 from pinchplace.core import (
+    LayoutBlock,
     SystemParams,
     bpcu_to_nats,
     dbm_to_watt,
@@ -126,18 +127,22 @@ def test_c03_power_saving_identity():
     worst = 0.0
     negative = 0
     sizes = (2, 3, 4, 5, 6)
+    drawn = {size: ([], []) for size in sizes}
     for i in range(10000):
-        # each layout has its own rate target, so each one is a one-row block
-        block = sample_layout(sizes[i % len(sizes)], PARAMS, False, gen)
-        rate = bpcu_to_nats(float(gen.uniform(0.5, 4.0)))
-        saving = oma_fairness.pinching_power_saving(PARAMS, block, rate)[0]
-        conv = oma_fairness.conventional_min_total_power(PARAMS, block, rate)[0]
-        pin = oma_fairness.solve_min_total_power(PARAMS, block, rate).objective[0]
-        if saving < 0.0:
-            negative += 1
+        # each layout has its own rate target: the layouts of one size form a block with a column of rates
+        layouts, rates = drawn[sizes[i % len(sizes)]]
+        layouts.append(sample_layout(sizes[i % len(sizes)], PARAMS, False, gen))
+        rates.append(bpcu_to_nats(float(gen.uniform(0.5, 4.0))))
+    for layouts, rates in drawn.values():
+        block = LayoutBlock(np.concatenate([b.xs for b in layouts]), np.concatenate([b.ys for b in layouts]))
+        rate = np.array(rates)
+        saving = oma_fairness.pinching_power_saving(PARAMS, block, rate)
+        conv = oma_fairness.conventional_min_total_power(PARAMS, block, rate)
+        pin = oma_fairness.solve_min_total_power(PARAMS, block, rate).objective
+        negative += int((saving < 0.0).sum())
         # the subtraction cancels catastrophically when the saving is tiny,
         # so the identity is read relative to the conventional total
-        worst = max(worst, abs(saving - (conv - pin)) / conv)
+        worst = max(worst, float(np.max(np.abs(saving - (conv - pin)) / conv)))
     ok = worst <= 1e-12 and negative == 0
     _report(3, ok, f"saving identity over 10000 layouts: worst "
                    f"|closed - (conv - pin)| / conv = {worst:.2e} (tol 1e-12), "

@@ -4,12 +4,15 @@ Every drop set mixes uniform and clustered drops with degenerate rows:
 coincident users, users on the waveguide (y = 0) and users on the edge of
 the service area.  Row i of a block must equal the one-row block of layout i,
 block[i:i + 1], exactly (and the greedy block routes the one-row greedy
-routes), a broken invariant on any one row must fail the whole block, and
-every single-instance route must refuse a block of any other row count.
+routes), also when a column gives each row its own budget or rate target and
+the one-row block gets its entry as a float; a broken invariant or a bad
+sweep value on any one row must fail the whole block, and every
+single-instance route must refuse a block of any other row count.
 """
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 
 from pinchplace import certify, experiments, noma, oma_fairness, oma_greedy, rng
 from pinchplace.core import (LayoutBlock, NomaRates, SystemParams, bpcu_to_nats, dbm_to_watt, min_power_terms,
-                             nats_to_bpcu, path_gain)
+                             nats_to_bpcu, path_gain, power_coeff)
 from pinchplace.errors import CertificationError, DomainError, Infeasible
 from pinchplace.oracle import GridSpec
 
@@ -183,10 +186,22 @@ def _assert_rows_independent(solve, block, *per_row):
     """
     whole = _leaves(solve(block, *per_row))
     for i in range(len(block)):
-        alone = _leaves(solve(block[i:i + 1], *(np.asarray(arg)[i:i + 1] for arg in per_row)))
-        assert len(alone) == len(whole)
-        for got, want in zip(whole, alone):
-            assert _bits(got[i]) == _bits(want[0]), f"row {i}"
+        _assert_row(whole, _leaves(solve(block[i:i + 1], *(np.asarray(arg)[i:i + 1] for arg in per_row))), i)
+
+
+def _assert_value_rows_independent(solve, block, values, *per_row):
+    """Row i of solve(block, values, *per_row), values a (B,) column, equals solve on the one-row
+    block of layout i with values[i] as a float (and entry i of each per_row argument), bit for bit."""
+    whole = _leaves(solve(block, np.asarray(values), *per_row))
+    for i in range(len(block)):
+        alone = solve(block[i:i + 1], float(values[i]), *(np.asarray(arg)[i:i + 1] for arg in per_row))
+        _assert_row(whole, _leaves(alone), i)
+
+
+def _assert_row(whole, alone, i):
+    assert len(alone) == len(whole)
+    for got, want in zip(whole, alone):
+        assert _bits(got[i]) == _bits(want[0]), f"row {i}"
 
 
 _HL, _HW = PARAMS.half_length, PARAMS.half_width
@@ -245,6 +260,117 @@ def test_pair_rows_depend_on_their_own_layout_only(data, total, rate):
     _assert_rows_independent(lambda b, x: oma_greedy.placements_at(PARAMS, b, total, rate, x), block, xs)
     _assert_rows_independent(lambda b: oma_greedy.best_placements_high_snr(PARAMS, b, total, rate), block)
     _assert_rows_independent(lambda b: oma_greedy.best_placements_search(PARAMS, b, total, rate, _PAIR_GRID), block)
+
+
+def _column(data, block, values):
+    return data.draw(st.lists(values, min_size=len(block), max_size=len(block)))
+
+
+@_PROPERTY
+@given(data=st.data(), num_users=st.integers(1, 8))
+def test_fairness_rows_take_their_own_budget_or_rate_target(data, num_users):
+    block = data.draw(_blocks(num_users))
+    totals, rates = _column(data, block, _BUDGETS_W), _column(data, block, _RATES_NATS)
+    for solve in (oma_fairness.solve_max_min_rate, oma_fairness.conventional_max_min_rate):
+        _assert_value_rows_independent(lambda b, v: solve(PARAMS, b, v), block, totals)
+    for solve in (oma_fairness.solve_min_total_power, oma_fairness.conventional_min_total_power,
+                  oma_fairness.pinching_power_saving):
+        _assert_value_rows_independent(lambda b, v: solve(PARAMS, b, v), block, rates)
+
+    def terms(b, v, x):
+        found = min_power_terms(PARAMS, b, v, slots=num_users)
+        return found.floors, found.powers_at(x), found.powers_at(0.0)
+
+    _assert_value_rows_independent(terms, block, rates, _column(data, block, _coordinate(_HL)))
+    coeffs = power_coeff(PARAMS, np.array(rates), num_users)
+    assert _bits(coeffs) == _bits([power_coeff(PARAMS, rate, num_users) for rate in rates])
+
+
+_SCHEME_VALUES = {experiments.AXIS_POWER: _BUDGETS_W, experiments.AXIS_RATE: _RATES_NATS}
+
+
+@_PROPERTY
+@given(data=st.data())
+def test_pair_rows_take_their_own_budget_or_rate_target(data):
+    block = data.draw(_blocks(2))
+    totals, rates = _column(data, block, _BUDGETS_W), _column(data, block, _RATES_NATS)
+    xs = _column(data, block, _coordinate(_HL))
+    rate = data.draw(_RATES_NATS)
+    _assert_value_rows_independent(lambda b, v: noma.solve_min_power(PARAMS, b, v), block, rates)
+    _assert_value_rows_independent(lambda b, v: noma.conventional_min_powers(PARAMS, b, v), block, rates)
+    for decoder in (0, 1):
+        _assert_value_rows_independent(lambda b, v, x: noma.min_powers_at(PARAMS, b, v, x, decoder), block, rates, xs)
+    _assert_value_rows_independent(lambda b, v, x: oma_greedy.placements_at(PARAMS, b, v, rate, x), block, totals, xs)
+    _assert_value_rows_independent(lambda b, v: oma_greedy.best_placements_high_snr(PARAMS, b, v, rate), block, totals)
+    _assert_value_rows_independent(lambda b, v: oma_greedy.best_placements_search(PARAMS, b, v, rate, _PAIR_GRID),
+                                   block, totals)
+    for name, (spec, evaluator) in experiments.SCHEMES.items():
+        if spec.per_trial:
+            cfg = experiments.ExperimentConfig.from_mapping(
+                {"schemes": name, "sweep": spec.axis, "rate_bpcu": nats_to_bpcu(rate), "grid_points": 101,
+                 "grid_refine": 6})
+            _assert_value_rows_independent(lambda b, v: evaluator(PARAMS, b, v, cfg), block,
+                                           _column(data, block, _SCHEME_VALUES[spec.axis]))
+
+
+_BAD_BUDGET_ROUTES = {
+    "solve_max_min_rate": lambda b, v: oma_fairness.solve_max_min_rate(PARAMS, b, v),
+    "conventional_max_min_rate": lambda b, v: oma_fairness.conventional_max_min_rate(PARAMS, b, v),
+    "placements_at": lambda b, v: oma_greedy.placements_at(PARAMS, b, v, 0.5, np.zeros(len(b))),
+    "best_placements_high_snr": lambda b, v: oma_greedy.best_placements_high_snr(PARAMS, b, v, 0.5),
+    "best_placements_search": lambda b, v: oma_greedy.best_placements_search(PARAMS, b, v, 0.5, _PAIR_GRID),
+}
+_BAD_RATE_ROUTES = {
+    "solve_min_total_power": lambda b, v: oma_fairness.solve_min_total_power(PARAMS, b, v),
+    "conventional_min_total_power": lambda b, v: oma_fairness.conventional_min_total_power(PARAMS, b, v),
+    "pinching_power_saving": lambda b, v: oma_fairness.pinching_power_saving(PARAMS, b, v),
+    "min_power_terms": lambda b, v: min_power_terms(PARAMS, b, v, slots=2),
+    "power_coeff": lambda b, v: power_coeff(PARAMS, v, 1),
+    "noma.solve_min_power": lambda b, v: noma.solve_min_power(PARAMS, b, v),
+    "noma.conventional_min_powers": lambda b, v: noma.conventional_min_powers(PARAMS, b, v),
+    "noma.min_powers_at": lambda b, v: noma.min_powers_at(PARAMS, b, v, 0.0, 1),
+}
+
+
+@pytest.mark.parametrize("bad", [0.0, -2.5e-3])
+@pytest.mark.parametrize("name", sorted(_BAD_BUDGET_ROUTES))
+def test_one_non_positive_budget_fails_the_whole_call_naming_it(name, bad):
+    block = _drops(2, 950)[:5]
+    budgets = np.full(5, 1.0)
+    budgets[3] = bad
+    with pytest.raises(ValueError, match=f"total power budget must be positive, got {re.escape(repr(bad))}$"):
+        _BAD_BUDGET_ROUTES[name](block, budgets)
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_RATE_ROUTES))
+def test_one_bad_rate_target_fails_the_whole_call_naming_it(name):
+    block, route = _drops(2, 951)[:5], _BAD_RATE_ROUTES[name]
+    rates = np.full(5, 0.5)
+    rates[2] = -0.25  # negative: no scheme takes it
+    with pytest.raises(ValueError, match=r"rate target must be (nonnegative|positive), got -0\.25$"):
+        route(block, rates)
+    rates[2] = 800.0  # e^800 overflows a float: no finite power meets it
+    with pytest.raises(DomainError, match=r"rate target 800\.0 nats .*needs a non-finite"):
+        route(block, rates)
+    if name == "noma.solve_min_power":
+        rates[2] = 0.0
+        with pytest.raises(ValueError, match=r"rate target must be positive, got 0\.0$"):
+            route(block, rates)
+        rates[2] = 700.0  # a finite coefficient, but the weak user's power stacked on e^R overflows
+        with pytest.raises(DomainError, match=r"rate target 700\.0 nats needs a non-finite weak-user power"):
+            route(block, rates)
+
+
+@pytest.mark.parametrize("name, value", [*((name, 1.0) for name in sorted(_BAD_BUDGET_ROUTES)),
+                                         *((name, 0.5) for name in sorted(_BAD_RATE_ROUTES) if name != "power_coeff")])
+def test_a_value_column_of_another_length_than_the_block_fails(name, value):
+    # a column is never broadcast across a block of another length, one row or several
+    what = "total power budget" if name in _BAD_BUDGET_ROUTES else "rate target"
+    route = {**_BAD_BUDGET_ROUTES, **_BAD_RATE_ROUTES}[name]
+    for rows, entries in ((1, 5), (5, 1), (5, 4)):
+        message = rf"^{what} must be a float or a \({rows},\) column, got shape \({entries},\)$"
+        with pytest.raises(ValueError, match=message):
+            route(_drops(2, 952)[:rows], np.full(entries, value))
 
 
 def _or_none(route, *args):

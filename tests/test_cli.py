@@ -1,7 +1,11 @@
 """Command-line interface: parsing, precedence, exit codes, reports."""
 
+import contextlib
 import inspect
+import io
 import json
+import logging
+import math
 import os
 import subprocess
 import sys
@@ -143,6 +147,74 @@ def test_greedy_without_a_feasible_fast_candidate_reports_the_search(tmp_path, c
         report = json.loads(out.read_text())
         assert report["fast"] is None and report["gap_rel"] is None
         assert report["search"]["throughput_bpcu"] > 2.0 and report["certify"]["pass"] is True
+
+
+def _strict_json(text: str):
+    """json.loads that refuses NaN, Infinity and -Infinity, which strict JSON does not have."""
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_reports_are_strict_json_with_null_for_non_finite_figures(tmp_path, capsys):
+    # the skipped fast<=search check has NaN value, reference, gap and tol
+    path = tmp_path / "pair.txt"
+    path.write_text("-1 0\n1 5\n")
+    out = tmp_path / "greedy.json"
+    argv = ["greedy", str(path), "--rate-bpcu", "1", "--power-dbm", "-7.30", "--certify"]
+    assert cli.main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == stdout  # the printed report does not change with --out
+    report = _strict_json(out.read_text())
+    skipped = report["certify"]["checks"][1]
+    assert skipped["name"] == "fast<=search (no feasible fast candidate skipped)" and skipped["ok"] is True
+    assert [skipped[key] for key in ("value", "reference", "gap", "tol")] == [None] * 4
+    assert report["certify"]["checks"][0]["gap"] is not None
+
+
+def test_strict_json_report_keeps_finite_figures_and_nulls_the_rest():
+    report = {"a": 1.5, "b": [math.nan, math.inf, -math.inf, 2], "c": {"d": (0.0, -0.0)}, "e": True, "f": None}
+    ready = cli._json_ready(report)
+    assert ready == {"a": 1.5, "b": [None, None, None, 2], "c": {"d": [0.0, -0.0]}, "e": True, "f": None}
+    assert _strict_json(json.dumps(ready, allow_nan=False)) == ready
+
+
+def test_verbose_takes_effect_on_every_in_process_call(tmp_path):
+    # each call logs to the stderr of its own time, at the level its own flag asks for
+    argv = ["experiment", "--set", "trials=3", "--set", "sweep_points=2", "--out", str(tmp_path / "sweep.csv")]
+    streams = []
+    for verbose in (True, True, False, True):
+        streams.append(io.StringIO())
+        with contextlib.redirect_stderr(streams[-1]), contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main((["--verbose"] if verbose else []) + argv) == 0
+    counts = [stream.getvalue().count("DEBUG:pinchplace.experiments:sweep power_dbm=") for stream in streams]
+    assert counts == [2, 2, 0, 2]
+
+
+def test_main_leaves_a_host_programs_logging_as_it_was(tmp_path):
+    # a host with its own root handler and level sees no line twice, and keeps both after each call
+    argv = ["experiment", "--set", "trials=3", "--set", "sweep_points=2", "--out", str(tmp_path / "sweep.csv")]
+    root, package = logging.getLogger(), logging.getLogger("pinchplace")
+    host = io.StringIO()
+    host_handler = logging.StreamHandler(host)
+    saved = root.level, package.level, package.propagate
+    root.addHandler(host_handler)
+    root.setLevel(logging.INFO)
+    try:
+        for verbose in (True, False):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main((["--verbose"] if verbose else []) + argv) == 0
+            assert err.getvalue().count("sweep power_dbm=") == (2 if verbose else 0)
+            assert root.level == logging.INFO and host_handler in root.handlers
+            assert (package.level, package.propagate, package.handlers) == (saved[1], saved[2], [])
+        assert host.getvalue() == ""
+        logging.getLogger("pinchplace.experiments").info("after main")
+        assert host.getvalue() == "after main\n"
+    finally:
+        root.removeHandler(host_handler)
+        root.setLevel(saved[0])
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])

@@ -6,7 +6,9 @@ place of the C library's, say, or a pairwise sum in place of the
 left-to-right one).  This guard hashes the raw float64 column of each
 per-trial scheme on its own axis, seed 0, 200 trials at every sweep point:
 M = 2 for every scheme and M = 8 for the four OMA max-min and power-min
-schemes.  The digests were recorded with numpy 2.4.6 on x86_64 Linux with
+schemes.  Each digest is also computed from one evaluator call on the whole
+sweep's block, each row given its own point's value, as the experiment engine
+calls it, and must come out the same.  The digests were recorded with numpy 2.4.6 on x86_64 Linux with
 glibc 2.36's libm; another libm may round a transcendental differently, in
 which case the digests must be recorded again on purpose, not edited to pass.
 """
@@ -39,11 +41,16 @@ DIGESTS = {
 }
 
 
+def _config(name: str, num_users: int) -> experiments.ExperimentConfig:
+    spec, _ = experiments.SCHEMES[name]
+    return experiments.ExperimentConfig.from_mapping(
+        {"schemes": name, "sweep": spec.axis, "users": num_users, "seed": 0, "trials": TRIALS})
+
+
 def column_digest(name: str, num_users: int) -> str:
     """sha256 of the scheme's float64 metric columns, sweep point after sweep point."""
-    spec, evaluator = experiments.SCHEMES[name]
-    cfg = experiments.ExperimentConfig.from_mapping(
-        {"schemes": name, "sweep": spec.axis, "users": num_users, "seed": 0, "trials": TRIALS})
+    _, evaluator = experiments.SCHEMES[name]
+    cfg = _config(name, num_users)
     digest = hashlib.sha256()
     for sweep_idx, sweep_value in enumerate(cfg.sweep_values):
         block = experiments.layout_block(cfg, sweep_idx, range(TRIALS))
@@ -57,6 +64,23 @@ def column_digest(name: str, num_users: int) -> str:
 @pytest.mark.parametrize("name,num_users", sorted(DIGESTS))
 def test_evaluator_column_bits(name, num_users):
     assert column_digest(name, num_users) == DIGESTS[name, num_users]
+
+
+def sweep_column_digest(name: str, num_users: int) -> str:
+    """The same digest from one evaluator call on every point's trials, with a column of each row's sweep value."""
+    _, evaluator = experiments.SCHEMES[name]
+    cfg = _config(name, num_users)
+    points = len(cfg.sweep_values)
+    block = experiments.layout_block(cfg, np.repeat(np.arange(points), TRIALS), np.tile(np.arange(TRIALS), points))
+    values = np.repeat([experiments.internal_sweep_value(cfg.sweep, v) for v in cfg.sweep_values], TRIALS)
+    column = np.asarray(evaluator(cfg.params, block, values, cfg), dtype=np.float64)
+    assert column.shape == (points * TRIALS,)
+    return hashlib.sha256(column.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name,num_users", sorted(DIGESTS))
+def test_evaluator_column_bits_from_one_call_per_sweep(name, num_users):
+    assert sweep_column_digest(name, num_users) == DIGESTS[name, num_users]
 
 
 def test_every_per_trial_scheme_is_pinned():

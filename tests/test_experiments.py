@@ -222,13 +222,19 @@ def test_run_experiment_logs_each_points_layout_digest(caplog):
 
 @pytest.mark.parametrize("pass_blocks", [1, 12])
 def test_sweep_layouts_do_not_depend_on_how_points_are_drawn(pass_blocks, monkeypatch):
-    # by default the three points share one draw; 1 draws each point in one-row passes, 12 two points at once
-    cfg = _tiny_config(trials=6, sweep_points=3)
+    # by default the three points share one draw; 1 draws each point in one-row passes, 12 two points at once,
+    # and each draw goes to each evaluator in one call, so the CSV must not see the grouping either
+    cfg = _tiny_config(trials=6, sweep_points=3, schemes="oma-maxmin,oma-greedy,oma-greedy-highsnr,outage-mc,outage",
+                       grid_points=101, grid_refine=6)
     csv = run_experiment(cfg)
+    assert [points for points, _ in experiments.sweep_blocks(cfg)] == [range(3)]
     monkeypatch.setattr(rng, "PASS_BLOCKS", pass_blocks)
-    blocks = list(experiments.sweep_blocks(cfg))
-    assert len(blocks) == 3
-    for sweep_idx, block in enumerate(blocks):
-        alone = experiments.layout_block(cfg, sweep_idx, range(6))
-        assert np.array_equal(block.xs, alone.xs) and np.array_equal(block.ys, alone.ys)
+    draws = list(experiments.sweep_blocks(cfg))
+    assert [points for points, _ in draws] == {1: [range(1), range(1, 2), range(2, 3)], 12: [range(2), range(2, 3)]}[
+        pass_blocks]
+    for points, block in draws:
+        assert len(block) == 6 * len(points)
+        for k, sweep_idx in enumerate(points):
+            alone, rows = experiments.layout_block(cfg, sweep_idx, range(6)), block[6 * k:6 * (k + 1)]
+            assert np.array_equal(rows.xs, alone.xs) and np.array_equal(rows.ys, alone.ys)
     assert run_experiment(cfg) == csv
