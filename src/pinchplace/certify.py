@@ -15,7 +15,7 @@ import numpy as np
 
 from . import noma, oracle
 from .core import (LayoutBlock, PlacementSolution, SystemParams, one_pair, one_row, path_gain, power_coeff,
-                   squared_distance)
+                   row_sum, squared_distance)
 
 # certification tolerances: closed forms must match their brute-force oracles
 CERT_REL = 1e-9            # max-min / power-min / NOMA objective, relative
@@ -50,12 +50,17 @@ def skipped(name: str, reason: str) -> Check:
 
 
 def _grid_reference(params: SystemParams, block: LayoutBlock, of_tau_sum, sense: str) -> float:
-    """The position grid's best of of_tau_sum(sum over users of the squared distances) for a one-row block."""
-    xs_u, ys_u = one_row(block).xs, block.ys
+    """The position grid's best of of_tau_sum(sum over users of the squared distances) for a one-row block.
+
+    Each user's squared distance is taken over the whole grid (or at one
+    probe) and the users are added by row_sum, which gives the bits of
+    summing each position's row of M distances.
+    """
+    users = list(zip(one_row(block).xs[0].tolist(), block.ys[0].tolist()))
     h = params.height_m
 
     def objective(xs: np.ndarray) -> np.ndarray:
-        return of_tau_sum(squared_distance(xs_u, ys_u, xs[:, None], h).sum(axis=1))
+        return of_tau_sum(row_sum([squared_distance(x, y, xs, h) for x, y in users]))
 
     grid = oracle.certification_grid(-params.half_length, params.half_length)
     return oracle.grid_optimize(objective, grid, sense=sense)[1]

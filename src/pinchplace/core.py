@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -244,6 +244,41 @@ def squared_distance(user_x, user_y, antenna_x, height_m: float):
     """Squared antenna-user distance (x - x_m)^2 + y_m^2 + h^2; broadcasts over arrays."""
     dx = antenna_x - user_x
     return dx * dx + user_y * user_y + height_m * height_m
+
+
+def row_sum(terms: Sequence):
+    """The sum of one or more same-shape arrays (or scalars), bit for bit np.add.reduce along a contiguous row.
+
+    np.sum(a, axis=-1) of a C-contiguous (..., M) array adds each row's M
+    entries in a fixed order: from its identity 0.0, left to right below 8
+    terms, in 8 interleaved partial sums folded as a tree up to 128 terms,
+    and as two recursive halves (the first a multiple of 8 long) above that.
+    Summing M whole arrays term by term in that order gives every element
+    the bits of the stacked array's row sum while each add runs over a whole
+    array; tests/test_core.py::test_row_sum_equals_numpys_row_reduction pins
+    this for M = 1..300.
+    """
+    return 0.0 + _pairwise_sum(terms)
+
+
+def _pairwise_sum(terms: Sequence):
+    n = len(terms)
+    if n < 8:
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
+        return total
+    if n <= 128:
+        whole = n - n % 8
+        r = list(terms[:8])
+        for i in range(8, whole, 8):
+            r = [partial + term for partial, term in zip(r, terms[i:i + 8])]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for term in terms[whole:]:
+            total = total + term
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
 
 
 def oma_rate(params: SystemParams, power_w: float, sq_dist_m2: float, num_users: int) -> float:

@@ -5,7 +5,9 @@ refinement inside the best bracketing interval.  They exist so every analytic
 result in this package can be checked against a search that shares none of its
 algebra.  Determinism contract: pure functions of their inputs, ties broken
 toward the smallest abscissa, and the returned value is never worse than any
-grid sample.
+grid sample.  An objective takes the 1-D grid and, during refinement, either
+an array of probes (one per row of a block) or a single probe as a 0-d
+np.float64 (see RowObjective).
 """
 
 from __future__ import annotations
@@ -50,9 +52,15 @@ def certification_grid(lo: float, hi: float) -> GridSpec:
 
 
 Objective = Callable[[np.ndarray], np.ndarray]
-# objective(row, xs) evaluates row `row` (an int) at every abscissa of the 1-D
-# array xs; objective(rows, xs) with an int array `rows` evaluates row rows[k]
-# at xs[k].
+# objective(row, xs) evaluates row `row` (an int) at every abscissa of xs: the
+# 1-D grid, or one golden-section probe as a 0-d np.float64 when that row is
+# the only one being refined.  objective(rows, xs) with an int array `rows`
+# evaluates row rows[k] at xs[k].  The lone probe is an np.float64, not a
+# Python float, so that errstate, inf and NaN behave as on arrays; its
+# + - * / are the same IEEE operations and a ufunc runs the same loop on it,
+# so a row's probes give the bits they give inside a block.  An objective that
+# raises TypeError on the 0-d probe, as one that takes len(xs) does, is probed
+# at 1-element arrays for the rest of that search instead.
 RowObjective = Callable[[int | np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -65,9 +73,11 @@ def grid_optimize(
     """Optimize a scalar objective over spec, returning (x_best, value).
 
     objective must accept a 1-D numpy array of abscissae and return an array
-    of the same shape.  With skip_nonfinite=False (the default) a NaN or
-    infinity anywhere on the grid raises NonFinite; with True such points are
-    treated as absent, and Infeasible is raised if none remain.
+    of the same shape; with refine_iters > 0 it is also handed each probe as
+    a 0-d np.float64 and returns one value (see RowObjective).  With
+    skip_nonfinite=False (the default) a NaN or infinity anywhere on the grid
+    raises NonFinite; with True such points are treated as absent, and
+    Infeasible is raised if none remain.
     """
     (found,) = grid_optimize_rows(lambda _, xs: objective(xs), spec, 1, sense, skip_nonfinite)
     if found is None:
@@ -87,7 +97,8 @@ def grid_optimize_rows(
     Each row is scanned on the whole grid in its own objective call.  Then
     every row's next golden-section probe shares one call (see RowObjective),
     so a block costs refine_iters + 2 probe calls whatever its size, and each
-    row gets exactly the abscissae and comparisons it would get alone.
+    row gets exactly the abscissae and comparisons it would get alone; a
+    lone live row is probed at a 0-d np.float64.
     With skip_nonfinite=False a NaN or infinity on any row's grid raises
     NonFinite; with True such points are treated as absent, and a row with
     none left gives None.
@@ -125,10 +136,20 @@ def grid_optimize_rows(
     if live:
         # Every live row takes its next probe in the same objective call; a
         # lone row is probed as a plain int row, without fancy indexing.
-        index = live[0] if len(live) == 1 else np.array(live)
+        lone = len(live) == 1
+        index = live[0] if lone else np.array(live)
         points = [next(search) for search in searches]
         for _ in range(spec.refine_iters + 2):
-            values = np.asarray(objective(index, np.array(points)), dtype=float).tolist()
+            if lone:
+                try:
+                    value = objective(index, np.float64(points[0]))
+                except TypeError:
+                    # an objective written for arrays only (one that takes len() of its
+                    # abscissae) gets this search's probes as 1-element arrays
+                    lone = False
+            if not lone:
+                value = objective(index, np.array(points))
+            values = np.asarray(value, dtype=float).reshape(-1).tolist()
             points = [search.send(flip * v if math.isfinite(v) else math.inf)
                       for search, v in zip(searches, values)]
         for row, best in zip(live, points):

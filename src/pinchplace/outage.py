@@ -14,8 +14,10 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from . import rng
-from .core import SystemParams, power_coeff
+from .core import SystemParams, power_coeff, row_sum
 from .errors import require
 
 # Trials are drawn in fixed-size blocks, one counter-based stream per block,
@@ -146,10 +148,13 @@ def monte_carlo_outage(
         n = min(_BLOCK, trials - start)
         g = rng.stream(seed, rng.DOMAIN_OUTAGE, block_index)
         draws = g.random((n, 2 * num_users))
-        xs = (2.0 * draws[:, :num_users] - 1.0) * hl
-        ys = (2.0 * draws[:, num_users:] - 1.0) * hw
-        offset = xs.mean(axis=1) - xs[:, 0]
-        need = offset * offset + ys[:, 0] * ys[:, 0]
+        # each user's x, and user 0's y, as one contiguous row over the block's trials; row_sum gives
+        # the bits of the row-wise mean of the (n, num_users) x array
+        rows = np.ascontiguousarray(draws[:, :num_users + 1].T)
+        xs = [(2.0 * row - 1.0) * hl for row in rows[:num_users]]
+        y0 = (2.0 * rows[num_users] - 1.0) * hw
+        offset = row_sum(xs) / num_users - xs[0]
+        need = offset * offset + y0 * y0
         failures += int((need >= threshold).sum())
 
     p = failures / trials

@@ -83,8 +83,8 @@ def test_c01_maxmin_certified_against_grid_oracle():
 
         def oracle(xs):
             tau_sum = squared_distance(
-                xs_u[None, :], ys_u[None, :], xs[:, None], PARAMS.height_m
-            ).sum(axis=1)
+                xs_u[None, :], ys_u[None, :], np.expand_dims(xs, -1), PARAMS.height_m
+            ).sum(axis=-1)
             return np.log1p(g * total_w / (PARAMS.noise_w * tau_sum)) / lay.num_users
 
         _, best = grid_optimize(oracle, spec, sense="max")
@@ -110,7 +110,7 @@ def test_c02_powermin_certified_against_grid_oracle():
         floor_sum = sum(terms.floors[0])
 
         def oracle(xs):
-            return terms.coeff * ((xs[:, None] - xs_u[None, :]) ** 2).sum(axis=1) + floor_sum
+            return terms.coeff * ((np.expand_dims(xs, -1) - xs_u[None, :]) ** 2).sum(axis=-1) + floor_sum
 
         _, best = grid_optimize(oracle, spec, sense="min")
         worst = max(worst, (sol.objective - best) / best)

@@ -134,6 +134,21 @@ def test_squared_distance_scalar_and_broadcast():
     assert got2.shape == (2,)
 
 
+def test_row_sum_equals_numpys_row_reduction():
+    # M = 1..300 covers left to right (below 8), the 8 partial sums (8..128) and the recursive halves
+    gen = rng.stream(7, rng.DOMAIN_TESTS, 12)
+    for num_terms in range(1, 301):
+        stacked = gen.standard_normal((33, num_terms)) * 10.0 ** gen.uniform(-3.0, 3.0, (33, num_terms))
+        want = np.add.reduce(stacked, axis=1)
+        got = core.row_sum(list(stacked.T))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), num_terms
+        # one row as np.float64 scalars: a scalar of the same bits
+        lone = core.row_sum([np.float64(v) for v in stacked[0]])
+        assert type(lone) is np.float64 and lone.tobytes() == want[0].tobytes(), num_terms
+    # numpy's sum starts from +0.0, so a sum of negative zeros is +0.0
+    assert math.copysign(1.0, core.row_sum([np.float64(-0.0)] * 3)) == 1.0
+
+
 # frozen: per-user OMA rate at P = 1 mW, tau = 9 m^2, M = 2
 OMA_RATE_CASE = 2.201287701568592
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from pinchplace import rng
+from pinchplace import certify, noma, oma_greedy, oracle, rng
+from pinchplace.core import LayoutBlock, PlacementSolution, SystemParams, bpcu_to_nats, dbm_to_watt
 from pinchplace.errors import Infeasible, NonFinite
 from pinchplace.oracle import (GridSpec, certification_grid, grid_optimize, grid_optimize_rows,
                                power_split_sweep)
@@ -193,3 +194,104 @@ def test_infeasible_row_gives_none_and_the_others_still_refine():
 
 def test_rows_of_an_empty_block():
     assert grid_optimize_rows(lambda rows, xs: xs, GridSpec(lo=0.0, hi=1.0, points=11), 0) == []
+
+
+# --- a lone row: probed at a 0-d np.float64, with the bits it gets inside a block ------
+
+PARAMS = SystemParams.default()
+
+
+def _captured(monkeypatch, module, name, run):
+    """The objectives that run() hands to module.name, which still does its work."""
+    seen = []
+    real = getattr(module, name)
+
+    def recording(objective, *args, **kwargs):
+        seen.append(objective)
+        return real(objective, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, name, recording)
+        run()
+    return seen
+
+
+def _block_of(singles):
+    """A row objective whose row k is the one-row objective singles[k]; a block probes each at a 1-element array."""
+    def objective(rows, xs):
+        if np.ndim(rows) == 0:
+            return singles[rows](xs)
+        return np.concatenate([np.reshape(singles[r](xs[k:k + 1]), 1) for k, r in enumerate(rows.tolist())])
+
+    return objective
+
+
+def _assert_lone_row_matches_its_block_row(block_objective, lone_row, lone_objective, spec, sense):
+    """Row lone_row of a 3-row search equals the same row searched alone, whose probes are 0-d np.float64."""
+    probes = []
+
+    def recorded(row, xs):
+        if np.ndim(xs) == 0:
+            probes.append(xs)
+        return lone_objective(row, xs)
+
+    (alone,) = grid_optimize_rows(recorded, spec, 1, sense, skip_nonfinite=True)
+    in_block = grid_optimize_rows(block_objective, spec, 3, sense, skip_nonfinite=True)[lone_row]
+    assert alone is not None and alone == in_block
+    assert len(probes) == spec.refine_iters + 2 and all(type(p) is np.float64 for p in probes)
+
+
+def test_lone_greedy_row_matches_its_row_in_a_block(monkeypatch):
+    gen = rng.stream(3, rng.DOMAIN_TESTS, 40)
+    block = LayoutBlock(gen.uniform(-20.0, 20.0, (3, 2)), gen.uniform(-5.0, 5.0, (3, 2)))
+    budgets, rate = dbm_to_watt(30.0) * gen.uniform(0.5, 2.0, 3), bpcu_to_nats(1.0)
+    spec = GridSpec(lo=-20.0, hi=20.0, points=2001, refine_iters=40)
+    (whole,) = _captured(monkeypatch, oma_greedy, "grid_optimize_rows",
+                         lambda: oma_greedy.best_placements_search(PARAMS, block, budgets, rate, spec))
+    for row in range(3):
+        (alone,) = _captured(monkeypatch, oma_greedy, "grid_optimize_rows",
+                             lambda: oma_greedy.best_placements_search(PARAMS, block[row:row + 1], budgets[row],
+                                                                       rate, spec))
+        _assert_lone_row_matches_its_block_row(whole, row, alone, spec, "max")
+
+
+def test_lone_noma_row_matches_its_row_in_a_block(monkeypatch):
+    gen = rng.stream(3, rng.DOMAIN_TESTS, 41)
+    block = LayoutBlock(gen.uniform(-20.0, 20.0, (3, 2)), gen.uniform(-5.0, 5.0, (3, 2)))
+    spec = GridSpec(lo=-20.0, hi=20.0, points=2001, refine_iters=40)
+    per_row = [_captured(monkeypatch, noma, "grid_optimize",
+                         lambda: noma.solve_min_power_search(PARAMS, block[row:row + 1], bpcu_to_nats(1.5), spec))
+               for row in range(3)]
+    for decoder in (0, 1):
+        singles = [objectives[decoder] for objectives in per_row]
+        for row in range(3):
+            _assert_lone_row_matches_its_block_row(_block_of(singles), row, lambda _, xs: singles[row](xs),
+                                                   spec, "min")
+
+
+def test_lone_split_sweep_row_matches_its_row_in_a_block(monkeypatch):
+    gen = rng.stream(3, rng.DOMAIN_TESTS, 42)
+    block = LayoutBlock(gen.uniform(-20.0, 20.0, (3, 2)), gen.uniform(-5.0, 5.0, (3, 2)))
+    total_w, rate = dbm_to_watt(25.0), bpcu_to_nats(0.75)
+    searched = [PlacementSolution(x_star=float(x), powers=(0.0, 0.0), objective=0.0)
+                for x in gen.uniform(-20.0, 20.0, 3)]
+    singles = [_captured(monkeypatch, oracle, "power_split_sweep",
+                         lambda: certify.power_sweep(PARAMS, block[row:row + 1], total_w, rate, searched[row]))[0]
+               for row in range(3)]
+    spec = GridSpec(lo=0.0, hi=total_w, points=2001, refine_iters=40)
+    for row in range(3):
+        _assert_lone_row_matches_its_block_row(_block_of(singles), row, lambda _, xs: singles[row](xs), spec, "max")
+
+
+def test_an_objective_for_arrays_only_is_probed_at_arrays():
+    # a wrapper that counts len(xs) points cannot take the 0-d probe; its search falls back to
+    # 1-element arrays and finds what the plain objective finds
+    spec = GridSpec(lo=-6.0, hi=6.0, points=301, refine_iters=40)
+    sizes = []
+
+    def sized(xs):
+        sizes.append(len(xs))
+        return _poly(0.3, 1.7, 0.2, xs)
+
+    assert grid_optimize(sized, spec) == grid_optimize(lambda xs: _poly(0.3, 1.7, 0.2, xs), spec)
+    assert sizes == [301] + [1] * (spec.refine_iters + 2)

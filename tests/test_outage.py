@@ -92,6 +92,33 @@ def test_monte_carlo_across_block_boundary():
     assert abs(a.probability - want) <= 3.0 * sigma
 
 
+# (users, seed) -> (probability, stderr) at 70000 trials (two draw blocks), recorded when the
+# estimate took the row-wise mean of an (n, users) array; a budget that covers 20 m^2 of headroom
+MC_PINNED = {
+    (1, 5): (0.10704285714285715, 0.0011685441728770953),
+    (1, 7): (0.10625714285714286, 0.0011647597081984617),
+    (2, 5): (0.7140428571428571, 0.001707904544447554),
+    (2, 7): (0.7166285714285714, 0.0017032408689689042),
+    (3, 5): (0.7676857142857143, 0.0015961756006482985),
+    (3, 7): (0.7671714285714286, 0.0015974060569520737),
+    (7, 5): (0.8166285714285715, 0.0014626118895177218),
+    (7, 7): (0.8167285714285715, 0.0014623025485309914),
+    (8, 5): (0.8211714285714286, 0.0014483927716580382),
+    (8, 7): (0.8204857142857143, 0.001450561009396884),
+    (9, 5): (0.8241142857142857, 0.0014389973185516484),
+    (9, 7): (0.8221857142857143, 0.0014451710996586631),
+    (13, 5): (0.8306285714285714, 0.0014176678421926527),
+    (13, 7): (0.8309571428571428, 0.0014165721684597685),
+}
+
+
+@pytest.mark.parametrize("num_users,seed", sorted(MC_PINNED))
+def test_monte_carlo_estimate_is_pinned(num_users, seed):
+    budget = power_coeff(PARAMS, RATE, num_users) * (PARAMS.height_m ** 2 + 20.0)
+    est = monte_carlo_outage(PARAMS, num_users, RATE, budget, 70000, seed)
+    assert repr(tuple(est)) == repr(MC_PINNED[num_users, seed])
+
+
 def test_monte_carlo_three_users_runs():
     est = monte_carlo_outage(PARAMS, 3, bpcu_to_nats(1.0), dbm_to_watt(10.0), 20000, seed=1)
     assert 0.0 <= est.probability <= 1.0
