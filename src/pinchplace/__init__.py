@@ -15,7 +15,6 @@ from .core import (
     dbm_to_watt,
     nats_to_bpcu,
     noma_rates,
-    oma_rate,
     path_gain,
     squared_distance,
     watt_to_dbm,
@@ -76,7 +75,6 @@ __all__ = [
     "monte_carlo_outage",
     "nats_to_bpcu",
     "noma_rates",
-    "oma_rate",
     "outage_rate",
     "path_gain",
     "pinching_power_saving",

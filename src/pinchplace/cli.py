@@ -254,36 +254,36 @@ def cmd_greedy(args: argparse.Namespace) -> int:
     rate = bpcu_to_nats(float(merged["rate_bpcu"]))
     grid = oracle.certification_grid(-params.half_length, params.half_length)
 
-    search = oma_greedy.best_placement_search(params, layout, total_w, rate, grid)
-    split = oma_greedy.split_power(params, layout, total_w, rate, search.x_star)
+    search = oma_greedy.best_placement_search(params, layout, total_w, rate, grid).row(0)
+    if search is None:
+        raise Infeasible("objective is non-finite at every grid point")
 
     human = [
         f"solver: greedy (P = {float(merged['power_dbm']):.2f} dBm, "
         f"floor = {float(merged['rate_bpcu']):.4f} BPCU)",
-        f"search:   x* = {search.x_star:.9g} m, throughput = "
-        f"{nats_to_bpcu(search.objective):.6f} BPCU, case = {split.case}",
+        f"search:   x* = {search.solution.x_star:.9g} m, throughput = "
+        f"{nats_to_bpcu(search.solution.objective):.6f} BPCU, case = {search.case}",
     ]
     report = {
         "solver": "greedy",
         "search": {
-            "x_star_m": search.x_star,
-            "powers_w": list(search.powers),
-            "throughput_bpcu": nats_to_bpcu(search.objective),
-            "case": split.case,
+            "x_star_m": search.solution.x_star,
+            "powers_w": list(search.solution.powers),
+            "throughput_bpcu": nats_to_bpcu(search.solution.objective),
+            "case": search.case,
         },
         "fast": None,
         "gap_rel": None,
     }
-    try:
-        fast = oma_greedy.best_placement_high_snr(params, layout, total_w, rate)
-    except Infeasible as exc:  # the cubic's few candidates can all miss a floor that some grid point covers
-        human.append(f"fast:     infeasible ({exc})")
+    fast = oma_greedy.best_placement_high_snr(params, layout, total_w, rate).row(0)
+    if fast is None:  # the cubic's few candidates can all miss a floor that some grid point covers
+        human.append("fast:     infeasible (no candidate position can cover both rate floors)")
         fast_check = certify.skipped("fast<=search", "no feasible fast candidate")
     else:
-        rel_gap = (search.objective - fast.solution.objective) / abs(search.objective)
+        rel_gap = (search.solution.objective - fast.solution.objective) / abs(search.solution.objective)
         human += [
             f"fast:     x* = {fast.solution.x_star:.9g} m, throughput = "
-            f"{nats_to_bpcu(fast.solution.objective):.6f} BPCU, case = {fast.allocation_case}",
+            f"{nats_to_bpcu(fast.solution.objective):.6f} BPCU, case = {fast.case}",
             f"stationary points: {[f'{r:.6g}' for r in fast.roots]}",
             f"search-vs-fast gap = {rel_gap:.3e} rel",
         ]
@@ -291,13 +291,13 @@ def cmd_greedy(args: argparse.Namespace) -> int:
             "x_star_m": fast.solution.x_star,
             "powers_w": list(fast.solution.powers),
             "throughput_bpcu": nats_to_bpcu(fast.solution.objective),
-            "case": fast.allocation_case,
+            "case": fast.case,
             "roots_m": list(fast.roots),
         }
         report["gap_rel"] = rel_gap
-        fast_check = certify.fast_below_search(fast.solution.objective, search.objective)
+        fast_check = certify.fast_below_search(fast.solution.objective, search.solution.objective)
 
-    checks = [certify.power_sweep(params, layout, total_w, rate, search), fast_check] if args.certify else []
+    checks = [certify.power_sweep(params, layout, total_w, rate, search.solution), fast_check] if args.certify else []
     return _finish(args, report, human, checks, "greedy allocation failed its brute-force check")
 
 
@@ -346,11 +346,11 @@ def _spot_checks(cfg: experiments.ExperimentConfig, layout: LayoutBlock, v: floa
         yield "oma-powermin", certify.powermin(
             p, layout, v, oma_fairness.solve_min_total_power(p, layout, v).row(0).objective)
     if "oma-greedy" in families:
-        try:
-            search = oma_greedy.best_placement_search(p, layout, v, rate, cfg.grid)
-            check = certify.power_sweep(p, layout, v, rate, search)
-        except Infeasible:
-            check = certify.skipped("power-sweep", "infeasible trial")
+        search = oma_greedy.best_placement_search(p, layout, v, rate, cfg.grid).row(0)
+        check = certify.skipped("power-sweep", "infeasible trial")
+        if search is not None:
+            with contextlib.suppress(Infeasible):  # the split sweep's grid can miss a sliver of feasible splits
+                check = certify.power_sweep(p, layout, v, rate, search.solution)
         yield "oma-greedy", check
     if "noma" in families:
         yield "noma", certify.noma_search(p, layout, v, noma.solve_min_power(p, layout, v).row(0))

@@ -281,14 +281,6 @@ def _pairwise_sum(terms: Sequence):
     return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
 
 
-def oma_rate(params: SystemParams, power_w: float, sq_dist_m2: float, num_users: int) -> float:
-    """Per-user rate under time sharing among num_users, in nats per channel use."""
-    if num_users < 1:
-        raise ValueError("num_users must be >= 1")
-    snr = path_gain(params) * power_w / (params.noise_w * sq_dist_m2)
-    return math.log1p(snr) / num_users
-
-
 def noma_rates(
     params: SystemParams,
     p_strong: float,

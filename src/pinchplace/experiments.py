@@ -66,17 +66,17 @@ def _eval_powermin_conv(params, block, value, cfg):
 # of the row like any non-finite value.
 def _eval_greedy(params, block, value, cfg):
     rate = bpcu_to_nats(cfg.rate_bpcu)
-    return nats_to_bpcu(oma_greedy.best_placements_search(params, block, value, rate, cfg.grid).objective)
+    return nats_to_bpcu(oma_greedy.best_placement_search(params, block, value, rate, cfg.grid).solution.objective)
 
 
 def _eval_greedy_highsnr(params, block, value, cfg):
-    found = oma_greedy.best_placements_high_snr(params, block, value, bpcu_to_nats(cfg.rate_bpcu))
+    found = oma_greedy.best_placement_high_snr(params, block, value, bpcu_to_nats(cfg.rate_bpcu))
     return nats_to_bpcu(found.solution.objective)
 
 
 def _eval_greedy_conv(params, block, value, cfg):
     rate = bpcu_to_nats(cfg.rate_bpcu)
-    return nats_to_bpcu(oma_greedy.placements_at(params, block, value, rate, np.zeros(len(block))).objective)
+    return nats_to_bpcu(oma_greedy.split_power(params, block, value, rate, np.zeros(len(block))).solution.objective)
 
 
 def _eval_noma(params, block, value, cfg):

@@ -118,8 +118,10 @@ def conventional_min_powers(params: SystemParams, block: LayoutBlock, rate_nats)
     """Total power of each layout of a block with the antenna fixed at the area centre.
 
     Takes the cheaper SIC order (min_powers_at at x = 0 for both decoders),
-    so it isolates the placement gain of solve_min_power.
+    so it isolates the placement gain of solve_min_power.  Raises ValueError
+    when a user is outside the service area.
     """
+    block.validate(params)
     by_decoder = [sum(min_powers_at(params, block, rate_nats, 0.0, decoder)) for decoder in (0, 1)]
     return np.where(by_decoder[1] < by_decoder[0], by_decoder[1], by_decoder[0])
 

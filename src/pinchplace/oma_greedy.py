@@ -7,9 +7,11 @@ two ways: a certified grid search over the waveguide, and a fast route that
 observes that at high power the objective is dominated by the product of the
 two squared distances, whose stationary points are the real roots of a cubic.
 
-The block routes take the total budget as one float for the whole block or
-as a (B,) column with one budget per layout (core.per_row); the rate floor is
-one float.
+Every route takes a LayoutBlock of any number of two-user layouts, and the
+total budget as one float for the whole block or as a (B,) column with one
+budget per layout (core.per_row); the rate floor is one float.  Each returns
+a GreedyPlacement that marks an infeasible layout with an objective of -inf,
+so a single instance is row 0 of a one-row block, None when infeasible.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (LayoutBlock, PlacementSolution, SystemParams, libm, one_row, path_gain, per_row, power_coeff,
+from .core import (LayoutBlock, PlacementSolution, SystemParams, libm, path_gain, per_row, power_coeff,
                    require_positive, squared_distance, user_pair)
-from .errors import Infeasible
-from .oracle import GridSpec, grid_optimize, grid_optimize_rows
+# grid_optimize is kept importable here so that traced runs can wrap this module's name for it
+from .oracle import GridSpec, grid_optimize, grid_optimize_rows  # noqa: F401
 
 CASE_FLOOR_AT_2 = "boundary-at-2"
 CASE_FLOOR_AT_1 = "boundary-at-1"
@@ -34,36 +36,26 @@ _FEAS_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
-class PowerSplit:
-    p1: float
-    p2: float
-    case: str
+class GreedyPlacement:
+    """The placement and optimal power split of each layout of a block.
 
-    @property
-    def total(self) -> float:
-        return self.p1 + self.p2
-
-
-@dataclass(frozen=True)
-class RootPlacement:
-    """Placement picked among the cubic's roots and the interval endpoints.
-
-    A block placement holds one row per layout: a block PlacementSolution,
-    roots as a (B, 3) array padded with NaN, and a (B,) allocation_case
-    array.
+    solution is a block PlacementSolution (an objective of -inf marks a
+    layout whose budget cannot cover both floors), case a (B,) array of each
+    split's CASE_* name, and roots, for the high-SNR route only, the
+    stationary points as a (B, 3) array padded with NaN.
     """
 
     solution: PlacementSolution
-    roots: tuple[float, ...]
-    allocation_case: str
+    case: np.ndarray
+    roots: np.ndarray | None = None
 
-    def row(self, i: int) -> "RootPlacement | None":
-        """Layout i's placement of a block placement; None where no candidate is feasible."""
+    def row(self, i: int) -> "GreedyPlacement | None":
+        """Layout i's placement as plain floats, a str case and a tuple of roots; None where it is infeasible."""
         solution = self.solution.row(i)
         if solution is None:
             return None
-        return RootPlacement(solution=solution, roots=tuple(r for r in self.roots[i].tolist() if not math.isnan(r)),
-                             allocation_case=str(self.allocation_case[i]))
+        roots = None if self.roots is None else tuple(r for r in self.roots[i].tolist() if not math.isnan(r))
+        return GreedyPlacement(solution=solution, case=str(self.case[i]), roots=roots)
 
 
 def _geometry(params: SystemParams, users, gain: float, x):
@@ -130,19 +122,6 @@ def _splits(params: SystemParams, columns: np.ndarray, total_w, rate_nats: float
                 per_row(total_w), np.asarray(xs, dtype=float))
 
 
-def split_power(params: SystemParams, block: LayoutBlock, total_w: float, rate_nats: float, x: float) -> PowerSplit:
-    """Optimal two-user power split of a one-row block at antenna position x (the three cases of _kkt).
-
-    Raises Infeasible when the budget cannot cover both floors.
-    """
-    require_positive(total_w, block, "total power budget")
-    columns = _columns(params, one_row(block))
-    p1, p2, pin_2, pin_1, rate = (v.item() for v in _splits(params, columns, total_w, rate_nats, [[x]]))
-    if rate == -math.inf:
-        raise Infeasible(f"budget {total_w} W cannot cover both rate floors at x = {x}")
-    return PowerSplit(p1=p1, p2=p2, case=str(_cases(pin_2, pin_1)))
-
-
 def _curves(params: SystemParams, columns: np.ndarray, total_w, rate_nats: float):
     """The sum-rate curve of each layout of a block (its _columns) as one oracle row objective.
 
@@ -161,52 +140,39 @@ def _curves(params: SystemParams, columns: np.ndarray, total_w, rate_nats: float
     return objective
 
 
-def _placed(params: SystemParams, columns: np.ndarray, total_w, rate_nats: float, xs) -> PlacementSolution:
-    """The optimal split and sum rate of each layout at its position in xs (NaN for none): a block PlacementSolution."""
+def _placed(params: SystemParams, columns: np.ndarray, total_w, rate_nats: float, xs) -> GreedyPlacement:
+    """The optimal split, sum rate and KKT case of each layout at its position in xs (NaN for none)."""
     xs = np.asarray(xs, dtype=float)
-    p1, p2, _, _, rate = (v[:, 0] for v in _splits(params, columns, total_w, rate_nats, xs[:, None]))
-    return PlacementSolution(x_star=xs, powers=np.stack([p1, p2], axis=1), objective=rate)
+    p1, p2, pin_2, pin_1, rate = (v[:, 0] for v in _splits(params, columns, total_w, rate_nats, xs[:, None]))
+    return GreedyPlacement(PlacementSolution(x_star=xs, powers=np.stack([p1, p2], axis=1), objective=rate),
+                           _cases(pin_2, pin_1))
 
 
-def placements_at(params: SystemParams, block: LayoutBlock, total_w, rate_nats: float, xs) -> PlacementSolution:
-    """The optimal split and sum rate of each layout of a block at its position in xs.
+def split_power(params: SystemParams, block: LayoutBlock, total_w, rate_nats: float, xs) -> GreedyPlacement:
+    """The optimal split (the three cases of _kkt) and sum rate of each layout of a block at its position in xs.
 
-    Returns a block PlacementSolution whose objective is -inf where the budget cannot cover both floors.
+    Raises ValueError when a budget is not positive or a user is outside the service area.
     """
     require_positive(total_w, block, "total power budget")
     return _placed(params, _columns(params, block), total_w, rate_nats, xs)
 
 
-def best_placements_search(
+def best_placement_search(
     params: SystemParams, block: LayoutBlock, total_w, rate_nats: float, spec: GridSpec
-) -> PlacementSolution:
-    """best_placement_search of each layout of a block, bit for bit, as a block PlacementSolution.
+) -> GreedyPlacement:
+    """Certified route: grid search of each layout over x with the closed-form split at each point.
 
-    Its objective is -inf (and its x_star NaN) where no grid point is
-    feasible.  One KKT evaluation serves the golden-section probes of every
-    layout in an iteration, and one more places every feasible layout, so a
-    block costs much less than its layouts one by one, all the more when a
-    column of budgets lets one call search a whole sweep.
+    A layout's x_star is NaN where no grid point is feasible.  One KKT
+    evaluation serves the golden-section probes of every layout in an
+    iteration, and one more places every feasible layout, so a block costs
+    much less than its layouts one by one, all the more when a column of
+    budgets lets one call search a whole sweep.
     """
     require_positive(total_w, block, "total power budget")
     columns = _columns(params, block)
     found = grid_optimize_rows(_curves(params, columns, total_w, rate_nats), spec, len(block),
                                sense="max", skip_nonfinite=True)
     return _placed(params, columns, total_w, rate_nats, [math.nan if f is None else f[0] for f in found])
-
-
-def best_placement_search(
-    params: SystemParams, block: LayoutBlock, total_w: float, rate_nats: float, spec: GridSpec
-) -> PlacementSolution:
-    """Certified route for a one-row block: grid search over x with the closed-form split at each point.
-
-    Raises Infeasible when no grid point can cover both rate floors.
-    """
-    require_positive(total_w, block, "total power budget")
-    columns = _columns(params, one_row(block))
-    curve = _curves(params, columns, total_w, rate_nats)
-    x_best, _ = grid_optimize(lambda xs: curve(0, xs), spec, sense="max", skip_nonfinite=True)
-    return _placed(params, columns, total_w, rate_nats, [x_best]).row(0)
 
 
 def _cbrt(v: float) -> float:
@@ -294,10 +260,15 @@ def _distinct(ascending: np.ndarray, width: np.ndarray) -> np.ndarray:
     return np.sort(kept, axis=1, kind="stable")
 
 
-def best_placements_high_snr(params: SystemParams, block: LayoutBlock, total_w, rate_nats: float) -> RootPlacement:
-    """best_placement_high_snr of each layout of a block as a block RootPlacement.
+def best_placement_high_snr(params: SystemParams, block: LayoutBlock, total_w, rate_nats: float) -> GreedyPlacement:
+    """Fast route: place each antenna at the best stationary point of its
+    layout's distance product, falling back to the interval endpoints.
 
-    Its objective is -inf where no candidate is feasible.  One KKT
+    Exact when the budget is large enough that the interior split wins
+    everywhere (the sum rate then decreases in the distance product); at
+    moderate budgets it is an approximation and the grid search is the
+    reference.  The roots and each winner's KKT case are recorded so
+    callers can see when the high-power premise did not hold.  One KKT
     evaluation covers the candidates of every layout.
     """
     hl = params.half_length
@@ -312,27 +283,8 @@ def best_placements_high_snr(params: SystemParams, block: LayoutBlock, total_w, 
     xs.sort(axis=1)
     p1, p2, pin_2, pin_1, rate = _splits(params, columns, total_w, rate_nats, xs)
     at = (np.arange(len(block)), np.argmax(rate, axis=1))  # the first of equal rates, as a strict > scan
-    x = xs[at]
-    return RootPlacement(
-        solution=PlacementSolution(x_star=x, powers=np.stack([p1[at], p2[at]], axis=1), objective=rate[at]),
+    return GreedyPlacement(
+        solution=PlacementSolution(x_star=xs[at], powers=np.stack([p1[at], p2[at]], axis=1), objective=rate[at]),
+        case=_cases(pin_2[at], pin_1[at]),
         roots=roots,
-        allocation_case=_cases(pin_2[at], pin_1[at]),
     )
-
-
-def best_placement_high_snr(
-    params: SystemParams, block: LayoutBlock, total_w: float, rate_nats: float
-) -> RootPlacement:
-    """Fast route for a one-row block: place the antenna at the best stationary
-    point of the distance product, falling back to the interval endpoints.
-
-    Exact when the budget is large enough that the interior split wins
-    everywhere (the sum rate then decreases in the distance product); at
-    moderate budgets it is an approximation and the grid search is the
-    reference.  The winning candidate and its allocation case are recorded so
-    callers can see when the high-power premise did not hold.
-    """
-    found = best_placements_high_snr(params, one_row(block), total_w, rate_nats).row(0)
-    if found is None:
-        raise Infeasible("no candidate position can cover both rate floors")
-    return found

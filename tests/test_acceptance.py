@@ -27,7 +27,7 @@ from pinchplace.core import (
 from pinchplace.errors import Infeasible
 from pinchplace.experiments import ExperimentConfig, layout_block, run_experiment, sample_layout
 from pinchplace.noma import check_solution, solve_min_power_search
-from pinchplace.oma_greedy import best_placement_high_snr, best_placements_search, placements_at
+from pinchplace.oma_greedy import best_placement_high_snr, best_placement_search, split_power
 from pinchplace.oracle import GridSpec, certification_grid, grid_optimize, power_split_sweep
 from pinchplace.outage import closed_form_outage, monte_carlo_outage
 from pair_geometry import closer_to_near_user
@@ -191,7 +191,7 @@ def test_c05_allocation_never_beaten_by_power_sweep():
         t1 = (x - x1) ** 2 + y1 * y1 + h2
         t2 = (x - x2) ** 2 + y2 * y2 + h2
         total = coeff * (t1 + t2) * float(10.0 ** gen.uniform(0.0, 2.0))
-        got = placements_at(PARAMS, lay, total, rate, [x]).objective[0]
+        got = split_power(PARAMS, lay, total, rate, [x]).row(0).solution.objective
 
         q1, q2 = PARAMS.noise_w * t1 / g, PARAMS.noise_w * t2 / g
         f1, f2 = coeff * t1, coeff * t2
@@ -227,10 +227,10 @@ def test_c06_high_snr_route_matches_search():
     worst_rel = -math.inf
     worst_resid = 0.0
     block = _block(2, False, gen, 1000)
-    searched = best_placements_search(PARAMS, block, total, rate, spec)
+    searched = best_placement_search(PARAMS, block, total, rate, spec)
     for i in range(len(block)):
-        lay, slow = block[i:i + 1], searched.row(i)
-        fast = best_placement_high_snr(PARAMS, lay, total, rate)
+        lay, slow = block[i:i + 1], searched.row(i).solution
+        fast = best_placement_high_snr(PARAMS, lay, total, rate).row(0)
         worst_rel = max(worst_rel, (slow.objective - fast.solution.objective) / slow.objective)
 
         (x1, y1), (x2, y2) = one_pair(lay)

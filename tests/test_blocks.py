@@ -3,11 +3,11 @@
 Every drop set mixes uniform and clustered drops with degenerate rows:
 coincident users, users on the waveguide (y = 0) and users on the edge of
 the service area.  Row i of a block must equal the one-row block of layout i,
-block[i:i + 1], exactly (and the greedy block routes the one-row greedy
-routes), also when a column gives each row its own budget or rate target and
-the one-row block gets its entry as a float; a broken invariant or a bad
-sweep value on any one row must fail the whole block, and every
-single-instance route must refuse a block of any other row count.
+block[i:i + 1], exactly, also when a column gives each row its own budget or
+rate target and the one-row block gets its entry as a float; a broken
+invariant or a bad sweep value on any one row must fail the whole block, and
+every route that only takes a single instance must refuse a block of any other
+row count.
 """
 
 import dataclasses
@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from pinchplace import certify, experiments, noma, oma_fairness, oma_greedy, rng
 from pinchplace.core import (LayoutBlock, NomaRates, SystemParams, bpcu_to_nats, dbm_to_watt, min_power_terms,
                              nats_to_bpcu, path_gain, power_coeff)
-from pinchplace.errors import CertificationError, DomainError, Infeasible
+from pinchplace.errors import CertificationError, DomainError
 from pinchplace.oracle import GridSpec
 
 PARAMS = SystemParams.default()
@@ -105,21 +105,13 @@ def test_noma_blocks_equal_one_layout_solves(rate_bpcu):
 def test_greedy_blocks_equal_one_layout_solves(dbm):
     block = _drops(2, 400)
     total, rate = dbm_to_watt(dbm), bpcu_to_nats(1.0)
-    fast = oma_greedy.best_placements_high_snr(PARAMS, block, total, rate)
-    at_centre = oma_greedy.placements_at(PARAMS, block, total, rate, np.zeros(len(block)))
+    fast = oma_greedy.best_placement_high_snr(PARAMS, block, total, rate)
+    at_centre = oma_greedy.split_power(PARAMS, block, total, rate, np.zeros(len(block)))
     for i, lay in enumerate(_rows(block)):
-        alone = oma_greedy.best_placements_high_snr(PARAMS, lay, total, rate)
+        alone = oma_greedy.best_placement_high_snr(PARAMS, lay, total, rate)
         assert fast.roots[i].tobytes() == alone.roots[0].tobytes()
-        try:
-            want = oma_greedy.best_placement_high_snr(PARAMS, lay, total, rate)
-        except Infeasible:
-            want = None
-        assert fast.row(i) == want
-        centre = at_centre.row(i)
-        assert centre == oma_greedy.placements_at(PARAMS, lay, total, rate, [0.0]).row(0)
-        if centre is not None:
-            split = oma_greedy.split_power(PARAMS, lay, total, rate, 0.0)
-            assert centre.powers == (split.p1, split.p2)
+        assert fast.row(i) == alone.row(0)
+        assert at_centre.row(i) == oma_greedy.split_power(PARAMS, lay, total, rate, [0.0]).row(0)
 
 
 def _one_layout_metric(name, one, value, cfg):
@@ -134,14 +126,11 @@ def _one_layout_metric(name, one, value, cfg):
     if name == "oma-powermin-conv":
         return oma_fairness.conventional_min_total_power(PARAMS, one, value)[0]
     if name == "oma-greedy-conv":
-        return nats_to_bpcu(oma_greedy.placements_at(PARAMS, one, value, rate, [0.0]).objective[0])
-    try:
-        if name == "oma-greedy":
-            return nats_to_bpcu(oma_greedy.best_placement_search(PARAMS, one, value, rate, cfg.grid).objective)
-        if name == "oma-greedy-highsnr":
-            return nats_to_bpcu(oma_greedy.best_placement_high_snr(PARAMS, one, value, rate).solution.objective)
-    except Infeasible:
-        return -np.inf
+        return nats_to_bpcu(oma_greedy.split_power(PARAMS, one, value, rate, [0.0]).solution.objective[0])
+    if name == "oma-greedy":
+        return nats_to_bpcu(oma_greedy.best_placement_search(PARAMS, one, value, rate, cfg.grid).solution.objective[0])
+    if name == "oma-greedy-highsnr":
+        return nats_to_bpcu(oma_greedy.best_placement_high_snr(PARAMS, one, value, rate).solution.objective[0])
     if name == "noma":
         return noma.solve_min_power(PARAMS, one, value).total[0]
     if name == "noma-conv":
@@ -167,6 +156,8 @@ def test_scheme_evaluators_equal_one_layout_metrics(name):
 
 def _leaves(result):
     """Every array of a block result (an array, a result dataclass or a tuple of them), depth first."""
+    if result is None:  # an optional field left out
+        return []
     if isinstance(result, np.ndarray):
         return [result]
     if dataclasses.is_dataclass(result):
@@ -257,9 +248,9 @@ def test_pair_rows_depend_on_their_own_layout_only(data, total, rate):
     _assert_rows_independent(lambda b: noma.conventional_min_powers(PARAMS, b, rate), block)
     for decoder in (0, 1):
         _assert_rows_independent(lambda b, x: noma.min_powers_at(PARAMS, b, rate, x, decoder), block, xs)
-    _assert_rows_independent(lambda b, x: oma_greedy.placements_at(PARAMS, b, total, rate, x), block, xs)
-    _assert_rows_independent(lambda b: oma_greedy.best_placements_high_snr(PARAMS, b, total, rate), block)
-    _assert_rows_independent(lambda b: oma_greedy.best_placements_search(PARAMS, b, total, rate, _PAIR_GRID), block)
+    _assert_rows_independent(lambda b, x: oma_greedy.split_power(PARAMS, b, total, rate, x), block, xs)
+    _assert_rows_independent(lambda b: oma_greedy.best_placement_high_snr(PARAMS, b, total, rate), block)
+    _assert_rows_independent(lambda b: oma_greedy.best_placement_search(PARAMS, b, total, rate, _PAIR_GRID), block)
 
 
 def _column(data, block, values):
@@ -300,9 +291,9 @@ def test_pair_rows_take_their_own_budget_or_rate_target(data):
     _assert_value_rows_independent(lambda b, v: noma.conventional_min_powers(PARAMS, b, v), block, rates)
     for decoder in (0, 1):
         _assert_value_rows_independent(lambda b, v, x: noma.min_powers_at(PARAMS, b, v, x, decoder), block, rates, xs)
-    _assert_value_rows_independent(lambda b, v, x: oma_greedy.placements_at(PARAMS, b, v, rate, x), block, totals, xs)
-    _assert_value_rows_independent(lambda b, v: oma_greedy.best_placements_high_snr(PARAMS, b, v, rate), block, totals)
-    _assert_value_rows_independent(lambda b, v: oma_greedy.best_placements_search(PARAMS, b, v, rate, _PAIR_GRID),
+    _assert_value_rows_independent(lambda b, v, x: oma_greedy.split_power(PARAMS, b, v, rate, x), block, totals, xs)
+    _assert_value_rows_independent(lambda b, v: oma_greedy.best_placement_high_snr(PARAMS, b, v, rate), block, totals)
+    _assert_value_rows_independent(lambda b, v: oma_greedy.best_placement_search(PARAMS, b, v, rate, _PAIR_GRID),
                                    block, totals)
     for name, (spec, evaluator) in experiments.SCHEMES.items():
         if spec.per_trial:
@@ -313,12 +304,14 @@ def test_pair_rows_take_their_own_budget_or_rate_target(data):
                                            _column(data, block, _SCHEME_VALUES[spec.axis]))
 
 
+# The greedy keys are test ids that name what each route gives a block: its placements at given
+# positions (split_power) or its best placements by the cubic or by the grid search.
 _BAD_BUDGET_ROUTES = {
     "solve_max_min_rate": lambda b, v: oma_fairness.solve_max_min_rate(PARAMS, b, v),
     "conventional_max_min_rate": lambda b, v: oma_fairness.conventional_max_min_rate(PARAMS, b, v),
-    "placements_at": lambda b, v: oma_greedy.placements_at(PARAMS, b, v, 0.5, np.zeros(len(b))),
-    "best_placements_high_snr": lambda b, v: oma_greedy.best_placements_high_snr(PARAMS, b, v, 0.5),
-    "best_placements_search": lambda b, v: oma_greedy.best_placements_search(PARAMS, b, v, 0.5, _PAIR_GRID),
+    "placements_at": lambda b, v: oma_greedy.split_power(PARAMS, b, v, 0.5, np.zeros(len(b))),
+    "best_placements_high_snr": lambda b, v: oma_greedy.best_placement_high_snr(PARAMS, b, v, 0.5),
+    "best_placements_search": lambda b, v: oma_greedy.best_placement_search(PARAMS, b, v, 0.5, _PAIR_GRID),
 }
 _BAD_RATE_ROUTES = {
     "solve_min_total_power": lambda b, v: oma_fairness.solve_min_total_power(PARAMS, b, v),
@@ -373,38 +366,27 @@ def test_a_value_column_of_another_length_than_the_block_fails(name, value):
             route(_drops(2, 952)[:rows], np.full(entries, value))
 
 
-def _or_none(route, *args):
-    try:
-        return route(*args)
-    except Infeasible:
-        return None
-
-
 @pytest.mark.parametrize("dbm", [0.0, 30.0])
 def test_one_row_greedy_routes_equal_rows_of_their_block_routes_bit_for_bit(dbm):
     # repr tells every float64 apart (signed zeros included), so equal reprs are equal bits
     block = _drops(2, 900)[::4]
     total, rate = dbm_to_watt(dbm), bpcu_to_nats(1.0)
-    searched = oma_greedy.best_placements_search(PARAMS, block, total, rate, _PAIR_GRID)
-    fast = oma_greedy.best_placements_high_snr(PARAMS, block, total, rate)
-    at_centre = oma_greedy.placements_at(PARAMS, block, total, rate, np.zeros(len(block)))
+    searched = oma_greedy.best_placement_search(PARAMS, block, total, rate, _PAIR_GRID)
+    fast = oma_greedy.best_placement_high_snr(PARAMS, block, total, rate)
+    at_centre = oma_greedy.split_power(PARAMS, block, total, rate, np.zeros(len(block)))
     for i in range(len(block)):
         one = block[i:i + 1]
-        assert repr(_or_none(oma_greedy.best_placement_search, PARAMS, one, total, rate, _PAIR_GRID)) == repr(
-            searched.row(i))
-        assert repr(_or_none(oma_greedy.best_placement_high_snr, PARAMS, one, total, rate)) == repr(fast.row(i))
-        split = _or_none(oma_greedy.split_power, PARAMS, one, total, rate, 0.0)
-        centre = at_centre.row(i)
-        assert (split is None) == (centre is None)
-        if split is not None:
-            assert repr((split.p1, split.p2)) == repr(centre.powers)
+        for whole, alone in ((searched, oma_greedy.best_placement_search(PARAMS, one, total, rate, _PAIR_GRID)),
+                             (fast, oma_greedy.best_placement_high_snr(PARAMS, one, total, rate)),
+                             (at_centre, oma_greedy.split_power(PARAMS, one, total, rate, [0.0]))):
+            assert repr(whole.row(i)) == repr(alone.row(0)), f"row {i}"
 
 
 def test_one_row_routes_refuse_any_other_row_count():
     pairs = _drops(2, 901)
     total, rate = dbm_to_watt(30.0), bpcu_to_nats(1.0)
     one = pairs[1:2]
-    search = oma_greedy.best_placement_search(PARAMS, one, total, rate, _PAIR_GRID)
+    search = oma_greedy.best_placement_search(PARAMS, one, total, rate, _PAIR_GRID).row(0).solution
     closed = noma.solve_min_power(PARAMS, one, rate).row(0)
     routes = {
         "certify.maxmin": lambda b: certify.maxmin(PARAMS, b, total, 1.0),
@@ -416,10 +398,6 @@ def test_one_row_routes_refuse_any_other_row_count():
         "certify._split_sweep_value": lambda b: certify._split_sweep_value(PARAMS, b, total, rate, 0.0),
         "noma.solve_min_power_search": lambda b: noma.solve_min_power_search(PARAMS, b, rate, _PAIR_GRID),
         "noma.check_solution": lambda b: noma.check_solution(PARAMS, b, closed),
-        "oma_greedy.split_power": lambda b: oma_greedy.split_power(PARAMS, b, total, rate, 0.0),
-        "oma_greedy.best_placement_search": lambda b: oma_greedy.best_placement_search(PARAMS, b, total, rate,
-                                                                                        _PAIR_GRID),
-        "oma_greedy.best_placement_high_snr": lambda b: oma_greedy.best_placement_high_snr(PARAMS, b, total, rate),
     }
     for name, route in routes.items():
         route(one)
@@ -471,6 +449,25 @@ def test_block_rejects_users_outside_the_area_and_misshapen_arrays():
         LayoutBlock(np.zeros((3, 2)), np.zeros((3, 3)))
     with pytest.raises(ValueError, match="one \\(B, M\\) shape"):
         LayoutBlock(np.zeros(3), np.zeros(3))
+
+
+def test_every_pair_solver_refuses_a_user_outside_the_area():
+    outside = LayoutBlock.from_layouts([[(-8.0, 2.0), (100.0, -4.0)]])
+    total, rate = dbm_to_watt(30.0), bpcu_to_nats(1.0)
+    routes = {
+        "noma.conventional_min_powers": lambda b: noma.conventional_min_powers(PARAMS, b, rate),
+        "noma.solve_min_power": lambda b: noma.solve_min_power(PARAMS, b, rate),
+        "oma_fairness.conventional_min_total_power": lambda b: oma_fairness.conventional_min_total_power(
+            PARAMS, b, rate),
+        "oma_greedy.split_power": lambda b: oma_greedy.split_power(PARAMS, b, total, rate, [0.0]),
+        "oma_greedy.best_placement_search": lambda b: oma_greedy.best_placement_search(PARAMS, b, total, rate,
+                                                                                        _PAIR_GRID),
+        "oma_greedy.best_placement_high_snr": lambda b: oma_greedy.best_placement_high_snr(PARAMS, b, total, rate),
+    }
+    for name, route in routes.items():
+        with pytest.raises(ValueError, match=r"user 2 at \(100.0, -4.0\) is outside the 40.0 x 10.0 m"):
+            route(outside)
+            pytest.fail(f"{name} took a user outside the area")
 
 
 def test_block_rates_take_log1p_from_the_math_module():

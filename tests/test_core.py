@@ -14,12 +14,12 @@ from pinchplace.core import (
     min_power_terms,
     nats_to_bpcu,
     noma_rates,
-    oma_rate,
     path_gain,
     squared_distance,
     watt_to_dbm,
 )
 from pinchplace.errors import DomainError
+from rate_formula import oma_rate
 
 PARAMS = SystemParams.default()
 

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from pinchplace import oma_fairness, rng
-from pinchplace.core import LayoutBlock, MinPowerTerms, SystemParams, min_power_terms, oma_rate, squared_distance
+from pinchplace.core import LayoutBlock, MinPowerTerms, SystemParams, min_power_terms, squared_distance
 from pinchplace.errors import CertificationError
 from pinchplace.oracle import GridSpec, grid_optimize
+from rate_formula import oma_rate
 
 PARAMS = SystemParams.default()
 LAYOUT3 = ((-12.5, 3.25), (4.0, -1.5), (9.75, 2.0))

@@ -7,22 +7,20 @@ import numpy as np
 import pytest
 
 from pinchplace import rng
-from pinchplace.core import (LayoutBlock, SystemParams, bpcu_to_nats, dbm_to_watt, min_power_terms, oma_rate,
-                             path_gain, squared_distance)
-from pinchplace.errors import DomainError, Infeasible
+from pinchplace.core import (LayoutBlock, SystemParams, bpcu_to_nats, dbm_to_watt, min_power_terms, path_gain,
+                             squared_distance)
+from pinchplace.errors import DomainError
 from pinchplace.oma_greedy import (
     CASE_FLOOR_AT_1,
     CASE_FLOOR_AT_2,
     CASE_INTERIOR,
     best_placement_high_snr,
     best_placement_search,
-    best_placements_high_snr,
-    best_placements_search,
-    placements_at,
     split_power,
 )
 from pinchplace.oracle import GridSpec, power_split_sweep
 from pair_geometry import closer_to_near_user
+from rate_formula import oma_rate
 
 PARAMS = SystemParams.default()
 LAYOUT = ((-8.0, 2.0), (6.0, -4.0))
@@ -43,6 +41,11 @@ def _one(users):
     return LayoutBlock.from_layouts([users])
 
 
+def _split(layout, total_w, x, rate_nats=RATE):
+    """The KKT split of one layout at position x: row 0 of a one-row block, None where it is infeasible."""
+    return split_power(PARAMS, _one(layout), total_w, rate_nats, [x]).row(0)
+
+
 def _random_pair(gen):
     return tuple((float(x), float(y)) for x, y in zip(gen.uniform(-20, 20, 2), gen.uniform(-5, 5, 2)))
 
@@ -56,7 +59,7 @@ def _sum_rate(layout, x, p1, p2):
 def _roots(layouts, height_m=PARAMS.height_m):
     """Each layout's stationary points of the distance product, read off the high-SNR route's block result."""
     params = dataclasses.replace(PARAMS, height_m=height_m)
-    found = best_placements_high_snr(params, LayoutBlock.from_layouts(layouts), 1.0, RATE)
+    found = best_placement_high_snr(params, LayoutBlock.from_layouts(layouts), 1.0, RATE)
     return [tuple(r for r in row if not math.isnan(r)) for row in found.roots.tolist()]
 
 
@@ -83,46 +86,50 @@ def _sweep_best(layout, total_w, rate_nats, x, points=20001):
 
 
 def test_split_interior_frozen():
-    split = split_power(PARAMS, _one(LAYOUT), 0.01, RATE, -1.0)
+    split = _split(LAYOUT, 0.01, -1.0)
+    p1, p2 = split.solution.powers
     assert split.case == CASE_INTERIOR
-    assert np.isclose(split.p1, INTERIOR_P1, rtol=1e-12), f"p1 {split.p1}"
-    assert np.isclose(split.total, 0.01, rtol=1e-15)
-    got = _sum_rate(LAYOUT, -1.0, split.p1, split.p2)
+    assert np.isclose(p1, INTERIOR_P1, rtol=1e-12), f"p1 {p1}"
+    assert np.isclose(p1 + p2, 0.01, rtol=1e-15)
+    got = _sum_rate(LAYOUT, -1.0, p1, p2)
     assert np.isclose(got, INTERIOR_SUM_RATE, rtol=1e-12), f"rate {got}"
+    assert np.isclose(split.solution.objective, INTERIOR_SUM_RATE, rtol=1e-12)
 
 
 def test_split_pins_user_two_frozen():
-    split = split_power(PARAMS, _one(LAYOUT), 5e-4, RATE, -7.9)
+    split = _split(LAYOUT, 5e-4, -7.9)
+    p1, p2 = split.solution.powers
     assert split.case == CASE_FLOOR_AT_2
-    assert np.isclose(split.p1, PIN2_P1, rtol=1e-12)
-    assert np.isclose(_sum_rate(LAYOUT, -7.9, split.p1, split.p2), PIN2_SUM_RATE, rtol=1e-12)
+    assert np.isclose(p1, PIN2_P1, rtol=1e-12)
+    assert np.isclose(_sum_rate(LAYOUT, -7.9, p1, p2), PIN2_SUM_RATE, rtol=1e-12)
 
 
 def test_split_pins_user_one_frozen():
-    split = split_power(PARAMS, _one(LAYOUT), 4e-4, RATE, 5.8)
+    split = _split(LAYOUT, 4e-4, 5.8)
+    p1, p2 = split.solution.powers
     assert split.case == CASE_FLOOR_AT_1
-    assert np.isclose(split.p1, PIN1_P1, rtol=1e-12)
-    assert np.isclose(_sum_rate(LAYOUT, 5.8, split.p1, split.p2), PIN1_SUM_RATE, rtol=1e-12)
+    assert np.isclose(p1, PIN1_P1, rtol=1e-12)
+    assert np.isclose(_sum_rate(LAYOUT, 5.8, p1, p2), PIN1_SUM_RATE, rtol=1e-12)
 
 
 def test_pinned_user_sits_exactly_at_its_floor_rate():
     g = path_gain(PARAMS)
     for x, p, floor_user in ((-7.9, 5e-4, 2), (5.8, 4e-4, 1)):
-        split = split_power(PARAMS, _one(LAYOUT), p, RATE, x)
+        split = _split(LAYOUT, p, x)
         (x1, y1), (x2, y2) = LAYOUT
         h2 = PARAMS.height_m ** 2
         tau = ((x - x1) ** 2 + y1 * y1 + h2, (x - x2) ** 2 + y2 * y2 + h2)
-        pw = (split.p1, split.p2)[floor_user - 1]
+        pw = split.solution.powers[floor_user - 1]
         q = PARAMS.noise_w * tau[floor_user - 1] / g
         rate = 0.5 * math.log1p(pw / q)
         assert np.isclose(rate, RATE, rtol=1e-12), f"floor user rate {rate} != {RATE}"
 
 
 def test_split_infeasible_budget():
-    with pytest.raises(Infeasible):
-        split_power(PARAMS, _one(LAYOUT), 1e-5, RATE, -1.0)
+    placed = split_power(PARAMS, _one(LAYOUT), 1e-5, RATE, [-1.0])
+    assert placed.solution.objective[0] == -math.inf and placed.row(0) is None
     with pytest.raises(ValueError):
-        split_power(PARAMS, _one(LAYOUT), 0.0, RATE, -1.0)
+        split_power(PARAMS, _one(LAYOUT), 0.0, RATE, [-1.0])
 
 
 def test_split_exact_floor_budget_is_feasible():
@@ -131,13 +138,13 @@ def test_split_exact_floor_budget_is_feasible():
     t1 = (-1.0 + 8.0) ** 2 + 4.0 + h2
     t2 = (-1.0 - 6.0) ** 2 + 16.0 + h2
     total = coeff * (t1 + t2)
-    split = split_power(PARAMS, _one(LAYOUT), total, RATE, -1.0)
-    assert np.isclose(split.p1 + split.p2, total, rtol=1e-12)
+    split = _split(LAYOUT, total, -1.0)
+    assert np.isclose(sum(split.solution.powers), total, rtol=1e-12)
 
 
 def test_split_rejects_non_pairs():
     with pytest.raises(DomainError):
-        split_power(PARAMS, _one(((0.0, 0.0),)), 1.0, RATE, 0.0)
+        split_power(PARAMS, _one(((0.0, 0.0),)), 1.0, RATE, [0.0])
 
 
 def test_split_matches_brute_force_sweep():
@@ -150,35 +157,26 @@ def test_split_matches_brute_force_sweep():
             (x - ux) ** 2 + uy * uy + PARAMS.height_m ** 2 for ux, uy in lay
         )
         total = floors * float(10.0 ** gen.uniform(0.0, 2.0))
-        split = split_power(PARAMS, _one(lay), total, RATE, x)
-        got = _sum_rate(lay, x, split.p1, split.p2)
+        got = _sum_rate(lay, x, *_split(lay, total, x).solution.powers)
         _, best = _sweep_best(lay, total, RATE, x)
         assert got >= best - 1e-9, f"split rate {got} below sweep {best}"
 
 
 def test_search_placement_beats_every_grid_point():
-    sol = best_placement_search(PARAMS, _one(LAYOUT), 0.01, RATE, SEARCH_GRID)
+    sol = best_placement_search(PARAMS, _one(LAYOUT), 0.01, RATE, SEARCH_GRID).row(0).solution
     for x in np.linspace(-20, 20, 401):
-        try:
-            split = split_power(PARAMS, _one(LAYOUT), 0.01, RATE, float(x))
-        except Infeasible:
+        split = _split(LAYOUT, 0.01, float(x))
+        if split is None:
             continue
-        r = _sum_rate(LAYOUT, float(x), split.p1, split.p2)
+        r = _sum_rate(LAYOUT, float(x), *split.solution.powers)
         assert sol.objective >= r - 1e-9, f"beaten at x={x}: {r} > {sol.objective}"
 
 
 def test_search_infeasible_everywhere():
-    with pytest.raises(Infeasible):
-        best_placement_search(PARAMS, _one(LAYOUT), 1e-7, RATE, SEARCH_GRID)
-    with pytest.raises(Infeasible):
-        best_placement_high_snr(PARAMS, _one(LAYOUT), 1e-7, RATE)
-
-
-def _search_or_none(layout, total_w, rate_nats, spec):
-    try:
-        return best_placement_search(PARAMS, _one(layout), total_w, rate_nats, spec)
-    except Infeasible:
-        return None
+    searched = best_placement_search(PARAMS, _one(LAYOUT), 1e-7, RATE, SEARCH_GRID)
+    assert searched.row(0) is None and math.isnan(searched.solution.x_star[0])
+    assert searched.solution.objective[0] == -math.inf
+    assert best_placement_high_snr(PARAMS, _one(LAYOUT), 1e-7, RATE).row(0) is None
 
 
 def test_block_search_equals_one_layout_searches_bit_for_bit():
@@ -188,14 +186,14 @@ def test_block_search_equals_one_layout_searches_bit_for_bit():
     for dbm in (0.0, 10.0, 20.0, 40.0, 60.0):
         layouts = _random_pairs(gen, 12)
         total, rate = dbm_to_watt(dbm), bpcu_to_nats(float(gen.uniform(0.5, 2.0)))
-        got = best_placements_search(PARAMS, LayoutBlock.from_layouts(layouts), total, rate, spec)
-        want = [_search_or_none(lay, total, rate, spec) for lay in layouts]
-        assert [got.row(i) for i in range(len(layouts))] == want, f"block differs at {dbm} dBm"
+        got = best_placement_search(PARAMS, LayoutBlock.from_layouts(layouts), total, rate, spec)
+        want = [best_placement_search(PARAMS, _one(lay), total, rate, spec).row(0) for lay in layouts]
+        # repr tells every float64 apart (signed zeros included), so equal reprs are equal bits
+        assert [repr(got.row(i)) for i in range(len(layouts))] == [repr(w) for w in want], f"differs at {dbm} dBm"
         infeasible += want.count(None)
     assert 0 < infeasible < 60, f"{infeasible} infeasible layouts: the blocks must mix both kinds"
     empty = LayoutBlock(np.empty((0, 2)), np.empty((0, 2)))
-    assert len(best_placements_search(PARAMS, empty, 1.0, RATE, spec).objective) == 0
-    assert best_placements_search(PARAMS, _one(LAYOUT), 1e-7, RATE, spec).row(0) is None
+    assert len(best_placement_search(PARAMS, empty, 1.0, RATE, spec).solution.objective) == 0
 
 
 def _random_pairs(gen, count):
@@ -212,41 +210,35 @@ def test_block_placements_equal_split_power_and_sum_rate_bit_for_bit():
         total, rate = dbm_to_watt(dbm), bpcu_to_nats(float(gen.uniform(0.5, 2.0)))
         # placements at given positions, then the search's own final placements
         block = LayoutBlock.from_layouts(layouts)
-        placed = placements_at(PARAMS, block, total, rate, xs)
+        placed = split_power(PARAMS, block, total, rate, xs)
         cases = [(lay, x, placed.row(i)) for i, (lay, x) in enumerate(zip(layouts, xs))]
-        found = best_placements_search(PARAMS, block, total, rate, spec)
+        found = best_placement_search(PARAMS, block, total, rate, spec)
         for i, lay in enumerate(layouts):
             sol = found.row(i)
             if sol is not None:
-                cases.append((lay, sol.x_star, sol))
+                cases.append((lay, sol.solution.x_star, sol))
                 searched += 1
         for lay, x, sol in cases:
-            try:
-                split = split_power(PARAMS, _one(lay), total, rate, x)
-            except Infeasible:
-                assert sol is None
+            # the split, sum rate and case of a block row are the one-row block's at the same position
+            assert repr(sol) == repr(_split(lay, total, x, rate))
+            if sol is None:
                 infeasible += 1
                 continue
-            assert (sol.x_star, sol.powers) == (x, (split.p1, split.p2))
-            assert sol == placements_at(PARAMS, _one(lay), total, rate, [x]).row(0)
-            assert np.isclose(sol.objective, _sum_rate(lay, x, split.p1, split.p2), rtol=1e-12)
+            assert sol.solution.x_star == x
+            assert np.isclose(sol.solution.objective, _sum_rate(lay, x, *sol.solution.powers), rtol=1e-12)
     assert 0 < infeasible < 48 and searched > 0, f"{infeasible} infeasible: the blocks must mix both kinds"
     with pytest.raises(ValueError):
-        placements_at(PARAMS, _one(LAYOUT), 0.0, RATE, [0.0])
+        split_power(PARAMS, _one(LAYOUT), 0.0, RATE, [0.0])
 
 
 def _high_snr_one_candidate_at_a_time(layout, total_w, rate_nats):
-    """(x, sum rate, split) of the best high-SNR candidate, tried one by one; None if none is feasible."""
+    """The one-row split at the best high-SNR candidate, tried one by one; None if none is feasible."""
     hl = PARAMS.half_length
     best = None
     for x in sorted({min(hl, max(-hl, r)) for r in _roots_one_at_a_time(layout, PARAMS.height_m)} | {-hl, hl}):
-        try:
-            split = split_power(PARAMS, _one(layout), total_w, rate_nats, x)
-        except Infeasible:
-            continue
-        value = placements_at(PARAMS, _one(layout), total_w, rate_nats, [x]).objective[0]
-        if best is None or value > best[1]:
-            best = (x, value, split)
+        split = _split(layout, total_w, x, rate_nats)
+        if split is not None and (best is None or split.solution.objective > best.solution.objective):
+            best = split
     return best
 
 
@@ -256,25 +248,22 @@ def test_block_high_snr_equals_one_layout_calls_bit_for_bit():
     for dbm in (0.0, 10.0, 20.0, 40.0, 60.0):
         layouts = _random_pairs(gen, 12)
         total, rate = dbm_to_watt(dbm), bpcu_to_nats(float(gen.uniform(0.5, 2.0)))
-        found = best_placements_high_snr(PARAMS, LayoutBlock.from_layouts(layouts), total, rate)
+        found = best_placement_high_snr(PARAMS, LayoutBlock.from_layouts(layouts), total, rate)
         for i, lay in enumerate(layouts):
             fast = found.row(i)
+            assert repr(fast) == repr(best_placement_high_snr(PARAMS, _one(lay), total, rate).row(0))
             want = _high_snr_one_candidate_at_a_time(lay, total, rate)
             if want is None:
                 assert fast is None
-                with pytest.raises(Infeasible):
-                    best_placement_high_snr(PARAMS, _one(lay), total, rate)
                 infeasible += 1
                 continue
-            assert fast == best_placement_high_snr(PARAMS, _one(lay), total, rate)
-            x, value, split = want
-            assert (fast.solution.x_star, fast.solution.objective, fast.solution.powers, fast.allocation_case) == (
-                x, value, (split.p1, split.p2), split.case)
+            assert (fast.solution, fast.case) == (want.solution, want.case)
+            assert fast.roots == _roots_one_at_a_time(lay, PARAMS.height_m)
     assert 0 < infeasible < 60, f"{infeasible} infeasible layouts: the blocks must mix both kinds"
     empty = LayoutBlock(np.empty((0, 2)), np.empty((0, 2)))
-    assert len(best_placements_high_snr(PARAMS, empty, 1.0, RATE).solution.x_star) == 0
+    assert len(best_placement_high_snr(PARAMS, empty, 1.0, RATE).solution.x_star) == 0
     with pytest.raises(ValueError):
-        best_placements_high_snr(PARAMS, _one(LAYOUT), 0.0, RATE)
+        best_placement_high_snr(PARAMS, _one(LAYOUT), 0.0, RATE)
 
 
 def test_symmetric_cubic_roots_frozen():
@@ -386,17 +375,17 @@ def test_high_snr_placement_approaches_search():
     rate = bpcu_to_nats(1.0)
     for _ in range(40):
         lay = _random_pair(gen)
-        fast = best_placement_high_snr(PARAMS, _one(lay), total, rate)
-        slow = best_placement_search(PARAMS, _one(lay), total, rate, SEARCH_GRID)
+        fast = best_placement_high_snr(PARAMS, _one(lay), total, rate).row(0)
+        slow = best_placement_search(PARAMS, _one(lay), total, rate, SEARCH_GRID).row(0).solution
         rel = (slow.objective - fast.solution.objective) / slow.objective
         assert rel <= 1e-3, f"fast route {rel:.2e} worse than search"
         assert fast.solution.objective <= slow.objective + 1e-9
 
 
 def test_high_snr_reports_roots_and_case():
-    fast = best_placement_high_snr(PARAMS, _one(LAYOUT), 10.0, RATE)
+    fast = best_placement_high_snr(PARAMS, _one(LAYOUT), 10.0, RATE).row(0)
     assert fast.solution.x_star in fast.roots or abs(fast.solution.x_star) == PARAMS.half_length
-    assert fast.allocation_case in (CASE_INTERIOR, CASE_FLOOR_AT_1, CASE_FLOOR_AT_2)
+    assert fast.case in (CASE_INTERIOR, CASE_FLOOR_AT_1, CASE_FLOOR_AT_2)
 
 
 def test_placement_sides_with_near_user():

@@ -247,11 +247,11 @@ def test_lone_greedy_row_matches_its_row_in_a_block(monkeypatch):
     budgets, rate = dbm_to_watt(30.0) * gen.uniform(0.5, 2.0, 3), bpcu_to_nats(1.0)
     spec = GridSpec(lo=-20.0, hi=20.0, points=2001, refine_iters=40)
     (whole,) = _captured(monkeypatch, oma_greedy, "grid_optimize_rows",
-                         lambda: oma_greedy.best_placements_search(PARAMS, block, budgets, rate, spec))
+                         lambda: oma_greedy.best_placement_search(PARAMS, block, budgets, rate, spec))
     for row in range(3):
         (alone,) = _captured(monkeypatch, oma_greedy, "grid_optimize_rows",
-                             lambda: oma_greedy.best_placements_search(PARAMS, block[row:row + 1], budgets[row],
-                                                                       rate, spec))
+                             lambda: oma_greedy.best_placement_search(PARAMS, block[row:row + 1], budgets[row],
+                                                                      rate, spec))
         _assert_lone_row_matches_its_block_row(whole, row, alone, spec, "max")
 
 
