@@ -79,8 +79,8 @@ def _powermin_oracle(params: SystemParams, block: LayoutBlock, rate_nats: float)
 
 def _split_sweep_value(
     params: SystemParams, block: LayoutBlock, total_w: float, rate_nats: float, x: float
-) -> float:
-    """Best sum rate over a dense sweep of the first user's power at fixed x."""
+) -> float | None:
+    """Best sum rate over a dense sweep of the first user's power at fixed x; None when no swept split is feasible."""
     coeff = power_coeff(params, rate_nats, 2)
     h = params.height_m
     (x1, y1), (x2, y2) = one_pair(block)
@@ -97,8 +97,8 @@ def _split_sweep_value(
         feasible = (p1s >= floor1 - 1e-12 * total_w) & (p2s >= floor2 - 1e-12 * total_w)
         return np.where(feasible, rates, -np.inf)
 
-    spec = oracle.GridSpec(lo=0.0, hi=total_w, points=_SPLIT_SWEEP_POINTS, refine_iters=40)
-    return oracle.power_split_sweep(evaluator, total_w, spec)[1]
+    swept = oracle.power_split_sweep(evaluator, total_w, _SPLIT_SWEEP_POINTS, 40)
+    return None if swept is None else swept[1]
 
 
 def maxmin(params: SystemParams, block: LayoutBlock, total_w: float, objective: float) -> Check:
@@ -116,15 +116,24 @@ def powermin(params: SystemParams, block: LayoutBlock, rate_nats: float, objecti
 
 
 def power_sweep(params: SystemParams, block: LayoutBlock, total_w: float, rate_nats: float,
-                search: PlacementSolution) -> Check:
-    """No swept power split at the searched position may beat its KKT split (nats)."""
+                search: PlacementSolution | None) -> Check:
+    """No swept power split at the searched position may beat its KKT split (nats).
+
+    Skipped without a searched position (search is None) and when the sweep's spacing misses
+    every feasible split, as it can for a budget just above the floor sum."""
+    if search is None:
+        return skipped("power-sweep", "infeasible trial")
     reference = _split_sweep_value(params, block, total_w, rate_nats, search.x_star)
+    if reference is None:
+        return skipped("power-sweep", "no feasible swept split")
     gap = reference - search.objective
     return Check("power-sweep", search.objective, reference, gap, CERT_SPLIT_NATS, gap <= CERT_SPLIT_NATS)
 
 
-def fast_below_search(fast: float, search: float) -> Check:
-    """The cubic route tries a subset of the search's positions, so it may not beat it (nats)."""
+def fast_below_search(fast: float | None, search: float) -> Check:
+    """The cubic route tries a subset of the search's positions so it may not beat it (nats); skipped if it has none."""
+    if fast is None:
+        return skipped("fast<=search", "no feasible fast candidate")
     return Check("fast<=search", fast, search, fast - search, CERT_SPLIT_NATS, fast <= search + CERT_SPLIT_NATS)
 
 

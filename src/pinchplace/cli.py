@@ -256,7 +256,8 @@ def cmd_greedy(args: argparse.Namespace) -> int:
 
     search = oma_greedy.best_placement_search(params, layout, total_w, rate, grid).row(0)
     if search is None:
-        raise Infeasible("objective is non-finite at every grid point")
+        raise Infeasible(f"a budget of {float(merged['power_dbm']):.2f} dBm cannot cover both "
+                         f"{float(merged['rate_bpcu']):.4f} BPCU rate floors at any grid position")
 
     human = [
         f"solver: greedy (P = {float(merged['power_dbm']):.2f} dBm, "
@@ -278,7 +279,6 @@ def cmd_greedy(args: argparse.Namespace) -> int:
     fast = oma_greedy.best_placement_high_snr(params, layout, total_w, rate).row(0)
     if fast is None:  # the cubic's few candidates can all miss a floor that some grid point covers
         human.append("fast:     infeasible (no candidate position can cover both rate floors)")
-        fast_check = certify.skipped("fast<=search", "no feasible fast candidate")
     else:
         rel_gap = (search.solution.objective - fast.solution.objective) / abs(search.solution.objective)
         human += [
@@ -295,9 +295,10 @@ def cmd_greedy(args: argparse.Namespace) -> int:
             "roots_m": list(fast.roots),
         }
         report["gap_rel"] = rel_gap
-        fast_check = certify.fast_below_search(fast.solution.objective, search.solution.objective)
 
-    checks = [certify.power_sweep(params, layout, total_w, rate, search.solution), fast_check] if args.certify else []
+    checks = [certify.power_sweep(params, layout, total_w, rate, search.solution),
+              certify.fast_below_search(None if fast is None else fast.solution.objective,
+                                        search.solution.objective)] if args.certify else []
     return _finish(args, report, human, checks, "greedy allocation failed its brute-force check")
 
 
@@ -346,12 +347,8 @@ def _spot_checks(cfg: experiments.ExperimentConfig, layout: LayoutBlock, v: floa
         yield "oma-powermin", certify.powermin(
             p, layout, v, oma_fairness.solve_min_total_power(p, layout, v).row(0).objective)
     if "oma-greedy" in families:
-        search = oma_greedy.best_placement_search(p, layout, v, rate, cfg.grid).row(0)
-        check = certify.skipped("power-sweep", "infeasible trial")
-        if search is not None:
-            with contextlib.suppress(Infeasible):  # the split sweep's grid can miss a sliver of feasible splits
-                check = certify.power_sweep(p, layout, v, rate, search.solution)
-        yield "oma-greedy", check
+        search = oma_greedy.best_placement_search(p, layout, v, rate, cfg.grid).solution.row(0)
+        yield "oma-greedy", certify.power_sweep(p, layout, v, rate, search)
     if "noma" in families:
         yield "noma", certify.noma_search(p, layout, v, noma.solve_min_power(p, layout, v).row(0))
     if "outage" in families:

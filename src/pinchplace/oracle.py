@@ -5,9 +5,9 @@ refinement inside the best bracketing interval.  They exist so every analytic
 result in this package can be checked against a search that shares none of its
 algebra.  Determinism contract: pure functions of their inputs, ties broken
 toward the smallest abscissa, and the returned value is never worse than any
-grid sample.  An objective takes the 1-D grid and, during refinement, either
-an array of probes (one per row of a block) or a single probe as a 0-d
-np.float64 (see RowObjective).
+grid sample; a search that finds no finite point returns None.  An objective
+takes the 1-D grid and, during refinement, either an array of probes (one per
+row of a block) or a single probe as a 0-d np.float64 (see RowObjective).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import Infeasible, NonFinite
+from .errors import NonFinite
 
 # 1 / golden ratio; each refinement iteration shrinks the bracket by this factor.
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -69,20 +69,17 @@ def grid_optimize(
     spec: GridSpec,
     sense: str = "min",
     skip_nonfinite: bool = False,
-) -> tuple[float, float]:
+) -> tuple[float, float] | None:
     """Optimize a scalar objective over spec, returning (x_best, value).
 
     objective must accept a 1-D numpy array of abscissae and return an array
     of the same shape; with refine_iters > 0 it is also handed each probe as
     a 0-d np.float64 and returns one value (see RowObjective).  With
     skip_nonfinite=False (the default) a NaN or infinity anywhere on the grid
-    raises NonFinite; with True such points are treated as absent, and
-    Infeasible is raised if none remain.
+    raises NonFinite; with True such points are treated as absent, and None
+    is returned if none remain.
     """
-    (found,) = grid_optimize_rows(lambda _, xs: objective(xs), spec, 1, sense, skip_nonfinite)
-    if found is None:
-        raise Infeasible("objective is non-finite at every grid point")
-    return found
+    return grid_optimize_rows(lambda _, xs: objective(xs), spec, 1, sense, skip_nonfinite)[0]
 
 
 def grid_optimize_rows(
@@ -191,19 +188,14 @@ def _golden_section(a: float, b: float, best_x: float, best_v: float, iters: int
 def power_split_sweep(
     evaluator: Objective,
     total_w: float,
-    spec: GridSpec,
-) -> tuple[float, float]:
-    """Maximize evaluator over the first user's power share, returning (p1, value).
+    points: int,
+    refine_iters: int,
+) -> tuple[float, float] | None:
+    """Maximize evaluator over the first user's power on [0, total_w], returning (p1, value).
 
-    The grid is spec clipped to [0, total_w].  The evaluator marks infeasible
-    splits by returning NaN or -inf; Infeasible is raised when no grid point
-    is feasible.
+    The evaluator marks infeasible splits by returning NaN or -inf; None is
+    returned for a budget that is not positive or when no split is feasible.
     """
     if total_w <= 0:
-        raise Infeasible("total power budget must be positive")
-    lo = max(spec.lo, 0.0)
-    hi = min(spec.hi, total_w)
-    if not lo < hi:
-        raise Infeasible("power-split grid is empty after clipping to [0, total]")
-    clipped = GridSpec(lo=lo, hi=hi, points=spec.points, refine_iters=spec.refine_iters)
-    return grid_optimize(evaluator, clipped, sense="max", skip_nonfinite=True)
+        return None
+    return grid_optimize(evaluator, GridSpec(0.0, total_w, points, refine_iters), sense="max", skip_nonfinite=True)

@@ -68,11 +68,12 @@ def _budget_over_coeff(params: SystemParams, rate_nats: float, budget_w: float, 
 
 def _tail_integral(y: float, lim: IntegrationLimits, params: SystemParams) -> float:
     """Antiderivative of 1 - 2 sqrt(w(y)) + w(y) where w(y) is the normalized
-    x-part threshold at cross-range y.  Valid for 0 <= y <= sqrt(headroom)."""
+    x-part threshold at cross-range y.  Valid for 0 <= y <= sqrt(headroom); the root is exactly 0 at the top."""
     length = params.length_m
     len_sq = length * length
-    root = math.sqrt(max(lim.headroom - y * y, 0.0))
-    ratio = y / math.sqrt(lim.headroom)
+    edge = math.sqrt(lim.headroom)
+    root = 0.0 if y >= edge else math.sqrt(max(lim.headroom - y * y, 0.0))
+    ratio = y / edge
     if ratio > 1.0:
         require(ratio <= 1.0 + _ASIN_CLAMP, "the asin argument leaves [-1, 1] by at most _ASIN_CLAMP")
         ratio = 1.0

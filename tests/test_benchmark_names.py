@@ -67,3 +67,14 @@ def test_a_traced_run_sees_the_greedy_blocks(tmp_path):
                              "--set", "users=2", "--trials", "4", "--out", str(tmp_path / "greedy.csv")], 9 * 4)
     for name in ("best_placement_search", "best_placement_high_snr", "split_power"):
         assert sweep[f"oma_greedy.{name}.calls"] > 0, name
+
+
+def test_a_traced_run_sees_a_power_sweep_that_finds_no_feasible_split(tmp_path):
+    # a budget 1e-6 above the floor sum at the users' midpoint: the split sweep finds nothing and
+    # the certify layer skips its check, so the traced run exits 0 with finite metrics
+    pair = tmp_path / "pair.txt"
+    pair.write_text("-8 2\n6 -4\n")
+    metrics = _traced_metrics(["greedy", str(pair), "--power-dbm", "-2.502450177430795", "--rate-bpcu", "1",
+                               "--certify"], 1)
+    assert metrics["oracle.power_split_sweep.calls"] > 0
+    assert metrics["oma_greedy.best_placement_search.calls"] > 0

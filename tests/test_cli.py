@@ -149,6 +149,34 @@ def test_greedy_without_a_feasible_fast_candidate_reports_the_search(tmp_path, c
         assert report["search"]["throughput_bpcu"] > 2.0 and report["certify"]["pass"] is True
 
 
+# a budget 1e-6 above the two rate floors' sum at the midpoint of inst2's users: the feasible
+# splits there form an interval narrower than the 100001-point power sweep's spacing
+NEAR_FLOOR_DBM = "-2.502450177430795"
+
+
+def test_greedy_certify_skips_a_power_sweep_that_finds_no_feasible_split(inst2, tmp_path, capsys):
+    out = tmp_path / "greedy.json"
+    argv = ["greedy", inst2, "--power-dbm", NEAR_FLOOR_DBM, "--rate-bpcu", "1", "--certify"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "search:   x* = -1.00000776 m, throughput = 2.000001 BPCU" in captured.out
+    checks = [line for line in captured.out.splitlines() if line.startswith("certify")]
+    assert len(checks) == 2 and all(line.endswith("-> PASS") for line in checks)
+    assert checks[0] == "certify power-sweep (no feasible swept split skipped): gap = nan (tol nan) -> PASS"
+    report = _strict_json(out.read_text())
+    assert report["certify"]["pass"] is True
+    assert report["certify"]["checks"][0]["name"] == "power-sweep (no feasible swept split skipped)"
+
+
+def test_greedy_without_a_feasible_position_names_the_budget_and_floors(inst2, capsys):
+    assert cli.main(["greedy", inst2, "--set", "power_dbm=-35"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("infeasible: a budget of -35.00 dBm cannot cover both 1.0000 BPCU rate floors "
+                            "at any grid position\n")
+
+
 def _strict_json(text: str):
     """json.loads that refuses NaN, Infinity and -Infinity, which strict JSON does not have."""
     def refuse(constant):
@@ -315,11 +343,10 @@ _FLAGS = {"maxmin": ("power_dbm",), "powermin": ("rate_bpcu",), "greedy": ("powe
 @pytest.mark.parametrize("key", ["power_dbm", "rate_bpcu"])
 @pytest.mark.parametrize("command", sorted(_FLAGS))
 def test_extreme_budget_or_target_keeps_the_exit_code_contract(command, key, value, inst2, capsys):
-    # the subcommand's own flag where it has one, else --set; --certify except on the slow greedy check
+    # the subcommand's own flag where it has one, else --set
     setting = [f"--{key.replace('_', '-')}={value}"] if key in _FLAGS[command] else ["--set", f"{key}={value}"]
     instance = [] if command == "outage" else [inst2]
-    certify_flag = [] if command == "greedy" else ["--certify"]
-    assert cli.main([command, *instance, *setting, *certify_flag]) in (0, 2, 3, 4)
+    assert cli.main([command, *instance, *setting, "--certify"]) in (0, 2, 3, 4)
     assert "Traceback" not in capsys.readouterr().err
 
 

@@ -81,8 +81,7 @@ def _sweep_best(layout, total_w, rate_nats, x, points=20001):
         ok = (p1s >= f1 - 1e-12 * total_w) & (p2s >= f2 - 1e-12 * total_w)
         return np.where(ok, r, -np.inf)
 
-    spec = GridSpec(lo=0.0, hi=total_w, points=points, refine_iters=40)
-    return power_split_sweep(ev, total_w, spec)
+    return power_split_sweep(ev, total_w, points, 40)
 
 
 def test_split_interior_frozen():

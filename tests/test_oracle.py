@@ -5,7 +5,7 @@ import pytest
 
 from pinchplace import certify, noma, oma_greedy, oracle, rng
 from pinchplace.core import LayoutBlock, PlacementSolution, SystemParams, bpcu_to_nats, dbm_to_watt
-from pinchplace.errors import Infeasible, NonFinite
+from pinchplace.errors import NonFinite
 from pinchplace.oracle import (GridSpec, certification_grid, grid_optimize, grid_optimize_rows,
                                power_split_sweep)
 
@@ -94,8 +94,9 @@ def test_nonfinite_objective_raises_unless_skipped():
     x, v = grid_optimize(holed, spec, skip_nonfinite=True)
     assert abs(x - 0.4) < 1e-12 and abs(v - 0.4) < 1e-12
 
-    with pytest.raises(Infeasible):
-        grid_optimize(lambda xs: np.full_like(xs, np.nan), spec, skip_nonfinite=True)
+    assert grid_optimize(lambda xs: np.full_like(xs, np.nan), spec, skip_nonfinite=True) is None
+    with pytest.raises(NonFinite):
+        grid_optimize(lambda xs: np.full_like(xs, np.nan), spec)
 
 
 def test_objective_shape_is_enforced():
@@ -113,22 +114,20 @@ def test_power_split_sweep_concave_quadratic():
     def ev(p1s):
         return -((p1s - vertex) ** 2)
 
-    spec = GridSpec(lo=-10.0, hi=10.0, points=2001, refine_iters=40)
-    p1, v = power_split_sweep(ev, total, spec)
+    p1, v = power_split_sweep(ev, total, 2001, 40)
     assert abs(p1 - vertex) < 1e-8 and v <= 0.0
-    # vertex beyond the budget clips to the boundary
-    p1_hi, _ = power_split_sweep(lambda p: -((p - 5.0) ** 2), total, spec)
+    # the sweep covers [0, total] and nothing beyond: a vertex past the budget lands on the boundary
+    p1_hi, _ = power_split_sweep(lambda p: -((p - 5.0) ** 2), total, 2001, 40)
     assert abs(p1_hi - total) < 1e-9
+    # the sweep is the grid on [0, total], refined as grid_optimize refines it
+    assert (p1, v) == grid_optimize(ev, GridSpec(0.0, total, 2001, 40), sense="max")
 
 
 def test_power_split_sweep_infeasible_paths():
-    spec = GridSpec(lo=0.0, hi=1.0, points=11)
-    with pytest.raises(Infeasible):
-        power_split_sweep(lambda p: np.full_like(p, -np.inf), 1.0, spec)
-    with pytest.raises(Infeasible):
-        power_split_sweep(lambda p: p, 0.0, spec)
-    with pytest.raises(Infeasible):
-        power_split_sweep(lambda p: p, 1.0, GridSpec(lo=5.0, hi=9.0, points=11))
+    assert power_split_sweep(lambda p: np.full_like(p, -np.inf), 1.0, 11, 0) is None
+    assert power_split_sweep(lambda p: np.full_like(p, np.nan), 1.0, 11, 40) is None
+    assert power_split_sweep(lambda p: p, 0.0, 11, 0) is None
+    assert power_split_sweep(lambda p: p, -1.0, 11, 0) is None
 
 
 def _poly(a, b, c, xs):
