@@ -52,8 +52,8 @@ def skipped(name: str, reason: str) -> Check:
 def _grid_reference(params: SystemParams, block: LayoutBlock, of_tau_sum, sense: str) -> float:
     """The position grid's best of of_tau_sum(sum over users of the squared distances) for a one-row block.
 
-    Each user's squared distance is taken over the whole grid (or at one
-    probe) and the users are added by row_sum, which gives the bits of
+    Each user's squared distance is taken over one slice of the grid (or at
+    one probe) and the users are added by row_sum, which gives the bits of
     summing each position's row of M distances.
     """
     users = list(zip(one_row(block).xs[0].tolist(), block.ys[0].tolist()))

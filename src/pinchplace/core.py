@@ -25,6 +25,14 @@ SPEED_OF_LIGHT = 2.99792458e8  # m/s
 
 LN2 = math.log(2.0)
 
+# The most float64 values (32 KiB) that a certification scan hands numpy at once: the oracle
+# scans a grid in slices of this many abscissae and Monte Carlo outage draws its trials in
+# sub-draws of this many values.  glibc's malloc serves a block this size from the heap (it
+# maps fresh pages only from 128 KiB up) and its free never trims the heap for one under
+# 64 KiB, so each scan reuses the same heap pages instead of having the kernel map and zero
+# new ones on every call.
+SCAN_SLICE = 4096
+
 
 @dataclass(frozen=True)
 class SystemParams:

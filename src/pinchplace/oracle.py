@@ -5,9 +5,12 @@ refinement inside the best bracketing interval.  They exist so every analytic
 result in this package can be checked against a search that shares none of its
 algebra.  Determinism contract: pure functions of their inputs, ties broken
 toward the smallest abscissa, and the returned value is never worse than any
-grid sample; a search that finds no finite point returns None.  An objective
-takes the 1-D grid and, during refinement, either an array of probes (one per
-row of a block) or a single probe as a 0-d np.float64 (see RowObjective).
+grid sample; a search that finds no finite point returns None.  The scan
+hands an objective the grid in consecutive slices of at most core.SCAN_SLICE
+(4096) abscissae, so no scan temporary outgrows 32 KiB, and an objective must
+be elementwise in its abscissae (every objective in this package is).  During
+refinement it takes either an array of probes (one per row of a block) or a
+single probe as a 0-d np.float64 (see RowObjective).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from .core import SCAN_SLICE
 from .errors import NonFinite
 
 # 1 / golden ratio; each refinement iteration shrinks the bracket by this factor.
@@ -42,8 +46,26 @@ class GridSpec:
         if self.refine_iters < 0:
             raise ValueError("GridSpec.refine_iters must be >= 0")
 
-    def abscissae(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.points)
+    def abscissae(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """np.linspace(lo, hi, points)[start:stop], bit for bit, without building the rest of the grid.
+
+        Point i is float(i) * step + lo, the last point is hi, and a span
+        whose step underflows to 0 takes linspace's (i / div) * span instead.
+        """
+        start, stop, _ = slice(start, stop).indices(self.points)
+        div = self.points - 1
+        span = self.hi - self.lo
+        step = span / div
+        xs = np.arange(start, stop, dtype=float)
+        if step == 0.0:
+            xs /= div
+            xs *= span
+        else:
+            xs *= step
+        xs += self.lo
+        if stop == self.points and stop > start:
+            xs[-1] = self.hi
+        return xs
 
 
 def certification_grid(lo: float, hi: float) -> GridSpec:
@@ -52,10 +74,11 @@ def certification_grid(lo: float, hi: float) -> GridSpec:
 
 
 Objective = Callable[[np.ndarray], np.ndarray]
-# objective(row, xs) evaluates row `row` (an int) at every abscissa of xs: the
-# 1-D grid, or one golden-section probe as a 0-d np.float64 when that row is
-# the only one being refined.  objective(rows, xs) with an int array `rows`
-# evaluates row rows[k] at xs[k].  The lone probe is an np.float64, not a
+# objective(row, xs) evaluates row `row` (an int) at every abscissa of xs: one
+# slice of at most SCAN_SLICE consecutive grid points, so the objective must be
+# elementwise in xs, or one golden-section probe as a 0-d np.float64 when that
+# row is the only one being refined.  objective(rows, xs) with an int array
+# `rows` evaluates row rows[k] at xs[k].  The lone probe is an np.float64, not a
 # Python float, so that errstate, inf and NaN behave as on arrays; its
 # + - * / are the same IEEE operations and a ufunc runs the same loop on it,
 # so a row's probes give the bits they give inside a block.  An objective that
@@ -91,11 +114,13 @@ def grid_optimize_rows(
 ) -> list[tuple[float, float] | None]:
     """Optimize rows independent objectives over spec: one (x_best, value) per row.
 
-    Each row is scanned on the whole grid in its own objective call.  Then
-    every row's next golden-section probe shares one call (see RowObjective),
-    so a block costs refine_iters + 2 probe calls whatever its size, and each
-    row gets exactly the abscissae and comparisons it would get alone; a
-    lone live row is probed at a 0-d np.float64.
+    Each row is scanned in its own objective calls, one per slice of at most
+    SCAN_SLICE consecutive grid points; a running argmin that only a strictly
+    smaller value moves keeps the smallest-x tie-break across the slices.
+    Then every row's next golden-section probe shares one call (see
+    RowObjective), so a block costs refine_iters + 2 probe calls whatever its
+    size, and each row gets exactly the abscissae and comparisons it would
+    get alone; a lone live row is probed at a 0-d np.float64.
     With skip_nonfinite=False a NaN or infinity on any row's grid raises
     NonFinite; with True such points are treated as absent, and a row with
     none left gives None.
@@ -104,31 +129,44 @@ def grid_optimize_rows(
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
     flip = 1.0 if sense == "min" else -1.0
 
-    xs = spec.abscissae()
+    n = spec.points
+    # A grid of one slice is built once and shared by every row; a longer one is
+    # built a slice at a time, so only one slice of it is ever alive.
+    whole = spec.abscissae() if n <= SCAN_SLICE else None
+
+    def grid(start: int, stop: int) -> np.ndarray:
+        return whole[start:stop] if whole is not None else spec.abscissae(start, stop)
+
     found: list[tuple[float, float] | None] = [None] * rows
     live: list[int] = []
     searches = []
     for row in range(rows):
-        raw = np.asarray(objective(row, xs), dtype=float)
-        if raw.shape != xs.shape:
-            raise ValueError("objective must return one value per abscissa")
-        finite = np.isfinite(raw)
-        if not finite.all():
-            if not skip_nonfinite:
-                bad = int(np.flatnonzero(~finite)[0])
-                raise NonFinite(f"objective is not finite at x = {xs[bad]!r}")
-            if not finite.any():
-                continue
-        vals = flip * raw
-        vals[~finite] = np.inf
-        # argmin takes the first (smallest-x) index on ties.
-        i = int(np.argmin(vals))
-        found[row] = (float(xs[i]), float(vals[i]))
+        best_i, best_x, best_v = -1, math.nan, math.inf
+        for start in range(0, n, SCAN_SLICE):
+            xs = grid(start, start + SCAN_SLICE)
+            raw = np.asarray(objective(row, xs), dtype=float)
+            if raw.shape != xs.shape:
+                raise ValueError("objective must return one value per abscissa")
+            vals = raw if flip > 0.0 else -raw
+            finite = np.isfinite(raw)
+            if not finite.all():
+                if not skip_nonfinite:
+                    bad = int(np.flatnonzero(~finite)[0])
+                    raise NonFinite(f"objective is not finite at x = {xs[bad]!r}")
+                vals = np.where(finite, vals, np.inf)
+            # argmin takes the first (smallest-x) index on ties, and a later slice
+            # only moves the incumbent on a strictly smaller value
+            i = int(vals.argmin())
+            if vals[i] < best_v:
+                best_i, best_x, best_v = start + i, float(xs[i]), float(vals[i])
+        if best_i < 0:
+            continue
+        found[row] = (best_x, best_v)
         if spec.refine_iters > 0:
             # refine between the neighbours of the best grid point
-            a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, spec.points - 1)])
+            near = grid(max(best_i - 1, 0), best_i + 2)
             live.append(row)
-            searches.append(_golden_section(a, b, *found[row], spec.refine_iters))
+            searches.append(_golden_section(float(near[0]), float(near[-1]), *found[row], spec.refine_iters))
 
     if live:
         # Every live row takes its next probe in the same objective call; a

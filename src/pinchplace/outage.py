@@ -17,12 +17,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng
-from .core import SystemParams, power_coeff, row_sum
+from .core import SCAN_SLICE, SystemParams, power_coeff, row_sum
 from .errors import require
 
 # Trials are drawn in fixed-size blocks, one counter-based stream per block,
 # so the estimate is a pure function of (seed, trials) no matter how blocks
-# are scheduled.
+# are scheduled.  A block's draws are taken in consecutive sub-draws of at
+# most SCAN_SLICE values, which continue the block's stream.
 _BLOCK = 1 << 16
 
 _ASIN_CLAMP = 1e-12
@@ -144,19 +145,25 @@ def monte_carlo_outage(
     threshold = _budget_over_coeff(params, rate_nats, budget_w, num_users) - h2
 
     hl, hw = params.half_length, params.half_width
+    sub = max(1, SCAN_SLICE // (2 * num_users))
     failures = 0
     for block_index, start in enumerate(range(0, trials, _BLOCK)):
         n = min(_BLOCK, trials - start)
         g = rng.stream(seed, rng.DOMAIN_OUTAGE, block_index)
-        draws = g.random((n, 2 * num_users))
-        # each user's x, and user 0's y, as one contiguous row over the block's trials; row_sum gives
-        # the bits of the row-wise mean of the (n, num_users) x array
-        rows = np.ascontiguousarray(draws[:, :num_users + 1].T)
-        xs = [(2.0 * row - 1.0) * hl for row in rows[:num_users]]
-        y0 = (2.0 * rows[num_users] - 1.0) * hw
-        offset = row_sum(xs) / num_users - xs[0]
-        need = offset * offset + y0 * y0
-        failures += int((need >= threshold).sum())
+        for done in range(0, n, sub):
+            draws = g.random((min(sub, n - done), 2 * num_users))
+            # each user's x, and user 0's y, as one contiguous row over the sub-draw's trials, scaled
+            # in place by (2 u - 1) * half side; row_sum gives the bits of the row-wise mean of the
+            # (trials, num_users) x array
+            rows = np.ascontiguousarray(draws[:, :num_users + 1].T)
+            rows *= 2.0
+            rows -= 1.0
+            xs, y0 = rows[:num_users], rows[num_users]
+            xs *= hl
+            y0 *= hw
+            offset = row_sum(list(xs)) / num_users - xs[0]
+            need = offset * offset + y0 * y0
+            failures += int((need >= threshold).sum())
 
     p = failures / trials
     stderr = math.sqrt(p * (1.0 - p) / trials)

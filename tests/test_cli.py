@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,24 @@ def test_outage_certify_needs_two_users(capsys):
     code = cli.main(["outage", "--users", "3", "--certify"])
     assert code == 2
     assert "users = 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["greedy", "outage"])
+def test_a_certify_run_keeps_a_small_working_set(command, inst2):
+    # the oracles scan in 32 KiB slices; a grid-sized temporary (160 KB to 800 KB) or a whole
+    # block of Monte Carlo draws would take the peak well past this bound
+    argv = {"greedy": ["greedy", inst2, "--power-dbm", "30", "--rate-bpcu", "1", "--certify"],
+            "outage": ["outage", "--power-dbm", "8", "--rate-bpcu", "2.5", "--trials", "30000",
+                       "--certify"]}[command]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0  # warm-up: lazy imports and caches
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1.5 * 2**20, f"{argv[0]} --certify peaked at {peak / 2**20:.2f} MiB"
 
 
 def test_greedy_report(inst2, capsys):

@@ -1,10 +1,15 @@
 """Grid-plus-golden-section reference optimizers."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinchplace import certify, noma, oma_greedy, oracle, rng
-from pinchplace.core import LayoutBlock, PlacementSolution, SystemParams, bpcu_to_nats, dbm_to_watt
+from pinchplace.core import (SCAN_SLICE, LayoutBlock, PlacementSolution, SystemParams, bpcu_to_nats,
+                             dbm_to_watt)
 from pinchplace.errors import NonFinite
 from pinchplace.oracle import (GridSpec, certification_grid, grid_optimize, grid_optimize_rows,
                                power_split_sweep)
@@ -24,6 +29,41 @@ def test_gridspec_validation():
 def test_abscissae_endpoints():
     xs = GridSpec(lo=-2.0, hi=3.0, points=11).abscissae()
     assert xs[0] == -2.0 and xs[-1] == 3.0 and len(xs) == 11
+
+
+def _bits(xs):
+    return np.asarray(xs, dtype=float).view(np.int64)
+
+
+def _finite_span():
+    """A finite lo < hi pair, from anywhere in the float range."""
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    return st.tuples(floats, floats).filter(lambda pair: pair[0] != pair[1]).map(sorted)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(span=_finite_span(), points=st.sampled_from([3, 2001, 20001, 100001]), data=st.data())
+def test_abscissae_slices_are_linspace_bit_for_bit(span, points, data):
+    lo, hi = span
+    spec = GridSpec(lo=lo, hi=hi, points=points)
+    edges = st.sampled_from(list(range(0, points, SCAN_SLICE)) + [points])
+    start = data.draw(st.one_of(edges, st.integers(0, points)))
+    stop = data.draw(st.one_of(edges, st.integers(start, points), st.just(start + SCAN_SLICE)))
+    with np.errstate(all="ignore"):  # a span that overflows to inf makes linspace's first point NaN
+        whole = np.linspace(lo, hi, points)
+        got = spec.abscissae(start, stop)
+    assert np.array_equal(_bits(got), _bits(whole[start:stop]))
+
+
+@pytest.mark.parametrize("lo,hi,points", [(-20.0, 20.0, 20001), (0.0, 0.0317, 100001), (-1.0, 2.0, 2001),
+                                          (0.0, 5e-324, 3), (-5e-324, 5e-324, 3), (0.0, 1e-320, 20001)])
+def test_the_scan_slices_tile_linspace(lo, hi, points):
+    # 5e-324 / 2 underflows to a zero step, where linspace takes its (i / div) * span branch
+    spec = GridSpec(lo=lo, hi=hi, points=points)
+    slices = [spec.abscissae(start, start + SCAN_SLICE) for start in range(0, points, SCAN_SLICE)]
+    assert max(len(xs) for xs in slices) <= SCAN_SLICE
+    assert np.array_equal(_bits(np.concatenate(slices)), _bits(np.linspace(lo, hi, points)))
+    assert np.array_equal(_bits(spec.abscissae()), _bits(np.linspace(lo, hi, points)))
 
 
 def test_certification_grid_shape():
@@ -105,6 +145,79 @@ def test_objective_shape_is_enforced():
         grid_optimize(lambda xs: np.zeros(3), spec)
     with pytest.raises(ValueError):
         grid_optimize(lambda xs: xs, spec, sense="upward")
+
+
+# --- the scan hands the objective slices of at most SCAN_SLICE points ------------------
+
+# points 0..8191 land exactly on the integers, so slice 1 starts at x = 4096.0
+_INTEGERS = GridSpec(lo=0.0, hi=8191.0, points=8192)
+
+
+def test_a_tie_across_a_slice_boundary_keeps_the_smaller_x():
+    for later in (4096.0, 6000.0):
+        x, v = grid_optimize(lambda xs: (xs - 100.0) ** 2 * (xs - later) ** 2, _INTEGERS)
+        assert (x, v) == (100.0, 0.0)
+        x, v = grid_optimize(lambda xs: -((xs - 4095.0) ** 2) * (xs - later) ** 2, _INTEGERS, sense="max")
+        assert (x, v) == (4095.0, 0.0)
+
+
+def test_a_strictly_better_later_slice_moves_the_incumbent():
+    x, v = grid_optimize(lambda xs: np.where(xs < SCAN_SLICE, 1.0, 0.5), _INTEGERS)
+    assert (x, v) == (4096.0, 0.5)
+
+
+def test_nonfinite_names_the_first_bad_x_in_a_later_slice():
+    def holed(xs):
+        return np.where((xs == 5000.0) | (xs == 7000.0), np.nan, xs)
+
+    with pytest.raises(NonFinite, match=r"x = \S*\b5000\.0\b"):
+        grid_optimize(holed, _INTEGERS)
+    with pytest.raises(NonFinite, match=r"x = \S*\b5000\.0\b"):
+        grid_optimize_rows(lambda row, xs: xs if row == 0 else holed(xs), _INTEGERS, 2)
+
+
+def test_an_all_nan_first_slice_is_skipped():
+    def late(xs):
+        return np.where(xs < SCAN_SLICE, np.nan, (xs - 6000.0) ** 2)
+
+    assert grid_optimize(late, _INTEGERS, skip_nonfinite=True) == (6000.0, 0.0)
+    spec = GridSpec(lo=0.0, hi=8191.0, points=8192, refine_iters=30)
+    x, v = grid_optimize(lambda xs: np.where(xs < SCAN_SLICE, np.nan, (xs - 6000.25) ** 2), spec,
+                         skip_nonfinite=True)
+    assert abs(x - 6000.25) < 1e-6 and v < 1e-12
+
+
+@pytest.mark.parametrize("best", [SCAN_SLICE - 1, SCAN_SLICE])
+def test_the_bracket_of_a_slice_edge_point_is_its_true_neighbours(best):
+    spec = GridSpec(lo=-1.0, hi=2.0, points=20001, refine_iters=30)
+    grid = np.linspace(spec.lo, spec.hi, spec.points)
+    target = grid[best] + 0.3 * (grid[best + 1] - grid[best])
+    probes = []
+
+    def bowl(xs):
+        if np.ndim(xs) == 0:
+            probes.append(float(xs))
+        return (xs - target) ** 2
+
+    x, _ = grid_optimize(bowl, spec)
+    a, b = float(grid[best - 1]), float(grid[best + 1])
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    assert probes[:2] == [b - inv_phi * (b - a), a + inv_phi * (b - a)]
+    assert all(a <= p <= b for p in probes) and abs(x - target) < 1e-9
+
+
+def test_no_objective_call_sees_more_than_a_slice():
+    spec = GridSpec(lo=0.0, hi=3.0, points=100001, refine_iters=4)
+    seen = []
+
+    def recorded(xs):
+        if np.ndim(xs) == 1:
+            seen.append(xs.copy())
+        return (xs - 1.1) ** 2
+
+    grid_optimize(recorded, spec)
+    assert max(len(xs) for xs in seen) <= SCAN_SLICE
+    assert np.array_equal(_bits(np.concatenate(seen)), _bits(np.linspace(0.0, 3.0, 100001)))
 
 
 def test_power_split_sweep_concave_quadratic():

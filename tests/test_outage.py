@@ -119,6 +119,30 @@ def test_monte_carlo_estimate_is_pinned(num_users, seed):
     assert repr(tuple(est)) == repr(MC_PINNED[num_users, seed])
 
 
+def _one_draw_estimate(num_users, budget, trials, seed):
+    """The estimate with each 2^16-trial block drawn in one rng call and the users averaged per row."""
+    threshold = outage._budget_over_coeff(PARAMS, RATE, budget, num_users) - PARAMS.height_m ** 2
+    failures = 0
+    for block_index, start in enumerate(range(0, trials, 1 << 16)):
+        draws = rng.stream(seed, rng.DOMAIN_OUTAGE, block_index).random((min(1 << 16, trials - start),
+                                                                          2 * num_users))
+        xs = (2.0 * draws[:, :num_users] - 1.0) * PARAMS.half_length
+        y0 = (2.0 * draws[:, num_users] - 1.0) * PARAMS.half_width
+        offset = xs.sum(axis=1) / num_users - xs[:, 0]
+        failures += int((offset * offset + y0 * y0 >= threshold).sum())
+    p = failures / trials
+    return p, math.sqrt(p * (1.0 - p) / trials)
+
+
+@pytest.mark.parametrize("num_users", [1, 2, 8])
+@pytest.mark.parametrize("trials", [1, 1023, 1024, 1025, 30000, 65536, 65537])
+def test_sub_draws_give_the_one_draw_estimate_bit_for_bit(trials, num_users):
+    # trials around a sub-draw edge (1024 rows for two users) and a block edge (2^16)
+    budget = power_coeff(PARAMS, RATE, num_users) * (PARAMS.height_m ** 2 + 20.0)
+    est = monte_carlo_outage(PARAMS, num_users, RATE, budget, trials, seed=11)
+    assert repr(tuple(est)) == repr(_one_draw_estimate(num_users, budget, trials, 11))
+
+
 def test_monte_carlo_three_users_runs():
     est = monte_carlo_outage(PARAMS, 3, bpcu_to_nats(1.0), dbm_to_watt(10.0), 20000, seed=1)
     assert 0.0 <= est.probability <= 1.0
