@@ -13,6 +13,7 @@ conversions happen only at the CLI boundary.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -194,18 +195,21 @@ def one_pair(block: LayoutBlock) -> tuple[tuple[float, float], tuple[float, floa
     return (float(x1[0]), float(y1[0])), (float(x2[0]), float(y2[0]))
 
 
-def libm(fn: Callable[[float], float], values):
-    """fn, a function of the math module, applied to a float or to every element of an array.
+def libm(fn: Callable[..., float], values, *args: float):
+    """fn(value, *args), fn a function of the math module, applied to a float or to every element of an array.
 
-    numpy's own transcendentals differ from the C library's by an ulp on
-    some inputs, so the block solvers evaluate them with math.* element by
-    element: every row then keeps the C library's value bit for bit, as
-    the recorded CSV digests expect.
+    The trailing args are scalars passed to every call, as math.pow's
+    exponent in libm(math.pow, ys, 2.0).  numpy's own transcendentals and
+    powers differ from the C library's by an ulp on some inputs, so the
+    block solvers evaluate them with math.* element by element: every row
+    then keeps the C library's value bit for bit, as the recorded CSV
+    digests expect.
     """
     flat = np.asarray(values, dtype=float)
     if flat.ndim == 0:
-        return fn(float(flat))
-    return np.fromiter(map(fn, flat.ravel().tolist()), dtype=float, count=flat.size).reshape(flat.shape)
+        return fn(float(flat), *args)
+    calls = map(fn, flat.ravel().tolist(), *(itertools.repeat(arg) for arg in args))
+    return np.fromiter(calls, dtype=float, count=flat.size).reshape(flat.shape)
 
 
 def per_row(value):

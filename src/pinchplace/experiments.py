@@ -365,7 +365,8 @@ def run_experiment(config: ExperimentConfig) -> str:
 
     Each draw of sweep_blocks goes whole to each per-trial scheme's evaluator
     once, with a (B,) column that gives every row its own point's internal
-    sweep value; the metric columns are then cut back into points, and each
+    sweep value; each metric column is then viewed as a (points, trials)
+    table and summarised in one reduction per draw (_summaries), and each
     point's lines (and the sweep-level schemes' values) follow in sweep order.
     """
     lines = ["sweep_value,scheme,metric,mean,stderr,trials"]
@@ -378,17 +379,18 @@ def run_experiment(config: ExperimentConfig) -> str:
                 logger.debug("sweep %s=%s layouts sha256=%s", config.sweep, config.sweep_values[point],
                              layout_digest(block[k * trials:(k + 1) * trials]))
         values = np.repeat(internal[points.start:points.stop], trials)
-        metrics = {}
+        stats = {}
         for name in config.schemes:
             spec, evaluator = SCHEMES[name]
             if spec.per_trial:
-                metrics[name] = np.asarray(evaluator(config.params, block, values, config), dtype=float)
+                metric = np.asarray(evaluator(config.params, block, values, config), dtype=float)
+                stats[name] = _summaries(metric.reshape(len(points), trials))
 
         for k, point in enumerate(points):
             for name in config.schemes:
                 spec, evaluator = SCHEMES[name]
                 if spec.per_trial:
-                    mean, stderr, count = _summary(metrics[name][k * trials:(k + 1) * trials])
+                    mean, stderr, count = stats[name][k]
                 else:
                     mean, stderr, count = evaluator(config.params, None, internal[point], config), 0.0, 1
                 lines.append(f"{format(config.sweep_values[point], '.10g')},{name},{spec.metric},"
@@ -397,12 +399,25 @@ def run_experiment(config: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _summary(column: np.ndarray) -> tuple[float, float, int]:
-    """Mean, standard error and count of a point's finite per-trial metrics (NaN, NaN, 0 for none)."""
-    finite = np.isfinite(column)
-    count = int(finite.sum())
-    if count == 0:
-        return math.nan, math.nan, 0
-    kept = column[finite]
-    stderr = float(kept.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
-    return float(kept.mean()), stderr, count
+def _summaries(table: np.ndarray) -> list[tuple[float, float, int]]:
+    """Mean, standard error and count of the finite entries of each row of a (points, trials) table.
+
+    The rows whose every trial is finite are copied out as one C-contiguous
+    block and share one mean and one std(ddof=1) reduction along axis 1,
+    which adds each row in the order a 1-D reduction of that row alone uses
+    (see core.row_sum), so a point's figures do not depend on the other rows
+    of its table.  A row with a dropped (non-finite) trial is compacted to
+    its finite entries and taken as a one-row table; one with none left
+    gives (NaN, NaN, 0).  A single trial has standard error 0.
+    """
+    points, trials = table.shape
+    if trials == 0:
+        return [(math.nan, math.nan, 0)] * points
+    finite = np.isfinite(table)
+    whole = finite.all(axis=1)
+    kept = table[whole]
+    means = kept.mean(axis=1).tolist()
+    stderrs = (kept.std(axis=1, ddof=1) / math.sqrt(trials)).tolist() if trials > 1 else [0.0] * len(kept)
+    stats = iter(zip(means, stderrs))
+    return [(*next(stats), trials) if all_finite else _summaries(table[k, finite[k]][None, :])[0]
+            for k, all_finite in enumerate(whole.tolist())]

@@ -149,18 +149,26 @@ def solve_min_power(params: SystemParams, block: LayoutBlock, rate_nats) -> Noma
     the weights of a_1 and a_2, which raises its minimum by
     c (g - 1)(a_2 - a_1) >= 0.  As tau_1 <= tau_2 at x*, the SIC decode of
     the weak signal also reaches the target.
+
+    ValueError for a target that is not positive or a column of another
+    length than the block, and DomainError for one (NaN included) whose
+    powers are not finite.
     """
-    require_positive(rate_nats, block, "rate target")
     block.validate(params)
     (_, ya), (_, yb) = user_pair(block)
-    # user 1 of the strong-first pair is the one closer to the waveguide; the key is y ** 2 (the C
-    # library's pow), and a tie keeps the input order
-    swap = libm(lambda y: y ** 2, yb) < libm(lambda y: y ** 2, ya)
+    # user 1 of the strong-first pair is the one closer to the waveguide; the key is the C library's
+    # pow(y, 2), and a tie keeps the input order
+    swap = libm(math.pow, yb, 2.0) < libm(math.pow, ya, 2.0)
     flip = swap[:, None]
     pair = LayoutBlock(np.where(flip, block.xs[:, ::-1], block.xs), np.where(flip, block.ys[:, ::-1], block.ys))
     (x1, y1), (x2, y2) = user_pair(pair)
 
+    # the target's one check: min_power_terms refuses a column of another length, a negative target
+    # and one whose coefficient is not finite (NaN included), and a zero target is refused here
     terms = min_power_terms(params, pair, rate_nats, slots=1)
+    zero = rate_nats == 0.0
+    if np.any(zero):
+        raise ValueError(f"rate target must be positive, got {first_where(rate_nats, zero)!r}")
     growth = libm(math.exp, rate_nats)
     # min and max as Python's: the first argument wins a tie, so a signed zero keeps its sign
     lo, hi = np.where(x2 < x1, x2, x1), np.where(x2 > x1, x2, x1)

@@ -175,8 +175,9 @@ def best_placement_search(
     return _placed(params, columns, total_w, rate_nats, [math.nan if f is None else f[0] for f in found])
 
 
-def _cbrt(v: float) -> float:
-    return math.copysign(abs(v) ** (1.0 / 3.0), v)
+def _cbrt(v: np.ndarray) -> np.ndarray:
+    """The real cube root of each entry of v, the C library's pow(|v|, 1/3) carrying v's sign."""
+    return np.copysign(libm(math.pow, np.abs(v), 1.0 / 3.0), v)
 
 
 def _stationary_points(block: LayoutBlock, height_m: float) -> np.ndarray:
@@ -202,11 +203,11 @@ def _stationary_points(block: LayoutBlock, height_m: float) -> np.ndarray:
     centred = np.full((len(block), 3), math.nan)
     flat = (p == 0.0) & (q == 0.0)
     centred[flat, 0] = 0.0
-    disc = (q / 2.0) * (q / 2.0) + libm(lambda v: v ** 3, p / 3.0)
+    disc = (q / 2.0) * (q / 2.0) + libm(math.pow, p / 3.0, 3.0)
     one = ~flat & (disc > 0.0)
     if one.any():
         root, q_one = np.sqrt(disc[one]), q[one]
-        centred[one, 0] = libm(_cbrt, -q_one / 2.0 + root) + libm(_cbrt, -q_one / 2.0 - root)
+        centred[one, 0] = _cbrt(-q_one / 2.0 + root) + _cbrt(-q_one / 2.0 - root)
     three = ~flat & (disc < 0.0)  # three real roots; only reachable with p < 0
     if three.any():
         p_three = p[three]

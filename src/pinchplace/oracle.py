@@ -41,6 +41,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
             raise ValueError(f"GridSpec needs finite lo < hi, got [{self.lo}, {self.hi}]")
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(f"GridSpec span hi - lo overflows a float, got [{self.lo}, {self.hi}]")
         if self.points < 3:
             raise ValueError("GridSpec.points must be >= 3")
         if self.refine_iters < 0:
@@ -147,18 +149,24 @@ def grid_optimize_rows(
             raw = np.asarray(objective(row, xs), dtype=float)
             if raw.shape != xs.shape:
                 raise ValueError("objective must return one value per abscissa")
-            vals = raw if flip > 0.0 else -raw
-            finite = np.isfinite(raw)
-            if not finite.all():
+            # argmin and argmax take the first (smallest-x) index on ties and the
+            # first NaN if there is one, and an infinity of the wrong sign cannot
+            # win, so a finite extreme is the best finite point; the slice is
+            # masked only when it is not, or, without skip_nonfinite, when the
+            # opposite extreme shows an infinity
+            i = int(raw.argmin() if flip > 0.0 else raw.argmax())
+            v = flip * float(raw[i])
+            if not (math.isfinite(v) and (skip_nonfinite or math.isfinite(raw.max() if flip > 0.0 else raw.min()))):
+                finite = np.isfinite(raw)
                 if not skip_nonfinite:
                     bad = int(np.flatnonzero(~finite)[0])
                     raise NonFinite(f"objective is not finite at x = {xs[bad]!r}")
-                vals = np.where(finite, vals, np.inf)
-            # argmin takes the first (smallest-x) index on ties, and a later slice
-            # only moves the incumbent on a strictly smaller value
-            i = int(vals.argmin())
-            if vals[i] < best_v:
-                best_i, best_x, best_v = start + i, float(xs[i]), float(vals[i])
+                vals = np.where(finite, flip * raw, np.inf)
+                i = int(vals.argmin())
+                v = float(vals[i])
+            # a later slice only moves the incumbent on a strictly smaller value
+            if v < best_v:
+                best_i, best_x, best_v = start + i, float(xs[i]), v
         if best_i < 0:
             continue
         found[row] = (best_x, best_v)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinchplace import core, rng
 from pinchplace.core import (
@@ -11,6 +13,7 @@ from pinchplace.core import (
     SystemParams,
     bpcu_to_nats,
     dbm_to_watt,
+    libm,
     min_power_terms,
     nats_to_bpcu,
     noma_rates,
@@ -241,3 +244,43 @@ def test_exponential_identity_between_unit_systems():
 
 def test_speed_of_light_constant():
     assert core.SPEED_OF_LIGHT == 2.99792458e8
+
+
+# signed zeros, subnormals, both infinities and NaN; a finite value past about 1e102 overflows a cube
+_POW_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0, 1e100, -1e100,
+              math.inf, -math.inf, math.nan]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _old_pow(values, exponent):
+    """The ** lambdas libm(math.pow, ...) replaced: float ** int, element by element."""
+    return np.array([v ** exponent for v in np.asarray(values, dtype=float).tolist()])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(values=st.lists(st.floats(-1e100, 1e100), min_size=1, max_size=40),
+       exponent=st.sampled_from([2, 3]))
+def test_libm_pow_equals_the_power_operator_bit_for_bit(values, exponent):
+    values = values + _POW_EDGES
+    assert np.array_equal(_bits(libm(math.pow, values, float(exponent))), _bits(_old_pow(values, exponent)))
+    for value in values:  # a float gives a float, as libm(fn, value) always has
+        got = libm(math.pow, value, float(exponent))
+        assert isinstance(got, float) and _bits(got) == _bits(value ** exponent)
+
+
+def test_libm_pow_overflows_like_the_power_operator():
+    for big in (1e200, -1e200):
+        for exponent in (2, 3):
+            with pytest.raises(OverflowError):
+                big ** exponent
+            with pytest.raises(OverflowError):
+                libm(math.pow, np.array([1.0, big]), float(exponent))
+
+
+def test_libm_keeps_the_shape_and_maps_the_trailing_arguments():
+    values = np.arange(6.0).reshape(2, 3) / 7.0
+    assert libm(math.log1p, values).tolist() == [[math.log1p(v) for v in row] for row in values.tolist()]
+    assert libm(math.atan2, values, -1.0).tolist() == [[math.atan2(v, -1.0) for v in row] for row in values.tolist()]

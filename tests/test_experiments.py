@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinchplace import experiments, rng
 from pinchplace.core import LayoutBlock, SystemParams, dbm_to_watt, nats_to_bpcu
@@ -238,3 +240,58 @@ def test_sweep_layouts_do_not_depend_on_how_points_are_drawn(pass_blocks, monkey
             alone, rows = experiments.layout_block(cfg, sweep_idx, range(6)), block[6 * k:6 * (k + 1)]
             assert np.array_equal(rows.xs, alone.xs) and np.array_equal(rows.ys, alone.ys)
     assert run_experiment(cfg) == csv
+
+
+def _summary(column):
+    """One point's (mean, stderr, count) as the sweep computed it point by point, before _summaries."""
+    finite = np.isfinite(column)
+    count = int(finite.sum())
+    if count == 0:
+        return math.nan, math.nan, 0
+    kept = column[finite]
+    stderr = float(kept.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
+    return float(kept.mean()), stderr, count
+
+
+def _stat_bits(stats):
+    return [(np.float64(mean).view(np.int64), np.float64(stderr).view(np.int64), count)
+            for mean, stderr, count in stats]
+
+
+_DROPPED = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def _metric_tables(draw):
+    """A (points, trials) table whose rows keep every trial, drop some, keep one, or drop all."""
+    points, trials = draw(st.integers(1, 6)), draw(st.integers(1, 300))
+    scale = draw(st.sampled_from([1e-12, 1e-3, 1.0, 1e4]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = gen.standard_normal((points, trials)) * scale + scale
+    for row in table:
+        kind = draw(st.sampled_from(["whole", "whole", "some", "one", "none"]))
+        if kind == "some":
+            row[gen.random(trials) < draw(st.sampled_from([0.01, 0.3, 0.9]))] = draw(_DROPPED)
+        elif kind in ("one", "none"):
+            kept = row[gen.integers(trials)]
+            row[:] = [draw(_DROPPED) for _ in range(trials)] if trials < 8 else draw(_DROPPED)
+            if kind == "one":
+                row[gen.integers(trials)] = kept
+    return table
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(table=_metric_tables())
+def test_summaries_equal_the_per_point_summary_bit_for_bit(table):
+    assert _stat_bits(experiments._summaries(table)) == _stat_bits(_summary(row) for row in table)
+
+
+def test_summaries_of_edge_rows():
+    table = np.array([[1.0, 2.0, 4.0], [math.nan, 3.0, math.inf], [-math.inf, math.nan, math.inf]])
+    (mean, stderr, count), survivor, dropped = experiments._summaries(table)
+    assert (mean, count) == (7.0 / 3.0, 3)
+    assert stderr == pytest.approx(np.std([1.0, 2.0, 4.0], ddof=1) / math.sqrt(3), rel=1e-15)
+    assert survivor == (3.0, 0.0, 1)  # one survivor: standard error 0, not NaN
+    assert math.isnan(dropped[0]) and math.isnan(dropped[1]) and dropped[2] == 0
+    one, none = experiments._summaries(np.array([[5.0], [math.nan]]))  # trials = 1
+    assert one == (5.0, 0.0, 1) and none[2] == 0 and math.isnan(none[0])

@@ -184,6 +184,24 @@ def test_non_pairs_rejected():
         noma.solve_min_power(PARAMS, ORDERED, 0.0)
 
 
+@pytest.mark.parametrize("bad, error, message", [
+    (0.0, ValueError, "rate target must be positive, got 0.0"),
+    (-0.0, ValueError, "rate target must be positive, got -0.0"),
+    (-0.25, ValueError, "rate target must be nonnegative, got -0.25"),
+    (math.nan, DomainError, "rate target nan nats over 1 slot(s) needs a non-finite power"),
+])
+def test_a_bad_rate_target_is_refused_once_with_its_message(bad, error, message):
+    block = LayoutBlock.from_layouts([((0.0, 1.0), (10.0, 4.0)), ((-3.0, -2.5), (7.0, 0.5)), ((1.0, 0.0), (1.0, 0.0))])
+    for rates in (bad, np.array([1.0, bad, 0.5])):
+        with pytest.raises(error) as caught:
+            noma.solve_min_power(PARAMS, block, rates)
+        assert type(caught.value) is error and str(caught.value) == message
+    for entries in (2, 4):
+        with pytest.raises(ValueError) as caught:
+            noma.solve_min_power(PARAMS, block, np.full(entries, 1.0))
+        assert str(caught.value) == f"rate target must be a float or a (3,) column, got shape ({entries},)"
+
+
 def test_min_powers_at_covers_both_constraints():
     # the direct user's power must survive both its own decode and the
     # decoder's decode of it, whichever distance is worse

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pinchplace import rng
+from pinchplace import oma_greedy, rng
 from pinchplace.core import (LayoutBlock, SystemParams, bpcu_to_nats, dbm_to_watt, min_power_terms, path_gain,
                              squared_distance)
 from pinchplace.errors import DomainError
@@ -406,3 +408,18 @@ def test_closer_to_near_user_tie_requires_balance():
     lay = ((-5.0, 3.0), (5.0, -3.0))  # equal |y|
     assert closer_to_near_user(lay, 0.0)
     assert not closer_to_near_user(lay, -4.0)
+
+
+def _old_cbrt(v: float) -> float:
+    """The per-element cube root oma_greedy._cbrt replaced."""
+    return math.copysign(abs(v) ** (1.0 / 3.0), v)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(values=st.lists(st.floats(width=64), min_size=1, max_size=40))
+def test_cbrt_equals_the_per_element_cube_root_bit_for_bit(values):
+    values = np.array(values + [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300, 27.0, -27.0,
+                                math.inf, -math.inf, math.nan, -math.nan])
+    want = np.array([_old_cbrt(v) for v in values.tolist()])
+    assert np.array_equal(oma_greedy._cbrt(values).view(np.int64), want.view(np.int64))
+

@@ -1,6 +1,7 @@
 """Grid-plus-golden-section reference optimizers."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,11 @@ def test_gridspec_validation():
         GridSpec(lo=0.0, hi=1.0, points=11, refine_iters=-1)
     with pytest.raises(ValueError):
         GridSpec(lo=float("nan"), hi=1.0, points=11)
+    # finite ends whose span overflows: linspace would make point 0 NaN (0 * inf + lo)
+    for lo, hi in ((-1e308, 1e308), (-1.7976931348623157e308, 1e300)):
+        with pytest.raises(ValueError, match="span hi - lo overflows"):
+            GridSpec(lo=lo, hi=hi, points=3)
+    assert GridSpec(lo=-8e307, hi=8e307, points=3).abscissae().tolist() == [-8e307, 0.0, 8e307]
 
 
 def test_abscissae_endpoints():
@@ -36,9 +42,10 @@ def _bits(xs):
 
 
 def _finite_span():
-    """A finite lo < hi pair, from anywhere in the float range."""
+    """A finite lo < hi pair, from anywhere in the float range, whose span hi - lo is finite."""
     floats = st.floats(allow_nan=False, allow_infinity=False)
-    return st.tuples(floats, floats).filter(lambda pair: pair[0] != pair[1]).map(sorted)
+    return (st.tuples(floats, floats).filter(lambda pair: pair[0] != pair[1]).map(sorted)
+            .filter(lambda pair: math.isfinite(pair[1] - pair[0])))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
@@ -49,9 +56,8 @@ def test_abscissae_slices_are_linspace_bit_for_bit(span, points, data):
     edges = st.sampled_from(list(range(0, points, SCAN_SLICE)) + [points])
     start = data.draw(st.one_of(edges, st.integers(0, points)))
     stop = data.draw(st.one_of(edges, st.integers(start, points), st.just(start + SCAN_SLICE)))
-    with np.errstate(all="ignore"):  # a span that overflows to inf makes linspace's first point NaN
-        whole = np.linspace(lo, hi, points)
-        got = spec.abscissae(start, stop)
+    whole = np.linspace(lo, hi, points)
+    got = spec.abscissae(start, stop)
     assert np.array_equal(_bits(got), _bits(whole[start:stop]))
 
 
@@ -137,6 +143,45 @@ def test_nonfinite_objective_raises_unless_skipped():
     assert grid_optimize(lambda xs: np.full_like(xs, np.nan), spec, skip_nonfinite=True) is None
     with pytest.raises(NonFinite):
         grid_optimize(lambda xs: np.full_like(xs, np.nan), spec)
+
+
+def _masked_scan(values, sense, skip_nonfinite):
+    """The grid scan before it read the extreme off the raw values: (index, value), None or NonFinite."""
+    finite = np.isfinite(values)
+    if not finite.all() and not skip_nonfinite:
+        raise NonFinite(f"objective is not finite at x = {np.float64(np.flatnonzero(~finite)[0])!r}")
+    flip = 1.0 if sense == "min" else -1.0
+    vals = np.where(finite, flip * values, np.inf)
+    i = int(vals.argmin())
+    return None if vals[i] == np.inf else (float(i), flip * float(vals[i]))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(data=st.data(), points=st.sampled_from([3, 50, SCAN_SLICE + 7, 2 * SCAN_SLICE + 1]),
+       sense=st.sampled_from(["min", "max"]), skip_nonfinite=st.booleans())
+def test_the_scan_equals_the_masked_scan(data, points, sense, skip_nonfinite):
+    # x = 0, 1, ... indexes a table of a few distinct values (ties across slices included)
+    # and a few NaN and infinities placed anywhere
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    values = gen.choice(np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4))), points)
+    for bad in data.draw(st.lists(st.sampled_from([math.nan, math.inf, -math.inf]), max_size=3)):
+        values[data.draw(st.integers(0, points - 1))] = bad
+    if data.draw(st.booleans()):  # a whole slice, or the whole grid, of one non-finite kind
+        values[:data.draw(st.sampled_from([SCAN_SLICE, points]))] = data.draw(st.sampled_from([math.nan, math.inf,
+                                                                                               -math.inf]))
+    spec = GridSpec(lo=0.0, hi=float(points - 1), points=points)
+
+    def scan():
+        return grid_optimize(lambda xs: values[xs.astype(int)], spec, sense=sense, skip_nonfinite=skip_nonfinite)
+
+    try:
+        want = _masked_scan(values, sense, skip_nonfinite)
+    except NonFinite as exc:
+        with pytest.raises(NonFinite, match=f"^{re.escape(str(exc))}$"):
+            scan()
+        return
+    got = scan()
+    assert got == want and (got is None or np.float64(got[1]).view(np.int64) == np.float64(want[1]).view(np.int64))
 
 
 def test_objective_shape_is_enforced():
