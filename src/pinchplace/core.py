@@ -236,12 +236,12 @@ def require_rows(value, block: LayoutBlock, what: str) -> None:
 
 
 def require_positive(value, block: LayoutBlock, what: str) -> None:
-    """ValueError naming the first entry of value (a float or a (B,) column) that is not positive.
+    """ValueError naming the first entry of value (a float or a (B,) column) that is not positive, NaN included.
 
     A column whose length is not the block's also fails (see require_rows).
     """
     require_rows(value, block, what)
-    low = value <= 0
+    low = np.logical_not(value > 0)
     if np.any(low):
         raise ValueError(f"{what} must be positive, got {first_where(value, low)!r}")
 
@@ -329,9 +329,10 @@ def power_coeff(params: SystemParams, rate_nats, slots: int):
     (each user gets a 1/M slot, so the SNR must hit e^(M R) - 1) and 1 for
     NOMA, where users transmit simultaneously.  rate_nats is a float, which
     gives a float, or a (B,) column, which gives one coefficient per entry.
-    DomainError, naming the first such target, when a coefficient overflows.
+    ValueError, naming the first such target, when one is negative or NaN,
+    and DomainError when a coefficient overflows.
     """
-    low = rate_nats < 0
+    low = np.logical_not(rate_nats >= 0)
     if np.any(low):
         raise ValueError(f"rate target must be nonnegative, got {first_where(rate_nats, low)!r}")
     if slots < 1:

@@ -150,9 +150,9 @@ def solve_min_power(params: SystemParams, block: LayoutBlock, rate_nats) -> Noma
     c (g - 1)(a_2 - a_1) >= 0.  As tau_1 <= tau_2 at x*, the SIC decode of
     the weak signal also reaches the target.
 
-    ValueError for a target that is not positive or a column of another
-    length than the block, and DomainError for one (NaN included) whose
-    powers are not finite.
+    ValueError for a target that is not positive (NaN included) or a column
+    of another length than the block, and DomainError for one whose powers
+    are not finite.
     """
     block.validate(params)
     (_, ya), (_, yb) = user_pair(block)
@@ -163,8 +163,8 @@ def solve_min_power(params: SystemParams, block: LayoutBlock, rate_nats) -> Noma
     pair = LayoutBlock(np.where(flip, block.xs[:, ::-1], block.xs), np.where(flip, block.ys[:, ::-1], block.ys))
     (x1, y1), (x2, y2) = user_pair(pair)
 
-    # the target's one check: min_power_terms refuses a column of another length, a negative target
-    # and one whose coefficient is not finite (NaN included), and a zero target is refused here
+    # the target's one check: min_power_terms refuses a column of another length, a negative or NaN
+    # target and one whose coefficient is not finite, and a zero target is refused here
     terms = min_power_terms(params, pair, rate_nats, slots=1)
     zero = rate_nats == 0.0
     if np.any(zero):

@@ -8,10 +8,10 @@ observes that at high power the objective is dominated by the product of the
 two squared distances, whose stationary points are the real roots of a cubic.
 
 Every route takes a LayoutBlock of any number of two-user layouts, and the
-total budget as one float for the whole block or as a (B,) column with one
-budget per layout (core.per_row); the rate floor is one float.  Each returns
-a GreedyPlacement that marks an infeasible layout with an objective of -inf,
-so a single instance is row 0 of a one-row block, None when infeasible.
+total budget as one positive finite float or as a (B,) column with one budget
+per layout; the rate floor is one float.  Each returns a GreedyPlacement that
+marks an infeasible layout with an objective of -inf, so a single instance is
+row 0 of a one-row block, None when infeasible.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (LayoutBlock, PlacementSolution, SystemParams, libm, path_gain, per_row, power_coeff,
-                   require_positive, squared_distance, user_pair)
+from .core import (LayoutBlock, PlacementSolution, SystemParams, first_where, libm, path_gain, power_coeff,
+                   require_positive, require_rows, squared_distance, user_pair)
 # grid_optimize is kept importable here so that traced runs can wrap this module's name for it
 from .oracle import GridSpec, grid_optimize, grid_optimize_rows  # noqa: F401
 
@@ -69,16 +69,6 @@ def _geometry(params: SystemParams, users, gain: float, x):
     return t1, t2, params.noise_w * t1 / gain, params.noise_w * t2 / gain
 
 
-def _columns(params: SystemParams, block: LayoutBlock) -> np.ndarray:
-    """(x1, y1, x2, y2) of each two-user layout of a block as the rows of a (4, B) array.
-
-    Raises ValueError when a user is outside the service area.
-    """
-    block.validate(params)
-    (x1, y1), (x2, y2) = user_pair(block)
-    return np.stack([x1, y1, x2, y2])
-
-
 def _kkt(params: SystemParams, users, gain: float, coeff: float, total_w, x):
     """The optimal two-user power split at position(s) x: (p1, p2, pin_2, pin_1, sum rate).
 
@@ -116,34 +106,38 @@ def _cases(pin_2, pin_1):
     return np.where(pin_2 >= 0.0, CASE_FLOOR_AT_2, np.where(pin_1 >= 0.0, CASE_FLOOR_AT_1, CASE_INTERIOR))
 
 
-def _splits(params: SystemParams, columns: np.ndarray, total_w, rate_nats: float, xs):
-    """_kkt of each layout of a block (its _columns) at its own row of positions xs, shape (B, K)."""
-    return _kkt(params, tuple(columns[:, :, None]), path_gain(params), power_coeff(params, rate_nats, 2),
-                per_row(total_w), np.asarray(xs, dtype=float))
+def _splitter(params: SystemParams, block: LayoutBlock, total_w, rate_nats: float):
+    """Check a route's inputs once and return the block's evaluator split(rows, xs).
 
-
-def _curves(params: SystemParams, columns: np.ndarray, total_w, rate_nats: float):
-    """The sum-rate curve of each layout of a block (its _columns) as one oracle row objective.
-
-    total_w is one budget or one per layout; a row reads its own, like its users.
+    split is _kkt of rows of block (an int, an int array or slice(None)), each
+    with its own budget when total_w is a column, at positions xs that
+    broadcast against them.  ValueError when a budget is not positive and
+    finite or a user is outside the service area, and as power_coeff.
     """
-    budgets = np.broadcast_to(np.asarray(total_w, dtype=float), columns.shape[1:])
-    users, budget = columns.T.tolist(), budgets.tolist()
+    what = "total power budget"
+    require_rows(total_w, block, what)
+    # one test of both bounds, which NaN fails; require_positive then names a low entry
+    if not np.all((total_w > 0) & (total_w < math.inf)):
+        require_positive(total_w, block, what)
+        raise ValueError(f"{what} must be finite, got {first_where(total_w, np.isinf(total_w))!r}")
+    block.validate(params)
+    (x1, y1), (x2, y2) = user_pair(block)
+    columns = np.stack([x1, y1, x2, y2])
     gain, coeff = path_gain(params), power_coeff(params, rate_nats, 2)
+    budgets = np.asarray(total_w, dtype=float)
+    column = budgets.ndim > 0
 
-    def objective(rows, xs: np.ndarray) -> np.ndarray:
-        # one row's plain scalars, or one column entry per probed row
-        if isinstance(rows, int):
-            return _kkt(params, users[rows], gain, coeff, budget[rows], xs)[4]
-        return _kkt(params, tuple(columns[:, rows]), gain, coeff, budgets[rows], xs)[4]
+    def split(rows, xs):
+        # a float budget stays a float, which is cheaper than a 0-d array in a one-row call
+        return _kkt(params, tuple(columns[:, rows]), gain, coeff, budgets[rows] if column else total_w, xs)
 
-    return objective
+    return split
 
 
-def _placed(params: SystemParams, columns: np.ndarray, total_w, rate_nats: float, xs) -> GreedyPlacement:
+def _placed(split, xs) -> GreedyPlacement:
     """The optimal split, sum rate and KKT case of each layout at its position in xs (NaN for none)."""
     xs = np.asarray(xs, dtype=float)
-    p1, p2, pin_2, pin_1, rate = (v[:, 0] for v in _splits(params, columns, total_w, rate_nats, xs[:, None]))
+    p1, p2, pin_2, pin_1, rate = split(slice(None), xs)
     return GreedyPlacement(PlacementSolution(x_star=xs, powers=np.stack([p1, p2], axis=1), objective=rate),
                            _cases(pin_2, pin_1))
 
@@ -151,10 +145,9 @@ def _placed(params: SystemParams, columns: np.ndarray, total_w, rate_nats: float
 def split_power(params: SystemParams, block: LayoutBlock, total_w, rate_nats: float, xs) -> GreedyPlacement:
     """The optimal split (the three cases of _kkt) and sum rate of each layout of a block at its position in xs.
 
-    Raises ValueError when a budget is not positive or a user is outside the service area.
+    Raises ValueError when a budget is not positive or not finite or a user is outside the service area.
     """
-    require_positive(total_w, block, "total power budget")
-    return _placed(params, _columns(params, block), total_w, rate_nats, xs)
+    return _placed(_splitter(params, block, total_w, rate_nats), xs)
 
 
 def best_placement_search(
@@ -168,11 +161,10 @@ def best_placement_search(
     much less than its layouts one by one, all the more when a column of
     budgets lets one call search a whole sweep.
     """
-    require_positive(total_w, block, "total power budget")
-    columns = _columns(params, block)
-    found = grid_optimize_rows(_curves(params, columns, total_w, rate_nats), spec, len(block),
-                               sense="max", skip_nonfinite=True)
-    return _placed(params, columns, total_w, rate_nats, [math.nan if f is None else f[0] for f in found])
+    split = _splitter(params, block, total_w, rate_nats)
+    found = grid_optimize_rows(lambda rows, xs: split(rows, xs)[4], spec, len(block), sense="max",
+                               skip_nonfinite=True)
+    return _placed(split, [math.nan if f is None else f[0] for f in found])
 
 
 def _cbrt(v: np.ndarray) -> np.ndarray:
@@ -273,17 +265,17 @@ def best_placement_high_snr(params: SystemParams, block: LayoutBlock, total_w, r
     evaluation covers the candidates of every layout.
     """
     hl = params.half_length
+    split = _splitter(params, block, total_w, rate_nats)
     roots = _stationary_points(block, params.height_m)
-    require_positive(total_w, block, "total power budget")
-    columns = _columns(params, block)
     # at most three roots and two endpoints; an absent root pads as the endpoint hl, and a
     # repeated candidate never wins a tie over its first copy
     xs = np.full((len(block), 5), hl)
     xs[:, :3] = np.where(np.isnan(roots), hl, np.minimum(hl, np.maximum(-hl, roots)))
     xs[:, 3] = -hl
     xs.sort(axis=1)
-    p1, p2, pin_2, pin_1, rate = _splits(params, columns, total_w, rate_nats, xs)
-    at = (np.arange(len(block)), np.argmax(rate, axis=1))  # the first of equal rates, as a strict > scan
+    xs = xs.T  # (5, B): layout i's candidates are column i, evaluated against its own users
+    p1, p2, pin_2, pin_1, rate = split(slice(None), xs)
+    at = (np.argmax(rate, axis=0), np.arange(len(block)))  # the first of equal rates, as a strict > scan
     return GreedyPlacement(
         solution=PlacementSolution(x_star=xs[at], powers=np.stack([p1[at], p2[at]], axis=1), objective=rate[at]),
         case=_cases(pin_2[at], pin_1[at]),

@@ -94,9 +94,9 @@ def closed_form_outage(params: SystemParams, rate_nats: float, budget_w: float) 
     rate_nats is the per-user target of the underlying two-slot time-shared
     scheme; monte_carlo_outage covers other user counts.
     """
-    if budget_w <= 0:
+    if not budget_w > 0:  # NaN fails these checks too
         raise ValueError("budget must be positive")
-    if rate_nats <= 0:
+    if not rate_nats > 0:
         raise ValueError("rate target must be positive")
 
     budget_over_coeff = _budget_over_coeff(params, rate_nats, budget_w, 2)
@@ -135,9 +135,9 @@ def monte_carlo_outage(
         raise ValueError("trials must be >= 1")
     if num_users < 1:
         raise ValueError(f"users must be >= 1, got {num_users}")
-    if budget_w <= 0:
+    if not budget_w > 0:  # NaN fails these checks too
         raise ValueError("budget must be positive")
-    if rate_nats <= 0:
+    if not rate_nats > 0:
         raise ValueError("rate target must be positive")
 
     h2 = params.height_m * params.height_m

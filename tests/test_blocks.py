@@ -325,14 +325,41 @@ _BAD_RATE_ROUTES = {
 }
 
 
-@pytest.mark.parametrize("bad", [0.0, -2.5e-3])
-@pytest.mark.parametrize("name", sorted(_BAD_BUDGET_ROUTES))
+_GREEDY_ROUTES = ("placements_at", "best_placements_high_snr", "best_placements_search")
+
+
+# an infinite budget is refused by the greedy routes only: max-min then has an infinite rate
+@pytest.mark.parametrize("name, bad", [*((name, bad) for name in sorted(_BAD_BUDGET_ROUTES)
+                                         for bad in (0.0, -2.5e-3, math.nan)),
+                                       *((name, math.inf) for name in _GREEDY_ROUTES)])
 def test_one_non_positive_budget_fails_the_whole_call_naming_it(name, bad):
     block = _drops(2, 950)[:5]
     budgets = np.full(5, 1.0)
     budgets[3] = bad
-    with pytest.raises(ValueError, match=f"total power budget must be positive, got {re.escape(repr(bad))}$"):
-        _BAD_BUDGET_ROUTES[name](block, budgets)
+    message = f"total power budget must be {'finite' if bad == math.inf else 'positive'}, got {re.escape(repr(bad))}$"
+    for total in (budgets, bad):  # one entry of a column, and the float for the whole block
+        with pytest.raises(ValueError, match=message):
+            _BAD_BUDGET_ROUTES[name](block, total)
+
+
+@pytest.mark.parametrize("name", _GREEDY_ROUTES)
+def test_a_greedy_route_checks_its_inputs_once_and_before_it_solves(name, monkeypatch):
+    block, route = _drops(2, 953)[:5], _BAD_BUDGET_ROUTES[name]
+    calls = []
+    coeff, validate = oma_greedy.power_coeff, LayoutBlock.validate
+    monkeypatch.setattr(oma_greedy, "power_coeff", lambda *a: calls.append("power_coeff") or coeff(*a))
+    monkeypatch.setattr(LayoutBlock, "validate", lambda *a: calls.append("validate") or validate(*a))
+    route(block, np.linspace(0.5, 1.0, 5))
+    assert sorted(calls) == ["power_coeff", "validate"]
+
+    def solve(*_):
+        raise AssertionError("solved before the inputs were checked")
+
+    monkeypatch.setattr(oma_greedy, "_kkt", solve)
+    monkeypatch.setattr(oma_greedy, "_stationary_points", solve)
+    outside = LayoutBlock.from_layouts([((0.0, 1.0), (3.0, -2.0)), ((0.0, 1.0), (100.0, 0.0))])
+    with pytest.raises(ValueError, match="outside"):
+        route(outside, 1.0)
 
 
 @pytest.mark.parametrize("name", sorted(_BAD_RATE_ROUTES))
@@ -342,6 +369,10 @@ def test_one_bad_rate_target_fails_the_whole_call_naming_it(name):
     rates[2] = -0.25  # negative: no scheme takes it
     with pytest.raises(ValueError, match=r"rate target must be (nonnegative|positive), got -0\.25$"):
         route(block, rates)
+    rates[2] = math.nan
+    for rate in (rates, math.nan):  # one entry of a column, and the float for the whole block
+        with pytest.raises(ValueError, match=r"rate target must be (nonnegative|positive), got nan$"):
+            route(block, rate)
     rates[2] = 800.0  # e^800 overflows a float: no finite power meets it
     with pytest.raises(DomainError, match=r"rate target 800\.0 nats .*needs a non-finite"):
         route(block, rates)

@@ -49,10 +49,11 @@ def test_closed_form_monotone_in_budget():
 
 
 def test_closed_form_input_validation():
-    with pytest.raises(ValueError):
-        closed_form_outage(PARAMS, RATE, 0.0)
-    with pytest.raises(ValueError, match="rate target must be positive"):
-        closed_form_outage(PARAMS, 0.0, 1.0)
+    for bad in (0.0, math.nan):
+        with pytest.raises(ValueError, match="^budget must be positive$"):
+            closed_form_outage(PARAMS, RATE, bad)
+        with pytest.raises(ValueError, match="^rate target must be positive$"):
+            closed_form_outage(PARAMS, bad, 1.0)
 
 
 def test_monte_carlo_is_deterministic():
@@ -153,10 +154,11 @@ def test_monte_carlo_input_validation():
         monte_carlo_outage(PARAMS, 2, RATE, 1.0, 0, seed=0)
     with pytest.raises(ValueError, match="users"):
         monte_carlo_outage(PARAMS, 0, RATE, 1.0, 10, seed=0)
-    with pytest.raises(ValueError):
-        monte_carlo_outage(PARAMS, 2, RATE, 0.0, 10, seed=0)
-    with pytest.raises(ValueError, match="rate target must be positive"):
-        monte_carlo_outage(PARAMS, 2, 0.0, 1.0, 10, seed=0)
+    for bad in (0.0, math.nan):
+        with pytest.raises(ValueError, match="^budget must be positive$"):
+            monte_carlo_outage(PARAMS, 2, RATE, bad, 10, seed=0)
+        with pytest.raises(ValueError, match="^rate target must be positive$"):
+            monte_carlo_outage(PARAMS, 2, bad, 1.0, 10, seed=0)
 
 
 def test_underflowing_power_coefficient_never_runs_out_of_budget():
