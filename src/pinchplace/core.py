@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -229,7 +230,13 @@ def first_where(value, flagged) -> float:
 
 
 def require_rows(value, block: LayoutBlock, what: str) -> None:
-    """ValueError unless value is a float or a column with one entry per layout of block (see per_row)."""
+    """ValueError unless value is a float or a column with one entry per layout of block (see per_row).
+
+    A float is any real number and a column an ndarray; any other type, such
+    as a list, is refused by name before a guard compares it with a number.
+    """
+    if not isinstance(value, (float, np.ndarray, numbers.Real)):
+        raise ValueError(f"{what} must be a float or a ({len(block)},) column, got a {type(value).__name__}")
     shape = np.shape(value)
     if shape and shape != (len(block),):
         raise ValueError(f"{what} must be a float or a ({len(block)},) column, got shape {shape}")

@@ -5,12 +5,18 @@ refinement inside the best bracketing interval.  They exist so every analytic
 result in this package can be checked against a search that shares none of its
 algebra.  Determinism contract: pure functions of their inputs, ties broken
 toward the smallest abscissa, and the returned value is never worse than any
-grid sample; a search that finds no finite point returns None.  The scan
-hands an objective the grid in consecutive slices of at most core.SCAN_SLICE
-(4096) abscissae, so no scan temporary outgrows 32 KiB, and an objective must
-be elementwise in its abscissae (every objective in this package is).  During
-refinement it takes either an array of probes (one per row of a block) or a
-single probe as a 0-d np.float64 (see RowObjective).
+grid sample; a search that finds no finite point returns None.
+
+A search is two steps.  scan_rows walks the grid and gives each row's best
+grid index and value; refine_rows runs the golden-section refinement from
+those points; grid_optimize_rows is the one composed with the other.  A
+search that finds its best grid points another way (oma_greedy's pruned scan)
+hands them to refine_rows and is refined exactly as a full scan would be.
+The scan hands an objective the grid in consecutive slices of at most
+core.SCAN_SLICE (4096) abscissae, so no scan temporary outgrows 32 KiB, and an
+objective must be elementwise in its abscissae (every objective in this
+package is).  During refinement it takes either an array of probes (one per
+row of a block) or a single probe as a 0-d np.float64 (see RowObjective).
 """
 
 from __future__ import annotations
@@ -49,24 +55,38 @@ class GridSpec:
             raise ValueError("GridSpec.refine_iters must be >= 0")
 
     def abscissae(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """np.linspace(lo, hi, points)[start:stop], bit for bit, without building the rest of the grid.
-
-        Point i is float(i) * step + lo, the last point is hi, and a span
-        whose step underflows to 0 takes linspace's (i / div) * span instead.
-        """
+        """np.linspace(lo, hi, points)[start:stop], bit for bit, without building the rest of the grid."""
         start, stop, _ = slice(start, stop).indices(self.points)
+        xs = self._scaled(np.arange(start, stop, dtype=float))
+        if stop == self.points and stop > start:
+            xs[-1] = self.hi
+        return xs
+
+    def at(self, index) -> np.ndarray:
+        """np.linspace(lo, hi, points)[index] for integer indices (an array or nested lists), bit for bit.
+
+        Like abscissae, it builds only the points it is asked for.
+        """
+        index = np.asarray(index)
+        xs = self._scaled(index.astype(float))
+        xs[index == self.points - 1] = self.hi
+        return xs
+
+    def _scaled(self, xs: np.ndarray) -> np.ndarray:
+        """Grid indices xs (a float array, scaled in place) as abscissae, but for the last point.
+
+        Point i is float(i) * step + lo, and a span whose step underflows to 0
+        takes linspace's (i / div) * span instead; linspace puts hi itself last.
+        """
         div = self.points - 1
         span = self.hi - self.lo
         step = span / div
-        xs = np.arange(start, stop, dtype=float)
         if step == 0.0:
             xs /= div
             xs *= span
         else:
             xs *= step
         xs += self.lo
-        if stop == self.points and stop > start:
-            xs[-1] = self.hi
         return xs
 
 
@@ -114,38 +134,47 @@ def grid_optimize_rows(
     sense: str = "min",
     skip_nonfinite: bool = False,
 ) -> list[tuple[float, float] | None]:
-    """Optimize rows independent objectives over spec: one (x_best, value) per row.
+    """Optimize rows independent objectives over spec: one (x_best, value) per row, or None.
+
+    The grid scan of scan_rows refined by refine_rows (see both).
+    """
+    return refine_rows(objective, spec, scan_rows(objective, spec, rows, sense, skip_nonfinite), sense)
+
+
+def _flip(sense: str) -> float:
+    """The sign that turns a search of the given sense into a minimization."""
+    if sense not in ("min", "max"):
+        raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
+    return 1.0 if sense == "min" else -1.0
+
+
+def scan_rows(
+    objective: RowObjective,
+    spec: GridSpec,
+    rows: int,
+    sense: str = "min",
+    skip_nonfinite: bool = False,
+) -> list[tuple[int, float] | None]:
+    """Each row's best grid point over spec as (grid index, value), or None.
 
     Each row is scanned in its own objective calls, one per slice of at most
-    SCAN_SLICE consecutive grid points; a running argmin that only a strictly
-    smaller value moves keeps the smallest-x tie-break across the slices.
-    Then every row's next golden-section probe shares one call (see
-    RowObjective), so a block costs refine_iters + 2 probe calls whatever its
-    size, and each row gets exactly the abscissae and comparisons it would
-    get alone; a lone live row is probed at a 0-d np.float64.
+    SCAN_SLICE consecutive grid points; a running optimum that only a strictly
+    better value moves keeps the smallest-x tie-break across the slices.
     With skip_nonfinite=False a NaN or infinity on any row's grid raises
     NonFinite; with True such points are treated as absent, and a row with
     none left gives None.
     """
-    if sense not in ("min", "max"):
-        raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
-    flip = 1.0 if sense == "min" else -1.0
-
+    flip = _flip(sense)
     n = spec.points
     # A grid of one slice is built once and shared by every row; a longer one is
     # built a slice at a time, so only one slice of it is ever alive.
     whole = spec.abscissae() if n <= SCAN_SLICE else None
 
-    def grid(start: int, stop: int) -> np.ndarray:
-        return whole[start:stop] if whole is not None else spec.abscissae(start, stop)
-
-    found: list[tuple[float, float] | None] = [None] * rows
-    live: list[int] = []
-    searches = []
+    best: list[tuple[int, float] | None] = [None] * rows
     for row in range(rows):
-        best_i, best_x, best_v = -1, math.nan, math.inf
+        best_i, best_v = -1, math.inf
         for start in range(0, n, SCAN_SLICE):
-            xs = grid(start, start + SCAN_SLICE)
+            xs = whole[start:start + SCAN_SLICE] if whole is not None else spec.abscissae(start, start + SCAN_SLICE)
             raw = np.asarray(objective(row, xs), dtype=float)
             if raw.shape != xs.shape:
                 raise ValueError("objective must return one value per abscissa")
@@ -166,37 +195,58 @@ def grid_optimize_rows(
                 v = float(vals[i])
             # a later slice only moves the incumbent on a strictly smaller value
             if v < best_v:
-                best_i, best_x, best_v = start + i, float(xs[i]), v
-        if best_i < 0:
-            continue
-        found[row] = (best_x, best_v)
-        if spec.refine_iters > 0:
-            # refine between the neighbours of the best grid point
-            near = grid(max(best_i - 1, 0), best_i + 2)
-            live.append(row)
-            searches.append(_golden_section(float(near[0]), float(near[-1]), *found[row], spec.refine_iters))
+                best_i, best_v = start + i, v
+        if best_i >= 0:
+            best[row] = (best_i, flip * best_v)
+    return best
 
-    if live:
+
+def refine_rows(
+    objective: RowObjective,
+    spec: GridSpec,
+    best: list[tuple[int, float] | None],
+    sense: str = "min",
+) -> list[tuple[float, float] | None]:
+    """Refine each row's best grid point, (grid index, value) as scan_rows gives it, into (x_best, value).
+
+    A row runs spec.refine_iters golden-section iterations between the grid
+    neighbours of its point, and every row's next probe shares one objective
+    call (see RowObjective), so a block costs refine_iters + 2 probe calls
+    whatever its size, and each row gets exactly the abscissae and
+    comparisons it would get alone; a lone live row is probed at a 0-d
+    np.float64.  A None row stays None.
+    """
+    flip = _flip(sense)
+    live = [row for row, b in enumerate(best) if b is not None]
+    # each live row's grid point between its neighbours, which bracket its refinement
+    last = spec.points - 1
+    near = spec.at([(max(best[row][0] - 1, 0), best[row][0], min(best[row][0] + 1, last)) for row in live]).tolist()
+    found: list[tuple[float, float] | None] = [None] * len(best)
+    for row, (_, x, _) in zip(live, near):
+        found[row] = (x, flip * best[row][1])
+
+    if live and spec.refine_iters > 0:
+        searches = [_golden_section(a, b, *found[row], spec.refine_iters) for row, (a, _, b) in zip(live, near)]
         # Every live row takes its next probe in the same objective call; a
         # lone row is probed as a plain int row, without fancy indexing.
         lone = len(live) == 1
-        index = live[0] if lone else np.array(live)
+        rows = live[0] if lone else np.array(live)
         points = [next(search) for search in searches]
         for _ in range(spec.refine_iters + 2):
             if lone:
                 try:
-                    value = objective(index, np.float64(points[0]))
+                    value = objective(rows, np.float64(points[0]))
                 except TypeError:
                     # an objective written for arrays only (one that takes len() of its
                     # abscissae) gets this search's probes as 1-element arrays
                     lone = False
             if not lone:
-                value = objective(index, np.array(points))
+                value = objective(rows, np.array(points))
             values = np.asarray(value, dtype=float).reshape(-1).tolist()
             points = [search.send(flip * v if math.isfinite(v) else math.inf)
                       for search, v in zip(searches, values)]
-        for row, best in zip(live, points):
-            found[row] = best
+        for row, refined in zip(live, points):
+            found[row] = refined
     return [None if f is None else (f[0], flip * f[1]) for f in found]
 
 

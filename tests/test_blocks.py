@@ -385,6 +385,17 @@ def test_one_bad_rate_target_fails_the_whole_call_naming_it(name):
             route(block, rates)
 
 
+@pytest.mark.parametrize("name, column", [*((name, [1.0, 0.5]) for name in sorted(_BAD_BUDGET_ROUTES)),
+                                          *((name, [0.5, 1.0]) for name in sorted(_BAD_RATE_ROUTES)
+                                            if name != "power_coeff")])
+def test_a_list_for_a_column_is_refused_naming_its_type(name, column):
+    # a column is an ndarray; a list used to reach a guard's comparison and fail there with a TypeError
+    what = "total power budget" if name in _BAD_BUDGET_ROUTES else "rate target"
+    route = {**_BAD_BUDGET_ROUTES, **_BAD_RATE_ROUTES}[name]
+    with pytest.raises(ValueError, match=rf"^{what} must be a float or a \(2,\) column, got a list$"):
+        route(_drops(2, 954)[:2], column)
+
+
 @pytest.mark.parametrize("name, value", [*((name, 1.0) for name in sorted(_BAD_BUDGET_ROUTES)),
                                          *((name, 0.5) for name in sorted(_BAD_RATE_ROUTES) if name != "power_coeff")])
 def test_a_value_column_of_another_length_than_the_block_fails(name, value):

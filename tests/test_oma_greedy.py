@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pinchplace import oma_greedy, rng
 from pinchplace.core import (LayoutBlock, SystemParams, bpcu_to_nats, dbm_to_watt, min_power_terms, path_gain,
-                             squared_distance)
+                             power_coeff, squared_distance)
 from pinchplace.errors import DomainError
 from pinchplace.oma_greedy import (
     CASE_FLOOR_AT_1,
@@ -20,7 +20,7 @@ from pinchplace.oma_greedy import (
     best_placement_search,
     split_power,
 )
-from pinchplace.oracle import GridSpec, power_split_sweep
+from pinchplace.oracle import GridSpec, power_split_sweep, refine_rows, scan_rows
 from pair_geometry import closer_to_near_user
 from rate_formula import oma_rate
 
@@ -195,6 +195,76 @@ def test_block_search_equals_one_layout_searches_bit_for_bit():
     assert 0 < infeasible < 60, f"{infeasible} infeasible layouts: the blocks must mix both kinds"
     empty = LayoutBlock(np.empty((0, 2)), np.empty((0, 2)))
     assert len(best_placement_search(PARAMS, empty, 1.0, RATE, spec).solution.objective) == 0
+
+
+# --- the pruned search: identical to a full scan, on a bound that holds ---------------
+
+_HL, _HW = PARAMS.half_length, PARAMS.half_width
+
+
+def _coordinate(limit):
+    return st.one_of(st.sampled_from([-limit, -0.0, 0.0, limit]), st.floats(-limit, limit))
+
+
+@st.composite
+def _edge_instances(draw):
+    """(block, budgets, rate, spec): 1-5 layouts with coincident users, users on the waveguide (y = 0) or on
+    the area edge, a budget column whose rows sit just above the least floor sum, below it or anywhere,
+    and a grid of 3 points, of a point count no multiple of the pruning interval, 2001 or 20001 points."""
+    rows = draw(st.integers(1, 5))
+    xs = np.array([[draw(_coordinate(_HL)), draw(_coordinate(_HL))] for _ in range(rows)])
+    ys = np.array([[draw(_coordinate(_HW)), draw(_coordinate(_HW))] for _ in range(rows)])
+    for row in range(rows):
+        if draw(st.booleans()):
+            xs[row, 1], ys[row, 1] = xs[row, 0], ys[row, 0]
+    rate = bpcu_to_nats(draw(st.floats(0.01, 4.0)))
+    # the floor sum coeff * (tau_1 + tau_2) is least at the users' midpoint
+    least = power_coeff(PARAMS, rate, 2) * ((xs[:, 0] - xs[:, 1]) ** 2 / 2.0 + ys[:, 0] ** 2 + ys[:, 1] ** 2
+                                            + 2.0 * PARAMS.height_m ** 2)
+    budgets = np.array([draw(st.one_of(
+        st.sampled_from([1e-13, 1e-12, 1e-9, 1e-6, 1e-3, 0.1]).map(lambda above: f * (1.0 + above)),
+        st.floats(0.3, 1.0 - 1e-9).map(lambda below: f * below),
+        st.floats(-20.0, 60.0).map(dbm_to_watt))) for f in least.tolist()])
+    points = draw(st.one_of(st.sampled_from([3, 4, 2001, 20001]),
+                            st.integers(3, 400).filter(lambda n: n % oma_greedy._INTERVAL)))
+    lo, hi = draw(st.sampled_from([(-_HL, _HL), (-7.5, 3.25)]))
+    return LayoutBlock(xs, ys), budgets, rate, GridSpec(lo, hi, points, draw(st.sampled_from([0, 1, 24])))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(instance=_edge_instances())
+def test_pruned_search_equals_a_full_scan_bit_for_bit(instance):
+    block, budgets, rate, spec = instance
+    split = oma_greedy._splitter(PARAMS, block, budgets, rate)
+
+    def objective(rows, xs):
+        return split(rows, xs)[4]
+
+    found = refine_rows(objective, spec, scan_rows(objective, spec, len(block), "max", skip_nonfinite=True), "max")
+    want = oma_greedy._placed(split, [math.nan if f is None else f[0] for f in found])
+    got = best_placement_search(PARAMS, block, budgets, rate, spec)
+    for field in ("x_star", "powers", "objective"):
+        assert getattr(got.solution, field).tobytes() == getattr(want.solution, field).tobytes(), field
+    assert got.case.tolist() == want.case.tolist()
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(instance=_edge_instances(), data=st.data())
+def test_an_interval_bound_is_at_least_the_sum_rate_anywhere_in_it(instance, data):
+    block, budgets, rate, spec = instance
+    split = oma_greedy._splitter(PARAMS, block, budgets, rate)
+    grid = spec.abscissae()
+    starts = np.arange(0, spec.points, oma_greedy._INTERVAL)
+    lengths = np.minimum(starts + oma_greedy._INTERVAL, spec.points) - starts
+    lo, hi = grid[starts], grid[starts + lengths - 1]
+    bound = split(slice(None), lo[:, None], hi[:, None])[4]  # (intervals, layouts)
+    # every grid point, then random points between each interval's ends
+    fractions = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8)))
+    off_grid = np.minimum(lo[:, None] + (hi - lo)[:, None] * fractions, hi[:, None])
+    for xs, owner in ((grid, np.repeat(np.arange(len(starts)), lengths)),
+                      (off_grid.ravel(), np.repeat(np.arange(len(starts)), len(fractions)))):
+        rates = split(slice(None), xs[:, None])[4]
+        assert not np.any(rates > bound[owner]), "a sum rate exceeds its interval's bound"
 
 
 def _random_pairs(gen, count):

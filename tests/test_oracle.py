@@ -13,7 +13,7 @@ from pinchplace.core import (SCAN_SLICE, LayoutBlock, PlacementSolution, SystemP
                              dbm_to_watt)
 from pinchplace.errors import NonFinite
 from pinchplace.oracle import (GridSpec, certification_grid, grid_optimize, grid_optimize_rows,
-                               power_split_sweep)
+                               power_split_sweep, refine_rows, scan_rows)
 
 
 def test_gridspec_validation():
@@ -59,6 +59,10 @@ def test_abscissae_slices_are_linspace_bit_for_bit(span, points, data):
     whole = np.linspace(lo, hi, points)
     got = spec.abscissae(start, stop)
     assert np.array_equal(_bits(got), _bits(whole[start:stop]))
+    # any points, in any order and shape, the last one included
+    point = st.one_of(st.integers(0, points - 1), st.just(points - 1))
+    index = np.array(data.draw(st.lists(st.tuples(point, point), max_size=6)), dtype=np.intp).reshape(-1, 2)
+    assert np.array_equal(_bits(spec.at(index)), _bits(whole[index]))
 
 
 @pytest.mark.parametrize("lo,hi,points", [(-20.0, 20.0, 20001), (0.0, 0.0317, 100001), (-1.0, 2.0, 2001),
@@ -349,6 +353,29 @@ def test_infeasible_row_gives_none_and_the_others_still_refine():
         grid_optimize_rows(holed, spec, 3)
 
 
+@pytest.mark.parametrize("sense", ["min", "max"])
+def test_the_scan_gives_grid_points_and_the_refinement_starts_from_any(sense):
+    coeffs = [(0.3, 1.7, 0.2), (0.0, 0.0, 0.0), (-2.5, 0.4, -1.1)]
+    objective, singles = _poly_rows(coeffs)
+
+    def holed(rows, xs):
+        return np.where(np.asarray(rows) == 1, np.nan, objective(rows, xs))
+
+    spec = GridSpec(lo=-4.0, hi=4.0, points=81, refine_iters=30)
+    scanned = scan_rows(holed, spec, 3, sense, skip_nonfinite=True)
+    assert scanned[1] is None
+    for (i, v), single in zip((scanned[0], scanned[2]), (singles[0], singles[2])):
+        grid = single(spec.abscissae())
+        assert i == int(grid.argmin() if sense == "min" else grid.argmax()) and v == grid[i]
+    assert refine_rows(holed, spec, scanned, sense) == grid_optimize_rows(holed, spec, 3, sense, skip_nonfinite=True)
+    # without refinement a row keeps its grid point; a point found another way refines from there
+    assert refine_rows(holed, GridSpec(-4.0, 4.0, 81), scanned, sense)[0] == (float(spec.at([scanned[0][0]])[0]),
+                                                                          scanned[0][1])
+    start = [(40, float(singles[0](spec.at([40]))[0])), None, None]
+    (x, v), none, _ = refine_rows(holed, spec, start, sense)
+    assert none is None and -0.1 <= x <= 0.1 and (v <= start[0][1] if sense == "min" else v >= start[0][1])
+
+
 def test_rows_of_an_empty_block():
     assert grid_optimize_rows(lambda rows, xs: xs, GridSpec(lo=0.0, hi=1.0, points=11), 0) == []
 
@@ -403,10 +430,11 @@ def test_lone_greedy_row_matches_its_row_in_a_block(monkeypatch):
     block = LayoutBlock(gen.uniform(-20.0, 20.0, (3, 2)), gen.uniform(-5.0, 5.0, (3, 2)))
     budgets, rate = dbm_to_watt(30.0) * gen.uniform(0.5, 2.0, 3), bpcu_to_nats(1.0)
     spec = GridSpec(lo=-20.0, hi=20.0, points=2001, refine_iters=40)
-    (whole,) = _captured(monkeypatch, oma_greedy, "grid_optimize_rows",
+    # the search refines its pruned scan's winners with the objective it hands to refine_rows
+    (whole,) = _captured(monkeypatch, oma_greedy, "refine_rows",
                          lambda: oma_greedy.best_placement_search(PARAMS, block, budgets, rate, spec))
     for row in range(3):
-        (alone,) = _captured(monkeypatch, oma_greedy, "grid_optimize_rows",
+        (alone,) = _captured(monkeypatch, oma_greedy, "refine_rows",
                              lambda: oma_greedy.best_placement_search(PARAMS, block[row:row + 1], budgets[row],
                                                                       rate, spec))
         _assert_lone_row_matches_its_block_row(whole, row, alone, spec, "max")

@@ -2,10 +2,11 @@
 
 perfbench/reference.json holds the sha256 of the contract columns of every
 experiment CSV the sweep workloads write for seeds 0-63; this guard replays
-seeds 0-7 of the closed-form sweeps and seeds 0-1 of the greedy search
-sweep through the CLI, so a change that moves a CSV byte (say, a numpy
-transcendental where the C library's used to be) fails here and not only in
-the benchmark.  It only reads perfbench/.
+seeds 0-7 of the closed-form sweeps and all 64 seeds of the greedy search
+sweep (a few milliseconds each, and the pruned grid search must match the
+full scan on every one) through the CLI, so a change that moves a CSV byte
+(say, a numpy transcendental where the C library's used to be) fails here
+and not only in the benchmark.  It only reads perfbench/.
 """
 
 import contextlib
@@ -33,7 +34,7 @@ workloads = _load_workloads()
 
 
 @pytest.mark.parametrize("workload,seed", [("sweep-closed-form", seed) for seed in range(8)]
-                         + [("sweep-greedy-search", seed) for seed in range(2)])
+                         + [("sweep-greedy-search", seed) for seed in range(64)])
 def test_sweep_csvs_match_reference_digests(workload, seed, tmp_path):
     digests = []
     for op in workloads.build(workload, seed, tmp_path).ops:
