@@ -336,9 +336,12 @@ def power_coeff(params: SystemParams, rate_nats, slots: int):
     (each user gets a 1/M slot, so the SNR must hit e^(M R) - 1) and 1 for
     NOMA, where users transmit simultaneously.  rate_nats is a float, which
     gives a float, or a (B,) column, which gives one coefficient per entry.
-    ValueError, naming the first such target, when one is negative or NaN,
-    and DomainError when a coefficient overflows.
+    ValueError when rate_nats is neither a real number nor an ndarray, and,
+    naming the first such target, when one is negative or NaN; DomainError
+    when a coefficient overflows.
     """
+    if not isinstance(rate_nats, (float, np.ndarray, numbers.Real)):
+        raise ValueError(f"rate target must be a float or an ndarray, got a {type(rate_nats).__name__}")
     low = np.logical_not(rate_nats >= 0)
     if np.any(low):
         raise ValueError(f"rate target must be nonnegative, got {first_where(rate_nats, low)!r}")

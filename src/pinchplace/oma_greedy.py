@@ -17,6 +17,7 @@ row 0 of a one-row block, None when infeasible.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,14 +119,16 @@ def _cases(pin_2, pin_1):
 
 
 def _splitter(params: SystemParams, block: LayoutBlock, total_w, rate_nats: float):
-    """Check a route's inputs once and return the block's evaluator split(rows, xs, hi=None).
+    """Check a route's inputs once and return the block's evaluator split(rows, xs, hi=None) and its users.
 
     split is _kkt of rows of block (an int, an int array or slice(None)), each
     with its own budget when total_w is a column, at positions xs that
     broadcast against them; given hi, it is _kkt at each user's nearest point
     of [xs, hi], whose sum rate bounds every point of that interval from
-    above (see _kkt).  ValueError when a budget is not positive and
-    finite or a user is outside the service area, and as power_coeff.
+    above (see _kkt).  The users are the block's (x1, y1, x2, y2) columns as
+    the rows of a (4, B) array.  ValueError when a budget is not positive
+    and finite, the rate floor is not one real number or a user is outside
+    the service area, and as power_coeff.
     """
     what = "total power budget"
     require_rows(total_w, block, what)
@@ -133,6 +136,8 @@ def _splitter(params: SystemParams, block: LayoutBlock, total_w, rate_nats: floa
     if not np.all((total_w > 0) & (total_w < math.inf)):
         require_positive(total_w, block, what)
         raise ValueError(f"{what} must be finite, got {first_where(total_w, np.isinf(total_w))!r}")
+    if not isinstance(rate_nats, (float, numbers.Real)):
+        raise ValueError(f"rate floor must be a float, got a {type(rate_nats).__name__}")
     block.validate(params)
     (x1, y1), (x2, y2) = user_pair(block)
     columns = np.stack([x1, y1, x2, y2])
@@ -145,7 +150,7 @@ def _splitter(params: SystemParams, block: LayoutBlock, total_w, rate_nats: floa
         return _kkt(params, gain, coeff, budgets[rows] if column else total_w,
                     *_geometry(params, tuple(columns[:, rows]), xs, hi))
 
-    return split
+    return split, columns
 
 
 def _placed(split, xs) -> GreedyPlacement:
@@ -161,7 +166,7 @@ def split_power(params: SystemParams, block: LayoutBlock, total_w, rate_nats: fl
 
     Raises ValueError when a budget is not positive or not finite or a user is outside the service area.
     """
-    return _placed(_splitter(params, block, total_w, rate_nats), xs)
+    return _placed(_splitter(params, block, total_w, rate_nats)[0], xs)
 
 
 def best_placement_search(
@@ -169,9 +174,10 @@ def best_placement_search(
 ) -> GreedyPlacement:
     """Certified route: grid search of each layout over x with the closed-form split at each point.
 
-    The result is bit for bit oracle.grid_optimize_rows of the split's sum
-    rate (a full scan of every grid point, then golden-section refinement),
-    but the scan skips the grid intervals that cannot hold a row's maximum.
+    Each layout's result is bit for bit that of oracle.scan_grid of its
+    split's sum rate (a full scan of every grid point) refined by
+    oracle.refine_rows, but the scan skips the grid intervals that cannot
+    hold a layout's maximum.
     The sum rate never falls as a user's squared distance does (see _kkt),
     so on an interval of _INTERVAL grid points it is at most its value at
     each user's nearest point of the interval.  Each layout's incumbent is
@@ -182,7 +188,7 @@ def best_placement_search(
     each layout's best point as after a full scan.  A layout's x_star is NaN
     where no grid point is feasible.
     """
-    split = _splitter(params, block, total_w, rate_nats)
+    split, _ = _splitter(params, block, total_w, rate_nats)
     # layouts per pruned scan: as many as keep its bound table within one scan slice
     chunk = max(1, SCAN_SLICE // -(-spec.points // _INTERVAL))
     best = []
@@ -193,13 +199,14 @@ def best_placement_search(
 
 
 def _pruned_scan(split, spec: GridSpec, xs: np.ndarray, first: int) -> list[tuple[int, float] | None]:
-    """oracle.scan_rows of the sum rate (sense max, non-finite points absent) for the layouts with users at xs.
+    """oracle.scan_grid of each layout's sum rate (sense max, non-finite points absent), for the users at xs.
 
     xs holds the users' x of rows first, first + 1, ... of split's block, one
-    row per layout.  Only the points of surviving intervals are evaluated,
-    gathered across the layouts into calls of at most SCAN_SLICE points, and
-    each layout's first maximum among them is the full scan's (the pruning
-    keeps every interval that could hold it).
+    row per layout, and each layout gets the (grid index, value) or None that
+    a scan_grid of its row alone gives.  Only the points of surviving
+    intervals are evaluated, gathered across the layouts into calls of at
+    most SCAN_SLICE points, and each layout's first maximum among them is the
+    full scan's (the pruning keeps every interval that could hold it).
     """
     n, count = spec.points, len(xs)
     rows = slice(first, first + count)
@@ -247,8 +254,11 @@ def _cbrt(v: np.ndarray) -> np.ndarray:
     return np.copysign(libm(math.pow, np.abs(v), 1.0 / 3.0), v)
 
 
-def _stationary_points(block: LayoutBlock, height_m: float) -> np.ndarray:
-    """Real roots of d/dx [tau_1(x) tau_2(x)] of each layout of a block, ascending in the rows of a (B, 3) array.
+def _stationary_points(users: np.ndarray, height_m: float) -> np.ndarray:
+    """Real roots of d/dx [tau_1(x) tau_2(x)] of each layout, ascending in the rows of a (B, 3) array.
+
+    users holds the layouts' (x1, y1, x2, y2) columns as the rows of a (4, B)
+    array, as _splitter gives them.
 
     The derivative reduces, after centring at the user midpoint, to the
     depressed cubic u^3 + p u + q with p = (a + b - 2 h^2)/2 and
@@ -258,7 +268,7 @@ def _stationary_points(block: LayoutBlock, height_m: float) -> np.ndarray:
     and deduplicated within a 1e-9 cluster width; a row with fewer roots is
     padded with NaN.
     """
-    (x1, y1), (x2, y2) = user_pair(block)
+    x1, y1, x2, y2 = users
     h2 = height_m * height_m
     a = y1 * y1 + h2
     b = y2 * y2 + h2
@@ -267,7 +277,7 @@ def _stationary_points(block: LayoutBlock, height_m: float) -> np.ndarray:
     p = (a + b - 2.0 * half * half) / 2.0
     q = half * (b - a) / 2.0
 
-    centred = np.full((len(block), 3), math.nan)
+    centred = np.full((len(x1), 3), math.nan)
     flat = (p == 0.0) & (q == 0.0)
     centred[flat, 0] = 0.0
     disc = (q / 2.0) * (q / 2.0) + libm(math.pow, p / 3.0, 3.0)
@@ -340,8 +350,8 @@ def best_placement_high_snr(params: SystemParams, block: LayoutBlock, total_w, r
     evaluation covers the candidates of every layout.
     """
     hl = params.half_length
-    split = _splitter(params, block, total_w, rate_nats)
-    roots = _stationary_points(block, params.height_m)
+    split, users = _splitter(params, block, total_w, rate_nats)
+    roots = _stationary_points(users, params.height_m)
     # at most three roots and two endpoints; an absent root pads as the endpoint hl, and a
     # repeated candidate never wins a tie over its first copy
     xs = np.full((len(block), 5), hl)

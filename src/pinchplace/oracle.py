@@ -7,16 +7,17 @@ algebra.  Determinism contract: pure functions of their inputs, ties broken
 toward the smallest abscissa, and the returned value is never worse than any
 grid sample; a search that finds no finite point returns None.
 
-A search is two steps.  scan_rows walks the grid and gives each row's best
-grid index and value; refine_rows runs the golden-section refinement from
-those points; grid_optimize_rows is the one composed with the other.  A
-search that finds its best grid points another way (oma_greedy's pruned scan)
-hands them to refine_rows and is refined exactly as a full scan would be.
-The scan hands an objective the grid in consecutive slices of at most
-core.SCAN_SLICE (4096) abscissae, so no scan temporary outgrows 32 KiB, and an
-objective must be elementwise in its abscissae (every objective in this
-package is).  During refinement it takes either an array of probes (one per
-row of a block) or a single probe as a 0-d np.float64 (see RowObjective).
+A search is two steps.  scan_grid walks the grid of one objective and gives
+its best grid index and value; refine_rows runs the golden-section refinement
+from such points, one per row of a block; grid_optimize is the one composed
+with the other.  A search that finds its best grid points another way
+(oma_greedy's pruned scan) hands them to refine_rows and is refined exactly
+as a full scan would be.  The scan hands an objective the grid in consecutive
+slices of at most core.SCAN_SLICE (4096) abscissae, so no scan temporary
+outgrows 32 KiB, and an objective must be elementwise in its abscissae (every
+objective in this package is).  During refinement it takes either an array of
+probes (one per row of a block) or a single probe as a 0-d np.float64 (see
+RowObjective).
 """
 
 from __future__ import annotations
@@ -96,16 +97,15 @@ def certification_grid(lo: float, hi: float) -> GridSpec:
 
 
 Objective = Callable[[np.ndarray], np.ndarray]
-# objective(row, xs) evaluates row `row` (an int) at every abscissa of xs: one
-# slice of at most SCAN_SLICE consecutive grid points, so the objective must be
-# elementwise in xs, or one golden-section probe as a 0-d np.float64 when that
-# row is the only one being refined.  objective(rows, xs) with an int array
-# `rows` evaluates row rows[k] at xs[k].  The lone probe is an np.float64, not a
-# Python float, so that errstate, inf and NaN behave as on arrays; its
-# + - * / are the same IEEE operations and a ufunc runs the same loop on it,
-# so a row's probes give the bits they give inside a block.  An objective that
-# raises TypeError on the 0-d probe, as one that takes len(xs) does, is probed
-# at 1-element arrays for the rest of that search instead.
+# objective(rows, xs) with an int array `rows` evaluates row rows[k] at xs[k],
+# one golden-section probe per row; objective(row, x) with a lone int row
+# evaluates that row at one probe given as a 0-d np.float64, when it is the
+# only row being refined.  The lone probe is an np.float64, not a Python float,
+# so that errstate, inf and NaN behave as on arrays; its + - * / are the same
+# IEEE operations and a ufunc runs the same loop on it, so a row's probes give
+# the bits they give inside a block.  An objective that raises TypeError on the
+# 0-d probe, as one that takes len(xs) does, is probed at 1-element arrays for
+# the rest of that refinement instead.
 RowObjective = Callable[[int | np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -124,21 +124,8 @@ def grid_optimize(
     raises NonFinite; with True such points are treated as absent, and None
     is returned if none remain.
     """
-    return grid_optimize_rows(lambda _, xs: objective(xs), spec, 1, sense, skip_nonfinite)[0]
-
-
-def grid_optimize_rows(
-    objective: RowObjective,
-    spec: GridSpec,
-    rows: int,
-    sense: str = "min",
-    skip_nonfinite: bool = False,
-) -> list[tuple[float, float] | None]:
-    """Optimize rows independent objectives over spec: one (x_best, value) per row, or None.
-
-    The grid scan of scan_rows refined by refine_rows (see both).
-    """
-    return refine_rows(objective, spec, scan_rows(objective, spec, rows, sense, skip_nonfinite), sense)
+    return refine_rows(lambda _, xs: objective(xs), spec, [scan_grid(objective, spec, sense, skip_nonfinite)],
+                       sense)[0]
 
 
 def _flip(sense: str) -> float:
@@ -148,57 +135,47 @@ def _flip(sense: str) -> float:
     return 1.0 if sense == "min" else -1.0
 
 
-def scan_rows(
-    objective: RowObjective,
+def scan_grid(
+    objective: Objective,
     spec: GridSpec,
-    rows: int,
     sense: str = "min",
     skip_nonfinite: bool = False,
-) -> list[tuple[int, float] | None]:
-    """Each row's best grid point over spec as (grid index, value), or None.
+) -> tuple[int, float] | None:
+    """The best grid point of objective over spec as (grid index, value), or None.
 
-    Each row is scanned in its own objective calls, one per slice of at most
-    SCAN_SLICE consecutive grid points; a running optimum that only a strictly
-    better value moves keeps the smallest-x tie-break across the slices.
-    With skip_nonfinite=False a NaN or infinity on any row's grid raises
-    NonFinite; with True such points are treated as absent, and a row with
-    none left gives None.
+    The grid is scanned in one objective call per slice of at most SCAN_SLICE
+    consecutive points; a running optimum that only a strictly better value
+    moves keeps the smallest-x tie-break across the slices.  With
+    skip_nonfinite=False a NaN or infinity on the grid raises NonFinite; with
+    True such points are treated as absent, and a grid with none left gives
+    None.
     """
     flip = _flip(sense)
-    n = spec.points
-    # A grid of one slice is built once and shared by every row; a longer one is
-    # built a slice at a time, so only one slice of it is ever alive.
-    whole = spec.abscissae() if n <= SCAN_SLICE else None
-
-    best: list[tuple[int, float] | None] = [None] * rows
-    for row in range(rows):
-        best_i, best_v = -1, math.inf
-        for start in range(0, n, SCAN_SLICE):
-            xs = whole[start:start + SCAN_SLICE] if whole is not None else spec.abscissae(start, start + SCAN_SLICE)
-            raw = np.asarray(objective(row, xs), dtype=float)
-            if raw.shape != xs.shape:
-                raise ValueError("objective must return one value per abscissa")
-            # argmin and argmax take the first (smallest-x) index on ties and the
-            # first NaN if there is one, and an infinity of the wrong sign cannot
-            # win, so a finite extreme is the best finite point; the slice is
-            # masked only when it is not, or, without skip_nonfinite, when the
-            # opposite extreme shows an infinity
-            i = int(raw.argmin() if flip > 0.0 else raw.argmax())
-            v = flip * float(raw[i])
-            if not (math.isfinite(v) and (skip_nonfinite or math.isfinite(raw.max() if flip > 0.0 else raw.min()))):
-                finite = np.isfinite(raw)
-                if not skip_nonfinite:
-                    bad = int(np.flatnonzero(~finite)[0])
-                    raise NonFinite(f"objective is not finite at x = {xs[bad]!r}")
-                vals = np.where(finite, flip * raw, np.inf)
-                i = int(vals.argmin())
-                v = float(vals[i])
-            # a later slice only moves the incumbent on a strictly smaller value
-            if v < best_v:
-                best_i, best_v = start + i, v
-        if best_i >= 0:
-            best[row] = (best_i, flip * best_v)
-    return best
+    best_i, best_v = -1, math.inf
+    for start in range(0, spec.points, SCAN_SLICE):
+        xs = spec.abscissae(start, start + SCAN_SLICE)
+        raw = np.asarray(objective(xs), dtype=float)
+        if raw.shape != xs.shape:
+            raise ValueError("objective must return one value per abscissa")
+        # argmin and argmax take the first (smallest-x) index on ties and the
+        # first NaN if there is one, and an infinity of the wrong sign cannot
+        # win, so a finite extreme is the best finite point; the slice is
+        # masked only when it is not, or, without skip_nonfinite, when the
+        # opposite extreme shows an infinity
+        i = int(raw.argmin() if flip > 0.0 else raw.argmax())
+        v = flip * float(raw[i])
+        if not (math.isfinite(v) and (skip_nonfinite or math.isfinite(raw.max() if flip > 0.0 else raw.min()))):
+            finite = np.isfinite(raw)
+            if not skip_nonfinite:
+                bad = int(np.flatnonzero(~finite)[0])
+                raise NonFinite(f"objective is not finite at x = {xs[bad]!r}")
+            vals = np.where(finite, flip * raw, np.inf)
+            i = int(vals.argmin())
+            v = float(vals[i])
+        # a later slice only moves the incumbent on a strictly smaller value
+        if v < best_v:
+            best_i, best_v = start + i, v
+    return (best_i, flip * best_v) if best_i >= 0 else None
 
 
 def refine_rows(
@@ -207,7 +184,7 @@ def refine_rows(
     best: list[tuple[int, float] | None],
     sense: str = "min",
 ) -> list[tuple[float, float] | None]:
-    """Refine each row's best grid point, (grid index, value) as scan_rows gives it, into (x_best, value).
+    """Refine each row's best grid point, (grid index, value) as scan_grid gives it, into (x_best, value).
 
     A row runs spec.refine_iters golden-section iterations between the grid
     neighbours of its point, and every row's next probe shares one objective

@@ -385,14 +385,32 @@ def test_one_bad_rate_target_fails_the_whole_call_naming_it(name):
             route(block, rates)
 
 
+# The greedy routes' rate floor is one float, never a column.
+_FLOOR_ROUTES = {
+    "placements_at-floor": lambda b, v: oma_greedy.split_power(PARAMS, b, 1.0, v, np.zeros(len(b))),
+    "best_placements_high_snr-floor": lambda b, v: oma_greedy.best_placement_high_snr(PARAMS, b, 1.0, v),
+    "best_placements_search-floor": lambda b, v: oma_greedy.best_placement_search(PARAMS, b, 1.0, v, _PAIR_GRID),
+}
+
+
 @pytest.mark.parametrize("name, column", [*((name, [1.0, 0.5]) for name in sorted(_BAD_BUDGET_ROUTES)),
                                           *((name, [0.5, 1.0]) for name in sorted(_BAD_RATE_ROUTES)
-                                            if name != "power_coeff")])
+                                            if name != "power_coeff"),
+                                          ("power_coeff", [0.5, 1.0]),
+                                          *((name, floor) for name in sorted(_FLOOR_ROUTES)
+                                            for floor in ([0.5, 1.0], np.array([0.5, 1.0])))])
 def test_a_list_for_a_column_is_refused_naming_its_type(name, column):
-    # a column is an ndarray; a list used to reach a guard's comparison and fail there with a TypeError
-    what = "total power budget" if name in _BAD_BUDGET_ROUTES else "rate target"
-    route = {**_BAD_BUDGET_ROUTES, **_BAD_RATE_ROUTES}[name]
-    with pytest.raises(ValueError, match=rf"^{what} must be a float or a \(2,\) column, got a list$"):
+    # a column is an ndarray; a list used to reach a guard's comparison and fail there with a TypeError,
+    # and an ndarray floor was broadcast across the block's rows
+    if name in _FLOOR_ROUTES:
+        message = f"rate floor must be a float, got a {type(column).__name__}"
+    elif name == "power_coeff":  # it takes a column of any length
+        message = "rate target must be a float or an ndarray, got a list"
+    else:
+        what = "total power budget" if name in _BAD_BUDGET_ROUTES else "rate target"
+        message = rf"{what} must be a float or a \(2,\) column, got a list"
+    route = {**_BAD_BUDGET_ROUTES, **_BAD_RATE_ROUTES, **_FLOOR_ROUTES}[name]
+    with pytest.raises(ValueError, match=rf"^{message}$"):
         route(_drops(2, 954)[:2], column)
 
 

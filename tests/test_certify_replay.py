@@ -7,6 +7,12 @@ every run's label, exit code, stdout, stderr and --out JSON, so a change to
 an oracle or a closed form that moves any printed digit, gap or report field
 fails here.  DIGEST was recorded before the oracles summed users one
 whole-grid term at a time and probed a lone row at a float64 scalar.
+
+Four experiment --certify runs are pinned the same way: a power sweep with
+oma-maxmin, oma-greedy and outage-mc and a rate sweep with oma-powermin and
+noma, at two seeds each, so every family's spot check at every sweep point
+(and the CSV before them) is covered.  EXPERIMENT_DIGEST was recorded before
+the oracle scanned one objective at a time.
 """
 
 import contextlib
@@ -19,6 +25,13 @@ SEED = 20261019
 PER_KIND = 8
 OUTAGE_TRIALS = 30000
 DIGEST = "b2e9916f0e9196fae2dd973e8e2c29f33e74fea45e2ab61d20403b25642b48a7"
+EXPERIMENTS = {
+    "power": ["--set", "sweep=power_dbm", "--set", "schemes=oma-maxmin,oma-greedy,outage-mc"],
+    "rate": ["--set", "sweep=rate_bpcu", "--set", "schemes=oma-powermin,noma"],
+}
+EXPERIMENT_SEEDS = (1, 2)
+EXPERIMENT_TRIALS = 4
+EXPERIMENT_DIGEST = "ae9836c36f44516c0609afef457409ba9acb17ffdcd298dcf6218d7016092ad0"
 
 
 def _instance(gen, users: int) -> str:
@@ -67,3 +80,19 @@ def test_certify_runs_replay_their_recorded_bytes(tmp_path):
         for part in (label, str(code), stdout.getvalue(), stderr.getvalue(), out_path.read_text()):
             digest.update(part.encode() + b"\0")
     assert digest.hexdigest() == DIGEST
+
+
+def test_experiment_certify_runs_replay_their_recorded_bytes():
+    digest = hashlib.sha256()
+    for seed in EXPERIMENT_SEEDS:
+        for label, flags in EXPERIMENTS.items():
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main(["experiment", "--seed", str(seed), "--trials", str(EXPERIMENT_TRIALS), *flags,
+                                 "--certify"])
+            lines = [line for line in stdout.getvalue().splitlines() if line.startswith("certify")]
+            assert code == 0 and lines and all(line.endswith("PASS") for line in lines), (label, seed,
+                                                                                         stdout.getvalue())
+            for part in (label, str(code), stdout.getvalue(), stderr.getvalue()):
+                digest.update(part.encode() + b"\0")
+    assert digest.hexdigest() == EXPERIMENT_DIGEST

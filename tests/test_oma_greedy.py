@@ -20,7 +20,7 @@ from pinchplace.oma_greedy import (
     best_placement_search,
     split_power,
 )
-from pinchplace.oracle import GridSpec, power_split_sweep, refine_rows, scan_rows
+from pinchplace.oracle import GridSpec, power_split_sweep, refine_rows, scan_grid
 from pair_geometry import closer_to_near_user
 from rate_formula import oma_rate
 
@@ -235,12 +235,14 @@ def _edge_instances(draw):
 @given(instance=_edge_instances())
 def test_pruned_search_equals_a_full_scan_bit_for_bit(instance):
     block, budgets, rate, spec = instance
-    split = oma_greedy._splitter(PARAMS, block, budgets, rate)
+    split, _ = oma_greedy._splitter(PARAMS, block, budgets, rate)
 
     def objective(rows, xs):
         return split(rows, xs)[4]
 
-    found = refine_rows(objective, spec, scan_rows(objective, spec, len(block), "max", skip_nonfinite=True), "max")
+    scanned = [scan_grid(lambda xs, row=row: objective(row, xs), spec, "max", skip_nonfinite=True)
+               for row in range(len(block))]
+    found = refine_rows(objective, spec, scanned, "max")
     want = oma_greedy._placed(split, [math.nan if f is None else f[0] for f in found])
     got = best_placement_search(PARAMS, block, budgets, rate, spec)
     for field in ("x_star", "powers", "objective"):
@@ -252,7 +254,7 @@ def test_pruned_search_equals_a_full_scan_bit_for_bit(instance):
 @given(instance=_edge_instances(), data=st.data())
 def test_an_interval_bound_is_at_least_the_sum_rate_anywhere_in_it(instance, data):
     block, budgets, rate, spec = instance
-    split = oma_greedy._splitter(PARAMS, block, budgets, rate)
+    split, _ = oma_greedy._splitter(PARAMS, block, budgets, rate)
     grid = spec.abscissae()
     starts = np.arange(0, spec.points, oma_greedy._INTERVAL)
     lengths = np.minimum(starts + oma_greedy._INTERVAL, spec.points) - starts

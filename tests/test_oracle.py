@@ -12,8 +12,7 @@ from pinchplace import certify, noma, oma_greedy, oracle, rng
 from pinchplace.core import (SCAN_SLICE, LayoutBlock, PlacementSolution, SystemParams, bpcu_to_nats,
                              dbm_to_watt)
 from pinchplace.errors import NonFinite
-from pinchplace.oracle import (GridSpec, certification_grid, grid_optimize, grid_optimize_rows,
-                               power_split_sweep, refine_rows, scan_rows)
+from pinchplace.oracle import GridSpec, certification_grid, grid_optimize, power_split_sweep, refine_rows, scan_grid
 
 
 def test_gridspec_validation():
@@ -222,7 +221,7 @@ def test_nonfinite_names_the_first_bad_x_in_a_later_slice():
     with pytest.raises(NonFinite, match=r"x = \S*\b5000\.0\b"):
         grid_optimize(holed, _INTEGERS)
     with pytest.raises(NonFinite, match=r"x = \S*\b5000\.0\b"):
-        grid_optimize_rows(lambda row, xs: xs if row == 0 else holed(xs), _INTEGERS, 2)
+        scan_grid(holed, _INTEGERS)
 
 
 def test_an_all_nan_first_slice_is_skipped():
@@ -296,6 +295,12 @@ def _poly(a, b, c, xs):
     return (xs - a) ** 2 * (xs - b) ** 2 + c * xs
 
 
+def _search_rows(objective, spec, rows, sense="min", skip_nonfinite=False):
+    """A search of rows objectives: each row scanned alone by scan_grid, then all refined in one refine_rows."""
+    scanned = [scan_grid(lambda xs, row=row: objective(row, xs), spec, sense, skip_nonfinite) for row in range(rows)]
+    return refine_rows(objective, spec, scanned, sense)
+
+
 def _poly_rows(coeffs):
     """A row objective over _poly with one (a, b, c) per row, and each row alone."""
     a, b, c = (np.array(col) for col in zip(*coeffs))
@@ -313,7 +318,7 @@ def test_rows_equal_one_row_searches(sense):
     coeffs = [tuple(float(v) for v in gen.uniform(-4, 4, 3)) for _ in range(23)]
     objective, singles = _poly_rows(coeffs)
     spec = GridSpec(lo=-6.0, hi=6.0, points=301, refine_iters=40)
-    got = grid_optimize_rows(objective, spec, len(coeffs), sense)
+    got = _search_rows(objective, spec, len(coeffs), sense)
     want = [grid_optimize(single, spec, sense) for single in singles]
     assert got == want
     for (x, v), single in zip(got, singles):
@@ -330,7 +335,7 @@ def test_rows_break_ties_toward_the_smallest_abscissa():
         r = roots[rows]
         return np.where(r > 0.0, (xs * xs - r) ** 2, 3.0 + 0.0 * xs)
 
-    got = grid_optimize_rows(objective, spec, 3)
+    got = _search_rows(objective, spec, 3)
     assert [x for x, _ in got] == [-1.0, -0.5, -2.0]
 
 
@@ -343,14 +348,14 @@ def test_infeasible_row_gives_none_and_the_others_still_refine():
         return np.where(np.asarray(rows) == 1, np.nan, values)
 
     spec = GridSpec(lo=-4.0, hi=4.0, points=81, refine_iters=30)
-    got = grid_optimize_rows(holed, spec, 3, skip_nonfinite=True)
+    got = _search_rows(holed, spec, 3, skip_nonfinite=True)
     assert got[1] is None
     assert got[0] == grid_optimize(singles[0], spec) and got[2] == grid_optimize(singles[2], spec)
     # refinement moved both live rows off the grid
     grid = set(spec.abscissae().tolist())
     assert got[0][0] not in grid and got[2][0] not in grid
     with pytest.raises(NonFinite):
-        grid_optimize_rows(holed, spec, 3)
+        _search_rows(holed, spec, 3)
 
 
 @pytest.mark.parametrize("sense", ["min", "max"])
@@ -362,12 +367,13 @@ def test_the_scan_gives_grid_points_and_the_refinement_starts_from_any(sense):
         return np.where(np.asarray(rows) == 1, np.nan, objective(rows, xs))
 
     spec = GridSpec(lo=-4.0, hi=4.0, points=81, refine_iters=30)
-    scanned = scan_rows(holed, spec, 3, sense, skip_nonfinite=True)
+    scanned = [scan_grid(lambda xs, row=row: holed(row, xs), spec, sense, skip_nonfinite=True) for row in range(3)]
     assert scanned[1] is None
     for (i, v), single in zip((scanned[0], scanned[2]), (singles[0], singles[2])):
         grid = single(spec.abscissae())
         assert i == int(grid.argmin() if sense == "min" else grid.argmax()) and v == grid[i]
-    assert refine_rows(holed, spec, scanned, sense) == grid_optimize_rows(holed, spec, 3, sense, skip_nonfinite=True)
+    assert refine_rows(holed, spec, scanned, sense) == [grid_optimize(singles[0], spec, sense), None,
+                                                        grid_optimize(singles[2], spec, sense)]
     # without refinement a row keeps its grid point; a point found another way refines from there
     assert refine_rows(holed, GridSpec(-4.0, 4.0, 81), scanned, sense)[0] == (float(spec.at([scanned[0][0]])[0]),
                                                                           scanned[0][1])
@@ -377,7 +383,7 @@ def test_the_scan_gives_grid_points_and_the_refinement_starts_from_any(sense):
 
 
 def test_rows_of_an_empty_block():
-    assert grid_optimize_rows(lambda rows, xs: xs, GridSpec(lo=0.0, hi=1.0, points=11), 0) == []
+    assert refine_rows(lambda rows, xs: xs, GridSpec(lo=0.0, hi=1.0, points=11), []) == []
 
 
 # --- a lone row: probed at a 0-d np.float64, with the bits it gets inside a block ------
@@ -419,8 +425,8 @@ def _assert_lone_row_matches_its_block_row(block_objective, lone_row, lone_objec
             probes.append(xs)
         return lone_objective(row, xs)
 
-    (alone,) = grid_optimize_rows(recorded, spec, 1, sense, skip_nonfinite=True)
-    in_block = grid_optimize_rows(block_objective, spec, 3, sense, skip_nonfinite=True)[lone_row]
+    (alone,) = _search_rows(recorded, spec, 1, sense, skip_nonfinite=True)
+    in_block = _search_rows(block_objective, spec, 3, sense, skip_nonfinite=True)[lone_row]
     assert alone is not None and alone == in_block
     assert len(probes) == spec.refine_iters + 2 and all(type(p) is np.float64 for p in probes)
 
