@@ -35,12 +35,14 @@ CASE_INTERIOR = "interior"
 # split is declared infeasible; keeps exact-boundary instances solvable.
 _FEAS_SLACK = 1e-12
 
-# Grid points per interval of the search's pruning bound.  A narrower interval
-# has a tighter bound, so fewer of its points survive, but a longer bound table
-# per layout; on the 2001-point grid, 16, 32 and 64 timed about the same.
-_INTERVAL = 32
+# Grid points per piece at each level of the search's pruning: the first level
+# cuts the grid into pieces of 64 points, and each later level cuts the pieces
+# that survived the one above into pieces of the next width, down to single
+# points.  On the 2001-point grid (64, 8, 2, 1), (128, 16, 2, 1) and
+# (256, 32, 4, 1) timed the same as these, and (32, 4, 1) slower.
+_WIDTHS = (64, 8, 1)
 
-# An interval survives unless its bound is below the incumbent by more than this
+# A piece survives unless its bound is below the incumbent by more than this
 # relative slack, which absorbs the rounding of the bound and of the points it bounds.
 _PRUNE_SLACK = 1e-9
 
@@ -176,21 +178,26 @@ def best_placement_search(
 
     Each layout's result is bit for bit that of oracle.scan_grid of its
     split's sum rate (a full scan of every grid point) refined by
-    oracle.refine_rows, but the scan skips the grid intervals that cannot
+    oracle.refine_rows, but the scan skips the grid pieces that cannot
     hold a layout's maximum.
     The sum rate never falls as a user's squared distance does (see _kkt),
-    so on an interval of _INTERVAL grid points it is at most its value at
-    each user's nearest point of the interval.  Each layout's incumbent is
-    the better of the grid points nearest its two users, where the paper
-    puts the optimum; an interval whose bound is -inf or below the incumbent
-    by more than _PRUNE_SLACK is dropped, and the survivors' points of many
-    layouts are evaluated together (_pruned_scan).  refine_rows then refines
-    each layout's best point as after a full scan.  A layout's x_star is NaN
-    where no grid point is feasible.
+    so on a piece of consecutive grid points it is at most its value at
+    each user's nearest point of the piece.  The scan runs in levels of
+    _WIDTHS grid points per piece, 64, 8 and 1: each level cuts the pieces
+    kept by the level above, evaluates their bounds together with probes
+    that raise each layout's incumbent (first the grid points nearest its
+    two users, where the paper puts the optimum, then the middle point of
+    each piece kept by the level above), and drops a piece whose bound is
+    -inf or below its layout's incumbent by more than _PRUNE_SLACK.  The
+    last level evaluates the surviving grid points themselves, and
+    refine_rows then refines each layout's best point as after a full scan.
+    No evaluator call takes more than SCAN_SLICE points (_pruned_scan).  A
+    layout's x_star is NaN where no grid point is feasible.
     """
     split, _ = _splitter(params, block, total_w, rate_nats)
-    # layouts per pruned scan: as many as keep its bound table within one scan slice
-    chunk = max(1, SCAN_SLICE // -(-spec.points // _INTERVAL))
+    # layouts per pruned scan: as many as keep its first level (each layout's pieces and two
+    # probes) within one scan slice
+    chunk = max(1, SCAN_SLICE // (-(-spec.points // _WIDTHS[0]) + 2))
     best = []
     for first in range(0, len(block), chunk):
         best += _pruned_scan(split, spec, block.xs[first:first + chunk], first)
@@ -203,50 +210,69 @@ def _pruned_scan(split, spec: GridSpec, xs: np.ndarray, first: int) -> list[tupl
 
     xs holds the users' x of rows first, first + 1, ... of split's block, one
     row per layout, and each layout gets the (grid index, value) or None that
-    a scan_grid of its row alone gives.  Only the points of surviving
-    intervals are evaluated, gathered across the layouts into calls of at
-    most SCAN_SLICE points, and each layout's first maximum among them is the
-    full scan's (the pruning keeps every interval that could hold it).
+    a scan_grid of its row alone gives.  A piece is a run of grid points of
+    one layout, kept layout after layout in grid order.  Each level of
+    _WIDTHS cuts the kept pieces and evaluates, across the layouts and in
+    calls of at most SCAN_SLICE points, the new pieces' bounds and the
+    level's probes, each probe the one-point piece [x, x] whose bound is the
+    sum rate at x, bit for bit.  The last level's pieces are single grid
+    points, evaluated without a bound, and each layout's first maximum among
+    them is the full scan's (the pruning keeps every piece that could hold it).
     """
     n, count = spec.points, len(xs)
-    rows = slice(first, first + count)
-    nearest = np.rint((xs.T - spec.lo) / (spec.hi - spec.lo) * (n - 1))
-    seeds = split(rows, spec.at(np.clip(nearest, 0, n - 1).astype(np.intp)))[4]
-    incumbent = np.where(np.isfinite(seeds), seeds, -np.inf).max(axis=0)
+    # each layout's one piece, the whole grid, and its probes, the grid points nearest its users
+    owner, start, width = np.arange(count), np.zeros(count, dtype=np.intp), n
+    nearest = np.rint((xs.ravel() - spec.lo) / (spec.hi - spec.lo) * (n - 1))
+    probe, probe_owner = np.minimum(np.maximum(nearest, 0), n - 1).astype(np.intp), np.repeat(owner, 2)
+    incumbent = np.full(count, -np.inf)
+    for w in _WIDTHS:
+        # cut every kept piece into pieces of w points; the grid's end cuts its last piece short
+        offsets = np.arange(0, width, w)
+        start = (start[:, None] + offsets).ravel()
+        owner = np.repeat(owner, len(offsets))
+        inside = start < n
+        start, owner = start[inside], owner[inside]
+        if w == 1:
+            break
+        pieces, width = len(start), w
+        at = spec.at(np.concatenate([start, probe, np.minimum(start + (w - 1), n - 1), probe]))
+        half = len(at) // 2
+        rates = _rates(split, np.concatenate([owner, probe_owner]) + first, at[:half], at[half:])
+        probed = rates[pieces:]
+        probed[~np.isfinite(probed)] = -np.inf
+        np.maximum.at(incumbent, probe_owner, probed)
+        # a piece is dropped when its bound is below this: -inf drops with any incumbent, and
+        # a NaN bound cannot rule its piece out
+        floor = np.maximum(incumbent - _PRUNE_SLACK * np.abs(incumbent), -np.finfo(float).max)
+        kept = ~(rates[:pieces] < floor[owner])
+        start, owner = start[kept], owner[kept]
+        if not len(start):
+            return [None] * count
+        # the next level's probes: each kept piece's middle point (its last, where the grid cut it short)
+        probe, probe_owner = np.minimum(start + w // 2, n - 1), owner
 
-    starts = np.arange(0, n, _INTERVAL)
-    stops = np.minimum(starts + _INTERVAL, n)
-    bound = split(rows, spec.at(starts)[:, None], spec.at(stops - 1)[:, None])[4]  # (intervals, count)
-    # a NaN bound cannot rule its interval out
-    kept = ~((bound == -np.inf) | (bound < incumbent - _PRUNE_SLACK * np.abs(incumbent)))
-
-    # the surviving points, layout after layout, each in grid order
-    layout, interval = np.nonzero(kept.T)
-    if not len(layout):
-        return [None] * count
-    lengths = stops[interval] - starts[interval]
-    ends = np.cumsum(lengths)
-    index = np.repeat(starts[interval] - (ends - lengths), lengths) + np.arange(ends[-1])
-    owner = np.repeat(layout + first, lengths)
-    values = np.empty(len(index))
-    for start in range(0, len(index), SCAN_SLICE):
-        part = slice(start, start + SCAN_SLICE)
-        values[part] = split(owner[part], spec.at(index[part]))[4]
+    values = _rates(split, owner + first, spec.at(start))
     values[~np.isfinite(values)] = -np.inf
-
     # segmented argmax: each layout's maximum, then the first of its points that reaches it
-    pairs = np.count_nonzero(kept, axis=0)
-    present = np.flatnonzero(pairs)
-    segment = (ends - lengths)[(np.cumsum(pairs) - pairs)[present]]
-    top = np.maximum.reduceat(values, segment)
-    hits = np.flatnonzero(values == np.repeat(top, np.diff(np.append(segment, len(values)))))
-    winner = index[hits[np.searchsorted(hits, segment)]]
+    edges = np.searchsorted(owner, np.arange(count + 1))  # layout k's points are edges[k]:edges[k + 1]
+    lengths = edges[1:] - edges[:-1]
+    present = np.flatnonzero(lengths)
+    head = edges[present]
+    top = np.maximum.reduceat(values, head)
+    hits = np.flatnonzero(values == np.repeat(top, lengths[present]))
+    winner = start[hits[np.searchsorted(hits, head)]]
 
     best: list[tuple[int, float] | None] = [None] * count
     for row, i, v in zip(present.tolist(), winner.tolist(), top.tolist()):
         if v > -math.inf:
             best[row] = (i, v)
     return best
+
+
+def _rates(split, *arrays: np.ndarray) -> np.ndarray:
+    """split(rows, xs[, hi])'s sum rates for arrays (rows, xs[, hi]), in calls of at most SCAN_SLICE points."""
+    return np.concatenate([split(*(a[i:i + SCAN_SLICE] for a in arrays))[4]
+                           for i in range(0, len(arrays[0]), SCAN_SLICE)])
 
 
 def _cbrt(v: np.ndarray) -> np.ndarray:

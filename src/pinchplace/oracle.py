@@ -208,6 +208,7 @@ def refine_rows(
         # lone row is probed as a plain int row, without fancy indexing.
         lone = len(live) == 1
         rows = live[0] if lone else np.array(live)
+        sends = [search.send for search in searches]
         points = [next(search) for search in searches]
         for _ in range(spec.refine_iters + 2):
             if lone:
@@ -217,11 +218,14 @@ def refine_rows(
                     # an objective written for arrays only (one that takes len() of its
                     # abscissae) gets this search's probes as 1-element arrays
                     lone = False
-            if not lone:
-                value = objective(rows, np.array(points))
-            values = np.asarray(value, dtype=float).reshape(-1).tolist()
-            points = [search.send(flip * v if math.isfinite(v) else math.inf)
-                      for search, v in zip(searches, values)]
+            if lone:
+                # the value as a Python float, also where the objective gives it as a 1-element array
+                v = np.asarray(value, dtype=float).item()
+                points = [sends[0](flip * v if math.isfinite(v) else math.inf)]
+            else:
+                values = flip * np.asarray(objective(rows, np.array(points)), dtype=float).reshape(-1)
+                values[~np.isfinite(values)] = math.inf
+                points = [send(v) for send, v in zip(sends, values.tolist())]
         for row, refined in zip(live, points):
             found[row] = refined
     return [None if f is None else (f[0], flip * f[1]) for f in found]

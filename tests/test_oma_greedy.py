@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinchplace import oma_greedy, rng
-from pinchplace.core import (LayoutBlock, SystemParams, bpcu_to_nats, dbm_to_watt, min_power_terms, path_gain,
-                             power_coeff, squared_distance)
+from pinchplace.core import (SCAN_SLICE, LayoutBlock, SystemParams, bpcu_to_nats, dbm_to_watt, min_power_terms,
+                             path_gain, power_coeff, squared_distance)
 from pinchplace.errors import DomainError
 from pinchplace.oma_greedy import (
     CASE_FLOOR_AT_1,
@@ -20,7 +20,7 @@ from pinchplace.oma_greedy import (
     best_placement_search,
     split_power,
 )
-from pinchplace.oracle import GridSpec, power_split_sweep, refine_rows, scan_grid
+from pinchplace.oracle import GridSpec, certification_grid, power_split_sweep, refine_rows, scan_grid
 from pair_geometry import closer_to_near_user
 from rate_formula import oma_rate
 
@@ -210,7 +210,8 @@ def _coordinate(limit):
 def _edge_instances(draw):
     """(block, budgets, rate, spec): 1-5 layouts with coincident users, users on the waveguide (y = 0) or on
     the area edge, a budget column whose rows sit just above the least floor sum, below it or anywhere,
-    and a grid of 3 points, of a point count no multiple of the pruning interval, 2001 or 20001 points."""
+    and a grid of 3 points, of a point count that is a multiple of no pruning width above 1, 2001 or 20001
+    points."""
     rows = draw(st.integers(1, 5))
     xs = np.array([[draw(_coordinate(_HL)), draw(_coordinate(_HL))] for _ in range(rows)])
     ys = np.array([[draw(_coordinate(_HW)), draw(_coordinate(_HW))] for _ in range(rows)])
@@ -226,15 +227,13 @@ def _edge_instances(draw):
         st.floats(0.3, 1.0 - 1e-9).map(lambda below: f * below),
         st.floats(-20.0, 60.0).map(dbm_to_watt))) for f in least.tolist()])
     points = draw(st.one_of(st.sampled_from([3, 4, 2001, 20001]),
-                            st.integers(3, 400).filter(lambda n: n % oma_greedy._INTERVAL)))
+                            st.integers(3, 400).filter(lambda n: all(n % w for w in oma_greedy._WIDTHS if w > 1))))
     lo, hi = draw(st.sampled_from([(-_HL, _HL), (-7.5, 3.25)]))
     return LayoutBlock(xs, ys), budgets, rate, GridSpec(lo, hi, points, draw(st.sampled_from([0, 1, 24])))
 
 
-@settings(derandomize=True, max_examples=80, deadline=None, database=None)
-@given(instance=_edge_instances())
-def test_pruned_search_equals_a_full_scan_bit_for_bit(instance):
-    block, budgets, rate, spec = instance
+def _full_scan(block, budgets, rate, spec):
+    """The search's reference: a scan_grid of each row's sum rate over every grid point, then one refine_rows."""
     split, _ = oma_greedy._splitter(PARAMS, block, budgets, rate)
 
     def objective(rows, xs):
@@ -243,11 +242,70 @@ def test_pruned_search_equals_a_full_scan_bit_for_bit(instance):
     scanned = [scan_grid(lambda xs, row=row: objective(row, xs), spec, "max", skip_nonfinite=True)
                for row in range(len(block))]
     found = refine_rows(objective, spec, scanned, "max")
-    want = oma_greedy._placed(split, [math.nan if f is None else f[0] for f in found])
-    got = best_placement_search(PARAMS, block, budgets, rate, spec)
+    return oma_greedy._placed(split, [math.nan if f is None else f[0] for f in found])
+
+
+def _assert_same_placements(got, want):
     for field in ("x_star", "powers", "objective"):
         assert getattr(got.solution, field).tobytes() == getattr(want.solution, field).tobytes(), field
     assert got.case.tolist() == want.case.tolist()
+
+
+def _spied_search(monkeypatch, block, budgets, rate, spec):
+    """best_placement_search's result and the number of sum rates of each of its evaluator calls."""
+    sizes = []
+    real = oma_greedy._splitter
+
+    def splitter(*args):
+        split, users = real(*args)
+
+        def spy(*call):
+            out = split(*call)
+            sizes.append(np.size(out[4]))
+            return out
+
+        return spy, users
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oma_greedy, "_splitter", splitter)
+        return best_placement_search(PARAMS, block, budgets, rate, spec), sizes
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(instance=_edge_instances())
+def test_pruned_search_equals_a_full_scan_bit_for_bit(instance):
+    block, budgets, rate, spec = instance
+    _assert_same_placements(best_placement_search(PARAMS, block, budgets, rate, spec),
+                            _full_scan(block, budgets, rate, spec))
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_no_search_call_takes_more_than_a_scan_slice(monkeypatch, rows):
+    gen = rng.stream(33, rng.DOMAIN_TESTS, 39)
+    block = LayoutBlock(gen.uniform(-_HL, _HL, (rows, 2)), gen.uniform(-_HW, _HW, (rows, 2)))
+    budgets, rate = dbm_to_watt(gen.uniform(20.0, 40.0, rows)), bpcu_to_nats(1.0)
+    spec = GridSpec(-_HL, _HL, 300001, 8)
+    got, sizes = _spied_search(monkeypatch, block, budgets, rate, spec)
+    assert max(sizes) <= SCAN_SLICE, f"an evaluator call of {max(sizes)} points"
+    _assert_same_placements(got, _full_scan(block, budgets, rate, spec))
+
+
+# Sum rates that the one-level search (every 32-point interval bounded, then every point of the
+# survivors) evaluated on the inputs of the test below, its refinement and final placement included.
+_ONE_LEVEL_RATES = {"block": 22583, "single": 1759}
+
+
+def test_the_levels_evaluate_at_most_two_thirds_of_the_one_level_sum_rates(monkeypatch):
+    gen = rng.stream(33, rng.DOMAIN_TESTS, 38)
+    block = LayoutBlock(gen.uniform(-_HL, _HL, (72, 2)), gen.uniform(-_HW, _HW, (72, 2)))
+    # 9 power points of 8 trials each, as an experiment sweep's block
+    budgets = dbm_to_watt(np.repeat(np.linspace(0.0, 40.0, 9), 8))
+    searches = {"block": (block, budgets, bpcu_to_nats(1.0), GridSpec(-_HL, _HL, 2001, 24)),
+                "single": (_one(LAYOUT), dbm_to_watt(30.0), bpcu_to_nats(1.0), certification_grid(-_HL, _HL))}
+    for name, search in searches.items():
+        got, sizes = _spied_search(monkeypatch, *search)
+        assert sum(sizes) <= 2 * _ONE_LEVEL_RATES[name] / 3, f"{name}: {sum(sizes)} sum rates"
+        _assert_same_placements(got, _full_scan(*search))
 
 
 @settings(derandomize=True, max_examples=80, deadline=None, database=None)
@@ -256,17 +314,31 @@ def test_an_interval_bound_is_at_least_the_sum_rate_anywhere_in_it(instance, dat
     block, budgets, rate, spec = instance
     split, _ = oma_greedy._splitter(PARAMS, block, budgets, rate)
     grid = spec.abscissae()
-    starts = np.arange(0, spec.points, oma_greedy._INTERVAL)
-    lengths = np.minimum(starts + oma_greedy._INTERVAL, spec.points) - starts
-    lo, hi = grid[starts], grid[starts + lengths - 1]
-    bound = split(slice(None), lo[:, None], hi[:, None])[4]  # (intervals, layouts)
-    # every grid point, then random points between each interval's ends
     fractions = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8)))
-    off_grid = np.minimum(lo[:, None] + (hi - lo)[:, None] * fractions, hi[:, None])
-    for xs, owner in ((grid, np.repeat(np.arange(len(starts)), lengths)),
-                      (off_grid.ravel(), np.repeat(np.arange(len(starts)), len(fractions)))):
-        rates = split(slice(None), xs[:, None])[4]
-        assert not np.any(rates > bound[owner]), "a sum rate exceeds its interval's bound"
+    for width in oma_greedy._WIDTHS:
+        starts = np.arange(0, spec.points, width)
+        lengths = np.minimum(starts + width, spec.points) - starts
+        lo, hi = grid[starts], grid[starts + lengths - 1]
+        bound = split(slice(None), lo[:, None], hi[:, None])[4]  # (intervals, layouts)
+        # every grid point, then random points between each interval's ends
+        off_grid = np.minimum(lo[:, None] + (hi - lo)[:, None] * fractions, hi[:, None])
+        for xs, owner in ((grid, np.repeat(np.arange(len(starts)), lengths)),
+                          (off_grid.ravel(), np.repeat(np.arange(len(starts)), len(fractions)))):
+            rates = split(slice(None), xs[:, None])[4]
+            assert not np.any(rates > bound[owner]), f"a sum rate exceeds its {width}-point interval's bound"
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(instance=_edge_instances())
+def test_a_one_point_interval_bound_is_the_sum_rate_there_bit_for_bit(instance):
+    # the search's probes ride its bound calls as the intervals [x, x]
+    block, budgets, rate, spec = instance
+    split, _ = oma_greedy._splitter(PARAMS, block, budgets, rate)
+    grid = spec.abscissae()[:, None]
+    rows = np.broadcast_to(np.arange(len(block)), (spec.points, len(block)))
+    want = split(rows, grid)[4]
+    assert split(rows, grid, grid)[4].tobytes() == want.tobytes()
+    assert split(slice(None), grid, grid)[4].tobytes() == want.tobytes()
 
 
 def _random_pairs(gen, count):
