@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -59,11 +60,18 @@ class SystemParams:
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise ValueError(f"SystemParams.{name} must be a positive finite number, got {value!r}")
         # every solver divides by these; one that under- or overflows a float has no solution
-        for name, value in (("height_m**2", self.height_m * self.height_m),
-                            ("half_length**2", self.half_length * self.half_length),
-                            ("path gain", path_gain(self))):
+        hl, hw, h2 = self.half_length, self.half_width, self.height_m * self.height_m
+        for name, value in (("half_length**2", hl * hl), ("path gain", path_gain(self))):
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"SystemParams {name} is {value!r}; it must be a positive finite number")
+        # the one numeric domain of every route: noise * tau underflows to 0 for a subnormal h^2, and
+        # a squared distance or coordinate overflows in an area whose squared half-diagonal does
+        if not h2 >= sys.float_info.min:
+            raise ValueError(f"SystemParams height_m**2 is {h2!r}; it must be at least the smallest normal float")
+        reach = hl * hl + hw * hw + h2
+        if not math.isfinite(reach):
+            raise ValueError(f"SystemParams (length_m/2)**2 + (width_m/2)**2 + height_m**2 is {reach!r}; "
+                             "it must be finite")
 
     @classmethod
     def default(cls) -> "SystemParams":
@@ -204,13 +212,35 @@ def libm(fn: Callable[..., float], values, *args: float):
     powers differ from the C library's by an ulp on some inputs, so the
     block solvers evaluate them with math.* element by element: every row
     then keeps the C library's value bit for bit, as the recorded CSV
-    digests expect.
+    digests expect.  A sweep value's transcendentals, which take the same
+    value on every trial of a point, go through libm_per_run instead.
     """
     flat = np.asarray(values, dtype=float)
     if flat.ndim == 0:
         return fn(float(flat), *args)
     calls = map(fn, flat.ravel().tolist(), *(itertools.repeat(arg) for arg in args))
     return np.fromiter(calls, dtype=float, count=flat.size).reshape(flat.shape)
+
+
+def libm_per_run(fn: Callable[..., float], values, *args: float):
+    """libm(fn, values, *args), with fn called once per run of bit-equal consecutive entries of a column.
+
+    A sweep's column of rate targets repeats each point's value once per
+    trial, so its coefficients cost one C-library call per sweep point and
+    not one per row.  Runs are told apart by their bits, so 0.0 and -0.0 or
+    two NaNs of other payloads each get their own call; a float or a
+    column of fewer than two entries goes to libm as is.  A column of
+    distinct values pays for the run check on top of libm, which is why
+    libm itself does not look for repeats.
+    """
+    flat = np.asarray(values, dtype=float)
+    if flat.size < 2:
+        return libm(fn, flat, *args)
+    flat = flat.ravel()
+    bits = flat.view(np.int64)
+    # the index where each run starts, then the column's length
+    edges = np.concatenate(([0], np.flatnonzero(bits[1:] != bits[:-1]) + 1, [len(flat)]))
+    return np.repeat(libm(fn, flat[edges[:-1]], *args), edges[1:] - edges[:-1]).reshape(np.shape(values))
 
 
 def per_row(value):
@@ -338,7 +368,8 @@ def power_coeff(params: SystemParams, rate_nats, slots: int):
     gives a float, or a (B,) column, which gives one coefficient per entry.
     ValueError when rate_nats is neither a real number nor an ndarray, and,
     naming the first such target, when one is negative or NaN; DomainError
-    when a coefficient overflows.
+    when a coefficient overflows.  A column's e^(M R) - 1 is evaluated once
+    per run of equal targets (libm_per_run).
     """
     if not isinstance(rate_nats, (float, np.ndarray, numbers.Real)):
         raise ValueError(f"rate target must be a float or an ndarray, got a {type(rate_nats).__name__}")
@@ -347,7 +378,7 @@ def power_coeff(params: SystemParams, rate_nats, slots: int):
         raise ValueError(f"rate target must be nonnegative, got {first_where(rate_nats, low)!r}")
     if slots < 1:
         raise ValueError("slots must be >= 1")
-    coeff = params.noise_w / path_gain(params) * libm(_expm1, slots * rate_nats)
+    coeff = params.noise_w / path_gain(params) * libm_per_run(_expm1, slots * rate_nats)
     overflow = ~np.isfinite(coeff)
     if np.any(overflow):
         raise DomainError(f"rate target {first_where(rate_nats, overflow)} nats over {slots} slot(s) "

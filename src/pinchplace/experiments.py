@@ -365,13 +365,15 @@ def run_experiment(config: ExperimentConfig) -> str:
 
     Each draw of sweep_blocks goes whole to each per-trial scheme's evaluator
     once, with a (B,) column that gives every row its own point's internal
-    sweep value; each metric column is then viewed as a (points, trials)
-    table and summarised in one reduction per draw (_summaries), and each
-    point's lines (and the sweep-level schemes' values) follow in sweep order.
+    sweep value; the metric columns of every scheme are then stacked into
+    one (schemes x points, trials) table and summarised in one reduction per
+    draw (_summaries), and each point's lines (and the sweep-level schemes'
+    values) follow in sweep order.
     """
     lines = ["sweep_value,scheme,metric,mean,stderr,trials"]
     trials = config.trials
     internal = [internal_sweep_value(config.sweep, v) for v in config.sweep_values]
+    per_trial = [name for name in config.schemes if SCHEMES[name][0].per_trial]
 
     for points, block in sweep_blocks(config):
         if logger.isEnabledFor(logging.DEBUG):
@@ -380,11 +382,11 @@ def run_experiment(config: ExperimentConfig) -> str:
                              layout_digest(block[k * trials:(k + 1) * trials]))
         values = np.repeat(internal[points.start:points.stop], trials)
         stats = {}
-        for name in config.schemes:
-            spec, evaluator = SCHEMES[name]
-            if spec.per_trial:
-                metric = np.asarray(evaluator(config.params, block, values, config), dtype=float)
-                stats[name] = _summaries(metric.reshape(len(points), trials))
+        if per_trial:
+            table = np.stack([np.asarray(SCHEMES[name][1](config.params, block, values, config), dtype=float)
+                              for name in per_trial])
+            summary = _summaries(table.reshape(len(per_trial) * len(points), trials))
+            stats = {name: summary[s * len(points):(s + 1) * len(points)] for s, name in enumerate(per_trial)}
 
         for k, point in enumerate(points):
             for name in config.schemes:
@@ -400,19 +402,20 @@ def run_experiment(config: ExperimentConfig) -> str:
 
 
 def _summaries(table: np.ndarray) -> list[tuple[float, float, int]]:
-    """Mean, standard error and count of the finite entries of each row of a (points, trials) table.
+    """Mean, standard error and count of the finite entries of each row of a (rows, trials) table.
 
-    The rows whose every trial is finite are copied out as one C-contiguous
-    block and share one mean and one std(ddof=1) reduction along axis 1,
-    which adds each row in the order a 1-D reduction of that row alone uses
-    (see core.row_sum), so a point's figures do not depend on the other rows
-    of its table.  A row with a dropped (non-finite) trial is compacted to
-    its finite entries and taken as a one-row table; one with none left
-    gives (NaN, NaN, 0).  A single trial has standard error 0.
+    A row is one (scheme, sweep point) cell of a draw.  The rows whose every
+    trial is finite are copied out as one C-contiguous block and share one
+    mean and one std(ddof=1) reduction along axis 1, which adds each row in
+    the order a 1-D reduction of that row alone uses (see core.row_sum), so
+    a cell's figures do not depend on the other rows of its table.  A row
+    with a dropped (non-finite) trial is compacted to its finite entries and
+    taken as a one-row table; one with none left gives (NaN, NaN, 0).  A
+    single trial has standard error 0.
     """
-    points, trials = table.shape
+    rows, trials = table.shape
     if trials == 0:
-        return [(math.nan, math.nan, 0)] * points
+        return [(math.nan, math.nan, 0)] * rows
     finite = np.isfinite(table)
     whole = finite.all(axis=1)
     kept = table[whole]

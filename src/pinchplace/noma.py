@@ -31,6 +31,7 @@ from .core import (
     SystemParams,
     first_where,
     libm,
+    libm_per_run,
     min_power_terms,
     noma_rates,
     one_pair,
@@ -110,7 +111,7 @@ def min_powers_at(params: SystemParams, block: LayoutBlock, rate_nats, x, decode
     tau_dec = squared_distance(xd, yd, x, h)
     tau_dir = squared_distance(xo, yo, x, h)
     p_dec = coeff * tau_dec
-    p_dir = libm(math.expm1, rate_nats) * p_dec + coeff * np.maximum(tau_dec, tau_dir)
+    p_dir = libm_per_run(math.expm1, rate_nats) * p_dec + coeff * np.maximum(tau_dec, tau_dir)
     return p_dec, p_dir
 
 
@@ -169,7 +170,7 @@ def solve_min_power(params: SystemParams, block: LayoutBlock, rate_nats) -> Noma
     zero = rate_nats == 0.0
     if np.any(zero):
         raise ValueError(f"rate target must be positive, got {first_where(rate_nats, zero)!r}")
-    growth = libm(math.exp, rate_nats)
+    growth = libm_per_run(math.exp, rate_nats)
     # min and max as Python's: the first argument wins a tie, so a signed zero keeps its sign
     lo, hi = np.where(x2 < x1, x2, x1), np.where(x2 > x1, x2, x1)
     # the weighted mean can round one ulp outside [lo, hi] when x1 == x2
@@ -178,7 +179,7 @@ def solve_min_power(params: SystemParams, block: LayoutBlock, rate_nats) -> Noma
     x_star = np.where(hi < above, hi, above)
 
     p1, own2 = terms.powers_at(x_star).T
-    p2 = libm(math.expm1, rate_nats) * p1 + own2
+    p2 = libm_per_run(math.expm1, rate_nats) * p1 + own2
     overflow = ~np.isfinite(p2)
     if overflow.any():
         raise DomainError(f"rate target {first_where(rate_nats, overflow)} nats needs a non-finite weak-user power")

@@ -42,6 +42,10 @@ _FEAS_SLACK = 1e-12
 # (256, 32, 4, 1) timed the same as these, and (32, 4, 1) slower.
 _WIDTHS = (64, 8, 1)
 
+# _polish gathers the entries still live into arrays of their own once this many have stopped;
+# below that the gather costs more than the steps it saves.
+_COMPACT_AT = 64
+
 # A piece survives unless its bound is below the incumbent by more than this
 # relative slack, which absorbs the rounding of the bound and of the points it bounds.
 _PRUNE_SLACK = 1e-9
@@ -335,15 +339,28 @@ def _polish(x: np.ndarray, x1, x2, a, b) -> np.ndarray:
 
     Each entry follows the one-root rule: at most 8 steps, stopping before
     a step where the second derivative is 0 and after a step no larger than
-    1e-15 max(1, |x|).
+    1e-15 max(1, |x|).  Once at least _COMPACT_AT entries have stopped, the
+    later steps run on the entries still live alone, gathered into 1-D
+    arrays; each entry's steps are the same IEEE operations either way.
     """
-    x = x.copy()
-    linear, constant = a + b, b * x1 + a * x2
+    out = x.copy()
+    terms = (x1, x2, a + b, b * x1 + a * x2, a, b)
+    x, (x1, x2, linear, constant, a, b) = out, terms
+    at = None  # the flat indices in out of the entries in x, once gathered
     active = ~np.isnan(x)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(8):
-            if not active.any():
+            live = np.count_nonzero(active)
+            if not live:
                 break
+            if active.size - live >= _COMPACT_AT:
+                if at is not None:
+                    out.flat[at] = x
+                at = np.flatnonzero(active) if at is None else at[active]
+                rows = np.unravel_index(at, out.shape)
+                x = out[rows]
+                x1, x2, linear, constant, a, b = (np.broadcast_to(t, out.shape)[rows] for t in terms)
+                active = np.ones(live, dtype=bool)
             # the derivative and the second derivative, factored
             u, v, w = x - x1, x - x2, 2.0 * x - x1 - x2
             f = 2.0 * (u * v * w + linear * x - constant)
@@ -352,7 +369,9 @@ def _polish(x: np.ndarray, x1, x2, a, b) -> np.ndarray:
             step = f / fp
             np.subtract(x, step, out=x, where=active)
             active &= np.abs(step) > 1e-15 * np.maximum(1.0, np.abs(x))
-    return x
+    if at is not None:
+        out.flat[at] = x
+    return out
 
 
 def _distinct(ascending: np.ndarray, width: np.ndarray) -> np.ndarray:

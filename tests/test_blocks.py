@@ -254,7 +254,11 @@ def test_pair_rows_depend_on_their_own_layout_only(data, total, rate):
 
 
 def _column(data, block, values):
-    return data.draw(st.lists(values, min_size=len(block), max_size=len(block)))
+    """One value per row of block: drawn row by row, or in runs of repeated values as a sweep column holds them."""
+    if data.draw(st.booleans()):
+        return data.draw(st.lists(values, min_size=len(block), max_size=len(block)))
+    heads = data.draw(st.lists(values, min_size=1, max_size=len(block)))
+    return [heads[i * len(heads) // len(block)] for i in range(len(block))]
 
 
 @_PROPERTY
@@ -376,6 +380,12 @@ def test_one_bad_rate_target_fails_the_whole_call_naming_it(name):
     rates[2] = 800.0  # e^800 overflows a float: no finite power meets it
     with pytest.raises(DomainError, match=r"rate target 800\.0 nats .*needs a non-finite"):
         route(block, rates)
+    # in a column of runs, as a sweep gives, the first bad entry in row order is named, whatever its value
+    for first, later in ((-0.25, -0.5), (math.nan, -0.5), (-0.25, math.nan)):
+        with pytest.raises(ValueError, match=rf"rate target must be (nonnegative|positive), got {first!r}$"):
+            route(block, np.array([0.5, 0.5, first, later, later]))
+    with pytest.raises(DomainError, match=r"rate target 900\.0 nats .*needs a non-finite"):
+        route(block, np.array([0.5, 0.5, 900.0, 800.0, 800.0]))
     if name == "noma.solve_min_power":
         rates[2] = 0.0
         with pytest.raises(ValueError, match=r"rate target must be positive, got 0\.0$"):

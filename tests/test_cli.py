@@ -339,6 +339,8 @@ def test_overflowing_input_exits_2(argv, request, capsys):
     "fc_hz=1e170",      # the path gain underflows to 0
     "fc_hz=1e-300",     # the path gain overflows
     "length_m=1e-300",  # half_length**2 underflows to 0
+    "height_m=1e-160",  # height_m**2 is subnormal: noise * tau underflows to 0
+    "width_m=1e300",    # the squared half-diagonal overflows
 ])
 @pytest.mark.parametrize("command", ["maxmin", "powermin", "greedy", "noma", "outage", "experiment"])
 def test_degenerate_constants_exit_2(command, setting, tmp_path, capsys):
@@ -352,6 +354,35 @@ def test_degenerate_constants_exit_2(command, setting, tmp_path, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("users, argv", [
+    # the strong-user key pow(y, 2) raised OverflowError (exit 1, a traceback)
+    ("0 1e200\n1 2\n", ["noma", "--rate-bpcu", "1", "--set", "width_m=1e300"]),
+    (None, ["experiment", "--set", "schemes=noma", "--set", "sweep=rate_bpcu", "--set", "width_m=1e300",
+            "--trials", "2"]),
+    # inf / inf gave NaN powers, and exit 4 without --certify
+    (None, ["experiment", "--set", "schemes=oma-maxmin", "--set", "width_m=1e300", "--trials", "2"]),
+    ("0 0\n0 0\n", ["noma", "--rate-bpcu", "0.01", "--set", "height_m=1e-160"]),
+    # an infinite sum rate kept by the high-SNR route and dropped by the search: fast<=search failed
+    ("20 0\n11.874 -1.78\n", ["greedy", "--power-dbm", "30", "--rate-bpcu", "1", "--set", "height_m=1e-160",
+                               "--certify"]),
+    # RuntimeWarnings on stderr before the exit
+    ("20 0\n", ["maxmin", "--set", "height_m=1e-160", "--certify"]),
+    # rows of NaN figures and 0 trials, and exit 0
+    (None, ["experiment", "--set", "schemes=noma-conv,oma-powermin", "--set", "sweep=rate_bpcu",
+            "--set", "width_m=1e300", "--trials", "2"]),
+])
+def test_a_geometry_outside_the_normal_floats_exits_2_naming_it(users, argv, tmp_path, capsys):
+    if users is not None:
+        instance = tmp_path / "users.txt"
+        instance.write_text(users)
+        argv = [argv[0], str(instance), *argv[1:]]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: SystemParams ") and captured.err.count("\n") == 1
+    assert ("height_m**2" if "height_m=1e-160" in argv else "(width_m/2)**2") in captured.err
 
 
 _FLAGS = {"maxmin": ("power_dbm",), "powermin": ("rate_bpcu",), "greedy": ("power_dbm", "rate_bpcu"),

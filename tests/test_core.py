@@ -1,6 +1,7 @@
 """Channel model, geometry and unit conversions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from pinchplace.core import (
     bpcu_to_nats,
     dbm_to_watt,
     libm,
+    libm_per_run,
     min_power_terms,
     nats_to_bpcu,
     noma_rates,
@@ -61,6 +63,21 @@ def test_params_reject_nonpositive(field, bad):
     kwargs[field] = bad
     with pytest.raises(ValueError):
         SystemParams(**kwargs)
+
+
+@pytest.mark.parametrize("setting, named", [
+    ({"height_m": 1e-160}, "height_m**2"),                        # subnormal: noise * tau underflows to 0
+    ({"height_m": 1.4916681462400412e-154}, "height_m**2"),       # the largest height with a subnormal square
+    ({"width_m": 1e300}, "(length_m/2)**2 + (width_m/2)**2"),     # the squared half-diagonal overflows
+    ({"length_m": 2e154, "width_m": 2e154}, "(length_m/2)**2 + (width_m/2)**2"),  # each square finite, not their sum
+])
+def test_params_refuse_a_geometry_outside_the_normal_floats(setting, named):
+    kwargs = dict(carrier_hz=28e9, noise_w=1e-12, height_m=3.0, length_m=40.0, width_m=10.0)
+    with pytest.raises(ValueError, match=rf"^SystemParams {re.escape(named)}"):
+        SystemParams(**{**kwargs, **setting})
+    # the edges of the domain are inside it
+    SystemParams(**{**kwargs, "height_m": 1.4916681462400413e-154})
+    SystemParams(**{**kwargs, "length_m": 2e154, "width_m": 1.0})
 
 
 def test_layout_construction_and_views():
@@ -284,3 +301,28 @@ def test_libm_keeps_the_shape_and_maps_the_trailing_arguments():
     values = np.arange(6.0).reshape(2, 3) / 7.0
     assert libm(math.log1p, values).tolist() == [[math.log1p(v) for v in row] for row in values.tolist()]
     assert libm(math.atan2, values, -1.0).tolist() == [[math.atan2(v, -1.0) for v in row] for row in values.tolist()]
+
+
+_RUN_EDGES = [0.0, -0.0, 5e-324, 1.5, math.inf, -math.inf, math.nan,
+              np.array(0x7FF8000000000001).view(float).item()]  # a NaN of another payload
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(runs=st.lists(st.tuples(st.sampled_from(_RUN_EDGES) | st.floats(-10.0, 10.0), st.integers(1, 5)),
+                     min_size=1, max_size=12))
+def test_libm_per_run_equals_libm_with_one_call_per_run(runs):
+    # bit-equal neighbours share a call; 0.0 and -0.0, or NaNs of two payloads, are runs of their own
+    values = np.array([value for value, length in runs for _ in range(length)])
+    calls = []
+
+    def atan(value):
+        calls.append(value)
+        return math.atan(value)
+
+    got = libm_per_run(atan, values)
+    assert _bits(got).tolist() == _bits(libm(math.atan, values)).tolist()
+    bits = _bits(values).tolist()
+    assert len(calls) == 1 + sum(a != b for a, b in zip(bits, bits[1:]))
+    assert libm_per_run(atan, values.reshape(1, -1)).shape == (1, len(values))
+    one = libm_per_run(atan, float(values[0]))  # a float gives a float, as from libm
+    assert isinstance(one, float) and _bits(one) == _bits(math.atan(values[0]))

@@ -154,6 +154,24 @@ def test_run_experiment_deterministic():
     assert a == b
 
 
+def test_a_rate_sweep_evaluates_each_coefficient_once_per_sweep_point(monkeypatch):
+    # a rate column repeats each point's target once per trial, and each site of e^(M R) - 1 or e^R
+    # calls the C library once per point of a draw (core.libm_per_run): the counts are exact, so
+    # per-row work coming back fails here however fast the host is
+    calls = {"expm1": [], "exp": []}
+    for name, seen in calls.items():
+        monkeypatch.setattr(math, name, lambda value, real=getattr(math, name), seen=seen: seen.append(value)
+                            or real(value))
+    config = ExperimentConfig.from_mapping({"schemes": "oma-powermin,oma-powermin-conv,noma,noma-conv",
+                                            "sweep": "rate_bpcu", "sweep_points": 8, "trials": 100})
+    run_experiment(config)
+    points = len(config.sweep_values)
+    # e^(M R) - 1 in the power coefficient of oma-powermin, oma-powermin-conv, noma and each of
+    # noma-conv's two decoders, and e^R - 1 in noma's weak-user power and each noma-conv decoder's
+    assert len(calls["expm1"]) == 8 * points
+    assert len(calls["exp"]) == points  # noma's placement weight e^R
+
+
 def test_paired_schemes_share_layouts():
     # with common layouts the movable antenna wins on every trial, so the
     # means must be strictly ordered even at tiny sample sizes
@@ -263,11 +281,14 @@ _DROPPED = st.sampled_from([math.nan, math.inf, -math.inf])
 
 @st.composite
 def _metric_tables(draw):
-    """A (points, trials) table whose rows keep every trial, drop some, keep one, or drop all."""
-    points, trials = draw(st.integers(1, 6)), draw(st.integers(1, 300))
+    """A (rows, trials) table whose rows keep every trial, drop some, keep one, or drop all.
+
+    A draw stacks every scheme's points into one table, so it can be as tall as 60 rows.
+    """
+    rows, trials = draw(st.integers(1, 60)), draw(st.integers(1, 300))
     scale = draw(st.sampled_from([1e-12, 1e-3, 1.0, 1e4]))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    table = gen.standard_normal((points, trials)) * scale + scale
+    table = gen.standard_normal((rows, trials)) * scale + scale
     for row in table:
         kind = draw(st.sampled_from(["whole", "whole", "some", "one", "none"]))
         if kind == "some":

@@ -439,9 +439,9 @@ def test_root_residuals_vanish():
             assert abs(t1 + t2 + t3) <= 1e-9 * scale, f"residual at root {r}"
 
 
-def _roots_one_at_a_time(layout, height_m):
+def _roots_one_at_a_time(layout, height_m, steps=None):
     """The distance product's stationary points as a scalar loop: each candidate root polished alone,
-    then sorted and deduplicated."""
+    then sorted and deduplicated.  The Newton steps each candidate took are appended to steps, if given."""
     (x1, y1), (x2, y2) = layout
     h2 = height_m * height_m
     a, b = y1 * y1 + h2, y2 * y2 + h2
@@ -462,6 +462,7 @@ def _roots_one_at_a_time(layout, height_m):
         centred = [0.0] if p == 0.0 else [3.0 * q / p, -3.0 * q / (2.0 * p)]
 
     def polish(x):
+        taken = 0
         for _ in range(8):
             f = 2.0 * ((x - x1) * (x - x2) * (2.0 * x - x1 - x2) + (a + b) * x - (b * x1 + a * x2))
             fp = 2.0 * ((x - x2) * (2.0 * x - x1 - x2) + (x - x1) * (2.0 * x - x1 - x2)
@@ -470,8 +471,11 @@ def _roots_one_at_a_time(layout, height_m):
                 break
             step = f / fp
             x -= step
+            taken += 1
             if abs(step) <= 1e-15 * max(1.0, abs(x)):
                 break
+        if steps is not None:
+            steps.append(taken)
         return x
 
     scale = max(1.0, abs(x1), abs(x2), math.sqrt(a), math.sqrt(b))
@@ -489,12 +493,18 @@ def test_block_roots_equal_the_scalar_polish_bit_for_bit():
         ((-3.0, 0.0), (3.0, 0.0)), ((0.0, 0.0), (0.0, 0.0)),
         ((-20.0, 5.0), (20.0, -5.0)), ((1.0, 2.0), (1.0, -2.0)),
     ]
-    counts = set()
+    # a block of a sweep's size, where the polish gathers the roots still live once oma_greedy._COMPACT_AT
+    # have stopped; some roots there never meet the stop test and take all 8 steps
+    tall = _random_pairs(rng.stream(33, rng.DOMAIN_TESTS, 38), 900)
+    counts, steps = set(), []
     for height in (0.5, PARAMS.height_m, 10.0):
         for lay, roots in zip(layouts, _roots(layouts, height)):
             assert roots == _roots_one_at_a_time(lay, height), lay
             counts.add(len(roots))
+        for lay, roots in zip(tall, _roots(tall, height)):
+            assert roots == _roots_one_at_a_time(lay, height, steps), lay
     assert counts == {1, 3}, "the layouts must reach both the Cardano and the trigonometric branch"
+    assert sum(s <= 1 for s in steps) >= oma_greedy._COMPACT_AT and 8 in steps
 
 
 def distance_product(layout, height_m: float, x):
