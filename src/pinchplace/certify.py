@@ -49,6 +49,7 @@ def skipped(name: str, reason: str) -> Check:
     return Check(f"{name} ({reason} skipped)", math.nan, math.nan, math.nan, math.nan, True)
 
 
+@np.errstate(over="ignore")
 def _grid_reference(params: SystemParams, block: LayoutBlock, of_tau_sum, sense: str) -> float:
     """The position grid's best of of_tau_sum(sum over users of the squared distances) for a one-row block.
 

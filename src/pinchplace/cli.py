@@ -31,26 +31,20 @@ from . import certify, experiments, noma, oma_fairness, oma_greedy, oracle, outa
 from .core import LayoutBlock, bpcu_to_nats, dbm_to_watt, nats_to_bpcu, watt_to_dbm
 from .errors import CertificationError, ConfigError, Infeasible, ParseError, PinchError
 
-_CONFIG_HELP = """\
-config keys (defaults in parentheses):
-  fc_hz (28e9)          carrier frequency, Hz
-  noise_dbm (-90)       noise power, dBm
-  height_m (3)          waveguide height, m
-  length_m (40)         service area along the waveguide, m
-  width_m (10)          service area across the waveguide, m
-  users (2)             number of users M
-  trials (1000)         Monte Carlo trials
-  seed (0)              64-bit master seed
-  clustering (false)    confine x to [-length/4, -length/8] when sampling
-  schemes (oma-maxmin,oma-maxmin-conv)   comma-separated scheme list
-  sweep (power_dbm)     sweep axis: power_dbm or rate_bpcu
-  sweep_start/stop/points   sweep range (power: 0..40 dBm x9; rate: 0.5..4 BPCU x8)
-  rate_bpcu (1.0)       per-user rate target, bits per channel use
-  power_dbm (30.0)      total power budget (or outage budget), dBm
-  grid_points (2001)    experiment search-grid points
-  grid_refine (24)      golden-section refinement iterations
 
-schemes: """ + ", ".join(sorted(experiments.SCHEMES))
+def _shown(key: str, default) -> str:
+    """A config key's default as --help lists it; a sweep range key's is its axis's."""
+    if default is None:
+        return ", ".join(f"{axis} {keys[key]:g}" for axis, keys in experiments._AXIS_DEFAULTS.items())
+    if isinstance(default, bool):
+        return str(default).lower()
+    return default if isinstance(default, str) else f"{default:g}"
+
+
+_CONFIG_HELP = ("config keys (defaults in parentheses):\n"
+                + "".join(f"  {f'{key} ({_shown(key, default)})':<42} {text}\n"
+                          for key, (_, default, text) in experiments.CONFIG_KEYS.items())
+                + "\nschemes: " + ", ".join(sorted(experiments.SCHEMES)))
 
 
 def parse_kv_text(text: str, origin: str) -> dict[str, str]:
@@ -109,7 +103,7 @@ def _collect_mapping(args: argparse.Namespace) -> dict[str, object]:
         if len(parsed) != 1:
             raise ParseError(f"--set expects a single key=value, got {pair!r}")
         mapping.update(parsed)
-    for key in ("power_dbm", "rate_bpcu", "users", "trials", "clustering", "seed"):
+    for key in experiments.CONFIG_KEYS:  # a subcommand's own flags, each named as its key
         value = getattr(args, key, None)
         if value is not None:
             mapping[key] = value
@@ -157,15 +151,12 @@ def cmd_maxmin(args: argparse.Namespace) -> int:
     merged = _collect_mapping(args)
     params = experiments.build_params(merged)
     layout = read_layout(args.instance)
-    total_w = dbm_to_watt(float(merged["power_dbm"]))
-    try:
-        sol = oma_fairness.solve_max_min_rate(params, layout, total_w).row(0)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    total_w = dbm_to_watt(merged["power_dbm"])
+    sol = oma_fairness.solve_max_min_rate(params, layout, total_w).row(0)
 
     rate_bpcu = nats_to_bpcu(sol.objective)
     human = [
-        f"solver: maxmin ({layout.num_users} users, P = {float(merged['power_dbm']):.2f} dBm)",
+        f"solver: maxmin ({layout.num_users} users, P = {merged['power_dbm']:.2f} dBm)",
         f"placement x* = {sol.x_star:.9g} m",
         f"min rate = {rate_bpcu:.6f} BPCU",
     ]
@@ -186,12 +177,12 @@ def cmd_powermin(args: argparse.Namespace) -> int:
     merged = _collect_mapping(args)
     params = experiments.build_params(merged)
     layout = read_layout(args.instance)
-    rate = bpcu_to_nats(float(merged["rate_bpcu"]))
+    rate = bpcu_to_nats(merged["rate_bpcu"])
     sol = oma_fairness.solve_min_total_power(params, layout, rate).row(0)
     saving = float(oma_fairness.pinching_power_saving(params, layout, rate)[0])
 
     human = [
-        f"solver: powermin ({layout.num_users} users, target = {float(merged['rate_bpcu']):.4f} BPCU)",
+        f"solver: powermin ({layout.num_users} users, target = {merged['rate_bpcu']:.4f} BPCU)",
         f"placement x* = {sol.x_star:.9g} m",
         _power_line("total power", sol.objective),
         _power_line("saving vs centre antenna", saving) if saving > 0 else
@@ -215,8 +206,8 @@ def cmd_outage(args: argparse.Namespace) -> int:
     merged = _collect_mapping(args)
     params = experiments.build_params(merged)
     num_users = merged["users"]
-    rate = bpcu_to_nats(float(merged["rate_bpcu"]))
-    budget = dbm_to_watt(float(merged["power_dbm"]))
+    rate = bpcu_to_nats(merged["rate_bpcu"])
+    budget = dbm_to_watt(merged["power_dbm"])
     trials = merged["trials"]
     seed = merged["seed"]
     if args.certify and num_users != 2:
@@ -224,8 +215,8 @@ def cmd_outage(args: argparse.Namespace) -> int:
 
     estimate = outage.monte_carlo_outage(params, num_users, rate, budget, trials, seed)
     human = [
-        f"solver: outage ({num_users} users, target = {float(merged['rate_bpcu']):.4f} BPCU, "
-        f"budget = {float(merged['power_dbm']):.2f} dBm)",
+        f"solver: outage ({num_users} users, target = {merged['rate_bpcu']:.4f} BPCU, "
+        f"budget = {merged['power_dbm']:.2f} dBm)",
         f"monte carlo: p = {estimate.probability:.6f} +- {estimate.stderr:.6f} ({trials} trials)",
         f"outage rate = {nats_to_bpcu(outage.outage_rate(estimate.probability, rate)):.6f} BPCU",
     ]
@@ -250,18 +241,18 @@ def cmd_greedy(args: argparse.Namespace) -> int:
     merged = _collect_mapping(args)
     params = experiments.build_params(merged)
     layout = read_layout(args.instance)
-    total_w = dbm_to_watt(float(merged["power_dbm"]))
-    rate = bpcu_to_nats(float(merged["rate_bpcu"]))
+    total_w = dbm_to_watt(merged["power_dbm"])
+    rate = bpcu_to_nats(merged["rate_bpcu"])
     grid = oracle.certification_grid(-params.half_length, params.half_length)
 
     search = oma_greedy.best_placement_search(params, layout, total_w, rate, grid).row(0)
     if search is None:
-        raise Infeasible(f"a budget of {float(merged['power_dbm']):.2f} dBm cannot cover both "
-                         f"{float(merged['rate_bpcu']):.4f} BPCU rate floors at any grid position")
+        raise Infeasible(f"a budget of {merged['power_dbm']:.2f} dBm cannot cover both "
+                         f"{merged['rate_bpcu']:.4f} BPCU rate floors at any grid position")
 
     human = [
-        f"solver: greedy (P = {float(merged['power_dbm']):.2f} dBm, "
-        f"floor = {float(merged['rate_bpcu']):.4f} BPCU)",
+        f"solver: greedy (P = {merged['power_dbm']:.2f} dBm, "
+        f"floor = {merged['rate_bpcu']:.4f} BPCU)",
         f"search:   x* = {search.solution.x_star:.9g} m, throughput = "
         f"{nats_to_bpcu(search.solution.objective):.6f} BPCU, case = {search.case}",
     ]
@@ -306,14 +297,14 @@ def cmd_noma(args: argparse.Namespace) -> int:
     merged = _collect_mapping(args)
     params = experiments.build_params(merged)
     layout = read_layout(args.instance)
-    rate = bpcu_to_nats(float(merged["rate_bpcu"]))
+    rate = bpcu_to_nats(merged["rate_bpcu"])
 
     sol = noma.solve_min_power(params, layout, rate).row(0)
     assumptions = noma.check_solution(params, layout, sol)
     strong = sol.sic_user - 1
 
     human = [
-        f"solver: noma (target = {float(merged['rate_bpcu']):.4f} BPCU = {rate:.6f} nats)",
+        f"solver: noma (target = {merged['rate_bpcu']:.4f} BPCU = {rate:.6f} nats)",
         f"sic_user = {sol.sic_user} (closer to the waveguide)",
         f"placement x* = {sol.x_star:.9g} m",
         _power_line("  P_strong", sol.powers[strong]),
@@ -403,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", type=int, help="64-bit master seed for Monte Carlo paths")
         p.add_argument("--out", help="write the machine-readable report (JSON, or CSV for experiment) here")
         p.add_argument("--certify", action="store_true",
                        help="check the closed form against its brute-force oracle (exit 4 on failure)")
@@ -425,6 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate-bpcu", dest="rate_bpcu", type=float)
     p.add_argument("--users", type=int)
     p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int, help="64-bit master seed of the Monte Carlo draws")
     common(p)
 
     p = sub.add_parser("greedy", help="two-user throughput placement with rate floors")
@@ -442,6 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int)
     p.add_argument("--users", type=int)
     p.add_argument("--clustering", choices=["true", "false"])
+    p.add_argument("--seed", type=int, help="64-bit master seed of the layout draws")
     common(p)
 
     return parser

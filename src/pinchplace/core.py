@@ -60,17 +60,24 @@ class SystemParams:
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise ValueError(f"SystemParams.{name} must be a positive finite number, got {value!r}")
         # every solver divides by these; one that under- or overflows a float has no solution
-        hl, hw, h2 = self.half_length, self.half_width, self.height_m * self.height_m
-        for name, value in (("half_length**2", hl * hl), ("path gain", path_gain(self))):
+        hl, hw, h2, gain = self.half_length, self.half_width, self.height_m * self.height_m, path_gain(self)
+        for name, value in (("half_length**2", hl * hl), ("path gain", gain)):
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"SystemParams {name} is {value!r}; it must be a positive finite number")
-        # the one numeric domain of every route: noise * tau underflows to 0 for a subnormal h^2, and
-        # a squared distance or coordinate overflows in an area whose squared half-diagonal does
-        if not h2 >= sys.float_info.min:
-            raise ValueError(f"SystemParams height_m**2 is {h2!r}; it must be at least the smallest normal float")
-        reach = hl * hl + hw * hw + h2
-        if not math.isfinite(reach):
-            raise ValueError(f"SystemParams (length_m/2)**2 + (width_m/2)**2 + height_m**2 is {reach!r}; "
+        # the one numeric domain of every route.  Below: a user's squared offset across the waveguide
+        # or its noise, the denominator noise * tau / gain (tau >= h^2) of an SNR p / q or noise * tau
+        # of gain * p / (noise * tau), leaves the normal floats, where quotients of them lose their
+        # bits or overflow.  Above: the largest squared distance, an antenna at one end of the
+        # waveguide to a user at the other, overflows in the degree-6 terms of the high-SNR cubic.
+        for name, value in (("height_m**2", h2), ("(width_m/2)**2", hw * hw),
+                            ("noise_w * height_m**2 / path gain", self.noise_w * h2 / gain),
+                            ("noise_w * height_m**2", self.noise_w * h2)):
+            if not value >= sys.float_info.min:
+                raise ValueError(f"SystemParams {name} is {value!r}; it must be at least the smallest normal float")
+        reach = self.length_m * self.length_m + hw * hw + h2
+        cube = reach * reach * reach
+        if not math.isfinite(cube):
+            raise ValueError(f"SystemParams (length_m**2 + (width_m/2)**2 + height_m**2)**3 is {cube!r}; "
                              "it must be finite")
 
     @classmethod

@@ -14,8 +14,9 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -31,9 +32,9 @@ AXIS_POWER = "power_dbm"
 AXIS_RATE = "rate_bpcu"
 
 _AXIS_DEFAULTS = {
-    # documented artifact defaults, overridable per config
-    AXIS_POWER: (0.0, 40.0, 9),
-    AXIS_RATE: (0.5, 4.0, 8),
+    # each axis's own sweep range, for the range keys a config leaves unset
+    AXIS_POWER: {"sweep_start": 0.0, "sweep_stop": 40.0, "sweep_points": 9},
+    AXIS_RATE: {"sweep_start": 0.5, "sweep_stop": 4.0, "sweep_points": 8},
 }
 
 
@@ -125,88 +126,91 @@ SCHEMES: dict[str, tuple[SchemeSpec, Callable]] = {
     "outage-mc-conv": (SchemeSpec("outage", AXIS_POWER, "outage_rate_bpcu", True, True), _eval_outage_mc_conv),
 }
 
-_DEFAULTS: dict[str, object] = {
-    "fc_hz": 28e9,
-    "noise_dbm": -90.0,
-    "height_m": 3.0,
-    "length_m": 40.0,
-    "width_m": 10.0,
-    "users": 2,
-    "trials": 1000,
-    "seed": 0,
-    "clustering": False,
-    "schemes": "oma-maxmin,oma-maxmin-conv",
-    "sweep": AXIS_POWER,
-    "sweep_start": None,
-    "sweep_stop": None,
-    "sweep_points": None,
-    "rate_bpcu": 1.0,
-    "power_dbm": 30.0,
-    "grid_points": 2001,
-    "grid_refine": 24,
-}
 
-_INTEGER_KEYS = frozenset({"users", "trials", "seed", "sweep_points", "grid_points", "grid_refine"})
+class ConfigKey(NamedTuple):
+    kind: type  # the type merge_config gives the value: float, int, bool or str
+    default: object  # None only for a sweep range key, which then takes its axis's (_AXIS_DEFAULTS)
+    help: str  # the --help text
+
+
+CONFIG_KEYS: dict[str, ConfigKey] = {
+    "fc_hz": ConfigKey(float, 28e9, "carrier frequency, Hz"),
+    "noise_dbm": ConfigKey(float, -90.0, "noise power, dBm"),
+    "height_m": ConfigKey(float, 3.0, "waveguide height, m"),
+    "length_m": ConfigKey(float, 40.0, "service area along the waveguide, m"),
+    "width_m": ConfigKey(float, 10.0, "service area across the waveguide, m"),
+    "users": ConfigKey(int, 2, "number of users M"),
+    "trials": ConfigKey(int, 1000, "Monte Carlo trials"),
+    "seed": ConfigKey(int, 0, "64-bit master seed"),
+    "clustering": ConfigKey(bool, False, "confine x to [-length/4, -length/8] when sampling"),
+    "schemes": ConfigKey(str, "oma-maxmin,oma-maxmin-conv", "comma-separated scheme list"),
+    "sweep": ConfigKey(str, AXIS_POWER, "sweep axis: power_dbm or rate_bpcu"),
+    "sweep_start": ConfigKey(float, None, "first sweep value"),
+    "sweep_stop": ConfigKey(float, None, "last sweep value"),
+    "sweep_points": ConfigKey(int, None, "number of sweep values"),
+    "rate_bpcu": ConfigKey(float, 1.0, "per-user rate target, bits per channel use"),
+    "power_dbm": ConfigKey(float, 30.0, "total power budget (or outage budget), dBm"),
+    "grid_points": ConfigKey(int, 2001, "experiment search-grid points"),
+    "grid_refine": ConfigKey(int, 24, "golden-section refinement iterations"),
+}
 
 _BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
+_KIND_NAMES = {float: "a finite number", int: "an integer", bool: "true or false", str: "a string"}
+
 
 def merge_config(mapping: Mapping[str, object]) -> dict[str, object]:
-    """Overlay user-supplied keys on the defaults, coercing string values.
+    """Overlay user-supplied keys on the defaults, each value in its key's declared type (CONFIG_KEYS).
 
-    Rejects unknown keys.  Performs no cross-field validation; that belongs
-    to the consumers (ExperimentConfig for sweeps, the CLI for single solves).
+    Rejects unknown keys and values of another type.  Performs no cross-field validation; that
+    belongs to the consumers (ExperimentConfig for sweeps, the CLI for single solves).
     """
-    unknown = sorted(set(mapping) - set(_DEFAULTS))
+    unknown = sorted(set(mapping) - set(CONFIG_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     merged: dict[str, object] = {}
-    for key, default in _DEFAULTS.items():
+    for key, (kind, default, _) in CONFIG_KEYS.items():
         raw = mapping.get(key, default)
-        merged[key] = None if raw is None else _coerce(key, raw)
-        if isinstance(merged[key], float) and not math.isfinite(merged[key]):
-            raise ConfigError(f"{key} must be a finite number, got {merged[key]!r}")
+        merged[key] = _coerce(kind, raw)
+        if merged[key] is None and not (raw is None and default is None):  # an unset sweep range stays None
+            raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {raw!r}")
     return merged
+
+
+def _coerce(kind: type, raw: object):
+    """raw, a string (parsed once stripped) or a real number, as a kind value; None if it is none of them.
+
+    A float is finite, an int exact (2.0 is 2, 2.5 is refused) and a bool one of _BOOL_STRINGS, 0 or 1.
+    """
+    if isinstance(raw, str):
+        raw = raw.strip()
+        if kind is str or kind is bool:
+            return raw if kind is str else _BOOL_STRINGS.get(raw.lower())
+    elif kind is str or not isinstance(raw, numbers.Real):
+        return None
+    elif kind is bool:
+        return bool(raw) if raw in (0, 1) else None
+    try:
+        value = kind(raw)
+    except (ValueError, OverflowError):
+        return None
+    if kind is int:  # a count or a seed is never rounded: 2.7 trials is an error, not 2
+        return value if isinstance(raw, str) or value == raw else None
+    return value if math.isfinite(value) else None
 
 
 def build_params(merged: Mapping[str, object]) -> SystemParams:
     """SystemParams from a merged config mapping."""
     try:
         return SystemParams(
-            carrier_hz=float(merged["fc_hz"]),
-            noise_w=dbm_to_watt(float(merged["noise_dbm"])),
-            height_m=float(merged["height_m"]),
-            length_m=float(merged["length_m"]),
-            width_m=float(merged["width_m"]),
+            carrier_hz=merged["fc_hz"],
+            noise_w=dbm_to_watt(merged["noise_dbm"]),
+            height_m=merged["height_m"],
+            length_m=merged["length_m"],
+            width_m=merged["width_m"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _coerce(key: str, raw: object):
-    if isinstance(raw, str):
-        raw = raw.strip()
-        if key in ("schemes", "sweep"):
-            return raw
-        if key == "clustering":
-            if raw.lower() not in _BOOL_STRINGS:
-                raise ConfigError(f"{key} must be true or false, got {raw!r}")
-            return _BOOL_STRINGS[raw.lower()]
-    if key in _INTEGER_KEYS:
-        # a count or a seed is never rounded: 2.7 trials is an error, not 2
-        try:
-            value = int(raw)
-        except (TypeError, ValueError, OverflowError):
-            value = None
-        if value is None or (not isinstance(raw, str) and value != raw):
-            raise ConfigError(f"{key} must be an integer, got {raw!r}")
-        return value
-    if isinstance(raw, str):
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-    return raw
 
 
 @dataclass(frozen=True)
@@ -229,17 +233,17 @@ class ExperimentConfig:
         sweep = merged["sweep"]
         if sweep not in _AXIS_DEFAULTS:
             raise ConfigError(f"sweep must be one of {sorted(_AXIS_DEFAULTS)}, got {sweep!r}")
-        d_start, d_stop, d_points = _AXIS_DEFAULTS[sweep]
-        start = merged["sweep_start"] if merged["sweep_start"] is not None else d_start
-        stop = merged["sweep_stop"] if merged["sweep_stop"] is not None else d_stop
-        points = merged["sweep_points"] if merged["sweep_points"] is not None else d_points
+        start, stop, points = (axis if merged[key] is None else merged[key]
+                               for key, axis in _AXIS_DEFAULTS[sweep].items())
         if points < 1:
             raise ConfigError("sweep_points must be >= 1")
         if stop < start:
             raise ConfigError("sweep_stop must be >= sweep_start")
-        values = tuple(float(v) for v in np.linspace(float(start), float(stop), points))
+        if stop - start == math.inf:
+            raise ConfigError(f"sweep_stop - sweep_start is {stop - start}; it must be finite")
+        values = tuple(float(v) for v in np.linspace(start, stop, points))
 
-        schemes = tuple(s.strip() for s in str(merged["schemes"]).split(",") if s.strip())
+        schemes = tuple(s.strip() for s in merged["schemes"].split(",") if s.strip())
         if not schemes:
             raise ConfigError("schemes must name at least one scheme")
         for name in schemes:
@@ -255,7 +259,7 @@ class ExperimentConfig:
         seed = merged["seed"]
         if not 0 <= seed < 2**64:
             raise ConfigError("seed must fit in 64 bits")
-        rate_bpcu = float(merged["rate_bpcu"])
+        rate_bpcu = merged["rate_bpcu"]
         if rate_bpcu <= 0:
             raise ConfigError("rate_bpcu must be positive")
 
@@ -276,7 +280,7 @@ class ExperimentConfig:
             num_users=num_users,
             trials=trials,
             seed=seed,
-            clustering=bool(merged["clustering"]),
+            clustering=merged["clustering"],
             rate_bpcu=rate_bpcu,
             grid=grid,
         )
@@ -411,7 +415,10 @@ def _summaries(table: np.ndarray) -> list[tuple[float, float, int]]:
     a cell's figures do not depend on the other rows of its table.  A row
     with a dropped (non-finite) trial is compacted to its finite entries and
     taken as a one-row table; one with none left gives (NaN, NaN, 0).  A
-    single trial has standard error 0.
+    single trial has standard error 0.  A row whose sum or squares overflow
+    although its trials are finite is summarised again divided by the power
+    of two just above its largest magnitude, which rounds nothing but
+    subnormals, and scaled back.
     """
     rows, trials = table.shape
     if trials == 0:
@@ -419,8 +426,14 @@ def _summaries(table: np.ndarray) -> list[tuple[float, float, int]]:
     finite = np.isfinite(table)
     whole = finite.all(axis=1)
     kept = table[whole]
-    means = kept.mean(axis=1).tolist()
-    stderrs = (kept.std(axis=1, ddof=1) / math.sqrt(trials)).tolist() if trials > 1 else [0.0] * len(kept)
-    stats = iter(zip(means, stderrs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = kept.mean(axis=1)
+        stderrs = kept.std(axis=1, ddof=1) / math.sqrt(trials) if trials > 1 else np.zeros(len(kept))
+    for k in np.flatnonzero(~(np.isfinite(means) & np.isfinite(stderrs))):
+        exp = math.frexp(float(np.abs(kept[k]).max()))[1]
+        scaled = np.ldexp(kept[k], -exp)
+        means[k] = math.ldexp(float(scaled.mean()), exp)
+        stderrs[k] = math.ldexp(float(scaled.std(ddof=1)) / math.sqrt(trials), exp)
+    stats = iter(zip(means.tolist(), stderrs.tolist()))
     return [(*next(stats), trials) if all_finite else _summaries(table[k, finite[k]][None, :])[0]
             for k, all_finite in enumerate(whole.tolist())]

@@ -30,11 +30,11 @@ from .core import (
     NomaRates,
     SystemParams,
     first_where,
-    libm,
     libm_per_run,
     min_power_terms,
     noma_rates,
     one_pair,
+    path_gain,
     power_coeff,
     require_positive,
     require_rows,
@@ -152,14 +152,13 @@ def solve_min_power(params: SystemParams, block: LayoutBlock, rate_nats) -> Noma
     the weak signal also reaches the target.
 
     ValueError for a target that is not positive (NaN included) or a column
-    of another length than the block, and DomainError for one whose powers
-    are not finite.
+    of another length than the block, and DomainError for one whose powers,
+    or the weak user's power times the path gain, are not finite.
     """
     block.validate(params)
     (_, ya), (_, yb) = user_pair(block)
-    # user 1 of the strong-first pair is the one closer to the waveguide; the key is the C library's
-    # pow(y, 2), and a tie keeps the input order
-    swap = libm(math.pow, yb, 2.0) < libm(math.pow, ya, 2.0)
+    # user 1 of the strong-first pair is the one closer to the waveguide; a tie keeps the input order
+    swap = np.abs(yb) < np.abs(ya)
     flip = swap[:, None]
     pair = LayoutBlock(np.where(flip, block.xs[:, ::-1], block.xs), np.where(flip, block.ys[:, ::-1], block.ys))
     (x1, y1), (x2, y2) = user_pair(pair)
@@ -180,7 +179,8 @@ def solve_min_power(params: SystemParams, block: LayoutBlock, rate_nats) -> Noma
 
     p1, own2 = terms.powers_at(x_star).T
     p2 = libm_per_run(math.expm1, rate_nats) * p1 + own2
-    overflow = ~np.isfinite(p2)
+    # the rates take the weak user's power times the path gain, which is not finite either
+    overflow = ~np.isfinite(path_gain(params) * p2)
     if overflow.any():
         raise DomainError(f"rate target {first_where(rate_nats, overflow)} nats needs a non-finite weak-user power")
 
@@ -208,6 +208,7 @@ def solve_min_power(params: SystemParams, block: LayoutBlock, rate_nats) -> Noma
     )
 
 
+@np.errstate(over="ignore")
 def solve_min_power_search(params: SystemParams, block: LayoutBlock, rate_nats: float, spec: GridSpec) -> NomaSolution:
     """Reference route for a one-row block: grid-search the position for both SIC orders.
 

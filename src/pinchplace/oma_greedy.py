@@ -84,6 +84,8 @@ def _geometry(params: SystemParams, users, x, hi=None):
     return squared_distance(x1, y1, at1, params.height_m), squared_distance(x2, y2, at2, params.height_m)
 
 
+# a rate floor may overflow to inf, and a pin divides by 0 on the feasibility boundary
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _kkt(params: SystemParams, gain: float, coeff: float, total_w, t1, t2):
     """The optimal two-user power split at squared distances t1, t2: (p1, p2, pin_2, pin_1, sum rate).
 
@@ -105,17 +107,15 @@ def _kkt(params: SystemParams, gain: float, coeff: float, total_w, t1, t2):
     floor1 = coeff * t1
     floor2 = coeff * t2
     feasible = total_w >= floor1 + floor2 - _FEAS_SLACK * total_w
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pin_2 = 1.0 / (total_w - floor2 + q1) - 1.0 / (floor2 + q2)
-        pin_1 = 1.0 / (total_w - floor1 + q2) - 1.0 / (floor1 + q1)
-        p1 = np.where(
-            pin_2 >= 0.0,
-            total_w - floor2,
-            np.where(pin_1 >= 0.0, floor1, total_w / 2.0 + q2 / 2.0 - q1 / 2.0),
-        )
-        p2 = total_w - p1
-        rates = 0.5 * (np.log1p(p1 / q1) + np.log1p(p2 / q2))  # the two time-shared rates, in nats
+    pin_2 = 1.0 / (total_w - floor2 + q1) - 1.0 / (floor2 + q2)
+    pin_1 = 1.0 / (total_w - floor1 + q2) - 1.0 / (floor1 + q1)
+    p1 = np.where(
+        pin_2 >= 0.0,
+        total_w - floor2,
+        np.where(pin_1 >= 0.0, floor1, total_w / 2.0 + q2 / 2.0 - q1 / 2.0),
+    )
+    p2 = total_w - p1
+    rates = 0.5 * (np.log1p(p1 / q1) + np.log1p(p2 / q2))  # the two time-shared rates, in nats
     return p1, p2, pin_2, pin_1, np.where(feasible, rates, -np.inf)
 
 
@@ -133,8 +133,8 @@ def _splitter(params: SystemParams, block: LayoutBlock, total_w, rate_nats: floa
     of [xs, hi], whose sum rate bounds every point of that interval from
     above (see _kkt).  The users are the block's (x1, y1, x2, y2) columns as
     the rows of a (4, B) array.  ValueError when a budget is not positive
-    and finite, the rate floor is not one real number or a user is outside
-    the service area, and as power_coeff.
+    and finite or gives a non-finite SNR, the rate floor is not one real
+    number or a user is outside the service area, and as power_coeff.
     """
     what = "total power budget"
     require_rows(total_w, block, what)
@@ -148,6 +148,13 @@ def _splitter(params: SystemParams, block: LayoutBlock, total_w, rate_nats: floa
     (x1, y1), (x2, y2) = user_pair(block)
     columns = np.stack([x1, y1, x2, y2])
     gain, coeff = path_gain(params), power_coeff(params, rate_nats, 2)
+    # an SNR p / q that overflows makes the sum rate +inf, which the search would drop as infeasible;
+    # p <= total_w and q >= noise * h^2 / gain, so the budget over that floor bounds every SNR
+    nearest_floor = params.noise_w * (params.height_m * params.height_m) / gain
+    with np.errstate(over="ignore"):
+        unbounded = np.logical_not(total_w / nearest_floor < math.inf)
+    if np.any(unbounded):
+        raise ValueError(f"{what} {first_where(total_w, unbounded)!r} W gives a non-finite SNR")
     budgets = np.asarray(total_w, dtype=float)
     column = budgets.ndim > 0
 

@@ -65,19 +65,34 @@ def test_params_reject_nonpositive(field, bad):
         SystemParams(**kwargs)
 
 
+_REACH = "(length_m**2 + (width_m/2)**2 + height_m**2)**3"
+_NOISE_FLOOR = "noise_w * height_m**2 / path gain"
+_NOISE = "noise_w * height_m**2"
+
+
 @pytest.mark.parametrize("setting, named", [
     ({"height_m": 1e-160}, "height_m**2"),                        # subnormal: noise * tau underflows to 0
     ({"height_m": 1.4916681462400412e-154}, "height_m**2"),       # the largest height with a subnormal square
-    ({"width_m": 1e300}, "(length_m/2)**2 + (width_m/2)**2"),     # the squared half-diagonal overflows
-    ({"length_m": 2e154, "width_m": 2e154}, "(length_m/2)**2 + (width_m/2)**2"),  # each square finite, not their sum
+    ({"width_m": 1e300}, _REACH),                                 # the squared half-width overflows
+    ({"length_m": 2e154, "width_m": 2e154}, _REACH),              # each square finite, not their sum
+    ({"width_m": 1e-310}, "(width_m/2)**2"),                      # the half-width squares to 0
+    ({"width_m": 2.9833362924800824e-154}, "(width_m/2)**2"),     # the largest width with a subnormal half-square
+    ({"height_m": 1.2709399265825192e-151}, _NOISE_FLOOR),        # at -90 dBm this floor binds before height_m**2
+    ({"noise_w": 1e-323}, _NOISE_FLOOR),                          # -3200 dBm
+    ({"carrier_hz": 1e-146}, _NOISE_FLOOR),                       # a path gain of 5.7e306
+    ({"length_m": 2e154, "width_m": 1.0}, _REACH),                # (length_m/2)**2 + (width_m/2)**2 was finite
+    ({"length_m": 2.375668978229577e+51}, _REACH),                # the smallest length whose cube overflows
+    ({"noise_w": 1e-323, "carrier_hz": 1e16}, _NOISE),            # the floor is normal, noise * tau is not
+    ({"height_m": 1.4916681462400412e-148}, _NOISE),              # the largest height refused at -90 dBm
 ])
 def test_params_refuse_a_geometry_outside_the_normal_floats(setting, named):
     kwargs = dict(carrier_hz=28e9, noise_w=1e-12, height_m=3.0, length_m=40.0, width_m=10.0)
-    with pytest.raises(ValueError, match=rf"^SystemParams {re.escape(named)}"):
+    with pytest.raises(ValueError, match=rf"^SystemParams {re.escape(named)} is "):
         SystemParams(**{**kwargs, **setting})
     # the edges of the domain are inside it
-    SystemParams(**{**kwargs, "height_m": 1.4916681462400413e-154})
-    SystemParams(**{**kwargs, "length_m": 2e154, "width_m": 1.0})
+    SystemParams(**{**kwargs, "height_m": 1.4916681462400413e-148})
+    SystemParams(**{**kwargs, "width_m": 2.983336292480083e-154})
+    SystemParams(**{**kwargs, "length_m": 2.3756689782295768e+51})
 
 
 def test_layout_construction_and_views():

@@ -3,6 +3,8 @@
 import hashlib
 import logging
 import math
+import statistics
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +40,31 @@ def test_merge_config_rejects_unknown_and_bad_values():
         merge_config({"trials": "lots"})
     with pytest.raises(ConfigError):
         merge_config({"clustering": "maybe"})
+
+
+# per kind: a string, an int and a float spelling of a value, each with the value merge_config gives
+_SPELLINGS = {
+    float: [(" 2.5 ", 2.5), (3, 3.0), (np.float64(2.5), 2.5)],
+    int: [(" 7 ", 7), (7, 7), (7.0, 7)],
+    bool: [("Yes", True), (1, True), (0.0, False)],
+    str: [(" a,b ", "a,b")],
+}
+_REFUSED = {float: ["nan", "1e400", math.inf, 10**400], int: ["7.0", 2.5, math.nan], bool: ["maybe", 2, math.nan],
+            str: [1, 2.5]}
+
+
+@pytest.mark.parametrize("key", list(experiments.CONFIG_KEYS))
+def test_merge_config_gives_each_key_its_declared_type(key):
+    kind, default, text = experiments.CONFIG_KEYS[key]
+    assert text and (type(default) is kind or (default is None and key.startswith("sweep_")))
+    assert merge_config({})[key] == default
+    for raw, value in _SPELLINGS[kind]:
+        got = merge_config({key: raw})[key]
+        assert type(got) is kind and got == value
+    # a value of another type is refused by name, not handed on to fail later
+    for raw in [*_REFUSED[kind], [1], None if default is not None else [None]]:
+        with pytest.raises(ConfigError, match=rf"^{key} must be "):
+            merge_config({key: raw})
 
 
 def test_build_params_maps_noise_dbm():
@@ -305,6 +332,19 @@ def _metric_tables(draw):
 @given(table=_metric_tables())
 def test_summaries_equal_the_per_point_summary_bit_for_bit(table):
     assert _stat_bits(experiments._summaries(table)) == _stat_bits(_summary(row) for row in table)
+
+
+def test_summaries_of_rows_whose_sums_or_squares_overflow_stay_finite():
+    huge = np.array([[1e308, 1e308, -1e308, -1e308], [1.7e308, 1.7e308, 1.7e308, 1.0], [3e303, 4e303, 5e303, 6e303]])
+    table = np.vstack([huge, [[1.0, 2.0, 3.0, 4.0]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats = experiments._summaries(table)
+    # the figures of exact arithmetic; the other rows keep theirs
+    for row, (mean, stderr, count) in zip(huge.tolist(), stats):
+        assert mean == pytest.approx(statistics.mean(row), rel=1e-15, abs=0.0) and count == 4
+        assert stderr == pytest.approx(statistics.stdev(row) / 2.0, rel=1e-15)
+    assert stats[3] == experiments._summaries(table[3:])[0] == (2.5, np.std([1.0, 2.0, 3.0, 4.0], ddof=1) / 2.0, 4)
 
 
 def test_summaries_of_edge_rows():
