@@ -374,9 +374,10 @@ def power_coeff(params: SystemParams, rate_nats, slots: int):
     NOMA, where users transmit simultaneously.  rate_nats is a float, which
     gives a float, or a (B,) column, which gives one coefficient per entry.
     ValueError when rate_nats is neither a real number nor an ndarray, and,
-    naming the first such target, when one is negative or NaN; DomainError
-    when a coefficient overflows.  A column's e^(M R) - 1 is evaluated once
-    per run of equal targets (libm_per_run).
+    naming the first such target, when one is negative or NaN or needs a
+    least power coeff * height_m**2 that is positive but below the smallest
+    normal float; DomainError when a coefficient overflows.  A column's
+    e^(M R) - 1 is evaluated once per run of equal targets (libm_per_run).
     """
     if not isinstance(rate_nats, (float, np.ndarray, numbers.Real)):
         raise ValueError(f"rate target must be a float or an ndarray, got a {type(rate_nats).__name__}")
@@ -386,10 +387,19 @@ def power_coeff(params: SystemParams, rate_nats, slots: int):
     if slots < 1:
         raise ValueError("slots must be >= 1")
     coeff = params.noise_w / path_gain(params) * libm_per_run(_expm1, slots * rate_nats)
-    overflow = ~np.isfinite(coeff)
-    if np.any(overflow):
-        raise DomainError(f"rate target {first_where(rate_nats, overflow)} nats over {slots} slot(s) "
-                          "needs a non-finite power")
+    least = coeff * params.height_m**2
+    # a finite least power of at least the smallest normal float passes both refusals below in one test;
+    # a subnormal one keeps only a few significant bits, while 0 (a target of 0 or one whose power
+    # underflows) is exact and a finite coefficient whose least power overflows is kept
+    if not np.all((least >= sys.float_info.min) & (least < math.inf)):
+        overflow = ~np.isfinite(coeff)
+        if np.any(overflow):
+            raise DomainError(f"rate target {first_where(rate_nats, overflow)} nats over {slots} slot(s) "
+                              "needs a non-finite power")
+        subnormal = (least > 0.0) & (least < sys.float_info.min)
+        if np.any(subnormal):
+            raise ValueError(f"rate target {first_where(rate_nats, subnormal)!r} nats over {slots} slot(s) needs "
+                             "a least power coeff * height_m**2 below the smallest normal float")
     return coeff
 
 

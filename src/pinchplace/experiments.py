@@ -11,7 +11,6 @@ function of (config, seed) whatever order the trials run in.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import math
 import numbers
@@ -357,6 +356,8 @@ def sweep_blocks(config: ExperimentConfig) -> Iterator[tuple[range, LayoutBlock]
 
 def layout_digest(block: LayoutBlock) -> str:
     """sha256 of the users' float64 (x, y) coordinates, layout after layout."""
+    import hashlib  # only DEBUG runs digest, and hashlib's import is a few ms of every start
+
     return hashlib.sha256(np.stack([block.xs, block.ys], -1).tobytes()).hexdigest()
 
 

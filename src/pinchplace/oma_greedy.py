@@ -84,8 +84,10 @@ def _geometry(params: SystemParams, users, x, hi=None):
     return squared_distance(x1, y1, at1, params.height_m), squared_distance(x2, y2, at2, params.height_m)
 
 
-# a rate floor may overflow to inf, and a pin divides by 0 on the feasibility boundary
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+# the errstate that every route holds around all of its _kkt evaluations
+_QUIET = dict(over="ignore", divide="ignore", invalid="ignore")
+
+
 def _kkt(params: SystemParams, gain: float, coeff: float, total_w, t1, t2):
     """The optimal two-user power split at squared distances t1, t2: (p1, p2, pin_2, pin_1, sum rate).
 
@@ -100,7 +102,9 @@ def _kkt(params: SystemParams, gain: float, coeff: float, total_w, t1, t2):
     together; gain is path_gain(params) and coeff is
     power_coeff(params, rate_nats, 2).  The sum rate is the optimum of a
     concave program whose floors loosen and whose rates rise as either tau_m
-    falls, so it never falls when t1 or t2 does.
+    falls, so it never falls when t1 or t2 does.  A rate floor may overflow
+    to inf, and a pin divides by 0 on the feasibility boundary: each route
+    evaluates it under one _QUIET errstate, not one per call.
     """
     q1 = params.noise_w * t1 / gain
     q2 = params.noise_w * t2 / gain
@@ -125,14 +129,16 @@ def _cases(pin_2, pin_1):
 
 
 def _splitter(params: SystemParams, block: LayoutBlock, total_w, rate_nats: float):
-    """Check a route's inputs once and return the block's evaluator split(rows, xs, hi=None) and its users.
+    """Check a route's inputs once and return the block's evaluator split and its users.
 
-    split is _kkt of rows of block (an int, an int array or slice(None)), each
-    with its own budget when total_w is a column, at positions xs that
-    broadcast against them; given hi, it is _kkt at each user's nearest point
-    of [xs, hi], whose sum rate bounds every point of that interval from
-    above (see _kkt).  The users are the block's (x1, y1, x2, y2) columns as
-    the rows of a (4, B) array.  ValueError when a budget is not positive
+    split(rows) binds the evaluator to rows of block (an int, an int array or
+    slice(None)): it gathers their users and budgets (each row its own when
+    total_w is a column) once, and returns at(xs, hi=None), _kkt of those
+    rows at positions xs that broadcast against them; given hi, at is _kkt
+    at each user's nearest point of [xs, hi], whose sum rate bounds every
+    point of that interval from above (see _kkt).  at runs under the
+    caller's np.errstate(**_QUIET).  The users are the block's
+    (x1, y1, x2, y2) columns as the rows of a (4, B) array.  ValueError when a budget is not positive
     and finite or gives a non-finite SNR, the rate floor is not one real
     number or a user is outside the service area, and as power_coeff.
     """
@@ -158,10 +164,10 @@ def _splitter(params: SystemParams, block: LayoutBlock, total_w, rate_nats: floa
     budgets = np.asarray(total_w, dtype=float)
     column = budgets.ndim > 0
 
-    def split(rows, xs, hi=None):
+    def split(rows):
         # a float budget stays a float, which is cheaper than a 0-d array in a one-row call
-        return _kkt(params, gain, coeff, budgets[rows] if column else total_w,
-                    *_geometry(params, tuple(columns[:, rows]), xs, hi))
+        budget, users = budgets[rows] if column else total_w, tuple(columns[:, rows])
+        return lambda xs, hi=None: _kkt(params, gain, coeff, budget, *_geometry(params, users, xs, hi))
 
     return split, columns
 
@@ -169,11 +175,12 @@ def _splitter(params: SystemParams, block: LayoutBlock, total_w, rate_nats: floa
 def _placed(split, xs) -> GreedyPlacement:
     """The optimal split, sum rate and KKT case of each layout at its position in xs (NaN for none)."""
     xs = np.asarray(xs, dtype=float)
-    p1, p2, pin_2, pin_1, rate = split(slice(None), xs)
+    p1, p2, pin_2, pin_1, rate = split(slice(None))(xs)
     return GreedyPlacement(PlacementSolution(x_star=xs, powers=np.stack([p1, p2], axis=1), objective=rate),
                            _cases(pin_2, pin_1))
 
 
+@np.errstate(**_QUIET)
 def split_power(params: SystemParams, block: LayoutBlock, total_w, rate_nats: float, xs) -> GreedyPlacement:
     """The optimal split (the three cases of _kkt) and sum rate of each layout of a block at its position in xs.
 
@@ -182,6 +189,7 @@ def split_power(params: SystemParams, block: LayoutBlock, total_w, rate_nats: fl
     return _placed(_splitter(params, block, total_w, rate_nats)[0], xs)
 
 
+@np.errstate(**_QUIET)
 def best_placement_search(
     params: SystemParams, block: LayoutBlock, total_w, rate_nats: float, spec: GridSpec
 ) -> GreedyPlacement:
@@ -212,7 +220,7 @@ def best_placement_search(
     best = []
     for first in range(0, len(block), chunk):
         best += _pruned_scan(split, spec, block.xs[first:first + chunk], first)
-    found = refine_rows(lambda rows, xs: split(rows, xs)[4], spec, best, sense="max")
+    found = refine_rows(lambda rows: _sum_rate(split(rows)), spec, best, sense="max")
     return _placed(split, [math.nan if f is None else f[0] for f in found])
 
 
@@ -280,10 +288,15 @@ def _pruned_scan(split, spec: GridSpec, xs: np.ndarray, first: int) -> list[tupl
     return best
 
 
-def _rates(split, *arrays: np.ndarray) -> np.ndarray:
-    """split(rows, xs[, hi])'s sum rates for arrays (rows, xs[, hi]), in calls of at most SCAN_SLICE points."""
-    return np.concatenate([split(*(a[i:i + SCAN_SLICE] for a in arrays))[4]
-                           for i in range(0, len(arrays[0]), SCAN_SLICE)])
+def _sum_rate(at):
+    """The sum rate alone of a split bound to its rows."""
+    return lambda xs: at(xs)[4]
+
+
+def _rates(split, rows: np.ndarray, *arrays: np.ndarray) -> np.ndarray:
+    """split(rows)(xs[, hi])'s sum rates for arrays (xs[, hi]), in calls of at most SCAN_SLICE points."""
+    return np.concatenate([split(rows[i:i + SCAN_SLICE])(*(a[i:i + SCAN_SLICE] for a in arrays))[4]
+                           for i in range(0, len(rows), SCAN_SLICE)])
 
 
 def _cbrt(v: np.ndarray) -> np.ndarray:
@@ -390,6 +403,7 @@ def _distinct(ascending: np.ndarray, width: np.ndarray) -> np.ndarray:
     return np.sort(kept, axis=1, kind="stable")
 
 
+@np.errstate(**_QUIET)
 def best_placement_high_snr(params: SystemParams, block: LayoutBlock, total_w, rate_nats: float) -> GreedyPlacement:
     """Fast route: place each antenna at the best stationary point of its
     layout's distance product, falling back to the interval endpoints.
@@ -411,7 +425,7 @@ def best_placement_high_snr(params: SystemParams, block: LayoutBlock, total_w, r
     xs[:, 3] = -hl
     xs.sort(axis=1)
     xs = xs.T  # (5, B): layout i's candidates are column i, evaluated against its own users
-    p1, p2, pin_2, pin_1, rate = split(slice(None), xs)
+    p1, p2, pin_2, pin_1, rate = split(slice(None))(xs)
     at = (np.argmax(rate, axis=0), np.arange(len(block)))  # the first of equal rates, as a strict > scan
     return GreedyPlacement(
         solution=PlacementSolution(x_star=xs[at], powers=np.stack([p1[at], p2[at]], axis=1), objective=rate[at]),

@@ -15,8 +15,11 @@ with the other.  A search that finds its best grid points another way
 as a full scan would be.  The scan hands an objective the grid in consecutive
 slices of at most core.SCAN_SLICE (4096) abscissae, so no scan temporary
 outgrows 32 KiB, and an objective must be elementwise in its abscissae (every
-objective in this package is).  During refinement it takes either an array of
-probes (one per row of a block) or a single probe as a 0-d np.float64 (see
+objective in this package is).  The refinement is one algorithm in two forms:
+the _golden_section coroutine for a lone live row, probed at a 0-d
+np.float64, and _golden_section_rows for a block, whose rows move in lockstep
+(rows,) arrays with the coroutine's IEEE operations, so a row's bits do not
+depend on the form; a block still costs refine_iters + 2 probe calls (see
 RowObjective).
 """
 
@@ -97,16 +100,17 @@ def certification_grid(lo: float, hi: float) -> GridSpec:
 
 
 Objective = Callable[[np.ndarray], np.ndarray]
-# objective(rows, xs) with an int array `rows` evaluates row rows[k] at xs[k],
-# one golden-section probe per row; objective(row, x) with a lone int row
-# evaluates that row at one probe given as a 0-d np.float64, when it is the
-# only row being refined.  The lone probe is an np.float64, not a Python float,
-# so that errstate, inf and NaN behave as on arrays; its + - * / are the same
-# IEEE operations and a ufunc runs the same loop on it, so a row's probes give
-# the bits they give inside a block.  An objective that raises TypeError on the
-# 0-d probe, as one that takes len(xs) does, is probed at 1-element arrays for
-# the rest of that refinement instead.
-RowObjective = Callable[[int | np.ndarray, np.ndarray], np.ndarray]
+# refine_rows binds a row objective to the rows it refines once: objective(rows)
+# with an int array `rows` gives a probe whose probe(xs) evaluates row rows[k]
+# at xs[k], one golden-section probe per row, and objective(row) with a lone
+# int row gives a probe evaluated at one abscissa as a 0-d np.float64, when it
+# is the only row being refined.  The lone probe is an np.float64, not a Python
+# float, so that errstate, inf and NaN behave as on arrays; its + - * / are the
+# same IEEE operations and a ufunc runs the same loop on it, so a row's probes
+# give the bits they give inside a block.  A probe that raises TypeError on the
+# 0-d abscissa, as one that takes len(xs) does, is probed at 1-element arrays
+# for the rest of that refinement instead.
+RowObjective = Callable[[int | np.ndarray], Objective]
 
 
 def grid_optimize(
@@ -124,8 +128,7 @@ def grid_optimize(
     raises NonFinite; with True such points are treated as absent, and None
     is returned if none remain.
     """
-    return refine_rows(lambda _, xs: objective(xs), spec, [scan_grid(objective, spec, sense, skip_nonfinite)],
-                       sense)[0]
+    return refine_rows(lambda _: objective, spec, [scan_grid(objective, spec, sense, skip_nonfinite)], sense)[0]
 
 
 def _flip(sense: str) -> float:
@@ -187,48 +190,70 @@ def refine_rows(
     """Refine each row's best grid point, (grid index, value) as scan_grid gives it, into (x_best, value).
 
     A row runs spec.refine_iters golden-section iterations between the grid
-    neighbours of its point, and every row's next probe shares one objective
-    call (see RowObjective), so a block costs refine_iters + 2 probe calls
-    whatever its size, and each row gets exactly the abscissae and
-    comparisons it would get alone; a lone live row is probed at a 0-d
-    np.float64.  A None row stays None.
+    neighbours of its point.  objective is bound to the live rows once (see
+    RowObjective), and every row's next probe shares one call of the bound
+    probe, so a block costs refine_iters + 2 probe calls whatever its size.
+    The one algorithm has two forms: a lone live row runs the
+    _golden_section coroutine and is probed at a 0-d np.float64, and a
+    block of live rows moves every row's bracket, probes and incumbent
+    together as (rows,) arrays (_golden_section_rows).  Both make the same
+    IEEE operations and comparisons on a row, so each row gets exactly the
+    abscissae and the result it would get alone.  A None row stays None.
     """
     flip = _flip(sense)
     live = [row for row, b in enumerate(best) if b is not None]
-    # each live row's grid point between its neighbours, which bracket its refinement
-    last = spec.points - 1
-    near = spec.at([(max(best[row][0] - 1, 0), best[row][0], min(best[row][0] + 1, last)) for row in live]).tolist()
     found: list[tuple[float, float] | None] = [None] * len(best)
-    for row, (_, x, _) in zip(live, near):
-        found[row] = (x, flip * best[row][1])
+    iters, last = spec.refine_iters, spec.points - 1
+    # each live row's grid point between its neighbours, which bracket its refinement
+    if iters > 0 and len(live) == 1:
+        # a lone row's bracket, probes and incumbent stay Python floats: the block's array set-up
+        # and state cost a one-row search more than its probes take
+        (row,) = live
+        i, v = best[row]
+        a, x, b = spec.at([max(i - 1, 0), i, min(i + 1, last)]).tolist()
+        x, v = _refine_one(objective(row), flip, a, b, x, flip * v, iters)
+        found[row] = (x, flip * v)
+    elif live:
+        index, value = np.array([best[row] for row in live]).T
+        index = index.astype(np.intp)
+        a, x, b = spec.at(np.stack([np.maximum(index - 1, 0), index, np.minimum(index + 1, last)]))
+        if iters > 0:
+            probe = objective(np.array(live))
 
-    if live and spec.refine_iters > 0:
-        searches = [_golden_section(a, b, *found[row], spec.refine_iters) for row, (a, _, b) in zip(live, near)]
-        # Every live row takes its next probe in the same objective call; a
-        # lone row is probed as a plain int row, without fancy indexing.
-        lone = len(live) == 1
-        rows = live[0] if lone else np.array(live)
-        sends = [search.send for search in searches]
-        points = [next(search) for search in searches]
-        for _ in range(spec.refine_iters + 2):
-            if lone:
-                try:
-                    value = objective(rows, np.float64(points[0]))
-                except TypeError:
-                    # an objective written for arrays only (one that takes len() of its
-                    # abscissae) gets this search's probes as 1-element arrays
-                    lone = False
-            if lone:
-                # the value as a Python float, also where the objective gives it as a 1-element array
-                v = np.asarray(value, dtype=float).item()
-                points = [sends[0](flip * v if math.isfinite(v) else math.inf)]
-            else:
-                values = flip * np.asarray(objective(rows, np.array(points)), dtype=float).reshape(-1)
-                values[~np.isfinite(values)] = math.inf
-                points = [send(v) for send, v in zip(sends, values.tolist())]
-        for row, refined in zip(live, points):
+            def measure(xs: np.ndarray) -> np.ndarray:
+                values = flip * np.asarray(probe(xs), dtype=float).reshape(-1)
+                return np.where(values > -math.inf, values, math.inf)  # NaN and -inf read as inf
+
+            x, value = _golden_section_rows(measure, a, b, x, flip * value, iters)
+            value = flip * value
+        for row, refined in zip(live, zip(x.tolist(), value.tolist())):
             found[row] = refined
-    return [None if f is None else (f[0], flip * f[1]) for f in found]
+    return found
+
+
+def _refine_one(probe: Objective, flip: float, a: float, b: float, best_x: float, best_v: float,
+                iters: int) -> tuple[float, float]:
+    """_golden_section of one row, probed at 0-d np.float64s and its values times flip; the final incumbent.
+
+    A probe that raises TypeError on the 0-d abscissa, as one that takes
+    len(xs) does, is handed the rest of this search's probes as 1-element
+    arrays instead.
+    """
+    search = _golden_section(a, b, best_x, best_v, iters)
+    point = next(search)
+    scalar = True
+    for _ in range(iters + 2):
+        if scalar:
+            try:
+                value = probe(np.float64(point))
+            except TypeError:
+                scalar = False
+        if not scalar:
+            value = probe(np.array([point]))
+        # the value as a Python float, also where the probe gives it as a 1-element array
+        v = np.asarray(value, dtype=float).item()
+        point = search.send(flip * v if math.isfinite(v) else math.inf)
+    return point
 
 
 def _golden_section(a: float, b: float, best_x: float, best_v: float, iters: int):
@@ -260,6 +285,38 @@ def _golden_section(a: float, b: float, best_x: float, best_v: float, iters: int
             if f2 < best_v:
                 best_x, best_v = m2, f2
     yield best_x, best_v
+
+
+def _golden_section_rows(measure: Objective, a: np.ndarray, b: np.ndarray, best_x: np.ndarray,
+                         best_v: np.ndarray, iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """_golden_section of every row of (rows,) arrays at once: the brackets [a, b] and incumbents (best_x, best_v).
+
+    measure takes every row's probe in one array and gives the values there
+    (inf where not finite); the final incumbents are returned.  Each row
+    takes the branch its own f1 <= f2 picks, through np.where, and its
+    probes, values and incumbent get the same IEEE operations and strict
+    comparisons as in the coroutine, so every row ends with its bits.
+    """
+    step = _INV_PHI * (b - a)
+    m1, m2 = b - step, a + step
+    f1 = measure(m1)
+    f2 = measure(m2)
+    for x, v in ((m1, f1), (m2, f2)):
+        better = v < best_v
+        best_x, best_v = np.where(better, x, best_x), np.where(better, v, best_v)
+    for _ in range(iters):
+        # f1 <= f2 shrinks the bracket to [a, m2], whose upper probe is the old m1, and probes below
+        # it; otherwise to [m1, b], whose lower probe is the old m2, and probes above it
+        left = f1 <= f2
+        a, b = np.where(left, a, m1), np.where(left, m2, b)
+        step = _INV_PHI * (b - a)
+        x = np.where(left, b - step, a + step)
+        fx = measure(x)
+        m1, m2, f1, f2 = (np.where(left, x, m2), np.where(left, m1, x),
+                          np.where(left, fx, f2), np.where(left, f1, fx))
+        better = fx < best_v
+        best_x, best_v = np.where(better, x, best_x), np.where(better, fx, best_v)
+    return best_x, best_v
 
 
 def power_split_sweep(

@@ -11,6 +11,7 @@ print no traceback and leave strict JSON in --out.
 import contextlib
 import io
 import json
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -181,6 +182,20 @@ _TINY_PAIR = [(1e-160, 1e-160), (1e-160, 1e-160)]
 ])
 def test_an_overflow_inside_the_domain_keeps_the_contract(argv, users, code):
     assert run_main(argv, users)[0] == code
+
+
+@pytest.mark.parametrize("argv, users", [
+    # a subnormal power coefficient keeps about 28 bits: the closed form and the search rounded it apart, exit 4
+    (["noma", "INSTANCE", "--rate-bpcu=1e-310", "--certify"], [(0.0, -2.633), (-11.66, 5e-324)]),
+    (["noma", "INSTANCE", "--rate-bpcu=1e-310", "--certify"], [(-3.126, -3.126), (5.0, 5.0)]),
+    (["experiment", "--trials=2", "--set", "schemes=oma-powermin", "--set", "sweep=rate_bpcu", "--set",
+      "sweep_start=1e-310", "--set", "sweep_stop=1e-310", "--set", "sweep_points=1"], None),
+])
+def test_a_rate_target_whose_least_power_is_subnormal_exits_2_naming_it(argv, users):
+    code, out, err, _ = run_main(argv, users)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: rate target \S+ nats over \d slot\(s\) needs a least power coeff \* height_m\*\*2 "
+                        r"below the smallest normal float\n", err), err
 
 
 def test_statistics_of_huge_finite_trials_stay_finite():

@@ -236,13 +236,14 @@ def _full_scan(block, budgets, rate, spec):
     """The search's reference: a scan_grid of each row's sum rate over every grid point, then one refine_rows."""
     split, _ = oma_greedy._splitter(PARAMS, block, budgets, rate)
 
-    def objective(rows, xs):
-        return split(rows, xs)[4]
+    def objective(rows):
+        at = split(rows)
+        return lambda xs: at(xs)[4]
 
-    scanned = [scan_grid(lambda xs, row=row: objective(row, xs), spec, "max", skip_nonfinite=True)
-               for row in range(len(block))]
-    found = refine_rows(objective, spec, scanned, "max")
-    return oma_greedy._placed(split, [math.nan if f is None else f[0] for f in found])
+    with np.errstate(**oma_greedy._QUIET):
+        scanned = [scan_grid(objective(row), spec, "max", skip_nonfinite=True) for row in range(len(block))]
+        found = refine_rows(objective, spec, scanned, "max")
+        return oma_greedy._placed(split, [math.nan if f is None else f[0] for f in found])
 
 
 def _assert_same_placements(got, want):
@@ -252,22 +253,21 @@ def _assert_same_placements(got, want):
 
 
 def _spied_search(monkeypatch, block, budgets, rate, spec):
-    """best_placement_search's result and the number of sum rates of each of its evaluator calls."""
+    """best_placement_search's result and the number of sum rates of each of its evaluator calls.
+
+    Every evaluator call, the scan's, the refinement's and the final
+    placement's, is one _kkt call.
+    """
     sizes = []
-    real = oma_greedy._splitter
+    real = oma_greedy._kkt
 
-    def splitter(*args):
-        split, users = real(*args)
-
-        def spy(*call):
-            out = split(*call)
-            sizes.append(np.size(out[4]))
-            return out
-
-        return spy, users
+    def spy(*args):
+        out = real(*args)
+        sizes.append(np.size(out[4]))
+        return out
 
     with monkeypatch.context() as patch:
-        patch.setattr(oma_greedy, "_splitter", splitter)
+        patch.setattr(oma_greedy, "_kkt", spy)
         return best_placement_search(PARAMS, block, budgets, rate, spec), sizes
 
 
@@ -319,12 +319,12 @@ def test_an_interval_bound_is_at_least_the_sum_rate_anywhere_in_it(instance, dat
         starts = np.arange(0, spec.points, width)
         lengths = np.minimum(starts + width, spec.points) - starts
         lo, hi = grid[starts], grid[starts + lengths - 1]
-        bound = split(slice(None), lo[:, None], hi[:, None])[4]  # (intervals, layouts)
+        bound = split(slice(None))(lo[:, None], hi[:, None])[4]  # (intervals, layouts)
         # every grid point, then random points between each interval's ends
         off_grid = np.minimum(lo[:, None] + (hi - lo)[:, None] * fractions, hi[:, None])
         for xs, owner in ((grid, np.repeat(np.arange(len(starts)), lengths)),
                           (off_grid.ravel(), np.repeat(np.arange(len(starts)), len(fractions)))):
-            rates = split(slice(None), xs[:, None])[4]
+            rates = split(slice(None))(xs[:, None])[4]
             assert not np.any(rates > bound[owner]), f"a sum rate exceeds its {width}-point interval's bound"
 
 
@@ -336,9 +336,9 @@ def test_a_one_point_interval_bound_is_the_sum_rate_there_bit_for_bit(instance):
     split, _ = oma_greedy._splitter(PARAMS, block, budgets, rate)
     grid = spec.abscissae()[:, None]
     rows = np.broadcast_to(np.arange(len(block)), (spec.points, len(block)))
-    want = split(rows, grid)[4]
-    assert split(rows, grid, grid)[4].tobytes() == want.tobytes()
-    assert split(slice(None), grid, grid)[4].tobytes() == want.tobytes()
+    want = split(rows)(grid)[4]
+    assert split(rows)(grid, grid)[4].tobytes() == want.tobytes()
+    assert split(slice(None))(grid, grid)[4].tobytes() == want.tobytes()
 
 
 def _random_pairs(gen, count):

@@ -295,10 +295,15 @@ def _poly(a, b, c, xs):
     return (xs - a) ** 2 * (xs - b) ** 2 + c * xs
 
 
+def _bound(objective):
+    """objective(rows, xs) as the row objective refine_rows binds to its rows."""
+    return lambda rows: lambda xs: objective(rows, xs)
+
+
 def _search_rows(objective, spec, rows, sense="min", skip_nonfinite=False):
-    """A search of rows objectives: each row scanned alone by scan_grid, then all refined in one refine_rows."""
+    """A search of the rows of objective(rows, xs): each scanned alone by scan_grid, then all in one refine_rows."""
     scanned = [scan_grid(lambda xs, row=row: objective(row, xs), spec, sense, skip_nonfinite) for row in range(rows)]
-    return refine_rows(objective, spec, scanned, sense)
+    return refine_rows(_bound(objective), spec, scanned, sense)
 
 
 def _poly_rows(coeffs):
@@ -372,18 +377,70 @@ def test_the_scan_gives_grid_points_and_the_refinement_starts_from_any(sense):
     for (i, v), single in zip((scanned[0], scanned[2]), (singles[0], singles[2])):
         grid = single(spec.abscissae())
         assert i == int(grid.argmin() if sense == "min" else grid.argmax()) and v == grid[i]
-    assert refine_rows(holed, spec, scanned, sense) == [grid_optimize(singles[0], spec, sense), None,
-                                                        grid_optimize(singles[2], spec, sense)]
+    assert refine_rows(_bound(holed), spec, scanned, sense) == [grid_optimize(singles[0], spec, sense), None,
+                                                                grid_optimize(singles[2], spec, sense)]
     # without refinement a row keeps its grid point; a point found another way refines from there
-    assert refine_rows(holed, GridSpec(-4.0, 4.0, 81), scanned, sense)[0] == (float(spec.at([scanned[0][0]])[0]),
-                                                                          scanned[0][1])
+    assert refine_rows(_bound(holed), GridSpec(-4.0, 4.0, 81), scanned, sense)[0] == (
+        float(spec.at([scanned[0][0]])[0]), scanned[0][1])
     start = [(40, float(singles[0](spec.at([40]))[0])), None, None]
-    (x, v), none, _ = refine_rows(holed, spec, start, sense)
+    (x, v), none, _ = refine_rows(_bound(holed), spec, start, sense)
     assert none is None and -0.1 <= x <= 0.1 and (v <= start[0][1] if sense == "min" else v >= start[0][1])
 
 
 def test_rows_of_an_empty_block():
-    assert refine_rows(lambda rows, xs: xs, GridSpec(lo=0.0, hi=1.0, points=11), []) == []
+    assert refine_rows(lambda rows: lambda xs: xs, GridSpec(lo=0.0, hi=1.0, points=11), []) == []
+
+
+_VALUES = [0.0, -0.0, 1.0, -1.0, 2.5, math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def _refinements(draw):
+    """A row objective of 2-9 elementwise rows, each a step function of a few values (ties, plateaus,
+    NaN and infinities) plus, on some rows, a parabola, with one best grid point or None per row."""
+    rows = draw(st.integers(2, 9))
+    lo = draw(st.floats(-10.0, 0.0))
+    spec = GridSpec(lo, lo + draw(st.floats(0.5, 10.0)), draw(st.sampled_from([3, 4, 50, 301])),
+                    draw(st.sampled_from([0, 1, 40])))
+    cells = draw(st.integers(1, 12))
+    steps = np.array(draw(st.lists(st.lists(st.sampled_from(_VALUES), min_size=cells, max_size=cells),
+                                   min_size=rows, max_size=rows)))
+    curved = np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
+    centres = np.array(draw(st.lists(st.floats(spec.lo, spec.hi), min_size=rows, max_size=rows)))
+
+    def value(rows, xs):
+        cell = np.minimum(np.maximum((xs - spec.lo) / (spec.hi - spec.lo) * cells, 0), cells - 1).astype(np.intp)
+        step = steps[rows, cell]
+        return np.where(curved[rows], step + (xs - centres[rows]) ** 2, step)
+
+    last = spec.points - 1
+    index = st.one_of(st.just(0), st.just(last), st.integers(0, last))
+    best = [(i, draw(st.floats(-1e3, 1e3))) for i in draw(st.lists(index, min_size=rows, max_size=rows))]
+    live = draw(st.one_of(st.sets(st.integers(0, rows - 1)), st.integers(0, rows - 1).map(lambda k: {k})))
+    return value, spec, [b if k in live else None for k, b in enumerate(best)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(refinement=_refinements(), sense=st.sampled_from(["min", "max"]))
+def test_a_block_refines_each_row_as_it_refines_that_row_alone(refinement, sense):
+    # a block moves its rows in lockstep arrays; a lone live row runs the coroutine
+    value, spec, best = refinement
+    binds, calls = [], []
+
+    def objective(rows):
+        binds.append(rows)
+        return lambda xs: calls.append(np.shape(xs)) or value(rows, xs)
+
+    got = refine_rows(objective, spec, best, sense)
+    live = [k for k, b in enumerate(best) if b is not None]
+    refined = bool(live) and spec.refine_iters > 0
+    assert len(binds) == refined and len(calls) == refined * (spec.refine_iters + 2)
+    for k in range(len(best)):
+        alone = refine_rows(lambda row: lambda xs: value(row, xs), spec,
+                            [b if j == k else None for j, b in enumerate(best)], sense)
+        assert (got[k] is None) == (best[k] is None) and all(f is None for j, f in enumerate(alone) if j != k)
+        if got[k] is not None:
+            assert np.array(got[k]).tobytes() == np.array(alone[k]).tobytes(), (k, got[k], alone[k])
 
 
 # --- a lone row: probed at a 0-d np.float64, with the bits it gets inside a block ------
@@ -436,14 +493,17 @@ def test_lone_greedy_row_matches_its_row_in_a_block(monkeypatch):
     block = LayoutBlock(gen.uniform(-20.0, 20.0, (3, 2)), gen.uniform(-5.0, 5.0, (3, 2)))
     budgets, rate = dbm_to_watt(30.0) * gen.uniform(0.5, 2.0, 3), bpcu_to_nats(1.0)
     spec = GridSpec(lo=-20.0, hi=20.0, points=2001, refine_iters=40)
-    # the search refines its pruned scan's winners with the objective it hands to refine_rows
+    # the search refines its pruned scan's winners with the row objective it hands to refine_rows,
+    # which evaluates every sum rate of the refinement
     (whole,) = _captured(monkeypatch, oma_greedy, "refine_rows",
                          lambda: oma_greedy.best_placement_search(PARAMS, block, budgets, rate, spec))
     for row in range(3):
         (alone,) = _captured(monkeypatch, oma_greedy, "refine_rows",
                              lambda: oma_greedy.best_placement_search(PARAMS, block[row:row + 1], budgets[row],
                                                                       rate, spec))
-        _assert_lone_row_matches_its_block_row(whole, row, alone, spec, "max")
+        with np.errstate(**oma_greedy._QUIET):
+            _assert_lone_row_matches_its_block_row(lambda rows, xs: whole(rows)(xs), row,
+                                                   lambda rows, xs: alone(rows)(xs), spec, "max")
 
 
 def test_lone_noma_row_matches_its_row_in_a_block(monkeypatch):
