@@ -132,7 +132,7 @@ def _splitter(params: SystemParams, block: LayoutBlock, total_w, rate_nats: floa
     """Check a route's inputs once and return the block's evaluator split and its users.
 
     split(rows) binds the evaluator to rows of block (an int, an int array or
-    slice(None)): it gathers their users and budgets (each row its own when
+    a slice): it gathers their users and budgets (each row its own when
     total_w is a column) once, and returns at(xs, hi=None), _kkt of those
     rows at positions xs that broadcast against them; given hi, at is _kkt
     at each user's nearest point of [xs, hi], whose sum rate bounds every
@@ -165,17 +165,28 @@ def _splitter(params: SystemParams, block: LayoutBlock, total_w, rate_nats: floa
     column = budgets.ndim > 0
 
     def split(rows):
-        # a float budget stays a float, which is cheaper than a 0-d array in a one-row call
-        budget, users = budgets[rows] if column else total_w, tuple(columns[:, rows])
+        # a float budget stays a float, which is cheaper than a 0-d array in a one-row call; take
+        # gathers the rows of an index faster than indexing with it does
+        if isinstance(rows, slice):
+            budget, users = budgets[rows] if column else total_w, tuple(columns[:, rows])
+        else:
+            budget, users = budgets.take(rows) if column else total_w, tuple(columns.take(rows, axis=1))
         return lambda xs, hi=None: _kkt(params, gain, coeff, budget, *_geometry(params, users, xs, hi))
 
     return split, columns
 
 
 def _placed(split, xs) -> GreedyPlacement:
-    """The optimal split, sum rate and KKT case of each layout at its position in xs (NaN for none)."""
+    """The optimal split, sum rate and KKT case of each layout at its position in xs (NaN for none).
+
+    The layouts are evaluated in slices of at most SCAN_SLICE; _kkt is elementwise, so no bit depends on them.
+    """
     xs = np.asarray(xs, dtype=float)
-    p1, p2, pin_2, pin_1, rate = split(slice(None))(xs)
+    if len(xs) <= SCAN_SLICE:  # one call, which spares a block of one slice the joins
+        p1, p2, pin_2, pin_1, rate = split(slice(None))(xs)
+    else:
+        sliced = zip(*(split(slice(i, i + SCAN_SLICE))(xs[i:i + SCAN_SLICE]) for i in range(0, len(xs), SCAN_SLICE)))
+        p1, p2, pin_2, pin_1, rate = (np.concatenate(field) for field in sliced)
     return GreedyPlacement(PlacementSolution(x_star=xs, powers=np.stack([p1, p2], axis=1), objective=rate),
                            _cases(pin_2, pin_1))
 
@@ -209,9 +220,12 @@ def best_placement_search(
     each piece kept by the level above), and drops a piece whose bound is
     -inf or below its layout's incumbent by more than _PRUNE_SLACK.  The
     last level evaluates the surviving grid points themselves, and
-    refine_rows then refines each layout's best point as after a full scan.
-    No evaluator call takes more than SCAN_SLICE points (_pruned_scan).  A
-    layout's x_star is NaN where no grid point is feasible.
+    refine_rows then refines each layout's best point as after a full scan,
+    probing three points per layout in each call.  No evaluator call takes
+    more than SCAN_SLICE points: _pruned_scan and _placed evaluate in slices
+    of at most that many, and refine_rows refines a block in chunks of at
+    most SCAN_SLICE // 3 layouts.  A layout's x_star is NaN where no grid
+    point is feasible.
     """
     split, _ = _splitter(params, block, total_w, rate_nats)
     # layouts per pruned scan: as many as keep its first level (each layout's pieces and two

@@ -19,8 +19,10 @@ objective in this package is).  The refinement is one algorithm in two forms:
 the _golden_section coroutine for a lone live row, probed at a 0-d
 np.float64, and _golden_section_rows for a block, whose rows move in lockstep
 (rows,) arrays with the coroutine's IEEE operations, so a row's bits do not
-depend on the form; a block still costs refine_iters + 2 probe calls (see
-RowObjective).
+depend on the form.  A lone row costs refine_iters + 2 probe calls; a block
+makes two iterations per call, probing each row's next abscissa with both it
+could probe after that, so it costs 1 + ceil(refine_iters / 2) calls per
+chunk of at most SCAN_SLICE // 3 rows (see RowObjective).
 """
 
 from __future__ import annotations
@@ -102,15 +104,19 @@ def certification_grid(lo: float, hi: float) -> GridSpec:
 Objective = Callable[[np.ndarray], np.ndarray]
 # refine_rows binds a row objective to the rows it refines once: objective(rows)
 # with an int array `rows` gives a probe whose probe(xs) evaluates row rows[k]
-# at xs[k], one golden-section probe per row, and objective(row) with a lone
-# int row gives a probe evaluated at one abscissa as a 0-d np.float64, when it
-# is the only row being refined.  The lone probe is an np.float64, not a Python
-# float, so that errstate, inf and NaN behave as on arrays; its + - * / are the
-# same IEEE operations and a ufunc runs the same loop on it, so a row's probes
-# give the bits they give inside a block.  A probe that raises TypeError on the
-# 0-d abscissa, as one that takes len(xs) does, is probed at 1-element arrays
-# for the rest of that refinement instead.
+# at xs[k], and objective(row) with a lone int row gives a probe evaluated at
+# one abscissa as a 0-d np.float64, when it is the only row being refined.  A
+# bound array may repeat rows: a block binds three copies of its live rows,
+# np.tile(live, 3), for the three probes that each call makes per row.  The
+# lone probe is an np.float64, not a Python float, so that errstate, inf and
+# NaN behave as on arrays; its + - * / are the same IEEE operations and a
+# ufunc runs the same loop on it, so a row's probes give the bits they give
+# inside a block.  A probe that raises TypeError on the 0-d abscissa, as one
+# that takes len(xs) does, is probed at 1-element arrays for the rest of that
+# refinement instead.
 RowObjective = Callable[[int | np.ndarray], Objective]
+# a block's refinement probes three (rows,) arrays of abscissae in one call and reads (3, rows) values
+_Measure = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 def grid_optimize(
@@ -190,15 +196,18 @@ def refine_rows(
     """Refine each row's best grid point, (grid index, value) as scan_grid gives it, into (x_best, value).
 
     A row runs spec.refine_iters golden-section iterations between the grid
-    neighbours of its point.  objective is bound to the live rows once (see
-    RowObjective), and every row's next probe shares one call of the bound
-    probe, so a block costs refine_iters + 2 probe calls whatever its size.
-    The one algorithm has two forms: a lone live row runs the
-    _golden_section coroutine and is probed at a 0-d np.float64, and a
-    block of live rows moves every row's bracket, probes and incumbent
-    together as (rows,) arrays (_golden_section_rows).  Both make the same
-    IEEE operations and comparisons on a row, so each row gets exactly the
-    abscissae and the result it would get alone.  A None row stays None.
+    neighbours of its point.  The one algorithm has two forms.  A lone live
+    row runs the _golden_section coroutine, probed at a 0-d np.float64 in
+    refine_iters + 2 calls.  A block of live rows moves every row's bracket,
+    probes and incumbent together as (rows,) arrays (_golden_section_rows),
+    two iterations per call, in chunks of at most SCAN_SLICE // 3 live rows:
+    objective is bound once per chunk, to three copies of its rows (see
+    RowObjective), and each call probes every row of the chunk at three
+    abscissae, so no call takes more than SCAN_SLICE of them and a chunk
+    costs 1 + ceil(refine_iters / 2) probe calls whatever its size.  Both
+    forms make the same IEEE operations and comparisons on a row, so each
+    row gets exactly the abscissae and the result it would get alone.  A
+    None row stays None.
     """
     flip = _flip(sense)
     live = [row for row, b in enumerate(best) if b is not None]
@@ -218,17 +227,29 @@ def refine_rows(
         index = index.astype(np.intp)
         a, x, b = spec.at(np.stack([np.maximum(index - 1, 0), index, np.minimum(index + 1, last)]))
         if iters > 0:
-            probe = objective(np.array(live))
-
-            def measure(xs: np.ndarray) -> np.ndarray:
-                values = flip * np.asarray(probe(xs), dtype=float).reshape(-1)
-                return np.where(values > -math.inf, values, math.inf)  # NaN and -inf read as inf
-
-            x, value = _golden_section_rows(measure, a, b, x, flip * value, iters)
+            # three probes per row share a call, so a chunk of SCAN_SLICE // 3 rows fills one slice
+            rows, chunk, value = np.array(live), SCAN_SLICE // 3, flip * value
+            for first in range(0, len(live), chunk):
+                part = slice(first, first + chunk)
+                x[part], value[part] = _golden_section_rows(_measure(objective(np.tile(rows[part], 3)), flip),
+                                                            a[part], b[part], x[part], value[part], iters)
             value = flip * value
         for row, refined in zip(live, zip(x.tolist(), value.tolist())):
             found[row] = refined
     return found
+
+
+def _measure(probe: Objective, flip: float) -> _Measure:
+    """_golden_section_rows' measure of a probe bound to three copies of a chunk's rows.
+
+    It probes three (rows,) arrays of abscissae in one call and gives the
+    values times flip as a (3, rows) array, NaN and -inf read as inf.
+    """
+    def measure(*xs: np.ndarray) -> np.ndarray:
+        values = flip * np.asarray(probe(np.concatenate(xs)), dtype=float).reshape(3, -1)
+        return np.where(values > -math.inf, values, math.inf)
+
+    return measure
 
 
 def _refine_one(probe: Objective, flip: float, a: float, b: float, best_x: float, best_v: float,
@@ -287,31 +308,48 @@ def _golden_section(a: float, b: float, best_x: float, best_v: float, iters: int
     yield best_x, best_v
 
 
-def _golden_section_rows(measure: Objective, a: np.ndarray, b: np.ndarray, best_x: np.ndarray,
+def _golden_section_rows(measure: _Measure, a: np.ndarray, b: np.ndarray, best_x: np.ndarray,
                          best_v: np.ndarray, iters: int) -> tuple[np.ndarray, np.ndarray]:
     """_golden_section of every row of (rows,) arrays at once: the brackets [a, b] and incumbents (best_x, best_v).
 
-    measure takes every row's probe in one array and gives the values there
-    (inf where not finite); the final incumbents are returned.  Each row
-    takes the branch its own f1 <= f2 picks, through np.where, and its
-    probes, values and incumbent get the same IEEE operations and strict
-    comparisons as in the coroutine, so every row ends with its bits.
+    measure takes three (rows,) arrays of probes in one call and gives the
+    values there as a (3, rows) array (inf where not finite); the final
+    incumbents are returned.  Each call makes two iterations: it probes this
+    iteration's x together with both probes the next iteration could make,
+    one for either outcome of x, and then applies both iterations with the
+    values found.  So the opening pair shares one call (its third slot is
+    unused), as does an odd last iteration with two probes it does not use,
+    and the search costs 1 + ceil(iters / 2) calls.  Each row takes the
+    branch its own f1 <= f2 picks, through np.where, and its probes, values
+    and incumbent get the same IEEE operations and strict comparisons as in
+    the coroutine, so every row ends with its bits.
     """
     step = _INV_PHI * (b - a)
     m1, m2 = b - step, a + step
-    f1 = measure(m1)
-    f2 = measure(m2)
+    f1, f2, _ = measure(m1, m2, m2)
     for x, v in ((m1, f1), (m2, f2)):
         better = v < best_v
         best_x, best_v = np.where(better, x, best_x), np.where(better, v, best_v)
-    for _ in range(iters):
+    for done in range(0, iters, 2):
         # f1 <= f2 shrinks the bracket to [a, m2], whose upper probe is the old m1, and probes below
         # it; otherwise to [m1, b], whose lower probe is the old m2, and probes above it
         left = f1 <= f2
         a, b = np.where(left, a, m1), np.where(left, m2, b)
         step = _INV_PHI * (b - a)
         x = np.where(left, b - step, a + step)
-        fx = measure(x)
+        m1, m2 = np.where(left, x, m2), np.where(left, m1, x)
+        # the next iteration probes below m2 (its bracket [a, m2]) if x leaves f1 <= f2, and above m1
+        # (its bracket [m1, b]) if not
+        below, above = m2 - _INV_PHI * (m2 - a), m1 + _INV_PHI * (b - m1)
+        fx, f_below, f_above = measure(x, below, above)
+        f1, f2 = np.where(left, fx, f2), np.where(left, f1, fx)
+        better = fx < best_v
+        best_x, best_v = np.where(better, x, best_x), np.where(better, fx, best_v)
+        if done + 1 == iters:
+            break
+        left = f1 <= f2
+        a, b = np.where(left, a, m1), np.where(left, m2, b)
+        x, fx = np.where(left, below, above), np.where(left, f_below, f_above)
         m1, m2, f1, f2 = (np.where(left, x, m2), np.where(left, m1, x),
                           np.where(left, fx, f2), np.where(left, f1, fx))
         better = fx < best_v

@@ -279,14 +279,17 @@ def test_pruned_search_equals_a_full_scan_bit_for_bit(instance):
                             _full_scan(block, budgets, rate, spec))
 
 
-@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("rows", [1, 3, SCAN_SLICE + 5])
 def test_no_search_call_takes_more_than_a_scan_slice(monkeypatch, rows):
+    # a grid of more than a slice, and a block of more than a slice, on a coarse grid to keep its full scan
+    # short: the refinement probes each live layout three times per call and the placement once
     gen = rng.stream(33, rng.DOMAIN_TESTS, 39)
     block = LayoutBlock(gen.uniform(-_HL, _HL, (rows, 2)), gen.uniform(-_HW, _HW, (rows, 2)))
     budgets, rate = dbm_to_watt(gen.uniform(20.0, 40.0, rows)), bpcu_to_nats(1.0)
-    spec = GridSpec(-_HL, _HL, 300001, 8)
+    spec = GridSpec(-_HL, _HL, 300001, 8) if rows < SCAN_SLICE else GridSpec(-_HL, _HL, 21, 3)
     got, sizes = _spied_search(monkeypatch, block, budgets, rate, spec)
     assert max(sizes) <= SCAN_SLICE, f"an evaluator call of {max(sizes)} points"
+    assert np.isfinite(got.solution.objective).all()
     _assert_same_placements(got, _full_scan(block, budgets, rate, spec))
 
 

@@ -332,6 +332,29 @@ def test_rows_equal_one_row_searches(sense):
         assert v == single(np.array([x]))[0]
 
 
+def test_a_block_refined_in_chunks_equals_one_row_searches():
+    # three probes per row share a call, so a block of more than SCAN_SLICE // 3 live rows is refined in
+    # chunks of at most that many; an odd refine_iters runs the last call's unused probes too
+    chunk = SCAN_SLICE // 3
+    gen = rng.stream(5, rng.DOMAIN_TESTS, 12)
+    coeffs = [tuple(float(v) for v in gen.uniform(-4, 4, 3)) for _ in range(chunk + 2)]
+    objective, singles = _poly_rows(coeffs)
+    spec = GridSpec(lo=-6.0, hi=6.0, points=41, refine_iters=7)
+    binds, calls = [], []
+
+    def bound(rows):
+        binds.append(len(rows))
+        return lambda xs: calls.append(len(xs)) or objective(rows, xs)
+
+    scanned = [scan_grid(single, spec) for single in singles]
+    got = refine_rows(bound, spec, scanned)
+    assert binds == [3 * chunk, 3 * 2] and max(calls) == SCAN_SLICE - SCAN_SLICE % 3
+    assert len(calls) == 2 * (1 + -(-spec.refine_iters // 2))
+    # the first and last rows and both sides of the chunk boundary among them
+    for row in range(len(coeffs)):
+        assert np.array(got[row]).tobytes() == np.array(grid_optimize(singles[row], spec)).tobytes(), row
+
+
 def test_rows_break_ties_toward_the_smallest_abscissa():
     spec = GridSpec(lo=-2.0, hi=2.0, points=41, refine_iters=10)  # +-1 and +-0.5 land on the grid
     roots = np.array([1.0, 0.25, 0.0])  # minima at x = +-1, x = +-0.5 and a flat row
@@ -401,7 +424,7 @@ def _refinements(draw):
     rows = draw(st.integers(2, 9))
     lo = draw(st.floats(-10.0, 0.0))
     spec = GridSpec(lo, lo + draw(st.floats(0.5, 10.0)), draw(st.sampled_from([3, 4, 50, 301])),
-                    draw(st.sampled_from([0, 1, 40])))
+                    draw(st.sampled_from([0, 1, 2, 3, 40])))
     cells = draw(st.integers(1, 12))
     steps = np.array(draw(st.lists(st.lists(st.sampled_from(_VALUES), min_size=cells, max_size=cells),
                                    min_size=rows, max_size=rows)))
@@ -423,18 +446,23 @@ def _refinements(draw):
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(refinement=_refinements(), sense=st.sampled_from(["min", "max"]))
 def test_a_block_refines_each_row_as_it_refines_that_row_alone(refinement, sense):
-    # a block moves its rows in lockstep arrays; a lone live row runs the coroutine
+    # a block moves its rows in lockstep arrays, two iterations per probe call; a lone live row runs
+    # the coroutine, one probe per call
     value, spec, best = refinement
     binds, calls = [], []
 
     def objective(rows):
         binds.append(rows)
-        return lambda xs: calls.append(np.shape(xs)) or value(rows, xs)
+        return lambda xs: calls.append(np.size(xs)) or value(rows, xs)
 
     got = refine_rows(objective, spec, best, sense)
     live = [k for k, b in enumerate(best) if b is not None]
-    refined = bool(live) and spec.refine_iters > 0
-    assert len(binds) == refined and len(calls) == refined * (spec.refine_iters + 2)
+    iters, lone = spec.refine_iters, len(live) == 1
+    refined = bool(live) and iters > 0
+    # a lone row is bound alone, and a block once, to three copies of its live rows
+    assert len(binds) == refined and all(np.array_equal(rows, live[0] if lone else np.tile(live, 3)) for rows in binds)
+    assert len(calls) == refined * (iters + 2 if lone else 1 + -(-iters // 2))
+    assert max(calls, default=0) <= SCAN_SLICE
     for k in range(len(best)):
         alone = refine_rows(lambda row: lambda xs: value(row, xs), spec,
                             [b if j == k else None for j, b in enumerate(best)], sense)
