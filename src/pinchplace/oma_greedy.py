@@ -132,7 +132,7 @@ def _splitter(params: SystemParams, block: LayoutBlock, total_w, rate_nats: floa
     """Check a route's inputs once and return the block's evaluator split and its users.
 
     split(rows) binds the evaluator to rows of block (an int, an int array or
-    a slice): it gathers their users and budgets (each row its own when
+    slice(None)): it gathers their users and budgets (each row its own when
     total_w is a column) once, and returns at(xs, hi=None), _kkt of those
     rows at positions xs that broadcast against them; given hi, at is _kkt
     at each user's nearest point of [xs, hi], whose sum rate bounds every
@@ -165,28 +165,17 @@ def _splitter(params: SystemParams, block: LayoutBlock, total_w, rate_nats: floa
     column = budgets.ndim > 0
 
     def split(rows):
-        # a float budget stays a float, which is cheaper than a 0-d array in a one-row call; take
-        # gathers the rows of an index faster than indexing with it does
-        if isinstance(rows, slice):
-            budget, users = budgets[rows] if column else total_w, tuple(columns[:, rows])
-        else:
-            budget, users = budgets.take(rows) if column else total_w, tuple(columns.take(rows, axis=1))
+        # a float budget stays a float, which is cheaper than a 0-d array in a one-row call
+        budget, users = budgets[rows] if column else total_w, tuple(columns[:, rows])
         return lambda xs, hi=None: _kkt(params, gain, coeff, budget, *_geometry(params, users, xs, hi))
 
     return split, columns
 
 
-def _placed(split, xs) -> GreedyPlacement:
-    """The optimal split, sum rate and KKT case of each layout at its position in xs (NaN for none).
-
-    The layouts are evaluated in slices of at most SCAN_SLICE; _kkt is elementwise, so no bit depends on them.
-    """
+def _placed(split, layouts: int, xs) -> GreedyPlacement:
+    """The optimal split, sum rate and KKT case of each of a block's layouts at its position in xs (NaN for none)."""
     xs = np.asarray(xs, dtype=float)
-    if len(xs) <= SCAN_SLICE:  # one call, which spares a block of one slice the joins
-        p1, p2, pin_2, pin_1, rate = split(slice(None))(xs)
-    else:
-        sliced = zip(*(split(slice(i, i + SCAN_SLICE))(xs[i:i + SCAN_SLICE]) for i in range(0, len(xs), SCAN_SLICE)))
-        p1, p2, pin_2, pin_1, rate = (np.concatenate(field) for field in sliced)
+    p1, p2, pin_2, pin_1, rate = map(np.concatenate, _sliced(split, np.arange(layouts), np.broadcast_to(xs, layouts)))
     return GreedyPlacement(PlacementSolution(x_star=xs, powers=np.stack([p1, p2], axis=1), objective=rate),
                            _cases(pin_2, pin_1))
 
@@ -197,7 +186,7 @@ def split_power(params: SystemParams, block: LayoutBlock, total_w, rate_nats: fl
 
     Raises ValueError when a budget is not positive or not finite or a user is outside the service area.
     """
-    return _placed(_splitter(params, block, total_w, rate_nats)[0], xs)
+    return _placed(_splitter(params, block, total_w, rate_nats)[0], len(block), xs)
 
 
 @np.errstate(**_QUIET)
@@ -235,7 +224,7 @@ def best_placement_search(
     for first in range(0, len(block), chunk):
         best += _pruned_scan(split, spec, block.xs[first:first + chunk], first)
     found = refine_rows(lambda rows: _sum_rate(split(rows)), spec, best, sense="max")
-    return _placed(split, [math.nan if f is None else f[0] for f in found])
+    return _placed(split, len(block), [math.nan if f is None else f[0] for f in found])
 
 
 def _pruned_scan(split, spec: GridSpec, xs: np.ndarray, first: int) -> list[tuple[int, float] | None]:
@@ -307,10 +296,19 @@ def _sum_rate(at):
     return lambda xs: at(xs)[4]
 
 
+def _sliced(split, rows: np.ndarray, *arrays: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
+    """split(rows)(xs[, hi]) for arrays (xs[, hi]) in calls of at most SCAN_SLICE points: each _kkt field's pieces.
+
+    _kkt is elementwise, so joining a field's pieces gives the bits of one call.  No rows make one
+    empty call, so that every field has a piece.
+    """
+    return tuple(zip(*(split(rows[i:i + SCAN_SLICE])(*(a[i:i + SCAN_SLICE] for a in arrays))
+                       for i in range(0, len(rows) or 1, SCAN_SLICE))))
+
+
 def _rates(split, rows: np.ndarray, *arrays: np.ndarray) -> np.ndarray:
     """split(rows)(xs[, hi])'s sum rates for arrays (xs[, hi]), in calls of at most SCAN_SLICE points."""
-    return np.concatenate([split(rows[i:i + SCAN_SLICE])(*(a[i:i + SCAN_SLICE] for a in arrays))[4]
-                           for i in range(0, len(rows), SCAN_SLICE)])
+    return np.concatenate(_sliced(split, rows, *arrays)[4])
 
 
 def _cbrt(v: np.ndarray) -> np.ndarray:

@@ -115,8 +115,6 @@ Objective = Callable[[np.ndarray], np.ndarray]
 # that takes len(xs) does, is probed at 1-element arrays for the rest of that
 # refinement instead.
 RowObjective = Callable[[int | np.ndarray], Objective]
-# a block's refinement probes three (rows,) arrays of abscissae in one call and reads (3, rows) values
-_Measure = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 def grid_optimize(
@@ -231,25 +229,17 @@ def refine_rows(
             rows, chunk, value = np.array(live), SCAN_SLICE // 3, flip * value
             for first in range(0, len(live), chunk):
                 part = slice(first, first + chunk)
-                x[part], value[part] = _golden_section_rows(_measure(objective(np.tile(rows[part], 3)), flip),
-                                                            a[part], b[part], x[part], value[part], iters)
+                probe = objective(np.tile(rows[part], 3))
+
+                def measure(*xs: np.ndarray) -> np.ndarray:
+                    values = flip * np.asarray(probe(np.concatenate(xs)), dtype=float).reshape(3, -1)
+                    return np.where(values > -math.inf, values, math.inf)  # NaN and -inf read as inf
+
+                x[part], value[part] = _golden_section_rows(measure, a[part], b[part], x[part], value[part], iters)
             value = flip * value
         for row, refined in zip(live, zip(x.tolist(), value.tolist())):
             found[row] = refined
     return found
-
-
-def _measure(probe: Objective, flip: float) -> _Measure:
-    """_golden_section_rows' measure of a probe bound to three copies of a chunk's rows.
-
-    It probes three (rows,) arrays of abscissae in one call and gives the
-    values times flip as a (3, rows) array, NaN and -inf read as inf.
-    """
-    def measure(*xs: np.ndarray) -> np.ndarray:
-        values = flip * np.asarray(probe(np.concatenate(xs)), dtype=float).reshape(3, -1)
-        return np.where(values > -math.inf, values, math.inf)
-
-    return measure
 
 
 def _refine_one(probe: Objective, flip: float, a: float, b: float, best_x: float, best_v: float,
@@ -308,7 +298,7 @@ def _golden_section(a: float, b: float, best_x: float, best_v: float, iters: int
     yield best_x, best_v
 
 
-def _golden_section_rows(measure: _Measure, a: np.ndarray, b: np.ndarray, best_x: np.ndarray,
+def _golden_section_rows(measure: Callable[..., np.ndarray], a: np.ndarray, b: np.ndarray, best_x: np.ndarray,
                          best_v: np.ndarray, iters: int) -> tuple[np.ndarray, np.ndarray]:
     """_golden_section of every row of (rows,) arrays at once: the brackets [a, b] and incumbents (best_x, best_v).
 
@@ -326,7 +316,7 @@ def _golden_section_rows(measure: _Measure, a: np.ndarray, b: np.ndarray, best_x
     """
     step = _INV_PHI * (b - a)
     m1, m2 = b - step, a + step
-    f1, f2, _ = measure(m1, m2, m2)
+    f1, f2, _ = measure(m1, m2, m2)  # the probe takes three abscissae a row, so m2 fills the third
     for x, v in ((m1, f1), (m2, f2)):
         better = v < best_v
         best_x, best_v = np.where(better, x, best_x), np.where(better, v, best_v)

@@ -243,7 +243,7 @@ def _full_scan(block, budgets, rate, spec):
     with np.errstate(**oma_greedy._QUIET):
         scanned = [scan_grid(objective(row), spec, "max", skip_nonfinite=True) for row in range(len(block))]
         found = refine_rows(objective, spec, scanned, "max")
-        return oma_greedy._placed(split, [math.nan if f is None else f[0] for f in found])
+        return oma_greedy._placed(split, len(block), [math.nan if f is None else f[0] for f in found])
 
 
 def _assert_same_placements(got, want):
