@@ -165,8 +165,12 @@ def _splitter(params: SystemParams, block: LayoutBlock, total_w, rate_nats: floa
     column = budgets.ndim > 0
 
     def split(rows):
-        # a float budget stays a float, which is cheaper than a 0-d array in a one-row call
-        budget, users = budgets[rows] if column else total_w, tuple(columns[:, rows])
+        # a float budget stays a float, which is cheaper than a 0-d array in a one-row call, and take
+        # gathers the rows of an index array faster than indexing with it does
+        if isinstance(rows, np.ndarray):
+            budget, users = budgets.take(rows) if column else total_w, tuple(columns.take(rows, axis=1))
+        else:
+            budget, users = budgets[rows] if column else total_w, tuple(columns[:, rows])
         return lambda xs, hi=None: _kkt(params, gain, coeff, budget, *_geometry(params, users, xs, hi))
 
     return split, columns
@@ -175,7 +179,8 @@ def _splitter(params: SystemParams, block: LayoutBlock, total_w, rate_nats: floa
 def _placed(split, layouts: int, xs) -> GreedyPlacement:
     """The optimal split, sum rate and KKT case of each of a block's layouts at its position in xs (NaN for none)."""
     xs = np.asarray(xs, dtype=float)
-    p1, p2, pin_2, pin_1, rate = map(np.concatenate, _sliced(split, np.arange(layouts), np.broadcast_to(xs, layouts)))
+    p1, p2, pin_2, pin_1, rate = map(np.concatenate, zip(*_sliced(split, np.arange(layouts),
+                                                                  np.broadcast_to(xs, layouts))))
     return GreedyPlacement(PlacementSolution(x_star=xs, powers=np.stack([p1, p2], axis=1), objective=rate),
                            _cases(pin_2, pin_1))
 
@@ -296,19 +301,19 @@ def _sum_rate(at):
     return lambda xs: at(xs)[4]
 
 
-def _sliced(split, rows: np.ndarray, *arrays: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
-    """split(rows)(xs[, hi]) for arrays (xs[, hi]) in calls of at most SCAN_SLICE points: each _kkt field's pieces.
+def _sliced(split, rows: np.ndarray, *arrays: np.ndarray, field: int | slice = slice(None)) -> list:
+    """split(rows)(xs[, hi])[field] for arrays (xs[, hi]), one item per call of at most SCAN_SLICE points.
 
-    _kkt is elementwise, so joining a field's pieces gives the bits of one call.  No rows make one
-    empty call, so that every field has a piece.
+    _kkt is elementwise, so joining the calls' pieces gives the bits of one call.  No rows make one
+    empty call, so that every field has a piece.  A call's other fields go as soon as it returns.
     """
-    return tuple(zip(*(split(rows[i:i + SCAN_SLICE])(*(a[i:i + SCAN_SLICE] for a in arrays))
-                       for i in range(0, len(rows) or 1, SCAN_SLICE))))
+    return [split(rows[i:i + SCAN_SLICE])(*(a[i:i + SCAN_SLICE] for a in arrays))[field]
+            for i in range(0, len(rows) or 1, SCAN_SLICE)]
 
 
 def _rates(split, rows: np.ndarray, *arrays: np.ndarray) -> np.ndarray:
     """split(rows)(xs[, hi])'s sum rates for arrays (xs[, hi]), in calls of at most SCAN_SLICE points."""
-    return np.concatenate(_sliced(split, rows, *arrays)[4])
+    return np.concatenate(_sliced(split, rows, *arrays, field=4))
 
 
 def _cbrt(v: np.ndarray) -> np.ndarray:
