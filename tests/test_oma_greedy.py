@@ -293,6 +293,25 @@ def test_no_search_call_takes_more_than_a_scan_slice(monkeypatch, rows):
     _assert_same_placements(got, _full_scan(block, budgets, rate, spec))
 
 
+def test_split_power_broadcasts_one_position_against_the_block_as_one_call_did():
+    # the placement evaluates in slices of the block's layouts; a scalar or one-element xs still
+    # places every layout there, an empty block gives empty rows, and a length mismatch raises
+    gen = rng.stream(33, rng.DOMAIN_TESTS, 40)
+    block = LayoutBlock(gen.uniform(-_HL, _HL, (3, 2)), gen.uniform(-_HW, _HW, (3, 2)))
+    total, rate = dbm_to_watt(30.0), bpcu_to_nats(1.0)
+    each = split_power(PARAMS, block, total, rate, np.full(3, 2.5))
+    for xs in (2.5, [2.5]):
+        got = split_power(PARAMS, block, total, rate, xs)
+        assert np.array_equal(got.solution.x_star, xs)
+        for field in ("powers", "objective"):
+            assert np.array_equal(getattr(got.solution, field), getattr(each.solution, field))
+        assert np.array_equal(got.case, each.case)
+    empty = split_power(PARAMS, LayoutBlock(np.zeros((0, 2)), np.zeros((0, 2))), total, rate, np.zeros(0))
+    assert empty.solution.objective.shape == (0,) and empty.solution.powers.shape == (0, 2)
+    with pytest.raises(ValueError):
+        split_power(PARAMS, block, total, rate, [0.0, 1.0])
+
+
 # Sum rates that the one-level search (every 32-point interval bounded, then every point of the
 # survivors) evaluated on the inputs of the test below, its refinement and final placement included.
 _ONE_LEVEL_RATES = {"block": 22583, "single": 1759}
