@@ -11,9 +11,10 @@ experiment         CSV sweep over random layouts (see config keys below)
 
 An instance file lists one user per line as "x y"; blank lines and '#'
 comments are ignored.  A config file holds flat "key = value" lines with the
-same comment rules; --set key=value overrides single entries and dedicated
-flags override both.  Exit codes: 0 ok, 2 bad config or parse error,
-3 infeasible instance, 4 certification failure.
+same comment rules; --set key=value overrides single entries and a
+subcommand's flags (--power-dbm for power_dbm, ...) override both, each
+value typed as its key's --set value is.  Exit codes: 0 ok, 2 bad config or
+parse error, 3 infeasible instance, 4 certification failure.
 """
 
 from __future__ import annotations
@@ -381,6 +382,18 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------------ parser
 
+# each subcommand's help line, whether it reads an instance file, and the config keys it takes as flags
+_SUBCOMMANDS = {
+    "maxmin": ("max-min rate placement for M users", True, ("power_dbm",)),
+    "powermin": ("total-power-minimizing placement for M users", True, ("rate_bpcu",)),
+    "outage": ("two-user outage probability under a per-user budget", False,
+               ("power_dbm", "rate_bpcu", "users", "trials", "seed")),
+    "greedy": ("two-user throughput placement with rate floors", True, ("power_dbm", "rate_bpcu")),
+    "noma": ("two-user superposition power minimization", True, ("rate_bpcu",)),
+    "experiment": ("Monte Carlo sweep, CSV output", False, ("trials", "users", "clustering", "seed")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     """A fresh parser; main parses with one built on its first call."""
     parser = argparse.ArgumentParser(
@@ -391,51 +404,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--verbose", action="store_true", help="enable debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for name, (text, reads_instance, keys) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if reads_instance:
+            p.add_argument("instance", help="instance file, one 'x y' user per line")
+        for key in keys:  # no type: _collect_mapping hands the string to merge_config, as it does a --set value
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key, help=experiments.CONFIG_KEYS[key].help)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", help="write the machine-readable report (JSON, or CSV for experiment) here")
         p.add_argument("--certify", action="store_true",
                        help="check the closed form against its brute-force oracle (exit 4 on failure)")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config key (repeatable)")
-
-    p = sub.add_parser("maxmin", help="max-min rate placement for M users")
-    p.add_argument("instance", help="instance file, one 'x y' user per line")
-    p.add_argument("--power-dbm", dest="power_dbm", type=float, help="total power budget")
-    common(p)
-
-    p = sub.add_parser("powermin", help="total-power-minimizing placement for M users")
-    p.add_argument("instance")
-    p.add_argument("--rate-bpcu", dest="rate_bpcu", type=float, help="per-user rate target")
-    common(p)
-
-    p = sub.add_parser("outage", help="two-user outage probability under a per-user budget")
-    p.add_argument("--power-dbm", dest="power_dbm", type=float, help="per-user power budget")
-    p.add_argument("--rate-bpcu", dest="rate_bpcu", type=float)
-    p.add_argument("--users", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int, help="64-bit master seed of the Monte Carlo draws")
-    common(p)
-
-    p = sub.add_parser("greedy", help="two-user throughput placement with rate floors")
-    p.add_argument("instance")
-    p.add_argument("--power-dbm", dest="power_dbm", type=float)
-    p.add_argument("--rate-bpcu", dest="rate_bpcu", type=float, help="per-user rate floor")
-    common(p)
-
-    p = sub.add_parser("noma", help="two-user superposition power minimization")
-    p.add_argument("instance")
-    p.add_argument("--rate-bpcu", dest="rate_bpcu", type=float)
-    common(p)
-
-    p = sub.add_parser("experiment", help="Monte Carlo sweep, CSV output")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--users", type=int)
-    p.add_argument("--clustering", choices=["true", "false"])
-    p.add_argument("--seed", type=int, help="64-bit master seed of the layout draws")
-    common(p)
-
     return parser
 
 

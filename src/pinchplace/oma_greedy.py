@@ -131,16 +131,17 @@ def _cases(pin_2, pin_1):
 def _splitter(params: SystemParams, block: LayoutBlock, total_w, rate_nats: float):
     """Check a route's inputs once and return the block's evaluator split and its users.
 
-    split(rows) binds the evaluator to rows of block (an int, an int array or
-    slice(None)): it gathers their users and budgets (each row its own when
-    total_w is a column) once, and returns at(xs, hi=None), _kkt of those
-    rows at positions xs that broadcast against them; given hi, at is _kkt
-    at each user's nearest point of [xs, hi], whose sum rate bounds every
-    point of that interval from above (see _kkt).  at runs under the
-    caller's np.errstate(**_QUIET).  The users are the block's
-    (x1, y1, x2, y2) columns as the rows of a (4, B) array.  ValueError when a budget is not positive
-    and finite or gives a non-finite SNR, the rate floor is not one real
-    number or a user is outside the service area, and as power_coeff.
+    split(rows) binds the evaluator to rows of block, an int or an int array
+    (np.arange(len(block)) for all of them): it gathers their users and
+    budgets (each row its own when total_w is a column) once with take, and
+    returns at(xs, hi=None), _kkt of those rows at positions xs that
+    broadcast against them; given hi, at is _kkt at each user's nearest point
+    of [xs, hi], whose sum rate bounds every point of that interval from
+    above (see _kkt).  at runs under the caller's np.errstate(**_QUIET).  The
+    users are the block's (x1, y1, x2, y2) columns as the rows of a (4, B)
+    array.  ValueError when a budget is not positive and finite or gives a
+    non-finite SNR, the rate floor is not one real number or a user is
+    outside the service area, and as power_coeff.
     """
     what = "total power budget"
     require_rows(total_w, block, what)
@@ -166,11 +167,8 @@ def _splitter(params: SystemParams, block: LayoutBlock, total_w, rate_nats: floa
 
     def split(rows):
         # a float budget stays a float, which is cheaper than a 0-d array in a one-row call, and take
-        # gathers the rows of an index array faster than indexing with it does
-        if isinstance(rows, np.ndarray):
-            budget, users = budgets.take(rows) if column else total_w, tuple(columns.take(rows, axis=1))
-        else:
-            budget, users = budgets[rows] if column else total_w, tuple(columns[:, rows])
+        # gathers rows faster than indexing with them does
+        budget, users = budgets.take(rows) if column else total_w, tuple(columns.take(rows, axis=1))
         return lambda xs, hi=None: _kkt(params, gain, coeff, budget, *_geometry(params, users, xs, hi))
 
     return split, columns
@@ -442,8 +440,9 @@ def best_placement_high_snr(params: SystemParams, block: LayoutBlock, total_w, r
     xs[:, 3] = -hl
     xs.sort(axis=1)
     xs = xs.T  # (5, B): layout i's candidates are column i, evaluated against its own users
-    p1, p2, pin_2, pin_1, rate = split(slice(None))(xs)
-    at = (np.argmax(rate, axis=0), np.arange(len(block)))  # the first of equal rates, as a strict > scan
+    rows = np.arange(len(block))
+    p1, p2, pin_2, pin_1, rate = split(rows)(xs)
+    at = (np.argmax(rate, axis=0), rows)  # the first of equal rates, as a strict > scan
     return GreedyPlacement(
         solution=PlacementSolution(x_star=xs[at], powers=np.stack([p1[at], p2[at]], axis=1), objective=rate[at]),
         case=_cases(pin_2[at], pin_1[at]),

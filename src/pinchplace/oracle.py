@@ -16,10 +16,10 @@ as a full scan would be.  The scan hands an objective the grid in consecutive
 slices of at most core.SCAN_SLICE (4096) abscissae, so no scan temporary
 outgrows 32 KiB, and an objective must be elementwise in its abscissae (every
 objective in this package is).  The refinement is one algorithm in two forms:
-the _golden_section coroutine for a lone live row, probed at a 0-d
-np.float64, and _golden_section_rows for a block, whose rows move in lockstep
-(rows,) arrays with the coroutine's IEEE operations, so a row's bits do not
-depend on the form.  A lone row costs refine_iters + 2 probe calls; a block
+the _golden_section loop for a lone live row, probed at a 0-d np.float64,
+and _golden_section_rows for a block, whose rows move in lockstep (rows,)
+arrays with the loop's IEEE operations, so a row's bits do not depend on the
+form.  A lone row costs refine_iters + 2 probe calls; a block
 makes two iterations per call, probing each row's next abscissa with both it
 could probe after that, so it costs 1 + ceil(refine_iters / 2) calls per
 chunk of at most SCAN_SLICE // 3 rows (see RowObjective).
@@ -195,7 +195,7 @@ def refine_rows(
 
     A row runs spec.refine_iters golden-section iterations between the grid
     neighbours of its point.  The one algorithm has two forms.  A lone live
-    row runs the _golden_section coroutine, probed at a 0-d np.float64 in
+    row runs the _golden_section loop, probed at a 0-d np.float64 in
     refine_iters + 2 calls.  A block of live rows moves every row's bracket,
     probes and incumbent together as (rows,) arrays (_golden_section_rows),
     two iterations per call, in chunks of at most SCAN_SLICE // 3 live rows:
@@ -218,7 +218,7 @@ def refine_rows(
         (row,) = live
         i, v = best[row]
         a, x, b = spec.at([max(i - 1, 0), i, min(i + 1, last)]).tolist()
-        x, v = _refine_one(objective(row), flip, a, b, x, flip * v, iters)
+        x, v = _golden_section(objective(row), flip, a, b, x, flip * v, iters)
         found[row] = (x, flip * v)
     elif live:
         index, value = np.array([best[row] for row in live]).T
@@ -242,43 +242,35 @@ def refine_rows(
     return found
 
 
-def _refine_one(probe: Objective, flip: float, a: float, b: float, best_x: float, best_v: float,
-                iters: int) -> tuple[float, float]:
-    """_golden_section of one row, probed at 0-d np.float64s and its values times flip; the final incumbent.
+def _golden_section(probe: Objective, flip: float, a: float, b: float, best_x: float, best_v: float,
+                    iters: int) -> tuple[float, float]:
+    """Golden-section minimization of flip * probe on [a, b] from the incumbent (best_x, best_v); the final one.
 
-    A probe that raises TypeError on the 0-d abscissa, as one that takes
-    len(xs) does, is handed the rest of this search's probes as 1-element
-    arrays instead.
+    probe is called once per abscissa, at a 0-d np.float64, and a value that
+    is not finite reads as inf.  The incumbent only moves on a strict
+    improvement, which preserves the smallest-x tie-break and the
+    never-worse-than-grid guarantee.  A probe that raises TypeError on the 0-d
+    abscissa, as one that takes len(xs) does, is handed the rest of this
+    search's probes as 1-element arrays instead.
     """
-    search = _golden_section(a, b, best_x, best_v, iters)
-    point = next(search)
     scalar = True
-    for _ in range(iters + 2):
+
+    def measure(x: float) -> float:
+        nonlocal scalar
         if scalar:
             try:
-                value = probe(np.float64(point))
+                value = probe(np.float64(x))
             except TypeError:
                 scalar = False
         if not scalar:
-            value = probe(np.array([point]))
+            value = probe(np.array([x]))
         # the value as a Python float, also where the probe gives it as a 1-element array
         v = np.asarray(value, dtype=float).item()
-        point = search.send(flip * v if math.isfinite(v) else math.inf)
-    return point
+        return flip * v if math.isfinite(v) else math.inf
 
-
-def _golden_section(a: float, b: float, best_x: float, best_v: float, iters: int):
-    """Golden-section minimization on [a, b] from the incumbent (best_x, best_v), as a coroutine.
-
-    It yields each abscissa to probe and is sent back the value there (inf
-    where the objective is not finite); after the last probe it yields the
-    final incumbent.  The incumbent only moves on a strict improvement, which
-    preserves the smallest-x tie-break and the never-worse-than-grid guarantee.
-    """
     m1 = b - _INV_PHI * (b - a)
     m2 = a + _INV_PHI * (b - a)
-    f1 = yield m1
-    f2 = yield m2
+    f1, f2 = measure(m1), measure(m2)
     for x, v in ((m1, f1), (m2, f2)):
         if v < best_v:
             best_x, best_v = x, v
@@ -286,16 +278,16 @@ def _golden_section(a: float, b: float, best_x: float, best_v: float, iters: int
         if f1 <= f2:
             b, m2, f2 = m2, m1, f1
             m1 = b - _INV_PHI * (b - a)
-            f1 = yield m1
+            f1 = measure(m1)
             if f1 < best_v:
                 best_x, best_v = m1, f1
         else:
             a, m1, f1 = m1, m2, f2
             m2 = a + _INV_PHI * (b - a)
-            f2 = yield m2
+            f2 = measure(m2)
             if f2 < best_v:
                 best_x, best_v = m2, f2
-    yield best_x, best_v
+    return best_x, best_v
 
 
 def _golden_section_rows(measure: Callable[..., np.ndarray], a: np.ndarray, b: np.ndarray, best_x: np.ndarray,
@@ -312,7 +304,7 @@ def _golden_section_rows(measure: Callable[..., np.ndarray], a: np.ndarray, b: n
     and the search costs 1 + ceil(iters / 2) calls.  Each row takes the
     branch its own f1 <= f2 picks, through np.where, and its probes, values
     and incumbent get the same IEEE operations and strict comparisons as in
-    the coroutine, so every row ends with its bits.
+    _golden_section, so every row ends with its bits.
     """
     step = _INV_PHI * (b - a)
     m1, m2 = b - step, a + step

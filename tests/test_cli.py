@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pinchplace import certify, cli, oma_fairness
+from pinchplace import certify, cli, experiments, oma_fairness
 from pinchplace.core import LayoutBlock, PlacementSolution
 from pinchplace.errors import ParseError
 
@@ -497,6 +497,34 @@ def test_experiment_certify_skips_outage_under_clustering(capsys):
     assert all("skipped" in ln for ln in outage_lines)
 
 
+@pytest.mark.parametrize("command,key", [(command, key) for command, (_, _, keys) in cli._SUBCOMMANDS.items()
+                                         for key in keys])
+def test_every_flag_shows_its_keys_help_and_parses_like_its_set_value(command, key, inst2, capsys):
+    flag = f"--{key.replace('_', '-')}"
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, "--help"])
+    assert exit_.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"{flag} {key.upper()} {experiments.CONFIG_KEYS[key].help}" in help_text
+    # a bad value is the config error --set gives, not an argparse exit
+    instance = [inst2] if cli._SUBCOMMANDS[command][1] else []
+    assert cli.main([command, *instance, flag, "abc"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be ")
+    assert cli.main([command, *instance, "--set", f"{key}=abc"]) == 2
+    assert capsys.readouterr().err == err
+
+
+def test_a_clustering_flag_takes_every_spelling_set_does(tmp_path):
+    common = ["experiment", "--trials", "3", "--set", "sweep_points=2"]
+    by_flag, by_set = tmp_path / "flag.csv", tmp_path / "set.csv"
+    assert cli.main([*common, "--clustering", "yes", "--out", str(by_flag)]) == 0
+    assert cli.main([*common, "--set", "clustering=yes", "--out", str(by_set)]) == 0
+    assert by_flag.read_bytes() == by_set.read_bytes()
+    assert cli.main([*common, "--set", "clustering=no", "--out", str(by_set)]) == 0
+    assert by_flag.read_bytes() != by_set.read_bytes()
+
+
 def test_argparse_usage_error_is_systemexit():
     with pytest.raises(SystemExit):
         cli.main([])
@@ -536,7 +564,7 @@ def test_main_builds_one_parser_and_build_parser_stays_fresh(monkeypatch, capsys
             assert cli.main(["outage", "--trials", "10"]) == 0
         # the cached parser does not pin the handlers: one patched in later runs
         called = []
-        monkeypatch.setattr(cli, "cmd_outage", lambda args: called.append(args.trials) or 0)
+        monkeypatch.setattr(cli, "cmd_outage", lambda args: called.append(cli._collect_mapping(args)["trials"]) or 0)
         assert cli.main(["outage", "--trials", "3"]) == 0 and called == [3]
     finally:
         cli._parser.cache_clear()

@@ -220,7 +220,7 @@ def test_help_lists_every_config_key_with_its_default():
 def test_only_the_subcommands_that_draw_random_numbers_take_a_seed(command, capsys):
     argv = [command] + ([] if command in ("outage", "experiment") else ["users.txt"]) + ["--seed", "1"]
     if command in ("outage", "experiment"):
-        assert cli.build_parser().parse_args(argv).seed == 1
+        assert cli._collect_mapping(cli.build_parser().parse_args(argv))["seed"] == 1
     else:
         with pytest.raises(SystemExit) as exit_:
             cli.build_parser().parse_args(argv)
