@@ -13,8 +13,9 @@ An instance file lists one user per line as "x y"; blank lines and '#'
 comments are ignored.  A config file holds flat "key = value" lines with the
 same comment rules; --set key=value overrides single entries and a
 subcommand's flags (--power-dbm for power_dbm, ...) override both, each
-value typed as its key's --set value is.  Exit codes: 0 ok, 2 bad config or
-parse error, 3 infeasible instance, 4 certification failure.
+value typed as its key's --set value is.  Exit codes: 0 ok, 2 bad config,
+parse error or an --out file that cannot be written, 3 infeasible instance,
+4 certification failure.
 """
 
 from __future__ import annotations
@@ -132,6 +133,14 @@ def _json_ready(value):
     return value
 
 
+def _write_out(path: str, text: str) -> None:
+    """text as the whole of the --out file; a path that cannot be written is a ParseError (exit 2)."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write --out file {path}: {exc}") from exc
+
+
 def _finish(args: argparse.Namespace, report: dict, human: list[str],
             checks: list[certify.Check], failure: str) -> int:
     """Print the report and write it to --out, as strict JSON, with its certification checks; raise if one failed."""
@@ -140,7 +149,7 @@ def _finish(args: argparse.Namespace, report: dict, human: list[str],
         report["certify"] = {"pass": all(c.ok for c in checks), "checks": [vars(c) for c in checks]}
     print("\n".join(human))
     if args.out:
-        Path(args.out).write_text(json.dumps(_json_ready(report), indent=2, sort_keys=True, allow_nan=False) + "\n")
+        _write_out(args.out, json.dumps(_json_ready(report), indent=2, sort_keys=True, allow_nan=False) + "\n")
     if checks and not report["certify"]["pass"]:
         raise CertificationError(failure)
     return 0
@@ -371,7 +380,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     cfg = experiments.ExperimentConfig.from_mapping(merged)
     csv_text = experiments.run_experiment(cfg)
     if args.out:
-        Path(args.out).write_text(csv_text)
+        _write_out(args.out, csv_text)
         print(f"wrote {args.out} ({cfg.trials} trials x {len(cfg.sweep_values)} sweep points)")
     else:
         sys.stdout.write(csv_text)

@@ -155,7 +155,8 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
 
 _BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
-_KIND_NAMES = {float: "a finite number", int: "an integer", bool: "true or false", str: "a string"}
+_KIND_NAMES = {float: "a finite number", int: "an integer", str: "a string",
+               bool: f"one of {'/'.join(_BOOL_STRINGS)} in any case, or the number 0 or 1"}
 
 
 def merge_config(mapping: Mapping[str, object]) -> dict[str, object]:

@@ -7,6 +7,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -523,6 +524,18 @@ def test_a_clustering_flag_takes_every_spelling_set_does(tmp_path):
     assert by_flag.read_bytes() == by_set.read_bytes()
     assert cli.main([*common, "--set", "clustering=no", "--out", str(by_set)]) == 0
     assert by_flag.read_bytes() != by_set.read_bytes()
+
+
+def test_a_bad_clustering_value_names_every_spelling_that_runs(capsys):
+    common = ["experiment", "--trials", "2", "--set", "sweep_points=1"]
+    assert cli.main([*common, "--clustering", "maybe"]) == 2
+    named = re.fullmatch(r"error: clustering must be one of (\S+) in any case, or the number 0 or 1, got 'maybe'\n",
+                         capsys.readouterr().err).group(1).split("/")
+    assert named == list(experiments._BOOL_STRINGS)
+    for spelling in named + [word.upper() for word in named]:
+        assert cli.main([*common, "--clustering", spelling]) == 0
+    assert experiments.merge_config({"clustering": 0})["clustering"] is False
+    assert experiments.merge_config({"clustering": 1})["clustering"] is True
 
 
 def test_argparse_usage_error_is_systemexit():

@@ -2,10 +2,11 @@
 
 cli.main runs in-process on generated instance files, flags and --set
 overrides, extreme ones included (NaN, infinities, subnormal and huge
-numbers, coincident users, users on the area's edge).  Every call must
-return 0, 2, 3 or 4 without raising, exit 4 only under --certify, emit no
-RuntimeWarning (all warnings are recorded, under simplefilter("always")),
-print no traceback and leave strict JSON in --out.
+numbers, coincident users, users on the area's edge), and --out paths that
+cannot be written.  Every call must return 0, 2, 3 or 4 without raising,
+exit 4 only under --certify, emit no RuntimeWarning (all warnings are
+recorded, under simplefilter("always")), print no traceback and leave strict
+JSON in --out.
 """
 
 import contextlib
@@ -45,6 +46,12 @@ _OVERRIDES = st.lists(st.sampled_from([*_SETTINGS, "grid_points", "grid_refine"]
                                         for key in keys}))
 
 
+# --out placeholders that cannot be written: a file in a directory that does not exist, and the scratch directory
+_UNWRITABLE = ["MISSING_DIR/out", "SCRATCH_DIR"]
+# each placeholder's path in the scratch directory
+_PLACEHOLDERS = {"INSTANCE": "users.txt", "OUT": "out", "MISSING_DIR/out": "missing/out", "SCRATCH_DIR": "."}
+
+
 @st.composite
 def _users(draw, counts):
     count = draw(counts)
@@ -56,7 +63,7 @@ def _users(draw, counts):
 
 @st.composite
 def _invocations(draw):
-    """(argv with INSTANCE and OUT placeholders, users or None)."""
+    """(argv with INSTANCE and --out placeholders, users or None)."""
     command = draw(st.sampled_from(["maxmin", "powermin", "greedy", "noma", "outage", "experiment"]))
     argv, users = [command], None
     if command in ("maxmin", "powermin", "greedy", "noma"):
@@ -86,8 +93,9 @@ def _invocations(draw):
         argv += ["--set", f"{key}={value}"]
     if draw(st.booleans()):
         argv.append("--certify")
-    if draw(st.booleans()):
-        argv += ["--out", "OUT"]
+    out = draw(st.sampled_from([None, None, "OUT", "OUT", *_UNWRITABLE]))
+    if out is not None:
+        argv += ["--out", out]
     return argv, users
 
 
@@ -96,16 +104,19 @@ def _refuse_constant(name):
 
 
 def run_main(argv, users=None):
-    """cli.main(argv) in a scratch directory, with INSTANCE and OUT standing for files there.
+    """cli.main(argv) in a scratch directory, with INSTANCE, OUT and _UNWRITABLE standing for paths there.
 
     Returns (exit code, stdout, stderr, what --out holds or None), after
-    checking every clause of the contract but the exit code's value.
+    checking every clause of the contract but the exit code's value.  An
+    --out that cannot be written never exits 0 or 4: each write precedes
+    the certification verdict.
     """
     with tempfile.TemporaryDirectory() as tmp:
-        instance, out = Path(tmp) / "users.txt", Path(tmp) / "out"
+        instance, out = Path(tmp) / _PLACEHOLDERS["INSTANCE"], Path(tmp) / _PLACEHOLDERS["OUT"]
         if users is not None:
             instance.write_text("".join(f"{x!r} {y!r}\n" for x, y in users))
-        argv = [{"INSTANCE": str(instance), "OUT": str(out)}.get(arg, arg) for arg in argv]
+        unwritable = any(arg in _UNWRITABLE for arg in argv)
+        argv = [str(Path(tmp) / _PLACEHOLDERS[arg]) if arg in _PLACEHOLDERS else arg for arg in argv]
         stdout, stderr = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -117,6 +128,7 @@ def run_main(argv, users=None):
     assert code != 4 or "--certify" in argv, (argv, err)
     assert not caught and "Warning" not in err, (argv, [str(w.message) for w in caught], err)
     assert "Traceback" not in err, (argv, err)
+    assert not unwritable or code in (2, 3), (argv, code, err)
     if written is not None and argv[0] != "experiment":
         json.loads(written, parse_constant=_refuse_constant)
     return code, stdout.getvalue(), err, written
@@ -225,3 +237,20 @@ def test_only_the_subcommands_that_draw_random_numbers_take_a_seed(command, caps
         with pytest.raises(SystemExit) as exit_:
             cli.build_parser().parse_args(argv)
         assert exit_.value.code == 2 and "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", _UNWRITABLE)
+@pytest.mark.parametrize("argv, users", [
+    (["maxmin", "INSTANCE"], _NEAR_EDGE),
+    (["powermin", "INSTANCE"], _NEAR_EDGE),
+    (["greedy", "INSTANCE"], _NEAR_EDGE),
+    (["noma", "INSTANCE"], _NEAR_EDGE),
+    (["outage", "--trials", "3"], None),
+    (["experiment", "--trials", "3"], None),
+])
+def test_an_out_path_that_cannot_be_written_exits_2_naming_it(argv, users, out):
+    code, printed, err, _ = run_main([*argv, "--out", out], users)
+    assert code == 2
+    named = Path(re.fullmatch(r"error: cannot write --out file (\S+): .+\n", err).group(1))
+    assert named.relative_to(tempfile.gettempdir()).parts[1:] == Path(_PLACEHOLDERS[out]).parts
+    assert (printed == "") == (argv[0] == "experiment")  # a solver prints its report before writing it
